@@ -40,7 +40,6 @@ from .sequences import (
     CaseClassification,
     CauchyCertificate,
     ConditionTrace,
-    GeometricBound,
     PgsBound,
     PgsSpec,
     TraceInvariantError,

@@ -87,7 +87,7 @@ def _preset_from_args(args) -> ExperimentPreset:
 def _summarize(result) -> str:
     trace = result.trace
     cfg = trace.config
-    cond = ConditionTrace.from_run_trace(trace)
+    cond = ConditionTrace.from_records(trace.records, cfg.gamma, cfg.eta)
     lines = [
         f"preset = {result.preset.name}",
         f"iterations = {len(trace)}",
@@ -179,7 +179,10 @@ def _sweep_base(preset: ExperimentPreset) -> dict:
     )
 
 
-def _condition_trace_from_csv(path, gamma: float | None, eta: float | None) -> ConditionTrace:
+def _condition_trace_from_csv(
+    path, gamma: float | None, eta: float | None
+) -> tuple[ConditionTrace, bool]:
+    """The validated trace, and whether gamma had to be assumed."""
     records = fileio.read_trace_csv(path)
     if len(records) < 2:
         raise BoundConstructionError("insufficient iterations for bound construction")
@@ -187,22 +190,17 @@ def _condition_trace_from_csv(path, gamma: float | None, eta: float | None) -> C
         gamma = fileio.infer_gamma(records)
     if eta is None:
         eta = fileio.infer_eta(records)
-    if gamma is None:
+    assumed = gamma is None
+    if assumed:
         # no C1 record constrains gamma; any value > 1 is consistent
         gamma = 2.0
-    cond = ConditionTrace(
-        deltas=np.array([r.delta for r in records]),
-        rhos=np.array([r.rho for r in records]),
-        flags=tuple(r.condition for r in records[1:]),
-        gamma=gamma,
-        eta=eta,
-    )
+    cond = ConditionTrace.from_records(records, gamma, eta)
     cond.validate()
-    return cond
+    return cond, assumed
 
 
 def cmd_analyze(args) -> int:
-    cond = _condition_trace_from_csv(args.trace, args.gamma, args.eta)
+    cond, gamma_assumed = _condition_trace_from_csv(args.trace, args.gamma, args.eta)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     n = len(cond)
@@ -211,36 +209,23 @@ def cmd_analyze(args) -> int:
     has_c1 = ConditionFlag.C1 in cond.flags
     c = estimate_growth_coefficient(cond) if has_c1 else None
 
-    mode = args.mode
-    bound_kind = None
-    bound_seq = None
-    start = None
+    bound = None
+    bound_kind = "pgs"
     note = ""
-    if mode in ("auto", "s3"):
+    if args.mode in ("auto", "s3"):
         try:
-            pgs = construct_s3_bound(cond, c if c is not None else 1.0)
-            if c is None:
-                raise BoundConstructionError("no C1 iterations to calibrate c")
-            bound_kind = "pgs"
-            bound_seq = pgs.sequence(n)
-            start = pgs.n1 + 1
-            spec = pgs.spec
+            bound = construct_s3_bound(cond, c)
         except BoundConstructionError as exc:
-            if mode == "s3":
+            if args.mode == "s3":
                 raise
             note = f"falling back to geometric bound: {exc}"
-    if bound_seq is None:
-        geo = construct_s12_bound(cond, c)
+    if bound is None:
+        bound = construct_s12_bound(cond, c)
         bound_kind = "geometric"
-        bound_seq = geo.sequence(n)
-        start = geo.start + 1
-        spec = PgsSpec(
-            beta=geo.rate,
-            peak0=float(bound_seq[min(start, n) - 1]) if start <= n else geo.scale,
-            chunk_starts=(max(1, start - 1),),
-        )
-
-    check = verify_bound(cond.deltas, bound_seq, start=min(start, n))
+    bound_seq = bound.sequence(n)
+    start = bound.n1 + 1
+    check = verify_bound(cond.deltas, bound_seq, start=start)
+    spec = bound.spec
     cert = cauchy_index(spec.peak0, spec.beta, args.epsilon, spec.chunk_starts)
 
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -270,6 +255,8 @@ def cmd_analyze(args) -> int:
         f"cauchy_start_index = {cert.n_start}",
         f"cauchy_tail_bound = {cert.tail_bound:.17g}",
     ]
+    if gamma_assumed:
+        report.append("gamma_assumed = 2 (no C1 record constrains gamma)")
     if note:
         report.append(f"note = {note}")
     (out_dir / "bound_report.txt").write_text("\n".join(report) + "\n")
@@ -281,18 +268,15 @@ def cmd_pgs_demo(args) -> int:
     lengths = [int(v) for v in args.chunk_lengths.split(",")]
     if any(v < 1 for v in lengths):
         raise ValueError("chunk lengths must be >= 1")
-    starts = [1]
-    for ln in lengths:
-        starts.append(starts[-1] + ln)
-    spec = PgsSpec(beta=args.beta, peak0=args.peak, chunk_starts=tuple(starts))
+    starts = tuple(int(n) for n in np.cumsum([1] + lengths))
+    spec = PgsSpec(beta=args.beta, peak0=args.peak, chunk_starts=starts)
     y = pgs_generate(spec, args.length)
     partial = np.cumsum(y)
-    # chunk bound column repeats each chunk's closed-form sum bound
-    starts_ext = starts + list(range(starts[-1] + 1, args.length + 1))
-    chunk_of = np.empty(args.length, dtype=int)
-    for j, (lo, hi) in enumerate(zip(starts_ext, starts_ext[1:] + [args.length])):
-        chunk_of[lo : min(hi, args.length)] = j + 1
-    chunk_of[: min(starts[0], args.length)] = 1
+    # chunk bound column repeats each chunk's closed-form sum bound; past the
+    # last listed start every index opens a unit chunk
+    ks = np.arange(1, args.length + 1)
+    chunk_of = np.maximum(np.searchsorted(starts, ks), 1)
+    chunk_of += np.maximum(ks - starts[-1] - 1, 0)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     lines = ["k,y,partial_sum,chunk_bound"]

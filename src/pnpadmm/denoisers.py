@@ -15,12 +15,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import as_vector
+from .linalg import readonly_vector
 
 
 @dataclass(frozen=True)
 class ImageGrid:
-    """A width x height image stored as a flat row-major float64 vector."""
+    """A width x height image stored as a flat row-major float64 vector.
+
+    pixels is a read-only view of the given array, not a copy.
+    """
 
     width: int
     height: int
@@ -29,13 +32,12 @@ class ImageGrid:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ValueError("image dimensions must be >= 1")
-        arr = as_vector(self.pixels, "pixels").copy()
+        arr = readonly_vector(self.pixels, "pixels")
         if arr.size != self.width * self.height:
             raise ValueError(
                 f"pixel count {arr.size} != width*height "
                 f"{self.width * self.height}"
             )
-        arr.flags.writeable = False
         object.__setattr__(self, "pixels", arr)
 
     @property
@@ -172,7 +174,7 @@ def denoise(kind: Denoiser, sigma: float, img: ImageGrid) -> ImageGrid:
     """Apply ``kind`` at strength ``sigma``.
 
     sigma = 0 returns the input bit-exactly for every kind; the output always
-    has the input dimensions and finite entries.
+    has the input dimensions.
     """
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, as_vector
+from .linalg import DimensionMismatchError, NonFiniteIterateError, as_vector
 
 
 def _as_shape(shape) -> tuple[int, int]:
@@ -99,20 +99,20 @@ class ForwardOperator:
         raise NotImplementedError
 
     def _check_in(self, x, what: str = "input") -> np.ndarray:
-        arr = as_vector(x, what)
-        if arr.size != self.in_dim:
-            raise DimensionMismatchError(
-                f"{what} has dimension {arr.size}, operator expects {self.in_dim}"
-            )
-        return arr
+        return _sized(x, self.in_dim, what)
 
     def _check_out(self, y, what: str = "output-side vector") -> np.ndarray:
-        arr = as_vector(y, what)
-        if arr.size != self.out_dim:
-            raise DimensionMismatchError(
-                f"{what} has dimension {arr.size}, operator expects {self.out_dim}"
-            )
-        return arr
+        return _sized(y, self.out_dim, what)
+
+
+def _sized(x, dim: int, what: str) -> np.ndarray:
+    """``x`` as a float64 vector of length ``dim``; a shape check, no scan."""
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.shape != (dim,):
+        raise DimensionMismatchError(
+            f"{what} has shape {arr.shape}, operator expects ({dim},)"
+        )
+    return arr
 
 
 class Identity(ForwardOperator):
@@ -121,10 +121,10 @@ class Identity(ForwardOperator):
         self.out_shape = self.in_shape
 
     def apply(self, x):
-        return self._check_in(x).copy()
+        return self._check_in(x)
 
     def apply_adjoint(self, y):
-        return self._check_out(y).copy()
+        return self._check_out(y)
 
 
 class CircularBlur(ForwardOperator):
@@ -183,7 +183,7 @@ class Downsample(ForwardOperator):
     def apply(self, x):
         x2 = self._check_in(x).reshape(self.in_shape)
         blurred = _circ_conv(x2, self.prefilter)
-        return blurred[:: self.factor, :: self.factor].reshape(-1).copy()
+        return blurred[:: self.factor, :: self.factor].reshape(-1)
 
     def apply_adjoint(self, y):
         y2 = self._check_out(y).reshape(self.out_shape)
@@ -200,7 +200,8 @@ class FidelityTerm:
     observation: np.ndarray
 
     def __post_init__(self):
-        b = self.op._check_out(self.observation, "observation").copy()
+        b = as_vector(self.observation, "observation").copy()
+        self.op._check_out(b, "observation")
         b.flags.writeable = False
         object.__setattr__(self, "observation", b)
 
@@ -222,6 +223,13 @@ class ProxSolveError(RuntimeError):
         self.iterations = iterations
 
 
+def _finite_residual(r: np.ndarray) -> float:
+    rs = float(r @ r)
+    if not math.isfinite(rs):
+        raise NonFiniteIterateError("prox solve residual is not finite")
+    return rs
+
+
 def prox_x_update(
     f: FidelityTerm,
     rho: float,
@@ -233,7 +241,8 @@ def prox_x_update(
 
     Solves the normal equations (H^T H + rho I) x = H^T b + rho * target by
     conjugate gradients, warm-started at ``target``.  The system is strongly
-    convex for rho > 0, so the minimizer is unique.
+    convex for rho > 0, so the minimizer is unique.  A non-finite CG
+    residual raises NonFiniteIterateError at once.
     """
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
@@ -250,17 +259,17 @@ def prox_x_update(
     cap = 10 * op.in_dim if max_iter is None else max_iter
     x = t.copy()
     r = rhs - matvec(x)
-    rs = float(r @ r)
+    rs = _finite_residual(r)
     tol = rel_tol * rhs_norm
     if math.sqrt(rs) <= tol:
         return x
-    p = r.copy()
+    p = r
     for it in range(1, cap + 1):
         Ap = matvec(p)
         alpha = rs / float(p @ Ap)
         x = x + alpha * p
         r = r - alpha * Ap
-        rs_new = float(r @ r)
+        rs_new = _finite_residual(r)
         if math.sqrt(rs_new) <= tol:
             return x
         p = r + (rs_new / rs) * p

@@ -165,22 +165,29 @@ def infer_eta(records: list[TraceRecord]) -> float:
 
     Any eta in (max C2 ratio, min C1 ratio] reproduces the recorded flags;
     using the upper end can only enlarge downstream envelopes, never
-    invalidate them.
+    invalidate them.  The rounded ratio can sit one step above the true
+    one, so it is stepped down until every C1 record passes the product
+    test d_next >= eta * d_prev that the flags were made with.
     """
-    best = None
+    c1 = [
+        (prev.delta, rec.delta)
+        for prev, rec in zip(records, records[1:])
+        if rec.condition == ConditionFlag.C1 and prev.delta > 0
+    ]
+    if c1:
+        d_prev, d_next = np.array(c1).T
+        best = float(np.min(d_next / d_prev))
+        if 0 < best < 1:
+            while np.any(best * d_prev > d_next):
+                best = float(np.nextafter(best, 0.0))
+            return best
+    # all-C2 traces leave eta unconstrained from above; any valid value
+    # at least as large as every C2 ratio keeps the flags consistent
+    worst_c2 = 0.0
     for prev, rec in zip(records, records[1:]):
-        if rec.condition == ConditionFlag.C1 and prev.delta > 0:
-            ratio = rec.delta / prev.delta
-            best = ratio if best is None else min(best, ratio)
-    if best is None or not (0 < best < 1):
-        # all-C2 traces leave eta unconstrained from above; any valid value
-        # at least as large as every C2 ratio keeps the flags consistent
-        worst_c2 = 0.0
-        for prev, rec in zip(records, records[1:]):
-            if rec.condition == ConditionFlag.C2 and prev.delta > 0:
-                worst_c2 = max(worst_c2, rec.delta / prev.delta)
-        best = min(0.5 * (worst_c2 + 1.0) if worst_c2 > 0 else 0.5, 1.0 - 1e-9)
-    return float(best)
+        if rec.condition == ConditionFlag.C2 and prev.delta > 0:
+            worst_c2 = max(worst_c2, rec.delta / prev.delta)
+    return float(min(0.5 * (worst_c2 + 1.0) if worst_c2 > 0 else 0.5, 1.0 - 1e-9))
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,14 @@ class DimensionMismatchError(ValueError):
     """Two vectors (or triple components) do not share a dimension."""
 
 
-def as_vector(data, name: str = "vector") -> np.ndarray:
-    """Coerce ``data`` to a finite 1-D float64 array.
+class NonFiniteIterateError(RuntimeError):
+    """An iterate picked up NaN/inf entries; names the failing iteration."""
 
-    Rejects empty input and any NaN/inf entry: solver state must fail
-    loudly rather than propagate non-finite values.
+
+def readonly_vector(data, name: str = "vector") -> np.ndarray:
+    """Read-only 1-D float64 view of ``data``, with no scan and no copy.
+
+    The caller hands the array over: it must not write to ``data`` later.
     """
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim == 0:
@@ -25,6 +28,18 @@ def as_vector(data, name: str = "vector") -> np.ndarray:
         raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
     if arr.size < 1:
         raise ValueError(f"{name} must have dimension >= 1")
+    arr = arr.view()
+    arr.flags.writeable = False
+    return arr
+
+
+def as_vector(data, name: str = "vector") -> np.ndarray:
+    """:func:`readonly_vector` plus a scan that rejects NaN/inf entries.
+
+    For outside input only: solver state must start finite, and inside the
+    loop the residuals catch non-finite values.
+    """
+    arr = readonly_vector(data, name)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
@@ -37,7 +52,10 @@ def euclidean_norm(v) -> float:
 
 @dataclass(frozen=True)
 class IterateTriple:
-    """Solver state theta = (x, v, u), three vectors of equal dimension."""
+    """Solver state theta = (x, v, u), three vectors of equal dimension.
+
+    The components are read-only views of the given arrays, not copies.
+    """
 
     x: np.ndarray
     v: np.ndarray
@@ -45,9 +63,7 @@ class IterateTriple:
 
     def __post_init__(self):
         for name in ("x", "v", "u"):
-            arr = as_vector(getattr(self, name), name).copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, readonly_vector(getattr(self, name), name))
         if not (self.x.shape == self.v.shape == self.u.shape):
             raise DimensionMismatchError(
                 f"components differ in dimension: x={self.x.size}, "

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .solver import ConditionFlag, RunTrace
+from .solver import ConditionFlag, TraceRecord
 
 
 class TraceInvariantError(ValueError):
@@ -78,8 +78,8 @@ class PgsSpec:
                     f"head must hold the first n_1 = {starts[0]} terms, "
                     f"got {len(head)}"
                 )
-            if any(t <= 0 for t in head):
-                raise ValueError("head terms must be positive")
+            if any(t < 0 for t in head):
+                raise ValueError("head terms must be nonnegative")
             object.__setattr__(self, "head", head)
 
     @property
@@ -89,36 +89,26 @@ class PgsSpec:
         return (self.peak0,) * self.chunk_starts[0]
 
 
-def _extended_starts(starts: Sequence[int], length: int) -> list[int]:
-    out = list(starts)
-    while out[-1] < length:
-        out.append(out[-1] + 1)
-    return out
-
-
 def pgs_generate(spec: PgsSpec, length: int) -> np.ndarray:
     """First ``length`` terms y_1 .. y_length of the sequence.
 
     Term k in chunk j is peak0 * beta^(j - 1) * beta^(k - n_j - 1); head
-    terms are copied verbatim.
+    terms are copied verbatim.  Past the last listed start the chunks have
+    unit length, and there the last listed chunk's exponent already equals
+    theirs, so indices beyond it stay in that chunk.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
     y = np.empty(length)
     n1 = spec.chunk_starts[0]
-    head = spec.head_terms
     used = min(n1, length)
-    y[:used] = head[:used]
+    y[:used] = spec.head_terms[:used]
     if length <= n1:
         return y
-    starts = _extended_starts(spec.chunk_starts, length)
-    for j, (lo, hi) in enumerate(zip(starts, starts[1:])):
-        # chunk j+1 covers indices lo+1 .. hi (1-based)
-        if lo + 1 > length:
-            break
-        hi = min(hi, length)
-        ks = np.arange(lo + 1, hi + 1)
-        y[lo:hi] = spec.peak0 * spec.beta ** (j + ks - lo - 1)
+    starts = np.asarray(spec.chunk_starts)
+    ks = np.arange(n1 + 1, length + 1)
+    j = np.searchsorted(starts, ks) - 1  # 0-based chunk: n_j < k <= n_{j+1}
+    y[n1:] = spec.peak0 * spec.beta ** (j + ks - starts[j] - 1)
     return y
 
 
@@ -157,19 +147,28 @@ class CauchyCertificate:
 def cauchy_index(
     peak0: float, beta: float, epsilon: float, chunk_starts: Sequence[int]
 ) -> CauchyCertificate:
-    """Find the chunk count K and start index N certifying tail sums < epsilon."""
+    """Find the chunk count K and start index N certifying tail sums < epsilon.
+
+    K is the closed form 1 + log(threshold) / log(beta), nudged to the
+    smallest K with beta^(K-1) < threshold; past the listed starts the
+    chunks have unit length.
+    """
     if not (0 < beta < 1):
         raise ValueError("beta must be in (0, 1)")
     if peak0 <= 0 or epsilon <= 0:
         raise ValueError("peak0 and epsilon must be positive")
     threshold = epsilon * (1.0 - beta) ** 2 / peak0
+    if not threshold > 0:
+        raise ValueError("epsilon * (1 - beta)^2 / peak0 underflows to zero")
     k = 1
+    if threshold <= 1:
+        k = max(1, math.ceil(1.0 + math.log(threshold) / math.log(beta)))
+    while k > 1 and beta ** (k - 2) < threshold:
+        k -= 1
     while beta ** (k - 1) >= threshold:
         k += 1
-    starts = list(chunk_starts)
-    if len(starts) < k:
-        starts = _extended_starts(starts, starts[-1] + (k - len(starts)))
-    n_k = starts[k - 1]
+    m = len(chunk_starts)
+    n_k = chunk_starts[k - 1] if k <= m else chunk_starts[-1] + (k - m)
     return CauchyCertificate(
         epsilon=epsilon,
         k_index=k,
@@ -239,15 +238,17 @@ class ConditionTrace:
                 )
 
     @classmethod
-    def from_run_trace(cls, trace: RunTrace) -> "ConditionTrace":
-        # record k >= 2 stores the condition observed at iteration k-1
-        flags = tuple(r.condition for r in trace.records[1:])
+    def from_records(
+        cls, records: Sequence[TraceRecord], gamma: float, eta: float
+    ) -> "ConditionTrace":
+        """The trace of a run's records: record k >= 2 carries the flag of
+        iteration k-1, so the first record's (absent) flag is dropped."""
         return cls(
-            deltas=trace.deltas,
-            rhos=trace.rhos,
-            flags=flags,
-            gamma=trace.config.gamma,
-            eta=trace.config.eta,
+            deltas=np.array([r.delta for r in records]),
+            rhos=np.array([r.rho for r in records]),
+            flags=tuple(r.condition for r in records[1:]),
+            gamma=gamma,
+            eta=eta,
         )
 
 
@@ -293,19 +294,25 @@ def estimate_growth_coefficient(trace: ConditionTrace) -> float:
 
 @dataclass(frozen=True)
 class PgsBound:
-    """PGS envelope extracted from an alternating (S3-like) trace."""
+    """PGS envelope of a residual trace, checked from iteration n1 + 1 on."""
 
     spec: PgsSpec
-    c_used: float
-    n1: int
-    chunk_onsets: tuple[int, ...]  # the n_j
+    c_used: float | None
     hold_onsets: tuple[int, ...]  # the m_j
+
+    @property
+    def n1(self) -> int:
+        return self.spec.chunk_starts[0]
+
+    @property
+    def chunk_onsets(self) -> tuple[int, ...]:  # the n_j
+        return self.spec.chunk_starts
 
     def sequence(self, length: int) -> np.ndarray:
         return pgs_generate(self.spec, length)
 
 
-def construct_s3_bound(trace: ConditionTrace, c: float) -> PgsBound:
+def construct_s3_bound(trace: ConditionTrace, c: float | None) -> PgsBound:
     """Build the PGS envelope of an alternating trace.
 
     Uses rate beta = max(1/sqrt(gamma), eta), first peak c / sqrt(rho_{n_1})
@@ -313,56 +320,33 @@ def construct_s3_bound(trace: ConditionTrace, c: float) -> PgsBound:
     n_1.  With c at least the true growth coefficient the envelope dominates
     the residuals from iteration n_1 + 1 on.
     """
-    if c <= 0:
-        raise ValueError("c must be positive")
     ns, ms = alternation_boundaries(trace.flags)
     if len(ns) < 2:
         raise BoundConstructionError(
             "trace is S1/S2-like (fewer than two C1 onsets); "
             "use the geometric bound"
         )
+    if c is None or c <= 0:
+        raise ValueError("c must be positive")
     beta = max(1.0 / math.sqrt(trace.gamma), trace.eta)
     n1 = ns[0]
     peak0 = c / math.sqrt(trace.rhos[n1 - 1])
     head = tuple(float(d) for d in trace.deltas[:n1])
     spec = PgsSpec(beta=beta, peak0=peak0, chunk_starts=tuple(ns), head=head)
-    return PgsBound(
-        spec=spec,
-        c_used=c,
-        n1=n1,
-        chunk_onsets=tuple(ns),
-        hold_onsets=tuple(ms),
-    )
-
-
-@dataclass(frozen=True)
-class GeometricBound:
-    """Eventual bound delta_{k+1} <= scale * rate^k, valid for k >= start."""
-
-    scale: float
-    rate: float
-    start: int
-
-    def sequence(self, length: int) -> np.ndarray:
-        """Terms y_1 .. y_length with y_k = scale * rate^(k-1).
-
-        Only indices k >= start + 1 carry the guarantee; earlier entries are
-        emitted for alignment.
-        """
-        ks = np.arange(1, length + 1)
-        return self.scale * self.rate ** (ks - 1.0)
+    return PgsBound(spec=spec, c_used=c, hold_onsets=tuple(ms))
 
 
 def construct_s12_bound(
     trace: ConditionTrace, c: float | None, window: int | None = None
-) -> GeometricBound:
+) -> PgsBound:
     """Build the geometric bound for a trace with a single-condition tail.
 
     For a tail of C1 flags starting at iteration t the bound is
     (c / sqrt(rho_t)) * (1/sqrt(gamma))^(k - t); for a C2 tail it is the
     eta-decay chained from the anchor residual at t (itself bounded through
-    c when a C1 iteration precedes the tail).  With ``window`` given, a tail
-    window containing both flags is rejected.
+    c when a C1 iteration precedes the tail).  Either is a PGS with the one
+    listed chunk start t, head delta_1 .. delta_t and unit chunks after it.
+    With ``window`` given, a tail window containing both flags is rejected.
     """
     flags = trace.flags
     if not flags:
@@ -392,7 +376,12 @@ def construct_s12_bound(
         else:
             anchor = float(trace.deltas[t - 1])
         scale = anchor * rate ** (1 - t)
-    return GeometricBound(scale=scale, rate=rate, start=t)
+    # delta_k <= scale * rate^(k-1) for k > t; the first peak is its value at
+    # k = t + 1, taken through numpy's power as pgs_generate takes its terms
+    peak0 = float((scale * rate ** np.array([t]))[0])
+    head = tuple(float(d) for d in trace.deltas[:t])
+    spec = PgsSpec(beta=rate, peak0=peak0, chunk_starts=(t,), head=head)
+    return PgsBound(spec=spec, c_used=c, hold_onsets=())
 
 
 @dataclass(frozen=True)

@@ -24,11 +24,9 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .denoisers import Denoiser, ImageGrid, denoise
 from .fidelity import FidelityTerm, prox_x_update
-from .linalg import IterateTriple, metric_distance
+from .linalg import IterateTriple, NonFiniteIterateError, as_vector, metric_distance
 
 
 class ConditionFlag(enum.Enum):
@@ -37,10 +35,6 @@ class ConditionFlag(enum.Enum):
 
     def __str__(self):
         return self.value
-
-
-class NonFiniteIterateError(RuntimeError):
-    """An iterate picked up NaN/inf entries; names the failing iteration."""
 
 
 @dataclass(frozen=True)
@@ -101,22 +95,6 @@ class RunTrace:
     def __len__(self):
         return len(self.records)
 
-    @property
-    def deltas(self) -> np.ndarray:
-        return np.array([r.delta for r in self.records])
-
-    @property
-    def rhos(self) -> np.ndarray:
-        return np.array([r.rho for r in self.records])
-
-    @property
-    def sigmas(self) -> np.ndarray:
-        return np.array([r.sigma for r in self.records])
-
-    @property
-    def conditions(self) -> list[ConditionFlag | None]:
-        return [r.condition for r in self.records]
-
 
 @dataclass(frozen=True)
 class FixedPointReport:
@@ -173,26 +151,36 @@ def run(
     Deterministic given (f, kind, cfg, theta0).  With cfg.keep_iterates the
     trace also stores every iterate including theta0 (memory permitting),
     which enables residual-chain cross checks.
+
+    theta0 is checked for finite entries and copied once.  Inside the loop a
+    NaN entry makes the residual NaN, and an infinite one makes the next
+    prox residual non-finite; either raises NonFiniteIterateError naming
+    the iteration.  An infinite residual alone is recorded as it is: huge
+    but finite iterates can overflow the norm.
     """
     if theta0.dim != f.op.in_dim:
         raise ValueError(
             f"theta0 dimension {theta0.dim} != operator input dimension {f.op.in_dim}"
         )
-    theta = theta0
+    theta = IterateTriple(
+        *(as_vector(getattr(theta0, n), n).copy() for n in ("x", "v", "u"))
+    )
     rho = cfg.rho0
     records: list[TraceRecord] = []
-    iterates: list[IterateTriple] | None = [theta0] if cfg.keep_iterates else None
+    iterates: list[IterateTriple] | None = [theta] if cfg.keep_iterates else None
     prev_delta: float | None = None
     stop_reason = "max_iter"
     for k in range(1, cfg.max_iter + 1):
         sigma_step = math.sqrt(cfg.lam / rho)
         try:
             theta_next = step(f, kind, rho, sigma_step, theta)
-        except ValueError as exc:
+        except NonFiniteIterateError as exc:
             raise NonFiniteIterateError(
                 f"non-finite iterate at iteration {k}: {exc}"
             ) from exc
         delta = metric_distance(theta, theta_next)
+        if math.isnan(delta):
+            raise NonFiniteIterateError(f"non-finite iterate at iteration {k}")
         theta = theta_next
         if prev_delta is None:
             flag = None  # first update has no previous residual; hold rho

@@ -49,3 +49,36 @@ def straight_line_step(op, b, rho, sigma, x, v, u, c_map=1.0, truncate=3.0):
     v_new = direct_gaussian(img, sigma, truncate=truncate, c_map=c_map).reshape(-1)
     u_new = u + x_new - v_new
     return x_new, v_new, u_new
+
+
+def loop_pgs_generate(spec, length):
+    """PGS terms written chunk by chunk, extending the starts with unit chunks."""
+    y = np.empty(length)
+    n1 = spec.chunk_starts[0]
+    used = min(n1, length)
+    y[:used] = spec.head_terms[:used]
+    if length <= n1:
+        return y
+    starts = list(spec.chunk_starts)
+    while starts[-1] < length:
+        starts.append(starts[-1] + 1)
+    for j, (lo, hi) in enumerate(zip(starts, starts[1:])):
+        # chunk j+1 covers indices lo+1 .. hi (1-based)
+        if lo + 1 > length:
+            break
+        hi = min(hi, length)
+        ks = np.arange(lo + 1, hi + 1)
+        y[lo:hi] = spec.peak0 * spec.beta ** (j + ks - lo - 1)
+    return y
+
+
+def linear_cauchy_k(peak0, beta, epsilon, max_k):
+    """Smallest K with beta^(K-1) < epsilon (1-beta)^2 / peak0, by linear
+    search; None when it exceeds max_k."""
+    threshold = epsilon * (1.0 - beta) ** 2 / peak0
+    k = 1
+    while beta ** (k - 1) >= threshold:
+        k += 1
+        if k > max_k:
+            return None
+    return k

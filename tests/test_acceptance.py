@@ -54,6 +54,11 @@ def report(name: str, ok: bool, extra: str = ""):
     print(f"{name}: {status}{suffix}")
 
 
+def _condition_trace(trace):
+    cfg = trace.config
+    return ConditionTrace.from_records(trace.records, cfg.gamma, cfg.eta)
+
+
 def random_specs(count=100, seed=2024, n_chunks=40):
     rng = np.random.default_rng(seed)
     specs = []
@@ -118,7 +123,7 @@ def test_a2_pgs_bound_on_real_traces(runs):
     notes = []
     for eta, gamma in grid:
         trace = runs[("deblur", eta, gamma)].trace
-        cond = ConditionTrace.from_run_trace(trace)
+        cond = _condition_trace(trace)
         cond.validate()
         try:
             c = estimate_growth_coefficient(cond)
@@ -175,14 +180,14 @@ def test_a4_condition_switching_pattern(runs):
         low = runs[(name, 0.1, None)].trace
         flags_low = _flags_by_iteration(low)
         c2_late = [k for k, f in flags_low.items() if f == ConditionFlag.C2 and k >= 20]
-        cond_low = ConditionTrace.from_run_trace(low)
+        cond_low = _condition_trace(low)
         label_low = classify_case(cond_low, 40).label
         low_ok = not c2_late and label_low == "S1-like"
 
         high = runs[(name, 0.95, None)].trace
         flags_high = _flags_by_iteration(high)
         late = {f for k, f in flags_high.items() if k > 20}
-        cond_high = ConditionTrace.from_run_trace(high)
+        cond_high = _condition_trace(high)
         label_high = classify_case(cond_high, 40).label
         high_ok = late == {ConditionFlag.C1, ConditionFlag.C2} and label_high == "S3-like"
 
@@ -260,8 +265,9 @@ def test_a7_trace_invariants_and_determinism(runs):
     for (name, eta, gamma), result in runs.items():
         trace = result.trace
         cfg = trace.config
-        rhos = trace.rhos
-        deltas = trace.deltas
+        cond = _condition_trace(trace)
+        rhos = cond.rhos
+        deltas = cond.deltas
         for r in trace.records:
             ok = ok and abs(r.sigma**2 * r.rho - cfg.lam) <= 1e-12 * cfg.lam
         for a, b in zip(rhos, rhos[1:]):
@@ -295,7 +301,7 @@ def test_a8_triangle_inequality_chain():
     trace = result.trace
     assert trace.stop_reason == "tolerance", "run did not converge"
     iterates = trace.iterates
-    deltas = trace.deltas
+    deltas = _condition_trace(trace).deltas
     rng = np.random.default_rng(99)
     worst_gap = -np.inf
     n_total = len(iterates)  # theta_0 .. theta_N

@@ -138,6 +138,20 @@ def test_analyze_truncated_trace_errors(tmp_path, capsys):
     assert "insufficient iterations" in capsys.readouterr().err
 
 
+def test_analyze_reports_assumed_gamma_without_c1(tmp_path):
+    trace = tmp_path / "all_c2.csv"
+    trace.write_text(
+        "iter,delta,rho,sigma,condition,fidelity_value\n"
+        "1,1,1,0.1,NA,0\n2,0.1,1,0.1,C2,0\n3,0.01,1,0.1,C2,0\n"
+    )
+    assert run_cli("analyze", "--trace", trace, "--out", tmp_path / "a") == 0
+    report = (tmp_path / "a" / "bound_report.txt").read_text()
+    assert "gamma_assumed = 2" in report
+    assert "bound_kind = geometric" in report
+    assert run_cli("analyze", "--trace", trace, "--out", tmp_path / "b", "--gamma", "3") == 0
+    assert "gamma_assumed" not in (tmp_path / "b" / "bound_report.txt").read_text()
+
+
 def test_analyze_malformed_trace_errors(tmp_path, capsys):
     trace = tmp_path / "bad.csv"
     trace.write_text(

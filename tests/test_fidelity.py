@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from pnpadmm.fidelity import (
     estimate_gradient_bound,
     prox_x_update,
 )
-from pnpadmm.linalg import DimensionMismatchError
+from pnpadmm.linalg import DimensionMismatchError, NonFiniteIterateError
 
 
 from oracles import dense_matrix
@@ -217,6 +218,19 @@ def test_prox_iteration_cap_error_carries_residual():
         prox_x_update(f, rho=0.5, target=rng.standard_normal(16), max_iter=1)
     assert info.value.residual > 0
     assert info.value.iterations == 1
+
+
+@pytest.mark.parametrize("value", [1e308, np.nan])
+def test_prox_non_finite_residual_raises_promptly(value):
+    # H^T H x + rho x overflows (or is NaN) at the warm start; the solve
+    # must stop at once rather than run to its 10 * d iteration cap
+    op = Identity((64, 64))
+    f = FidelityTerm(op=op, observation=np.zeros(op.out_dim))
+    start = time.monotonic()
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteIterateError):
+            prox_x_update(f, rho=1.0, target=np.full(op.in_dim, value))
+    assert time.monotonic() - start < 1.0
 
 
 def test_gradient_bound_stationary_samples():

@@ -138,6 +138,20 @@ def test_infer_gamma_and_eta():
     assert 0.4 < eta < 1.0  # any valid threshold above the observed C2 ratio
 
 
+def test_infer_eta_reproduces_flag_despite_rounding():
+    # the rounded ratio 0.47243780963943144 / 0.876660559320164 times the
+    # previous residual lands one step above the next residual
+    records = [
+        TraceRecord(1, 0.876660559320164, 1.0, 0.1, None, 0.0),
+        TraceRecord(2, 0.47243780963943144, 1.05, 0.1, ConditionFlag.C1, 0.0),
+    ]
+    ratio = records[1].delta / records[0].delta
+    assert ratio * records[0].delta > records[1].delta
+    eta = infer_eta(records)
+    assert eta < ratio
+    assert records[1].delta >= eta * records[0].delta
+
+
 def test_config_round_trip(tmp_path):
     path = tmp_path / "run.cfg"
     write_config({"preset": "deblur", "eta": 0.95, "max_iter": 100}, path)

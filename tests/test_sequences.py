@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -172,6 +173,27 @@ def test_cauchy_index_small_beta():
     assert cert.k_index == 2
 
 
+def test_cauchy_index_returns_promptly_for_beta_near_one():
+    # a linear search over K would need ~5.5e10 steps here
+    beta = 1 - 1e-9
+    start = time.monotonic()
+    cert = cauchy_index(1.0, beta, 1e-6, chunk_starts=(1, 3))
+    assert time.monotonic() - start < 1.0
+    threshold = 1e-6 * (1.0 - beta) ** 2
+    assert beta ** (cert.k_index - 1) < threshold <= beta ** (cert.k_index - 2)
+    assert cert.tail_bound < 1e-6
+    # unit chunks past n_2 = 3: n_K = 3 + (K - 2)
+    assert cert.n_start == 3 + (cert.k_index - 2) + 1
+
+
+def test_cauchy_index_threshold_at_and_above_one():
+    # threshold = epsilon (1-beta)^2 / peak0; K = 1 needs beta^0 = 1 < threshold
+    assert cauchy_index(0.25, 0.5, 1.0, chunk_starts=(2,)).k_index == 2
+    cert = cauchy_index(0.25, 0.5, 2.0, chunk_starts=(2,))
+    assert (cert.k_index, cert.n_start) == (1, 3)
+    assert cert.tail_bound < cert.epsilon
+
+
 def test_cauchy_index_minimality_and_tail_sums():
     rng = np.random.default_rng(137)
     for _ in range(40):
@@ -340,13 +362,15 @@ def test_s3_bound_dominates_consistent_synthetic_trace():
 
 def test_s12_all_c1_formula():
     tr = trace_from_flags([C1] * 6, eta=0.5, gamma=4.0)
-    geo = construct_s12_bound(tr, c=1.0)
-    assert geo.rate == 0.5
-    assert geo.start == 1
-    # delta_{k+1} <= 2 * 0.5^k = 0.5^(k-1)
-    assert geo.scale == pytest.approx(2.0)
-    seq = geo.sequence(7)
-    assert seq[1] == pytest.approx(1.0)
+    bound = construct_s12_bound(tr, c=1.0)
+    spec = bound.spec
+    assert spec.beta == 0.5
+    assert bound.n1 == 1
+    assert spec.chunk_starts == (1,)
+    # delta_{k+1} <= 2 * 0.5^k = 0.5^(k-1): the first peak is y_2 = 1
+    seq = bound.sequence(7)
+    assert spec.peak0 == 1.0 == seq[1]
+    assert np.allclose(seq[1:], 0.5 ** np.arange(6), rtol=1e-15)
 
 
 def test_s12_all_c2_recursion_consistency():
@@ -355,10 +379,10 @@ def test_s12_all_c2_recursion_consistency():
     for _ in range(6):
         deltas.append(deltas[-1] * 0.4)
     tr = trace_from_flags([C2] * 6, deltas=deltas, eta=eta, gamma=2.0)
-    geo = construct_s12_bound(tr, c=None)
-    assert geo.rate == eta
-    assert geo.start == 1
-    check = verify_bound(tr.deltas, geo.sequence(len(tr)), start=2)
+    bound = construct_s12_bound(tr, c=None)
+    assert bound.spec.beta == eta
+    assert bound.n1 == 1
+    check = verify_bound(tr.deltas, bound.sequence(len(tr)), start=2)
     assert check.holds
 
 
@@ -372,10 +396,21 @@ def test_s12_switch_point_bound_dominates():
     tr = trace_from_flags(flags, deltas=deltas, eta=eta, gamma=gamma)
     tr.validate()
     c = estimate_growth_coefficient(tr)
-    geo = construct_s12_bound(tr, c)
-    assert geo.rate == eta
-    assert geo.start == 4
-    check = verify_bound(tr.deltas, geo.sequence(len(tr)), start=geo.start + 1)
+    bound = construct_s12_bound(tr, c)
+    assert bound.spec.beta == eta
+    assert bound.n1 == 4
+    check = verify_bound(tr.deltas, bound.sequence(len(tr)), start=bound.n1 + 1)
+    assert check.holds
+
+
+def test_s12_bound_keeps_a_zero_residual_in_its_head():
+    # an exact fixed point (delta = 0) reads as C1 next and raises rho, so
+    # the run can move again; the zero lands in the envelope's head
+    tr = trace_from_flags([C2, C1, C1], deltas=[1.0, 0.0, 0.5, 0.6], eta=0.5)
+    tr.validate()
+    bound = construct_s12_bound(tr, estimate_growth_coefficient(tr))
+    assert bound.spec.head == (1.0, 0.0)
+    check = verify_bound(tr.deltas, bound.sequence(len(tr)), start=bound.n1 + 1)
     assert check.holds
 
 

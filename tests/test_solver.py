@@ -6,6 +6,7 @@ from oracles import straight_line_step
 from pnpadmm.denoisers import GaussianSmoothing, IdentityDenoiser
 from pnpadmm.fidelity import CircularBlur, FidelityTerm, Identity, binomial_stencil
 from pnpadmm.linalg import IterateTriple, metric_distance
+from pnpadmm.sequences import ConditionTrace
 from pnpadmm.solver import (
     ConditionFlag,
     NonFiniteIterateError,
@@ -122,8 +123,9 @@ def test_run_trace_invariants_and_flag_consistency():
     theta0 = IterateTriple(x=b, v=b, u=np.zeros(64))
     cfg = base_config(eta=0.9, max_iter=30, delta_tol=0.0)
     trace = run(f, GaussianSmoothing(), cfg, theta0)
-    rhos = trace.rhos
-    deltas = trace.deltas
+    cond = ConditionTrace.from_records(trace.records, cfg.gamma, cfg.eta)
+    rhos = cond.rhos
+    deltas = cond.deltas
     # sigma consistency
     for r in trace.records:
         assert abs(r.sigma**2 * r.rho - cfg.lam) <= 1e-12 * cfg.lam
@@ -180,7 +182,7 @@ def test_identity_denoiser_reaches_exact_zero_delta():
     theta0 = IterateTriple(x=v0.copy(), v=v0.copy(), u=np.zeros(4))
     cfg = base_config(eta=0.9, max_iter=1200, delta_tol=0.0)
     trace = run(f, IdentityDenoiser(), cfg, theta0)
-    deltas = trace.deltas
+    deltas = ConditionTrace.from_records(trace.records, cfg.gamma, cfg.eta).deltas
     zeros = np.flatnonzero(deltas == 0.0)
     assert zeros.size > 0
     first = int(zeros[0])
@@ -209,6 +211,38 @@ def test_non_finite_iterate_error_names_iteration():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteIterateError, match="iteration 2"):
             run(f, ExplodingStub(), base_config(delta_tol=0.0), theta0)
+
+
+def test_nan_from_denoiser_is_caught_in_the_same_iteration():
+    class NanStub(IdentityDenoiser):
+        def apply(self, sigma, img):
+            from pnpadmm.denoisers import ImageGrid
+
+            return ImageGrid(img.width, img.height, np.full(img.dim, np.nan))
+
+    f = identity_problem(2, b=np.array([1.0, 1.0]))
+    theta0 = IterateTriple(x=[0.0, 0.0], v=[0.0, 0.0], u=[0.0, 0.0])
+    with pytest.raises(NonFiniteIterateError, match="iteration 1"):
+        run(f, NanStub(), base_config(), theta0)
+
+
+def test_unrelated_denoiser_value_error_is_not_relabeled():
+    class FailingStub(IdentityDenoiser):
+        def apply(self, sigma, img):
+            raise ValueError("stub denoiser refused")
+
+    f = identity_problem(2, b=np.array([1.0, 1.0]))
+    theta0 = IterateTriple(x=[0.0, 0.0], v=[0.0, 0.0], u=[0.0, 0.0])
+    with pytest.raises(ValueError, match="stub denoiser refused") as info:
+        run(f, FailingStub(), base_config(), theta0)
+    assert not isinstance(info.value, NonFiniteIterateError)
+
+
+def test_run_rejects_non_finite_start():
+    f = identity_problem(2)
+    theta0 = IterateTriple(x=[0.0, np.nan], v=[0.0, 0.0], u=[0.0, 0.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        run(f, IdentityDenoiser(), base_config(), theta0)
 
 
 def test_fixed_point_residual_zero_at_fixed_point():
