@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import os
 import sys
 from pathlib import Path
 
@@ -148,7 +149,8 @@ def cmd_run(args) -> int:
     if args.sweep:
         values = [float(v) for v in args.sweep.split(",")]
         jobs = []
-        with concurrent.futures.ThreadPoolExecutor(max_workers=len(values)) as pool:
+        workers = min(len(values), os.cpu_count() or 1)
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
             for v in values:
                 sub = make_preset(preset.name, eta=v, **_sweep_base(preset))
                 jobs.append(pool.submit(_run_one, sub, out_dir / f"eta={v:g}"))

@@ -3,15 +3,21 @@
 Forward operators are matrix-free and act on flattened row-major images.
 The x-update of the splitting loop is the proximal solve
 
-    argmin_x f(x) + (rho/2) ||x - t||^2   <=>   (H^T H + rho I) x = H^T b + rho t,
+    argmin_x f(x) + (rho/2) ||x - t||^2   <=>   (H^T H + rho I) x = H^T b + rho t.
 
-handled by conjugate gradients on the normal equations.
+Each operator solves these normal equations in closed form: a pixelwise
+division (Identity, Mask), a division in the 2-D Fourier basis
+(CircularBlur), or the Woodbury identity around a Fourier solve on the
+low-resolution grid (Downsample).  Spectra are computed once, at
+construction.  The solves update their arrays in place: each full-size
+temporary freed between the iterates the solver keeps fragments the heap,
+which shows in peak memory.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -44,28 +50,36 @@ def _check_stencil(stencil) -> np.ndarray:
     return arr
 
 
-def _circ_conv(x2: np.ndarray, stencil: np.ndarray) -> np.ndarray:
-    """Circular 2-D convolution: the stencil lands centered on each source pixel."""
+def _circ_filter(x2: np.ndarray, stencil: np.ndarray, adjoint: bool) -> np.ndarray:
+    """Circular 2-D convolution (the stencil lands centered on each source
+    pixel), or with ``adjoint`` its adjoint, circular correlation."""
+    h, w = x2.shape
     r0, c0 = stencil.shape[0] // 2, stencil.shape[1] // 2
+    padded = np.pad(x2, ((r0, r0), (c0, c0)), mode="wrap")
     out = np.zeros_like(x2)
     for a in range(stencil.shape[0]):
+        i = a if adjoint else 2 * r0 - a
         for b in range(stencil.shape[1]):
-            w = stencil[a, b]
-            if w != 0.0:
-                out += w * np.roll(x2, (a - r0, b - c0), axis=(0, 1))
+            j = b if adjoint else 2 * c0 - b
+            weight = stencil[a, b]
+            if weight != 0.0:
+                out += weight * padded[i : i + h, j : j + w]
     return out
 
 
-def _circ_corr(y2: np.ndarray, stencil: np.ndarray) -> np.ndarray:
-    """Adjoint of :func:`_circ_conv` (circular correlation)."""
+def _stencil_spectrum(stencil: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """rfft2 of the stencil wrapped onto the grid with its centre at the origin.
+
+    Entries that wrap onto the same pixel add up, so a stencil larger than
+    the grid aliases exactly as :func:`_circ_filter` does.
+    """
+    h, w = shape
     r0, c0 = stencil.shape[0] // 2, stencil.shape[1] // 2
-    out = np.zeros_like(y2)
-    for a in range(stencil.shape[0]):
-        for b in range(stencil.shape[1]):
-            w = stencil[a, b]
-            if w != 0.0:
-                out += w * np.roll(y2, (r0 - a, c0 - b), axis=(0, 1))
-    return out
+    rows = (np.arange(stencil.shape[0]) - r0) % h
+    cols = (np.arange(stencil.shape[1]) - c0) % w
+    kernel = np.zeros(shape)
+    np.add.at(kernel, (rows[:, None], cols[None, :]), stencil)
+    return np.fft.rfft2(kernel)
 
 
 def binomial_stencil(factor: int) -> np.ndarray:
@@ -98,6 +112,10 @@ class ForwardOperator:
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def solve_normal(self, rhs: np.ndarray, rho: float) -> np.ndarray:
+        """The exact solution x of (H^T H + rho I) x = rhs, for rho > 0."""
+        raise NotImplementedError
+
     def _check_in(self, x, what: str = "input") -> np.ndarray:
         return _sized(x, self.in_dim, what)
 
@@ -126,6 +144,9 @@ class Identity(ForwardOperator):
     def apply_adjoint(self, y):
         return self._check_out(y)
 
+    def solve_normal(self, rhs, rho):
+        return self._check_in(rhs, "rhs") / (1.0 + rho)
+
 
 class CircularBlur(ForwardOperator):
     """Circular (wraparound) convolution with a small nonnegative stencil."""
@@ -134,14 +155,22 @@ class CircularBlur(ForwardOperator):
         self.in_shape = _as_shape(shape)
         self.out_shape = self.in_shape
         self.stencil = _check_stencil(stencil)
+        self._gain = np.abs(_stencil_spectrum(self.stencil, self.in_shape)) ** 2
 
     def apply(self, x):
         x2 = self._check_in(x).reshape(self.in_shape)
-        return _circ_conv(x2, self.stencil).reshape(-1)
+        return _circ_filter(x2, self.stencil, adjoint=False).reshape(-1)
 
     def apply_adjoint(self, y):
         y2 = self._check_out(y).reshape(self.in_shape)
-        return _circ_corr(y2, self.stencil).reshape(-1)
+        return _circ_filter(y2, self.stencil, adjoint=True).reshape(-1)
+
+    def solve_normal(self, rhs, rho):
+        # H^T H is the circular convolution with transfer function |K|^2
+        r2 = self._check_in(rhs, "rhs").reshape(self.in_shape)
+        spec = np.fft.rfft2(r2)
+        spec /= self._gain + rho
+        return np.fft.irfft2(spec, s=self.in_shape).reshape(-1)
 
 
 class Mask(ForwardOperator):
@@ -163,6 +192,9 @@ class Mask(ForwardOperator):
     def apply_adjoint(self, y):
         return self._check_out(y) * self.keep
 
+    def solve_normal(self, rhs, rho):
+        return self._check_in(rhs, "rhs") / (self.keep + rho)
+
 
 class Downsample(ForwardOperator):
     """Anti-alias prefilter followed by subsampling at integer stride."""
@@ -179,17 +211,41 @@ class Downsample(ForwardOperator):
         self.prefilter = (
             binomial_stencil(factor) if prefilter is None else _check_stencil(prefilter)
         )
+        # H = S B with B the prefilter blur (transfer function K) and S the
+        # subsampling.  H H^T = S B B^T S^T is circular on the low-resolution
+        # grid; its kernel is the autocorrelation of the prefilter at stride f.
+        self._spectrum = _stencil_spectrum(self.prefilter, self.in_shape)
+        autocorr = np.fft.irfft2(np.abs(self._spectrum) ** 2, s=self.in_shape)
+        self._low_eig = np.fft.rfft2(autocorr[::factor, ::factor]).real
 
     def apply(self, x):
         x2 = self._check_in(x).reshape(self.in_shape)
-        blurred = _circ_conv(x2, self.prefilter)
+        blurred = _circ_filter(x2, self.prefilter, adjoint=False)
         return blurred[:: self.factor, :: self.factor].reshape(-1)
 
     def apply_adjoint(self, y):
         y2 = self._check_out(y).reshape(self.out_shape)
         up = np.zeros(self.in_shape)
         up[:: self.factor, :: self.factor] = y2
-        return _circ_corr(up, self.prefilter).reshape(-1)
+        return _circ_filter(up, self.prefilter, adjoint=True).reshape(-1)
+
+    def solve_normal(self, rhs, rho):
+        # Woodbury (Zhao et al., IEEE TIP 2016):
+        # (H^T H + rho I)^-1 r = (r - B^T S^T (rho I + S B B^T S^T)^-1 S B r) / rho
+        f = self.factor
+        r2 = self._check_in(rhs, "rhs").reshape(self.in_shape)
+        spec = np.fft.rfft2(r2)
+        spec *= self._spectrum
+        low = np.fft.rfft2(np.fft.irfft2(spec, s=self.in_shape)[::f, ::f])
+        low /= rho + self._low_eig
+        up = np.zeros(self.in_shape)
+        up[::f, ::f] = np.fft.irfft2(low, s=self.out_shape)
+        spec = np.fft.rfft2(up)
+        spec *= self._spectrum.conj()
+        x = np.fft.irfft2(spec, s=self.in_shape)
+        x -= r2
+        x /= -rho
+        return x.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -198,12 +254,17 @@ class FidelityTerm:
 
     op: ForwardOperator
     observation: np.ndarray
+    adjoint_observation: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         b = as_vector(self.observation, "observation").copy()
         self.op._check_out(b, "observation")
         b.flags.writeable = False
         object.__setattr__(self, "observation", b)
+        # H^T b, the fixed part of every prox right-hand side
+        htb = self.op.apply_adjoint(b)
+        htb.flags.writeable = False
+        object.__setattr__(self, "adjoint_observation", htb)
 
     def value(self, x) -> float:
         r = self.op.apply(x) - self.observation
@@ -214,73 +275,22 @@ class FidelityTerm:
         return self.op.apply_adjoint(self.op.apply(x) - self.observation)
 
 
-class ProxSolveError(RuntimeError):
-    """Conjugate gradients hit its iteration cap before converging."""
-
-    def __init__(self, message: str, residual: float, iterations: int):
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
-
-
-def _finite_residual(r: np.ndarray) -> float:
-    rs = float(r @ r)
-    if not math.isfinite(rs):
-        raise NonFiniteIterateError("prox solve residual is not finite")
-    return rs
-
-
-def prox_x_update(
-    f: FidelityTerm,
-    rho: float,
-    target: np.ndarray,
-    rel_tol: float = 1e-10,
-    max_iter: int | None = None,
-) -> np.ndarray:
+def prox_x_update(f: FidelityTerm, rho: float, target: np.ndarray) -> np.ndarray:
     """Minimize f(x) + (rho/2) ||x - target||^2.
 
-    Solves the normal equations (H^T H + rho I) x = H^T b + rho * target by
-    conjugate gradients, warm-started at ``target``.  The system is strongly
-    convex for rho > 0, so the minimizer is unique.  A non-finite CG
-    residual raises NonFiniteIterateError at once.
+    Solves the normal equations (H^T H + rho I) x = H^T b + rho * target in
+    closed form through the operator's :meth:`ForwardOperator.solve_normal`.
+    The system is strongly convex for rho > 0, so the minimizer is unique.
+    A non-finite right-hand side raises NonFiniteIterateError.
     """
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    op = f.op
-    t = op._check_in(target, "target")
-    rhs = op.apply_adjoint(f.observation) + rho * t
-    rhs_norm = float(np.linalg.norm(rhs))
-    if rhs_norm == 0.0:
-        return np.zeros_like(t)
-
-    def matvec(z):
-        return op.apply_adjoint(op.apply(z)) + rho * z
-
-    cap = 10 * op.in_dim if max_iter is None else max_iter
-    x = t.copy()
-    r = rhs - matvec(x)
-    rs = _finite_residual(r)
-    tol = rel_tol * rhs_norm
-    if math.sqrt(rs) <= tol:
-        return x
-    p = r
-    for it in range(1, cap + 1):
-        Ap = matvec(p)
-        alpha = rs / float(p @ Ap)
-        x = x + alpha * p
-        r = r - alpha * Ap
-        rs_new = _finite_residual(r)
-        if math.sqrt(rs_new) <= tol:
-            return x
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    rel = math.sqrt(rs) / rhs_norm
-    raise ProxSolveError(
-        f"prox solve did not reach relative residual {rel_tol:g} "
-        f"within {cap} iterations (final residual {rel:.3e})",
-        residual=rel,
-        iterations=cap,
-    )
+    t = f.op._check_in(target, "target")
+    rhs = rho * t
+    rhs += f.adjoint_observation
+    if not math.isfinite(float(rhs @ rhs)):
+        raise NonFiniteIterateError("prox solve right-hand side is not finite")
+    return f.op.solve_normal(rhs, rho)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,30 @@ def dense_matrix(op):
     return np.array(cols).T
 
 
+def roll_circ_conv(x2, stencil):
+    """Circular 2-D convolution as a sum of whole-image rolls."""
+    r0, c0 = stencil.shape[0] // 2, stencil.shape[1] // 2
+    out = np.zeros_like(x2)
+    for a in range(stencil.shape[0]):
+        for b in range(stencil.shape[1]):
+            w = stencil[a, b]
+            if w != 0.0:
+                out += w * np.roll(x2, (a - r0, b - c0), axis=(0, 1))
+    return out
+
+
+def roll_circ_corr(y2, stencil):
+    """Circular 2-D correlation (adjoint of :func:`roll_circ_conv`) by rolls."""
+    r0, c0 = stencil.shape[0] // 2, stencil.shape[1] // 2
+    out = np.zeros_like(y2)
+    for a in range(stencil.shape[0]):
+        for b in range(stencil.shape[1]):
+            w = stencil[a, b]
+            if w != 0.0:
+                out += w * np.roll(y2, (r0 - a, c0 - b), axis=(0, 1))
+    return out
+
+
 def direct_gaussian(img, sigma, truncate=3.0, c_map=1.0):
     """Brute-force 2-D convolution with an outer-product Gaussian kernel."""
     std = c_map * sigma * max(img.width, img.height)

@@ -80,6 +80,26 @@ def test_run_sweep_writes_subdirectories(tmp_path):
     assert (out / "eta=0.6" / "trace.csv").exists()
 
 
+def test_run_sweep_caps_threads_at_cpu_count(tmp_path, monkeypatch):
+    pools = []
+
+    class RecordingPool(cli.concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    out = tmp_path / "sweep"
+    code = run_cli(
+        "run", "--preset", "smoke", "--max-iter", "3",
+        "--sweep", "0.1,0.3,0.5,0.7,0.9", "--out", out,
+    )
+    assert code == 0
+    assert pools == [2]
+    assert len(list(out.glob("eta=*/trace.csv"))) == 5
+
+
 def test_analyze_on_run_output(tmp_path, capsys):
     run_dir = tmp_path / "run"
     assert run_cli(

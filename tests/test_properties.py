@@ -1,5 +1,7 @@
 """Property tests: the PGS generator, its summability bound, and the
-closed-form Cauchy certificate against their direct definitions."""
+closed-form Cauchy certificate against their direct definitions; the
+forward operators' adjoints and closed-form prox solves against their
+defining identities."""
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -7,6 +9,14 @@ from hypothesis import strategies as st
 
 from oracles import linear_cauchy_k, loop_pgs_generate
 
+from pnpadmm.fidelity import (
+    CircularBlur,
+    Downsample,
+    FidelityTerm,
+    Identity,
+    Mask,
+    prox_x_update,
+)
 from pnpadmm.sequences import (
     PgsSpec,
     cauchy_index,
@@ -58,3 +68,58 @@ def test_closed_form_cauchy_index_matches_linear_search(peak0, beta, eps, length
     assert cert.tail_bound < eps
     extended = list(starts) + list(range(starts[-1] + 1, starts[-1] + want + 1))
     assert cert.n_start == extended[want - 1] + 1
+
+
+@st.composite
+def stencils(draw):
+    rows = draw(st.sampled_from([1, 3, 5, 7]))
+    cols = draw(st.sampled_from([1, 3, 5, 7]))
+    n = rows * cols
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    arr = np.array(weights).reshape(rows, cols)
+    assume(arr.sum() > 1e-3)
+    return arr / arr.sum()
+
+
+@st.composite
+def operators(draw):
+    """Any of the four operators on a small grid; stencils may exceed it."""
+    kind = draw(st.sampled_from(["identity", "mask", "blur", "downsample"]))
+    factor = draw(st.integers(1, 3)) if kind == "downsample" else 1
+    h = factor * draw(st.integers(1, 5))
+    w = factor * draw(st.integers(1, 5))
+    if kind == "identity":
+        return Identity((h, w))
+    if kind == "mask":
+        keep = draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w))
+        return Mask(np.array(keep).reshape(h, w))
+    if kind == "blur":
+        return CircularBlur((h, w), draw(stencils()))
+    prefilter = draw(st.one_of(st.none(), stencils()))
+    return Downsample((h, w), factor, prefilter=prefilter)
+
+
+@settings(deadline=None)
+@given(operators(), st.integers(0, 2**32 - 1))
+def test_operator_adjoint_identity(op, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(op.in_dim)
+    y = rng.standard_normal(op.out_dim)
+    lhs = float(op.apply(x) @ y)
+    rhs = float(x @ op.apply_adjoint(y))
+    assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(y)
+
+
+@settings(deadline=None)
+@given(operators(), st.floats(1e-6, 1e6), st.integers(0, 2**32 - 1))
+def test_prox_satisfies_first_order_optimality(op, rho, seed):
+    # a solve whose forward error is O(eps * cond) with cond <= (1 + rho) / rho
+    # leaves a relative gradient of that order; 1e-12 is ~4500 eps
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal(op.out_dim)
+    t = rng.standard_normal(op.in_dim)
+    f = FidelityTerm(op=op, observation=b)
+    x = prox_x_update(f, rho, t)
+    grad = op.apply_adjoint(op.apply(x) - b) + rho * (x - t)
+    scale = np.linalg.norm(f.adjoint_observation) + rho * np.linalg.norm(t)
+    assert np.linalg.norm(grad) <= 1e-12 * (1 + 1 / rho) * scale

@@ -15,8 +15,8 @@ from pnpadmm import cli
 
 PINNED = {
     "smoke": "fdab975f7356eefe053a7bea19e1b0226b9fc38fec582bb50a7887661b1dbaea",
-    "deblur": "625a50d7ee02ddac557183931cba62cc1cf282d5de0d5c0cfce0e67ab62bc912",
-    "superres": "1ffebfb7dbddf6506a48ea4140abf4aa2882f4d7d884c41bf3897b73a07f77b9",
+    "deblur": "bdeaf097d3f8704a02f9a893ee155e9d8a8e9a186f5f3a7bc71abf21bbd57e77",
+    "superres": "c27885beed7350696120ae9fdab8f185690b514ce2eb7274e5aa6a5b3c12a86e",
 }
 
 
