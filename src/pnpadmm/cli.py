@@ -19,7 +19,6 @@ from .presets import (
     ExperimentPreset,
     make_preset,
     run_preset,
-    with_snapshots,
 )
 from .sequences import (
     BoundConstructionError,
@@ -85,7 +84,7 @@ def _preset_from_args(args) -> ExperimentPreset:
     return make_preset(name, **overrides)
 
 
-def _summarize(result) -> str:
+def _summarize(result, trajectory_m_hat: float) -> str:
     trace = result.trace
     cfg = trace.config
     cond = ConditionTrace.from_records(trace.records, cfg.gamma, cfg.eta)
@@ -100,16 +99,10 @@ def _summarize(result) -> str:
     if cond.flags:
         label = classify_case(cond, window)
         lines.append(f"case = {label.label} (window {window}; {label.caveat})")
-    if trace.iterates is not None:
-        box_rng = np.random.default_rng(cfg.seed + 1)
-        samples = [t.x for t in trace.iterates]
-        samples += [
-            box_rng.uniform(0, 1, result.op.in_dim) for _ in range(16)
-        ]
-        m = estimate_gradient_bound(
-            result.fidelity, samples, region="trajectory plus [0,1]^d samples"
-        )
-        lines.append(f"gradient_bound_m_hat = {m.m_hat:.6e} ({m.region})")
+    box_rng = np.random.default_rng(cfg.seed + 1)
+    box = [box_rng.uniform(0, 1, result.fidelity.op.in_dim) for _ in range(16)]
+    m_hat = max(trajectory_m_hat, estimate_gradient_bound(result.fidelity, box).m_hat)
+    lines.append(f"gradient_bound_m_hat = {m_hat:.6e} (trajectory plus [0,1]^d samples)")
     est = estimate_denoiser_bound_constant(
         result.preset.denoiser, 16, 16, (0.05, 0.1, 0.2), 20, cfg.seed + 2
     )
@@ -121,10 +114,16 @@ def _summarize(result) -> str:
 
 def _run_one(preset: ExperimentPreset, out_dir: Path) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = run_preset(with_snapshots(preset))
+    trajectory_m_hat = 0.0
+
+    def observe(f, theta):
+        nonlocal trajectory_m_hat
+        trajectory_m_hat = max(trajectory_m_hat, estimate_gradient_bound(f, [theta.x]).m_hat)
+
+    result = run_preset(preset, observe=observe)
     fileio.write_trace_csv(result.trace.records, out_dir / "trace.csv")
     fileio.save_image(result.restored, out_dir / "restored.pgm")
-    (out_dir / "summary.txt").write_text(_summarize(result))
+    (out_dir / "summary.txt").write_text(_summarize(result, trajectory_m_hat))
     fileio.write_config(
         {
             "preset": preset.name,
@@ -346,8 +345,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

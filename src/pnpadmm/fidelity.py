@@ -9,9 +9,9 @@ Each operator solves these normal equations in closed form: a pixelwise
 division (Identity, Mask), a division in the 2-D Fourier basis
 (CircularBlur), or the Woodbury identity around a Fourier solve on the
 low-resolution grid (Downsample).  Spectra are computed once, at
-construction.  The solves update their arrays in place: each full-size
-temporary freed between the iterates the solver keeps fragments the heap,
-which shows in peak memory.
+construction.  The solves update their arrays in place: full-size
+temporaries freed between longer-lived arrays fragment the heap, which
+shows in peak memory.
 """
 
 from __future__ import annotations

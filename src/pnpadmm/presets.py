@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from .fidelity import (
     binomial_stencil,
 )
 from .linalg import IterateTriple
-from .solver import RunTrace, SolverConfig, run
+from .solver import Observer, RunTrace, SolverConfig, run
 
 PRESET_NAMES = ("deblur", "superres", "smoke")
 
@@ -77,8 +77,7 @@ def synthetic_image(size: int = 64) -> ImageGrid:
 
 def make_preset(name: str, **overrides) -> ExperimentPreset:
     """Build a named preset; keyword overrides replace any field or config
-    entry (config fields: lam, rho0, gamma, eta, max_iter, delta_tol, seed,
-    keep_iterates)."""
+    entry (config fields: lam, rho0, gamma, eta, max_iter, delta_tol, seed)."""
     # documented defaults, calibrated on the 64x64 synthetic problems so the
     # penalty schedule exercises both its branches across the eta range
     cfg_kwargs = dict(
@@ -89,7 +88,6 @@ def make_preset(name: str, **overrides) -> ExperimentPreset:
         max_iter=100,
         delta_tol=0.0,
         seed=0,
-        keep_iterates=False,
     )
     preset_kwargs: dict = {"name": name}
     if name == "smoke":
@@ -156,33 +154,29 @@ def initial_iterate(op: ForwardOperator, observation: np.ndarray) -> IterateTrip
 class PresetResult:
     preset: ExperimentPreset
     clean: ImageGrid
-    op: ForwardOperator
-    observation: np.ndarray
     fidelity: FidelityTerm
     trace: RunTrace
     restored: ImageGrid
 
 
-def run_preset(preset: ExperimentPreset, clean: ImageGrid | None = None) -> PresetResult:
+def run_preset(
+    preset: ExperimentPreset,
+    clean: ImageGrid | None = None,
+    observe: Observer | None = None,
+) -> PresetResult:
     """Degrade, solve, and package everything the harness reports on."""
     if clean is None:
         clean = preset.source_image()
     op, observation = degrade(preset, clean)
     fidelity = FidelityTerm(op=op, observation=observation)
     theta0 = initial_iterate(op, observation)
-    trace = run(fidelity, preset.denoiser, preset.config, theta0)
+    trace = run(fidelity, preset.denoiser, preset.config, theta0, observe)
     h, w = op.in_shape
     restored = ImageGrid(width=w, height=h, pixels=trace.final_iterate.x)
     return PresetResult(
         preset=preset,
         clean=clean,
-        op=op,
-        observation=observation,
         fidelity=fidelity,
         trace=trace,
         restored=restored,
     )
-
-
-def with_snapshots(preset: ExperimentPreset) -> ExperimentPreset:
-    return replace(preset, config=replace(preset.config, keep_iterates=True))

@@ -22,11 +22,15 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 from .denoisers import Denoiser, ImageGrid, denoise
 from .fidelity import FidelityTerm, prox_x_update
 from .linalg import IterateTriple, NonFiniteIterateError, as_vector, metric_distance
+
+
+Observer = Callable[[FidelityTerm, IterateTriple], None]
 
 
 class ConditionFlag(enum.Enum):
@@ -55,7 +59,6 @@ class SolverConfig:
     max_iter: int
     delta_tol: float = 1e-6
     seed: int = 0
-    keep_iterates: bool = False
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -90,7 +93,6 @@ class RunTrace:
     final_iterate: IterateTriple
     stop_reason: str  # "tolerance" | "max_iter"
     config: SolverConfig
-    iterates: list[IterateTriple] | None = field(default=None, repr=False)
 
     def __len__(self):
         return len(self.records)
@@ -145,12 +147,14 @@ def run(
     kind: Denoiser,
     cfg: SolverConfig,
     theta0: IterateTriple,
+    observe: Observer | None = None,
 ) -> RunTrace:
     """Run the loop from theta0 until delta < delta_tol or max_iter.
 
-    Deterministic given (f, kind, cfg, theta0).  With cfg.keep_iterates the
-    trace also stores every iterate including theta0 (memory permitting),
-    which enables residual-chain cross checks.
+    Deterministic given (f, kind, cfg, theta0).  The run keeps only the
+    current iterate; observe, if given, is called as observe(f, theta) with
+    the start iterate and then after each iteration's record is appended,
+    so a caller can stream statistics of every iterate in O(d) memory.
 
     theta0 is checked for finite entries and copied once.  Inside the loop a
     NaN entry makes the residual NaN, and an infinite one makes the next
@@ -167,7 +171,8 @@ def run(
     )
     rho = cfg.rho0
     records: list[TraceRecord] = []
-    iterates: list[IterateTriple] | None = [theta] if cfg.keep_iterates else None
+    if observe is not None:
+        observe(f, theta)
     prev_delta: float | None = None
     stop_reason = "max_iter"
     for k in range(1, cfg.max_iter + 1):
@@ -196,8 +201,8 @@ def run(
                 fidelity_value=f.value(theta.x),
             )
         )
-        if iterates is not None:
-            iterates.append(theta)
+        if observe is not None:
+            observe(f, theta)
         prev_delta = delta
         if delta < cfg.delta_tol:
             stop_reason = "tolerance"
@@ -207,7 +212,6 @@ def run(
         final_iterate=theta,
         stop_reason=stop_reason,
         config=cfg,
-        iterates=iterates,
     )
 
 

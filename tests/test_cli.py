@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,34 @@ def test_pgs_demo_values(tmp_path, capsys):
     partial = [float(line.split(",")[2]) for line in lines[1:]]
     assert np.allclose(partial, np.cumsum(ys))
     assert "epsilon" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("detail", ["Unable to allocate 72.8 TiB", ""])
+def test_memory_error_ends_with_a_message(tmp_path, monkeypatch, capsys, detail):
+    def exhausted(spec, length):
+        raise MemoryError(detail)
+
+    monkeypatch.setattr(cli, "pgs_generate", exhausted)
+    code = run_cli("pgs-demo", "--beta", "0.5", "--out", tmp_path / "x.csv")
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {detail or 'MemoryError'}\n"
+
+
+def test_run_memory_does_not_grow_with_max_iter(tmp_path):
+    # the run keeps only its current iterate: 70 more iterations of the 64x64
+    # deblur preset may not cost even 10 more vectors of d floats
+    d = 64 * 64
+    assert run_cli("run", "--preset", "deblur", "--max-iter", 3, "--out", tmp_path / "w") == 0
+    peaks = {}
+    for max_iter in (10, 80):
+        tracemalloc.start()
+        try:
+            out = tmp_path / str(max_iter)
+            assert run_cli("run", "--preset", "deblur", "--max-iter", max_iter, "--out", out) == 0
+            peaks[max_iter] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[80] - peaks[10] < 10 * d * 8
 
 
 def test_pgs_demo_rejects_bad_beta(tmp_path, capsys):

@@ -71,8 +71,9 @@ def test_smoke_preset_converges_fast():
 
 def test_superres_observation_has_reduced_dim():
     result = run_preset(make_preset("superres", max_iter=3))
-    assert result.op.out_dim == result.op.in_dim // 4
-    assert result.restored.dim == result.op.in_dim
+    op = result.fidelity.op
+    assert op.out_dim == op.in_dim // 4
+    assert result.restored.dim == op.in_dim
 
 
 def test_fixed_point_residual_tracks_final_delta():

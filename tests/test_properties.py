@@ -1,7 +1,7 @@
 """Property tests: the PGS generator, its summability bound, and the
 closed-form Cauchy certificate against their direct definitions; the
 forward operators' adjoints and closed-form prox solves against their
-defining identities."""
+defining identities; exact round trips of the trace CSV and PGM formats."""
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import linear_cauchy_k, loop_pgs_generate
 
+from pnpadmm.denoisers import ImageGrid
 from pnpadmm.fidelity import (
     CircularBlur,
     Downsample,
@@ -17,12 +18,14 @@ from pnpadmm.fidelity import (
     Mask,
     prox_x_update,
 )
+from pnpadmm.fileio import load_image, parse_trace, save_image, serialize_trace
 from pnpadmm.sequences import (
     PgsSpec,
     cauchy_index,
     pgs_generate,
     pgs_total_sum_bound,
 )
+from pnpadmm.solver import ConditionFlag, TraceRecord
 
 
 @st.composite
@@ -123,3 +126,38 @@ def test_prox_satisfies_first_order_optimality(op, rho, seed):
     grad = op.apply_adjoint(op.apply(x) - b) + rho * (x - t)
     scale = np.linalg.norm(f.adjoint_observation) + rho * np.linalg.norm(t)
     assert np.linalg.norm(grad) <= 1e-12 * (1 + 1 / rho) * scale
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(
+        st.builds(
+            TraceRecord,
+            iteration=st.integers(0, 10**9),
+            delta=finite,
+            rho=finite,
+            sigma=finite,
+            condition=st.sampled_from([None, ConditionFlag.C1, ConditionFlag.C2]),
+            fidelity_value=finite,
+        ),
+        max_size=20,
+    )
+)
+def test_trace_csv_round_trip_is_exact(records):
+    assert parse_trace(serialize_trace(records)) == records
+
+
+@settings(deadline=None)
+@given(st.integers(1, 9), st.integers(1, 9), st.data())
+def test_pgm_round_trip_reproduces_255ths_exactly(tmp_path_factory, width, height, data):
+    levels = data.draw(st.lists(st.integers(0, 255), min_size=width * height,
+                                max_size=width * height))
+    img = ImageGrid(width, height, np.array(levels) / 255.0)
+    path = tmp_path_factory.mktemp("pgm") / "img.pgm"
+    save_image(img, path)
+    back = load_image(path)
+    assert (back.width, back.height) == (width, height)
+    assert back.pixels.tobytes() == img.pixels.tobytes()

@@ -152,12 +152,12 @@ def test_run_deltas_recomputable_from_snapshots():
     theta0 = IterateTriple(
         x=rng.uniform(size=64), v=rng.uniform(size=64), u=np.zeros(64)
     )
-    cfg = base_config(max_iter=15, delta_tol=0.0, keep_iterates=True)
-    trace = run(f, GaussianSmoothing(), cfg, theta0)
-    assert trace.iterates is not None
-    assert len(trace.iterates) == len(trace) + 1
+    cfg = base_config(max_iter=15, delta_tol=0.0)
+    iterates = []
+    trace = run(f, GaussianSmoothing(), cfg, theta0, lambda f, t: iterates.append(t))
+    assert len(iterates) == len(trace) + 1
     for k, rec in enumerate(trace.records, start=1):
-        d = metric_distance(trace.iterates[k - 1], trace.iterates[k])
+        d = metric_distance(iterates[k - 1], iterates[k])
         assert abs(d - rec.delta) <= 1e-12
 
 

@@ -1,4 +1,5 @@
-"""Byte-identity guard: pinned sha256 of trace.csv for three small runs.
+"""Byte-identity guard: pinned sha256 of trace.csv and summary.txt for three
+small runs.
 
 A change that keeps the arithmetic must keep these hashes.  A change that
 alters the arithmetic on purpose (a different prox solver, say) updates
@@ -13,18 +14,44 @@ import pytest
 
 from pnpadmm import cli
 
+# preset -> (trace.csv, summary.txt)
 PINNED = {
-    "smoke": "fdab975f7356eefe053a7bea19e1b0226b9fc38fec582bb50a7887661b1dbaea",
-    "deblur": "bdeaf097d3f8704a02f9a893ee155e9d8a8e9a186f5f3a7bc71abf21bbd57e77",
-    "superres": "c27885beed7350696120ae9fdab8f185690b514ce2eb7274e5aa6a5b3c12a86e",
+    "smoke": (
+        "fdab975f7356eefe053a7bea19e1b0226b9fc38fec582bb50a7887661b1dbaea",
+        "ef51008c0d4fc3106df1edfcc56cbb68dc0d8e5c2da2175cf2bf7804a03b5077",
+    ),
+    "deblur": (
+        "bdeaf097d3f8704a02f9a893ee155e9d8a8e9a186f5f3a7bc71abf21bbd57e77",
+        "963944344b985bfd11cd77da67113915f31b5d3d77fddc20807c5d5fd9e4350f",
+    ),
+    "superres": (
+        "c27885beed7350696120ae9fdab8f185690b514ce2eb7274e5aa6a5b3c12a86e",
+        "a814494fea835da635acaedfea8a32ea90bd6737391a5c5e2cd9ee96e08e2825",
+    ),
 }
 
 
-@pytest.mark.parametrize("preset", sorted(PINNED))
-def test_trace_csv_sha256_is_pinned(tmp_path, preset):
-    config = tmp_path / "run.cfg"
+@pytest.fixture(scope="module", params=sorted(PINNED))
+def run_dir(request, tmp_path_factory):
+    """(preset, output directory) of one 32x32, 30-iteration run."""
+    preset = request.param
+    tmp = tmp_path_factory.mktemp(preset)
+    config = tmp / "run.cfg"
     config.write_text(f"preset = {preset}\nimage_size = 32\nmax_iter = 30\nseed = 0\n")
-    out = tmp_path / "run"
+    out = tmp / "run"
     assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
-    digest = hashlib.sha256((out / "trace.csv").read_bytes()).hexdigest()
-    assert digest == PINNED[preset]
+    return preset, out
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_trace_csv_sha256_is_pinned(run_dir):
+    preset, out = run_dir
+    assert _sha256(out / "trace.csv") == PINNED[preset][0]
+
+
+def test_summary_txt_sha256_is_pinned(run_dir):
+    preset, out = run_dir
+    assert _sha256(out / "summary.txt") == PINNED[preset][1]
