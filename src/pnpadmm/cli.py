@@ -6,6 +6,7 @@ import argparse
 import concurrent.futures
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from .presets import (
     PRESET_NAMES,
     ExperimentPreset,
     make_preset,
+    preset_settings,
     run_preset,
 )
 from .sequences import (
@@ -35,52 +37,26 @@ from .sequences import (
 )
 from .solver import ConditionFlag, fixed_point_residual
 
-_CONFIG_KEYS = {
-    "lam": float,
-    "lambda": float,
-    "rho0": float,
-    "gamma": float,
-    "eta": float,
-    "max_iter": int,
-    "delta_tol": float,
-    "seed": int,
-    "noise_sigma": float,
-    "blur_size": int,
-    "downsample_factor": int,
-    "image_size": int,
-    "image": str,
-    "denoiser": str,
-    "preset": str,
-}
+# config-file spellings of two make_preset keywords
+_FILE_KEYS = {"lambda": "lam", "image": "image_source"}
 
 
 def _preset_from_args(args) -> ExperimentPreset:
-    overrides: dict = {}
-    name = args.preset
-    if args.config:
-        raw = fileio.parse_config(args.config)
-        for key, value in raw.items():
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"unknown config key {key!r}")
-            conv = _CONFIG_KEYS[key]
-            if key == "preset":
-                name = value
-            elif key == "lambda":
-                overrides["lam"] = float(value)
-            elif key == "image":
-                overrides["image_source"] = value
-            else:
-                overrides[key] = conv(value)
+    raw = fileio.parse_config(args.config) if args.config else {}
+    file_preset = raw.pop("preset", None)
+    name = args.preset or file_preset
     if name is None:
         raise ValueError("no preset given (use --preset or preset= in the config)")
-    for flag in ("eta", "gamma", "rho0", "max_iter", "noise_sigma", "seed", "denoiser"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[flag] = value
-    if getattr(args, "lam", None) is not None:
-        overrides["lam"] = args.lam
-    if getattr(args, "image", None) is not None:
-        overrides["image_source"] = args.image
+    defaults = preset_settings(make_preset(name))
+    overrides: dict = {}
+    for key, value in raw.items():
+        setting = _FILE_KEYS.get(key, key)
+        if setting not in defaults:
+            raise ValueError(f"unknown config key {key!r}")
+        overrides[setting] = type(defaults[setting])(value)
+    for setting in defaults:
+        if (value := getattr(args, setting, None)) is not None:
+            overrides[setting] = value
     return make_preset(name, **overrides)
 
 
@@ -124,20 +100,10 @@ def _run_one(preset: ExperimentPreset, out_dir: Path) -> Path:
     fileio.write_trace_csv(result.trace.records, out_dir / "trace.csv")
     fileio.save_image(result.restored, out_dir / "restored.pgm")
     (out_dir / "summary.txt").write_text(_summarize(result, trajectory_m_hat))
+    file_key = {setting: key for key, setting in _FILE_KEYS.items()}
+    settings = {"preset": preset.name, **preset_settings(preset)}
     fileio.write_config(
-        {
-            "preset": preset.name,
-            "lambda": preset.config.lam,
-            "rho0": preset.config.rho0,
-            "gamma": preset.config.gamma,
-            "eta": preset.config.eta,
-            "max_iter": preset.config.max_iter,
-            "delta_tol": preset.config.delta_tol,
-            "seed": preset.config.seed,
-            "noise_sigma": preset.noise_sigma,
-            "denoiser": getattr(preset.denoiser, "name", "custom"),
-        },
-        out_dir / "run_config.txt",
+        {file_key.get(k, k): v for k, v in settings.items()}, out_dir / "run_config.txt"
     )
     return out_dir / "trace.csv"
 
@@ -146,38 +112,25 @@ def cmd_run(args) -> int:
     preset = _preset_from_args(args)
     out_dir = Path(args.out)
     if args.sweep:
-        values = [float(v) for v in args.sweep.split(",")]
-        jobs = []
-        workers = min(len(values), os.cpu_count() or 1)
+        members: dict[Path, ExperimentPreset] = {}
+        for eta in map(float, args.sweep.split(",")):
+            sub = out_dir / f"eta={eta:g}"
+            if sub in members:
+                raise ValueError(
+                    f"sweep values {members[sub].config.eta!r} and {eta!r} "
+                    f"both write to {sub}"
+                )
+            members[sub] = replace(preset, config=replace(preset.config, eta=eta))
+        workers = min(len(members), os.cpu_count() or 1)
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            for v in values:
-                sub = make_preset(preset.name, eta=v, **_sweep_base(preset))
-                jobs.append(pool.submit(_run_one, sub, out_dir / f"eta={v:g}"))
+            jobs = [pool.submit(_run_one, m, sub) for sub, m in members.items()]
             for job in jobs:
                 job.result()
-        print(f"wrote {len(values)} runs under {out_dir}")
+        print(f"wrote {len(members)} runs under {out_dir}")
         return 0
     trace_path = _run_one(preset, out_dir)
     print(f"wrote {trace_path}")
     return 0
-
-
-def _sweep_base(preset: ExperimentPreset) -> dict:
-    cfg = preset.config
-    return dict(
-        lam=cfg.lam,
-        rho0=cfg.rho0,
-        gamma=cfg.gamma,
-        max_iter=cfg.max_iter,
-        delta_tol=cfg.delta_tol,
-        seed=cfg.seed,
-        denoiser=preset.denoiser,
-        image_source=preset.image_source,
-        image_size=preset.image_size,
-        blur_size=preset.blur_size,
-        downsample_factor=preset.downsample_factor,
-        noise_sigma=preset.noise_sigma,
-    )
 
 
 def _condition_trace_from_csv(
@@ -314,7 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--max-iter", dest="max_iter", type=int)
     pr.add_argument("--noise-sigma", dest="noise_sigma", type=float)
     pr.add_argument("--seed", type=int)
-    pr.add_argument("--image", help="PGM file to restore instead of the builtin pattern")
+    pr.add_argument(
+        "--image", dest="image_source",
+        help="PGM file to restore instead of the builtin pattern",
+    )
     pr.add_argument("--denoiser", choices=sorted(DENOISERS))
     pr.add_argument("--sweep", help="comma-separated eta values, one run each")
     pr.set_defaults(func=cmd_run)

@@ -57,10 +57,15 @@ class ImageGrid:
         return cls(width=w, height=h, pixels=arr.reshape(-1))
 
 
-def _window_half_width(sigma: float, img: ImageGrid, c_map: float) -> int:
-    # sigma is mapped to pixels through the larger image side so the residue
-    # ratio stays comparable across image sizes
-    return int(math.floor(c_map * sigma * max(img.width, img.height) + 0.5))
+# sigma is mapped to pixels through the larger image side, times C_MAP, so
+# the residue ratio stays comparable across image sizes; the Gaussian kernel
+# is cut at TRUNCATE standard deviations
+C_MAP = 1.0
+TRUNCATE = 3.0
+
+
+def _window_half_width(sigma: float, img: ImageGrid) -> int:
+    return int(math.floor(C_MAP * sigma * max(img.width, img.height) + 0.5))
 
 
 def _convolve_axis(arr: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
@@ -95,21 +100,15 @@ class IdentityDenoiser(Denoiser):
 class GaussianSmoothing(Denoiser):
     """Separable Gaussian blur with symmetric boundary padding.
 
-    The kernel standard deviation in pixels is c_map * sigma * max(width,
-    height), truncated at ``truncate`` standard deviations.
+    The kernel standard deviation in pixels is C_MAP * sigma * max(width,
+    height), truncated at TRUNCATE standard deviations.
     """
 
     name = "gaussian"
 
-    def __init__(self, truncate: float = 3.0, c_map: float = 1.0):
-        if truncate <= 0 or c_map <= 0:
-            raise ValueError("truncate and c_map must be positive")
-        self.truncate = truncate
-        self.c_map = c_map
-
     def kernel(self, sigma: float, img: ImageGrid) -> np.ndarray:
-        std = self.c_map * sigma * max(img.width, img.height)
-        radius = max(1, int(math.ceil(self.truncate * std)))
+        std = C_MAP * sigma * max(img.width, img.height)
+        radius = max(1, int(math.ceil(TRUNCATE * std)))
         offsets = np.arange(-radius, radius + 1, dtype=np.float64)
         k = np.exp(-0.5 * (offsets / std) ** 2)
         return k / k.sum()
@@ -125,20 +124,15 @@ class GaussianSmoothing(Denoiser):
 class MedianFilter(Denoiser):
     """Square-window median with symmetric padding.
 
-    The window half-width is round(c_map * sigma * max(width, height));
+    The window half-width is round(C_MAP * sigma * max(width, height));
     a zero half-width leaves the image untouched, which gives the required
     identity behavior for small sigma.
     """
 
     name = "median"
 
-    def __init__(self, c_map: float = 1.0):
-        if c_map <= 0:
-            raise ValueError("c_map must be positive")
-        self.c_map = c_map
-
     def apply(self, sigma: float, img: ImageGrid) -> ImageGrid:
-        half = _window_half_width(sigma, img, self.c_map)
+        half = _window_half_width(sigma, img)
         if half == 0:
             return img
         a = img.pixels.reshape(img.height, img.width)
@@ -153,13 +147,8 @@ class BoxAverage(Denoiser):
 
     name = "box"
 
-    def __init__(self, c_map: float = 1.0):
-        if c_map <= 0:
-            raise ValueError("c_map must be positive")
-        self.c_map = c_map
-
     def apply(self, sigma: float, img: ImageGrid) -> ImageGrid:
-        half = _window_half_width(sigma, img, self.c_map)
+        half = _window_half_width(sigma, img)
         if half == 0:
             return img
         win = 2 * half + 1

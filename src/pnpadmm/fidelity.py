@@ -302,14 +302,11 @@ class GradientBoundEstimate:
     """
 
     m_hat: float
-    region: str
-    sample_count: int
 
 
 def estimate_gradient_bound(
     f: FidelityTerm,
     samples: Sequence[np.ndarray],
-    region: str = "user-supplied samples",
 ) -> GradientBoundEstimate:
     if len(samples) == 0:
         raise ValueError("samples must be non-empty")
@@ -317,4 +314,4 @@ def estimate_gradient_bound(
     worst = 0.0
     for x in samples:
         worst = max(worst, float(np.linalg.norm(f.gradient(x))) / root_d)
-    return GradientBoundEstimate(m_hat=worst, region=region, sample_count=len(samples))
+    return GradientBoundEstimate(m_hat=worst)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -77,7 +77,8 @@ def synthetic_image(size: int = 64) -> ImageGrid:
 
 def make_preset(name: str, **overrides) -> ExperimentPreset:
     """Build a named preset; keyword overrides replace any field or config
-    entry (config fields: lam, rho0, gamma, eta, max_iter, delta_tol, seed)."""
+    entry (the keys of :func:`preset_settings`); ``denoiser`` is a name or
+    a :class:`Denoiser`."""
     # documented defaults, calibrated on the 64x64 synthetic problems so the
     # penalty schedule exercises both its branches across the eta range
     cfg_kwargs = dict(
@@ -124,9 +125,25 @@ def make_preset(name: str, **overrides) -> ExperimentPreset:
     )
 
 
+def preset_settings(preset: ExperimentPreset) -> dict:
+    """Every ``make_preset`` keyword with its value in ``preset``, the
+    denoiser by name: ``make_preset(p.name, **preset_settings(p))``
+    rebuilds ``p``."""
+    settings = asdict(preset.config)
+    for field in fields(preset):
+        if field.name not in ("name", "config"):
+            settings[field.name] = getattr(preset, field.name)
+    settings["denoiser"] = preset.denoiser.name
+    return settings
+
+
 def build_operator(preset: ExperimentPreset, image: ImageGrid) -> ForwardOperator:
     shape = (image.height, image.width)
     if preset.name == "deblur":
+        if preset.blur_size > min(shape):
+            raise ValueError(
+                f"blur_size {preset.blur_size} exceeds the image's smaller side {min(shape)}"
+            )
         k1 = binomial_stencil((preset.blur_size + 1) // 2)
         return CircularBlur(shape, k1)
     if preset.name == "superres":

@@ -297,7 +297,6 @@ class PgsBound:
     """PGS envelope of a residual trace, checked from iteration n1 + 1 on."""
 
     spec: PgsSpec
-    c_used: float | None
     hold_onsets: tuple[int, ...]  # the m_j
 
     @property
@@ -333,7 +332,7 @@ def construct_s3_bound(trace: ConditionTrace, c: float | None) -> PgsBound:
     peak0 = c / math.sqrt(trace.rhos[n1 - 1])
     head = tuple(float(d) for d in trace.deltas[:n1])
     spec = PgsSpec(beta=beta, peak0=peak0, chunk_starts=tuple(ns), head=head)
-    return PgsBound(spec=spec, c_used=c, hold_onsets=tuple(ms))
+    return PgsBound(spec=spec, hold_onsets=tuple(ms))
 
 
 def construct_s12_bound(
@@ -381,7 +380,7 @@ def construct_s12_bound(
     peak0 = float((scale * rate ** np.array([t]))[0])
     head = tuple(float(d) for d in trace.deltas[:t])
     spec = PgsSpec(beta=rate, peak0=peak0, chunk_starts=(t,), head=head)
-    return PgsBound(spec=spec, c_used=c, hold_onsets=())
+    return PgsBound(spec=spec, hold_onsets=())
 
 
 @dataclass(frozen=True)

@@ -82,6 +82,92 @@ def test_run_sweep_writes_subdirectories(tmp_path):
     assert (out / "eta=0.6" / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("values", ["0.5,0.5", "0.6,0.6000001"])
+def test_run_sweep_rejects_values_sharing_a_directory(tmp_path, capsys, values):
+    out = tmp_path / "sweep"
+    code = run_cli("run", "--preset", "smoke", "--sweep", values, "--out", out)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    first, second = values.split(",")
+    assert first in err and second in err
+    assert str(out / f"eta={first}") in err
+    assert not out.exists()
+
+
+def test_run_sweep_members_match_solo_runs(tmp_path):
+    cfg = tmp_path / "sr.cfg"
+    cfg.write_text("preset = superres\nimage_size = 32\nmax_iter = 10\n")
+    sweep = tmp_path / "sweep"
+    assert run_cli("run", "--config", cfg, "--sweep", "0.6,0.95", "--out", sweep) == 0
+    for eta in ("0.6", "0.95"):
+        solo = tmp_path / f"solo-{eta}"
+        assert run_cli("run", "--config", cfg, "--eta", eta, "--out", solo) == 0
+        for name in ("trace.csv", "summary.txt", "restored.pgm", "run_config.txt"):
+            assert (sweep / f"eta={eta}" / name).read_bytes() == (solo / name).read_bytes()
+
+
+def test_preset_flag_overrides_config_file(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("preset = smoke\nimage_size = 16\nmax_iter = 3\n")
+    out = tmp_path / "run"
+    assert run_cli("run", "--preset", "deblur", "--config", cfg, "--out", out) == 0
+    assert parse_config(out / "run_config.txt")["preset"] == "deblur"
+    assert (out / "summary.txt").read_text().startswith("preset = deblur\n")
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        "preset = deblur\nimage_size = 32\nblur_size = 7\nlambda = 0.02\n",
+        "preset = superres\nimage_size = 32\ndownsample_factor = 4\n",
+        "preset = smoke\nimage_size = 24\n",
+    ],
+    ids=["deblur", "superres", "smoke"],
+)
+def test_run_config_txt_replays_the_run(tmp_path, config):
+    cfg = tmp_path / "first.cfg"
+    cfg.write_text(config)
+    first, replay = tmp_path / "first", tmp_path / "replay"
+    assert run_cli("run", "--config", cfg, "--out", first) == 0
+    assert run_cli("run", "--config", first / "run_config.txt", "--out", replay) == 0
+    for name in ("trace.csv", "summary.txt", "restored.pgm", "run_config.txt"):
+        assert (replay / name).read_bytes() == (first / name).read_bytes()
+
+
+def test_run_config_txt_lists_every_setting(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli("run", "--preset", "smoke", "--out", out) == 0
+    assert list(parse_config(out / "run_config.txt")) == [
+        "preset", "lambda", "rho0", "gamma", "eta", "max_iter", "delta_tol", "seed",
+        "denoiser", "image", "image_size", "blur_size", "downsample_factor", "noise_sigma",
+    ]
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("colour = red", "unknown config key 'colour'"),
+        ("max_iter = 1.5", "invalid literal for int()"),
+    ],
+)
+def test_run_rejects_bad_config_entries(tmp_path, capsys, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"preset = smoke\n{line}\n")
+    assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("size,blur", [(32, 33), (64, 2101)])
+def test_run_rejects_blur_larger_than_image(tmp_path, capsys, size, blur):
+    cfg = tmp_path / "blur.cfg"
+    cfg.write_text(f"preset = deblur\nimage_size = {size}\nblur_size = {blur}\n")
+    assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"blur_size {blur}" in err and str(size) in err
+
+
 def test_run_sweep_caps_threads_at_cpu_count(tmp_path, monkeypatch):
     pools = []
 

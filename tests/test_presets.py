@@ -3,9 +3,12 @@ import pytest
 
 from pnpadmm.denoisers import GaussianSmoothing, IdentityDenoiser
 from pnpadmm.presets import (
+    PRESET_NAMES,
+    build_operator,
     degrade,
     initial_iterate,
     make_preset,
+    preset_settings,
     run_preset,
     synthetic_image,
 )
@@ -39,6 +42,31 @@ def test_make_preset_overrides():
     assert p.denoiser.name == "median"
     with pytest.raises((KeyError, ValueError)):
         make_preset("nosuch")
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_settings_rebuild_the_preset(name):
+    # denoisers compare by identity, so the settings dicts are compared
+    for p in (
+        make_preset(name),
+        make_preset(
+            name, lam=0.03, rho0=2.0, gamma=1.5, eta=0.3, max_iter=7, delta_tol=1e-4,
+            seed=9, denoiser="median", image_size=24, blur_size=3,
+            downsample_factor=3, noise_sigma=0.05,
+        ),
+    ):
+        rebuilt = make_preset(p.name, **preset_settings(p))
+        assert rebuilt.config == p.config
+        assert preset_settings(rebuilt) == preset_settings(p)
+    assert preset_settings(p)["denoiser"] == "median"
+    assert preset_settings(p)["downsample_factor"] == 3
+
+
+def test_build_operator_rejects_blur_larger_than_image():
+    image = synthetic_image(32)
+    assert build_operator(make_preset("deblur", blur_size=31), image).in_dim == 32 * 32
+    with pytest.raises(ValueError, match="blur_size 33 exceeds the image's smaller side 32"):
+        build_operator(make_preset("deblur", blur_size=33), image)
 
 
 def test_degrade_is_seeded_and_deterministic():
