@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
-import os
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -88,28 +87,44 @@ def _summarize(result, trajectory_m_hat: float) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _run_config(preset: ExperimentPreset) -> dict:
+    """The run_config.txt entries that replay a run of ``preset``."""
+    file_key = {setting: key for key, setting in _FILE_KEYS.items()}
+    settings = {"preset": preset.name, **preset_settings(preset)}
+    return {file_key.get(k, k): v for k, v in settings.items()}
+
+
+def _gradient_m_hat(f, theta, step) -> float:
+    """||grad f(theta.x)|| / sqrt(d) at an iterate the run observed.
+
+    After a step the x-update's optimality condition gives the gradient,
+    grad f(x') = rho (t - x'), so only the start iterate needs H applied.
+    """
+    if step is None:
+        return estimate_gradient_bound(f, [theta.x]).m_hat
+    return step.rho * float(np.linalg.norm(step.target - theta.x)) / math.sqrt(theta.dim)
+
+
 def _run_one(preset: ExperimentPreset, out_dir: Path) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     trajectory_m_hat = 0.0
 
-    def observe(f, theta):
+    def observe(f, theta, step):
         nonlocal trajectory_m_hat
-        trajectory_m_hat = max(trajectory_m_hat, estimate_gradient_bound(f, [theta.x]).m_hat)
+        trajectory_m_hat = max(trajectory_m_hat, _gradient_m_hat(f, theta, step))
 
     result = run_preset(preset, observe=observe)
     fileio.write_trace_csv(result.trace.records, out_dir / "trace.csv")
     fileio.save_image(result.restored, out_dir / "restored.pgm")
     (out_dir / "summary.txt").write_text(_summarize(result, trajectory_m_hat))
-    file_key = {setting: key for key, setting in _FILE_KEYS.items()}
-    settings = {"preset": preset.name, **preset_settings(preset)}
-    fileio.write_config(
-        {file_key.get(k, k): v for k, v in settings.items()}, out_dir / "run_config.txt"
-    )
+    fileio.write_config(_run_config(preset), out_dir / "run_config.txt")
     return out_dir / "trace.csv"
 
 
 def cmd_run(args) -> int:
     preset = _preset_from_args(args)
+    # sweep members differ only in eta, so one check covers them all
+    fileio.check_config(_run_config(preset))
     out_dir = Path(args.out)
     if args.sweep:
         members: dict[Path, ExperimentPreset] = {}
@@ -121,11 +136,8 @@ def cmd_run(args) -> int:
                     f"both write to {sub}"
                 )
             members[sub] = replace(preset, config=replace(preset.config, eta=eta))
-        workers = min(len(members), os.cpu_count() or 1)
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            jobs = [pool.submit(_run_one, m, sub) for sub, m in members.items()]
-            for job in jobs:
-                job.result()
+        for sub, member in members.items():
+            _run_one(member, sub)
         print(f"wrote {len(members)} runs under {out_dir}")
         return 0
     trace_path = _run_one(preset, out_dir)

@@ -207,6 +207,18 @@ def parse_config(path) -> dict[str, str]:
     return out
 
 
+def check_config(values: dict[str, object]) -> None:
+    """Raise ValueError naming the first value :func:`parse_config` would not
+    read back: one holding ``#``, a line break, surrounding whitespace or a
+    non-ASCII character."""
+    for key, value in values.items():
+        text = str(value)
+        breaks = len(text.splitlines()) > 1
+        if "#" in text or breaks or text != text.strip() or not text.isascii():
+            raise ValueError(f"config value {key} = {text!r} would not read back")
+
+
 def write_config(values: dict[str, object], path) -> None:
+    check_config(values)
     lines = [f"{k} = {v}" for k, v in values.items()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")

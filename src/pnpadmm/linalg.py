@@ -45,11 +45,6 @@ def as_vector(data, name: str = "vector") -> np.ndarray:
     return arr
 
 
-def euclidean_norm(v) -> float:
-    """Euclidean norm sqrt(sum(v_i^2)); zero iff v is the zero vector."""
-    return float(np.linalg.norm(as_vector(v)))
-
-
 @dataclass(frozen=True)
 class IterateTriple:
     """Solver state theta = (x, v, u), three vectors of equal dimension.

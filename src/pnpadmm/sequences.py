@@ -297,7 +297,6 @@ class PgsBound:
     """PGS envelope of a residual trace, checked from iteration n1 + 1 on."""
 
     spec: PgsSpec
-    hold_onsets: tuple[int, ...]  # the m_j
 
     @property
     def n1(self) -> int:
@@ -319,7 +318,7 @@ def construct_s3_bound(trace: ConditionTrace, c: float | None) -> PgsBound:
     n_1.  With c at least the true growth coefficient the envelope dominates
     the residuals from iteration n_1 + 1 on.
     """
-    ns, ms = alternation_boundaries(trace.flags)
+    ns, _ = alternation_boundaries(trace.flags)
     if len(ns) < 2:
         raise BoundConstructionError(
             "trace is S1/S2-like (fewer than two C1 onsets); "
@@ -332,7 +331,7 @@ def construct_s3_bound(trace: ConditionTrace, c: float | None) -> PgsBound:
     peak0 = c / math.sqrt(trace.rhos[n1 - 1])
     head = tuple(float(d) for d in trace.deltas[:n1])
     spec = PgsSpec(beta=beta, peak0=peak0, chunk_starts=tuple(ns), head=head)
-    return PgsBound(spec=spec, hold_onsets=tuple(ms))
+    return PgsBound(spec=spec)
 
 
 def construct_s12_bound(
@@ -380,7 +379,7 @@ def construct_s12_bound(
     peak0 = float((scale * rate ** np.array([t]))[0])
     head = tuple(float(d) for d in trace.deltas[:t])
     spec = PgsSpec(beta=rate, peak0=peak0, chunk_starts=(t,), head=head)
-    return PgsBound(spec=spec, hold_onsets=())
+    return PgsBound(spec=spec)
 
 
 @dataclass(frozen=True)

@@ -25,12 +25,26 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
+import numpy as np
+
 from .denoisers import Denoiser, ImageGrid, denoise
 from .fidelity import FidelityTerm, prox_x_update
 from .linalg import IterateTriple, NonFiniteIterateError, as_vector, metric_distance
 
 
-Observer = Callable[[FidelityTerm, IterateTriple], None]
+@dataclass(frozen=True)
+class StepInfo:
+    """The x-update of one iteration: its penalty rho and target t = v - u.
+
+    The update's optimality condition gives the data-term gradient at the
+    new iterate for free: grad f(x') = rho (t - x').
+    """
+
+    rho: float
+    target: np.ndarray
+
+
+Observer = Callable[[FidelityTerm, IterateTriple, StepInfo | None], None]
 
 
 class ConditionFlag(enum.Enum):
@@ -130,16 +144,18 @@ def step(
     rho: float,
     sigma: float,
     theta: IterateTriple,
-) -> IterateTriple:
-    """One plug-and-play iteration at fixed (rho, sigma)."""
+) -> tuple[IterateTriple, StepInfo]:
+    """One plug-and-play iteration at fixed (rho, sigma): the new iterate and
+    the x-update that produced it."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     h, w = f.op.in_shape
-    x_new = prox_x_update(f, rho, theta.v - theta.u)
+    target = theta.v - theta.u
+    x_new = prox_x_update(f, rho, target)
     noisy = ImageGrid(width=w, height=h, pixels=x_new + theta.u)
     v_new = denoise(kind, sigma, noisy).pixels
     u_new = theta.u + x_new - v_new
-    return IterateTriple(x=x_new, v=v_new, u=u_new)
+    return IterateTriple(x=x_new, v=v_new, u=u_new), StepInfo(rho, target)
 
 
 def run(
@@ -152,9 +168,12 @@ def run(
     """Run the loop from theta0 until delta < delta_tol or max_iter.
 
     Deterministic given (f, kind, cfg, theta0).  The run keeps only the
-    current iterate; observe, if given, is called as observe(f, theta) with
-    the start iterate and then after each iteration's record is appended,
-    so a caller can stream statistics of every iterate in O(d) memory.
+    current iterate; observe, if given, is called as observe(f, theta, None)
+    with the start iterate and then as observe(f, theta, info) after each
+    iteration's record is appended, where info is the StepInfo of the
+    x-update that produced theta (its rho is the penalty the step used, not
+    the record's post-update one).  A caller can so stream statistics of
+    every iterate in O(d) memory, the data-term gradient included.
 
     theta0 is checked for finite entries and copied once.  Inside the loop a
     NaN entry makes the residual NaN, and an infinite one makes the next
@@ -172,13 +191,13 @@ def run(
     rho = cfg.rho0
     records: list[TraceRecord] = []
     if observe is not None:
-        observe(f, theta)
+        observe(f, theta, None)
     prev_delta: float | None = None
     stop_reason = "max_iter"
     for k in range(1, cfg.max_iter + 1):
         sigma_step = math.sqrt(cfg.lam / rho)
         try:
-            theta_next = step(f, kind, rho, sigma_step, theta)
+            theta_next, info = step(f, kind, rho, sigma_step, theta)
         except NonFiniteIterateError as exc:
             raise NonFiniteIterateError(
                 f"non-finite iterate at iteration {k}: {exc}"
@@ -202,7 +221,7 @@ def run(
             )
         )
         if observe is not None:
-            observe(f, theta)
+            observe(f, theta, info)
         prev_delta = delta
         if delta < cfg.delta_tol:
             stop_reason = "tolerance"
@@ -220,5 +239,5 @@ def fixed_point_residual(
 ) -> FixedPointReport:
     """Distance between the final iterate and one more frozen-parameter step."""
     last = trace.records[-1]
-    theta_next = step(f, kind, last.rho, last.sigma, trace.final_iterate)
+    theta_next, _ = step(f, kind, last.rho, last.sigma, trace.final_iterate)
     return FixedPointReport(residual=metric_distance(trace.final_iterate, theta_next))

@@ -295,7 +295,7 @@ def test_a7_trace_invariants_and_determinism(runs):
 def test_a8_triangle_inequality_chain():
     preset = make_preset("deblur", eta=0.1, gamma=1.2, delta_tol=1e-6, max_iter=200)
     iterates = []
-    result = run_preset(preset, observe=lambda f, t: iterates.append(t))
+    result = run_preset(preset, observe=lambda f, t, _: iterates.append(t))
     trace = result.trace
     assert trace.stop_reason == "tolerance", "run did not converge"
     deltas = _condition_trace(trace).deltas

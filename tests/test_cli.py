@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from pnpadmm import cli
+from pnpadmm.fidelity import estimate_gradient_bound
 from pnpadmm.fileio import load_image, parse_config, read_trace_csv, save_image
-from pnpadmm.presets import synthetic_image
+from pnpadmm.presets import make_preset, run_preset, synthetic_image
 from pnpadmm.sequences import PgsSpec, pgs_generate
 
 
@@ -168,24 +169,35 @@ def test_run_rejects_blur_larger_than_image(tmp_path, capsys, size, blur):
     assert f"blur_size {blur}" in err and str(size) in err
 
 
-def test_run_sweep_caps_threads_at_cpu_count(tmp_path, monkeypatch):
-    pools = []
+@pytest.mark.parametrize("name", ["a#b.pgm", "a\nb.pgm"])
+def test_run_rejects_image_path_run_config_cannot_hold(tmp_path, monkeypatch, capsys, name):
+    # the file exists, so without the check the run would succeed and write
+    # a run_config.txt that does not replay it
+    monkeypatch.chdir(tmp_path)
+    save_image(synthetic_image(16), tmp_path / name)
+    out = tmp_path / "run"
+    code = run_cli("run", "--preset", "deblur", "--image", name, "--out", out)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config value image = ")
+    assert not out.exists()
 
-    class RecordingPool(cli.concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers, **kwargs)
 
-    monkeypatch.setattr(cli.concurrent.futures, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    out = tmp_path / "sweep"
-    code = run_cli(
-        "run", "--preset", "smoke", "--max-iter", "3",
-        "--sweep", "0.1,0.3,0.5,0.7,0.9", "--out", out,
-    )
-    assert code == 0
-    assert pools == [2]
-    assert len(list(out.glob("eta=*/trace.csv"))) == 5
+@pytest.mark.parametrize("preset", ["deblur", "superres"])
+def test_streamed_gradient_bound_matches_explicit_gradient(preset):
+    # summary.txt shows only the max over the trajectory and the box samples,
+    # which can hide a wrong per-iterate formula
+    pairs = []
+
+    def observe(f, theta, step):
+        pairs.append(
+            (cli._gradient_m_hat(f, theta, step), estimate_gradient_bound(f, [theta.x]).m_hat)
+        )
+
+    result = run_preset(make_preset(preset, image_size=32), observe=observe)
+    assert len(pairs) == len(result.trace) + 1
+    for streamed, explicit in pairs:
+        assert streamed == pytest.approx(explicit, rel=1e-8)
 
 
 def test_analyze_on_run_output(tmp_path, capsys):

@@ -159,6 +159,14 @@ def test_config_round_trip(tmp_path):
     assert got == {"preset": "deblur", "eta": "0.95", "max_iter": "100"}
 
 
+@pytest.mark.parametrize("value", ["a#b", " a", "a ", "a\nb", "a\rb", "\u00e9"])
+def test_write_config_rejects_values_that_do_not_read_back(tmp_path, value):
+    path = tmp_path / "c.cfg"
+    with pytest.raises(ValueError, match="config value image = "):
+        write_config({"preset": "deblur", "image": value}, path)
+    assert not path.exists()
+
+
 def test_config_comments_and_errors(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("# full comment\n eta = 0.5  # trailing\n\nbad line\n")

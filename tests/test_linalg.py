@@ -5,7 +5,6 @@ from pnpadmm.linalg import (
     DimensionMismatchError,
     IterateTriple,
     as_vector,
-    euclidean_norm,
     metric_distance,
 )
 
@@ -34,20 +33,6 @@ def test_triple_is_immutable():
     t = IterateTriple([1.0], [2.0], [3.0])
     with pytest.raises(ValueError):
         t.x[0] = 7.0
-
-
-def test_norm_zero_vector():
-    assert euclidean_norm(np.zeros(5)) == 0.0
-
-
-def test_norm_pythagorean():
-    assert euclidean_norm([3.0, 4.0]) == 5.0
-
-
-def test_norm_unit_basis():
-    e1 = np.zeros(10)
-    e1[0] = 1.0
-    assert euclidean_norm(e1) == 1.0
 
 
 def test_metric_identity_case():

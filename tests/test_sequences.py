@@ -282,7 +282,6 @@ def test_s3_bound_beta_and_boundaries():
     bound = construct_s3_bound(tr, c=estimate_growth_coefficient(tr))
     assert bound.spec.beta == 0.5  # max(1/sqrt(4), 0.3)
     assert bound.chunk_onsets == (1, 3, 5)
-    assert bound.hold_onsets == (2, 4, 6)
     assert bound.n1 == 1
 
 

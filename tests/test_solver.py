@@ -50,7 +50,7 @@ def test_step_fixed_point_of_composition():
     v0 = np.array([0.3, -1.2, 4.0])
     f = identity_problem(3, b=v0)
     theta = IterateTriple(x=v0.copy(), v=v0.copy(), u=np.zeros(3))
-    out = step(f, IdentityDenoiser(), rho=1.0, sigma=0.1, theta=theta)
+    out, _ = step(f, IdentityDenoiser(), rho=1.0, sigma=0.1, theta=theta)
     assert metric_distance(theta, out) <= 1e-14
 
 
@@ -64,7 +64,7 @@ def test_step_u_update_arithmetic():
 
     f = identity_problem(2, b=np.array([1.0, 1.0]))
     theta = IterateTriple(x=[0.0, 0.0], v=[1.0, 1.0], u=[0.0, 0.0])
-    out = step(f, ConstStub(), rho=1e12, sigma=0.1, theta=theta)
+    out, _ = step(f, ConstStub(), rho=1e12, sigma=0.1, theta=theta)
     # x' ~ v - u = (1,1); v' = (0,1); u' = (1,0)
     assert np.allclose(out.x, [1.0, 1.0], atol=1e-9)
     assert np.array_equal(out.v, [0.0, 1.0])
@@ -80,7 +80,7 @@ def test_step_matches_straight_line_oracle():
         x=rng.uniform(size=64), v=rng.uniform(size=64), u=0.1 * rng.standard_normal(64)
     )
     rho, sigma = 1.7, 0.08
-    got = step(f, GaussianSmoothing(), rho, sigma, theta)
+    got, _ = step(f, GaussianSmoothing(), rho, sigma, theta)
     x_ref, v_ref, u_ref = straight_line_step(op, b, rho, sigma, theta.x, theta.v, theta.u)
     assert np.max(np.abs(got.x - x_ref)) < 1e-10
     assert np.max(np.abs(got.v - v_ref)) < 1e-10
@@ -154,11 +154,31 @@ def test_run_deltas_recomputable_from_snapshots():
     )
     cfg = base_config(max_iter=15, delta_tol=0.0)
     iterates = []
-    trace = run(f, GaussianSmoothing(), cfg, theta0, lambda f, t: iterates.append(t))
+    trace = run(f, GaussianSmoothing(), cfg, theta0, lambda f, t, _: iterates.append(t))
     assert len(iterates) == len(trace) + 1
     for k, rec in enumerate(trace.records, start=1):
         d = metric_distance(iterates[k - 1], iterates[k])
         assert abs(d - rec.delta) <= 1e-12
+
+
+def test_observer_gets_each_steps_rho_and_target():
+    rng = np.random.default_rng(107)
+    op = CircularBlur((8, 8), binomial_stencil(2))
+    f = FidelityTerm(op=op, observation=rng.uniform(size=64))
+    theta0 = IterateTriple(
+        x=rng.uniform(size=64), v=rng.uniform(size=64), u=rng.uniform(size=64)
+    )
+    cfg = base_config(max_iter=15, delta_tol=0.0)
+    seen = []
+    trace = run(f, GaussianSmoothing(), cfg, theta0, lambda f, t, s: seen.append((t, s)))
+    # penalty growth makes the step's rho differ from its record's rho
+    assert ConditionFlag.C1 in [rec.condition for rec in trace.records]
+    assert len(seen) == len(trace) + 1
+    assert seen[0][1] is None
+    step_rhos = [cfg.rho0] + [rec.rho for rec in trace.records[:-1]]
+    for (prev, _), (_, info), rho in zip(seen, seen[1:], step_rhos):
+        assert info.rho == rho
+        assert np.array_equal(info.target, prev.v - prev.u)
 
 
 def test_run_is_deterministic():
@@ -265,7 +285,7 @@ def test_fixed_point_residual_matches_one_step_replay():
     report = fixed_point_residual(f, GaussianSmoothing(), trace)
     # replay: the next step at the recorded (rho, sigma) is exactly delta_2
     last = trace.records[-1]
-    theta2 = step(f, GaussianSmoothing(), last.rho, last.sigma, trace.final_iterate)
+    theta2, _ = step(f, GaussianSmoothing(), last.rho, last.sigma, trace.final_iterate)
     assert report.residual == metric_distance(trace.final_iterate, theta2)
     assert report.residual > 0
 
