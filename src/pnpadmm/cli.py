@@ -38,6 +38,9 @@ from .solver import ConditionFlag, fixed_point_residual
 
 # config-file spellings of two make_preset keywords
 _FILE_KEYS = {"lambda": "lam", "image": "image_source"}
+# pgs-demo writes one CSV line per term: 10^6 lines take ~4 s and make a
+# 21 MB file, so a longer request is refused before anything is allocated
+MAX_PGS_DEMO_LENGTH = 10**6
 
 
 def _preset_from_args(args) -> ExperimentPreset:
@@ -231,6 +234,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_pgs_demo(args) -> int:
+    if args.length > MAX_PGS_DEMO_LENGTH:
+        raise ValueError(
+            f"--length {args.length} exceeds the limit of {MAX_PGS_DEMO_LENGTH}"
+        )
     lengths = [int(v) for v in args.chunk_lengths.split(",")]
     if any(v < 1 for v in lengths):
         raise ValueError("chunk lengths must be >= 1")

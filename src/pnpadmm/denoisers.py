@@ -62,21 +62,37 @@ class ImageGrid:
 # is cut at TRUNCATE standard deviations
 C_MAP = 1.0
 TRUNCATE = 3.0
+# the median filter copies at most this many bytes of windows at a time
+MEDIAN_BLOCK_BYTES = 4 * 2**20
 
 
 def _window_half_width(sigma: float, img: ImageGrid) -> int:
     return int(math.floor(C_MAP * sigma * max(img.width, img.height) + 0.5))
 
 
-def _convolve_axis(arr: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
+def _filter_matrix(n: int, kernel: np.ndarray) -> np.ndarray:
+    """n x n matrix of symmetric padding followed by correlation with kernel.
+
+    Row i puts kernel[j] on the pixel that tap i + j - radius reflects onto
+    in the 2n-periodic symmetric extension; taps that land on the same pixel
+    add up, also when the radius exceeds n and the extension reflects more
+    than once.
+    """
     radius = kernel.size // 2
-    pad = [(0, 0), (0, 0)]
-    pad[axis] = (radius, radius)
-    padded = np.pad(arr, pad, mode="symmetric")
-    windows = np.lib.stride_tricks.sliding_window_view(
-        padded, kernel.size, axis=axis
-    )
-    return windows @ kernel
+    rows = np.arange(n)[:, None]
+    src = (rows + np.arange(-radius, radius + 1)) % (2 * n)
+    src = np.where(src < n, src, 2 * n - 1 - src)
+    flat = (rows * n + src).ravel()
+    weights = np.broadcast_to(kernel, src.shape).ravel()
+    return np.bincount(flat, weights, minlength=n * n).reshape(n, n)
+
+
+def _separable_filter(img: ImageGrid, kernel: np.ndarray) -> ImageGrid:
+    """Filter rows then columns with kernel, as G_h @ (A @ G_w^T)."""
+    g_w = _filter_matrix(img.width, kernel)
+    g_h = g_w if img.height == img.width else _filter_matrix(img.height, kernel)
+    a = img.pixels.reshape(img.height, img.width)
+    return ImageGrid.from_array(g_h @ (a @ g_w.T))
 
 
 class Denoiser:
@@ -114,11 +130,7 @@ class GaussianSmoothing(Denoiser):
         return k / k.sum()
 
     def apply(self, sigma: float, img: ImageGrid) -> ImageGrid:
-        k = self.kernel(sigma, img)
-        a = img.pixels.reshape(img.height, img.width)
-        a = _convolve_axis(a, k, axis=1)
-        a = _convolve_axis(a, k, axis=0)
-        return ImageGrid.from_array(a)
+        return _separable_filter(img, self.kernel(sigma, img))
 
 
 class MedianFilter(Denoiser):
@@ -139,7 +151,13 @@ class MedianFilter(Denoiser):
         padded = np.pad(a, half, mode="symmetric")
         win = 2 * half + 1
         windows = np.lib.stride_tricks.sliding_window_view(padded, (win, win))
-        return ImageGrid.from_array(np.median(windows, axis=(2, 3)))
+        # np.median copies the windows it is given, so take them a block of
+        # rows at a time: each block's copy stays within MEDIAN_BLOCK_BYTES
+        rows = max(1, MEDIAN_BLOCK_BYTES // (img.width * win * win * 8))
+        out = np.empty_like(a)
+        for r in range(0, img.height, rows):
+            out[r : r + rows] = np.median(windows[r : r + rows], axis=(2, 3))
+        return ImageGrid.from_array(out)
 
 
 class BoxAverage(Denoiser):
@@ -152,11 +170,7 @@ class BoxAverage(Denoiser):
         if half == 0:
             return img
         win = 2 * half + 1
-        k = np.full(win, 1.0 / win)
-        a = img.pixels.reshape(img.height, img.width)
-        a = _convolve_axis(a, k, axis=1)
-        a = _convolve_axis(a, k, axis=0)
-        return ImageGrid.from_array(a)
+        return _separable_filter(img, np.full(win, 1.0 / win))
 
 
 def denoise(kind: Denoiser, sigma: float, img: ImageGrid) -> ImageGrid:

@@ -57,6 +57,37 @@ def direct_gaussian(img, sigma, truncate=3.0, c_map=1.0):
     return out
 
 
+def convolve_axis(arr, kernel, axis):
+    """Symmetric padding along one axis, then correlation with kernel by a
+    sliding-window matrix-vector product."""
+    radius = kernel.size // 2
+    pad = [(0, 0), (0, 0)]
+    pad[axis] = (radius, radius)
+    padded = np.pad(arr, pad, mode="symmetric")
+    windows = np.lib.stride_tricks.sliding_window_view(
+        padded, kernel.size, axis=axis
+    )
+    return windows @ kernel
+
+
+def two_pass_filter(img, kernel):
+    """Separable filter as two :func:`convolve_axis` passes, rows first."""
+    a = img.pixels.reshape(img.height, img.width)
+    return convolve_axis(convolve_axis(a, kernel, axis=1), kernel, axis=0)
+
+
+def unblocked_median(img, sigma, c_map=1.0):
+    """Square-window median over all windows of the image in one call."""
+    half = int(math.floor(c_map * sigma * max(img.width, img.height) + 0.5))
+    a = img.pixels.reshape(img.height, img.width)
+    if half == 0:
+        return a.copy()
+    padded = np.pad(a, half, mode="symmetric")
+    win = 2 * half + 1
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (win, win))
+    return np.median(windows, axis=(2, 3))
+
+
 def straight_line_step(op, b, rho, sigma, x, v, u, c_map=1.0, truncate=3.0):
     """One plug-and-play iteration written out directly.
 

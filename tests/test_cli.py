@@ -333,6 +333,14 @@ def test_pgs_demo_rejects_bad_beta(tmp_path, capsys):
     assert "beta" in capsys.readouterr().err
 
 
+def test_pgs_demo_rejects_length_above_limit(tmp_path, capsys):
+    out = tmp_path / "sub" / "x.csv"
+    code = run_cli("pgs-demo", "--beta", "0.5", "--length", "1000000000000", "--out", out)
+    assert code == 1
+    assert "--length 1000000000000 exceeds the limit" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit):
         cli.main([])

@@ -1,8 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracles import unblocked_median
+
+from pnpadmm import denoisers
 from pnpadmm.denoisers import (
     BoxAverage,
     Denoiser,
@@ -129,6 +133,33 @@ def test_median_against_brute_force():
         for j in range(10):
             win = padded[i : i + 2 * half + 1, j : j + 2 * half + 1]
             assert got[i, j] == np.median(win)
+
+
+@pytest.mark.parametrize("budget", [1, 5000, 100_000, 10**9])
+@pytest.mark.parametrize("shape,sigma", [((9, 10), 0.15), ((1, 7), 0.4), ((13, 5), 1.3)])
+def test_blocked_median_equals_unblocked(monkeypatch, budget, shape, sigma):
+    # a 2000-byte row per window block at 9x10 and a 49000-byte one at 13x5:
+    # blocks of one row, of two rows with a short last block, and the whole
+    # image at once
+    monkeypatch.setattr(denoisers, "MEDIAN_BLOCK_BYTES", budget)
+    h, w = shape
+    img = noise_image(np.random.default_rng(43), w, h)
+    got = denoise(MedianFilter(), sigma, img).pixels.reshape(h, w)
+    assert np.array_equal(got, unblocked_median(img, sigma))
+
+
+def test_median_memory_stays_within_block_budget():
+    # 96x96 at sigma 0.1 is a 21x21 window: one np.median over every window
+    # copies 96*96*441 floats (32 MB) twice, blocks of 4 MB copy 8 MB
+    img = noise_image(np.random.default_rng(47), 96, 96)
+    denoise(MedianFilter(), 0.1, img)
+    tracemalloc.start()
+    try:
+        denoise(MedianFilter(), 0.1, img)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 def test_denoise_rejects_negative_sigma():

@@ -1,7 +1,8 @@
 """Property tests: the PGS generator, its summability bound, and the
 closed-form Cauchy certificate against their direct definitions; the
 forward operators' adjoints and closed-form prox solves against their
-defining identities; exact round trips of the trace CSV and PGM formats."""
+defining identities; the separable denoisers against two sliding-window
+passes; exact round trips of the trace CSV and PGM formats."""
 
 import math
 
@@ -9,9 +10,9 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import linear_cauchy_k, loop_pgs_generate
+from oracles import linear_cauchy_k, loop_pgs_generate, two_pass_filter
 
-from pnpadmm.denoisers import ImageGrid
+from pnpadmm.denoisers import BoxAverage, GaussianSmoothing, ImageGrid, denoise
 from pnpadmm.fidelity import (
     CircularBlur,
     Downsample,
@@ -132,6 +133,28 @@ def test_prox_satisfies_first_order_optimality(op, rho, seed):
     grad = op.apply_adjoint(op.apply(x) - b) + rho * (x - t)
     scale = np.linalg.norm(f.adjoint_observation) + rho * np.linalg.norm(t)
     assert np.linalg.norm(grad) <= 1e-12 * (1 + 1 / rho) * scale
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 15),
+    st.integers(1, 15),
+    st.floats(0.01, 2.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_separable_denoisers_match_two_pass_oracle(h, w, sigma, seed):
+    # sigma up to 2 puts the Gaussian radius (and the box half-width) past
+    # the image side, where the symmetric extension reflects more than once
+    img = ImageGrid(w, h, np.random.default_rng(seed).uniform(-1, 1, h * w))
+    half = int(math.floor(sigma * max(h, w) + 0.5))
+    gauss = GaussianSmoothing()
+    kernels = [(gauss, gauss.kernel(sigma, img))]
+    if half >= 1:
+        kernels.append((BoxAverage(), np.full(2 * half + 1, 1.0 / (2 * half + 1))))
+    tol = 1e-13 * np.max(np.abs(img.pixels))
+    for kind, kernel in kernels:
+        got = denoise(kind, sigma, img).pixels.reshape(h, w)
+        assert np.max(np.abs(got - two_pass_filter(img, kernel))) <= tol
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -3,7 +3,7 @@ small runs.
 
 A change that keeps the arithmetic must keep these hashes.  A change that
 alters the arithmetic on purpose (a different prox solver, say) updates
-them and says so.  The denoisers reach BLAS through matrix-vector
+them and says so.  The Gaussian and box denoisers are BLAS matrix
 products, so another numpy/BLAS build may change the last bits too; the
 hashes below come from numpy 2.4 with its bundled OpenBLAS on x86-64.
 """
@@ -21,11 +21,11 @@ PINNED = {
         "ef51008c0d4fc3106df1edfcc56cbb68dc0d8e5c2da2175cf2bf7804a03b5077",
     ),
     "deblur": (
-        "bdeaf097d3f8704a02f9a893ee155e9d8a8e9a186f5f3a7bc71abf21bbd57e77",
+        "49a690997a9b8a55dcded2ad8259de6f5fb84743dfa6f518bcc36afba0be854d",
         "963944344b985bfd11cd77da67113915f31b5d3d77fddc20807c5d5fd9e4350f",
     ),
     "superres": (
-        "c27885beed7350696120ae9fdab8f185690b514ce2eb7274e5aa6a5b3c12a86e",
+        "ab66c83bf0307fdb6f4322c18c2af94770590848d42ea815b66b61ea6b59425d",
         "a814494fea835da635acaedfea8a32ea90bd6737391a5c5e2cd9ee96e08e2825",
     ),
 }
