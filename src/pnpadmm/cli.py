@@ -218,6 +218,7 @@ def cmd_analyze(args) -> int:
         f"bound_start = {start}",
         f"bound_holds = {check.holds}",
         f"worst_margin = {check.worst_margin:.17g}",
+        f"worst_margin_iteration = {check.worst_margin_iteration}",
         f"growth_coefficient_c = {c if c is not None else 'undefined (no C1)'}",
         f"cauchy_epsilon = {cert.epsilon:g}",
         f"cauchy_chunk_count = {cert.k_index}",

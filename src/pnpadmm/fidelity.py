@@ -9,9 +9,11 @@ Each operator solves these normal equations in closed form: a pixelwise
 division (Identity, Mask), a division in the 2-D Fourier basis
 (CircularBlur), or the Woodbury identity around a Fourier solve on the
 low-resolution grid (Downsample).  Spectra are computed once, at
-construction.  The solves update their arrays in place: full-size
-temporaries freed between longer-lived arrays fragment the heap, which
-shows in peak memory.
+construction.  Each solve also returns Hx, which it has formed on the way
+(or is one inverse transform away from), so the x-update reports the data
+term f(x) without applying H again.  The solves update their arrays in
+place: full-size temporaries freed between longer-lived arrays fragment
+the heap, which shows in peak memory.
 """
 
 from __future__ import annotations
@@ -112,8 +114,10 @@ class ForwardOperator:
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def solve_normal(self, rhs: np.ndarray, rho: float) -> np.ndarray:
-        """The exact solution x of (H^T H + rho I) x = rhs, for rho > 0."""
+    def solve_normal(self, rhs: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
+        """``(x, hx)``: the exact solution x of (H^T H + rho I) x = rhs, for
+        rho > 0, and hx = H x.  hx may be x itself, so neither is to be
+        changed in place."""
         raise NotImplementedError
 
     def _check_in(self, x, what: str = "input") -> np.ndarray:
@@ -145,7 +149,8 @@ class Identity(ForwardOperator):
         return self._check_out(y)
 
     def solve_normal(self, rhs, rho):
-        return self._check_in(rhs, "rhs") / (1.0 + rho)
+        x = self._check_in(rhs, "rhs") / (1.0 + rho)
+        return x, x
 
 
 class CircularBlur(ForwardOperator):
@@ -155,7 +160,8 @@ class CircularBlur(ForwardOperator):
         self.in_shape = _as_shape(shape)
         self.out_shape = self.in_shape
         self.stencil = _check_stencil(stencil)
-        self._gain = np.abs(_stencil_spectrum(self.stencil, self.in_shape)) ** 2
+        self._spectrum = _stencil_spectrum(self.stencil, self.in_shape)
+        self._gain = np.abs(self._spectrum) ** 2
 
     def apply(self, x):
         x2 = self._check_in(x).reshape(self.in_shape)
@@ -170,7 +176,10 @@ class CircularBlur(ForwardOperator):
         r2 = self._check_in(rhs, "rhs").reshape(self.in_shape)
         spec = np.fft.rfft2(r2)
         spec /= self._gain + rho
-        return np.fft.irfft2(spec, s=self.in_shape).reshape(-1)
+        x = np.fft.irfft2(spec, s=self.in_shape)
+        spec *= self._spectrum
+        hx = np.fft.irfft2(spec, s=self.in_shape)
+        return x.reshape(-1), hx.reshape(-1)
 
 
 class Mask(ForwardOperator):
@@ -193,7 +202,8 @@ class Mask(ForwardOperator):
         return self._check_out(y) * self.keep
 
     def solve_normal(self, rhs, rho):
-        return self._check_in(rhs, "rhs") / (self.keep + rho)
+        x = self._check_in(rhs, "rhs") / (self.keep + rho)
+        return x, self.keep * x
 
 
 class Downsample(ForwardOperator):
@@ -231,21 +241,23 @@ class Downsample(ForwardOperator):
 
     def solve_normal(self, rhs, rho):
         # Woodbury (Zhao et al., IEEE TIP 2016):
-        # (H^T H + rho I)^-1 r = (r - B^T S^T (rho I + S B B^T S^T)^-1 S B r) / rho
+        # (H^T H + rho I)^-1 r = (r - B^T S^T z) / rho
+        # with z = (rho I + S B B^T S^T)^-1 S B r, which makes H x = S B x = z
         f = self.factor
         r2 = self._check_in(rhs, "rhs").reshape(self.in_shape)
         spec = np.fft.rfft2(r2)
         spec *= self._spectrum
         low = np.fft.rfft2(np.fft.irfft2(spec, s=self.in_shape)[::f, ::f])
         low /= rho + self._low_eig
+        hx = np.fft.irfft2(low, s=self.out_shape)
         up = np.zeros(self.in_shape)
-        up[::f, ::f] = np.fft.irfft2(low, s=self.out_shape)
+        up[::f, ::f] = hx
         spec = np.fft.rfft2(up)
         spec *= self._spectrum.conj()
         x = np.fft.irfft2(spec, s=self.in_shape)
         x -= r2
         x /= -rho
-        return x.reshape(-1)
+        return x.reshape(-1), hx.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -275,13 +287,16 @@ class FidelityTerm:
         return self.op.apply_adjoint(self.op.apply(x) - self.observation)
 
 
-def prox_x_update(f: FidelityTerm, rho: float, target: np.ndarray) -> np.ndarray:
-    """Minimize f(x) + (rho/2) ||x - target||^2.
+def prox_x_update(
+    f: FidelityTerm, rho: float, target: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Minimize f(x) + (rho/2) ||x - target||^2: the minimizer x and f(x).
 
     Solves the normal equations (H^T H + rho I) x = H^T b + rho * target in
-    closed form through the operator's :meth:`ForwardOperator.solve_normal`.
-    The system is strongly convex for rho > 0, so the minimizer is unique.
-    A non-finite right-hand side raises NonFiniteIterateError.
+    closed form through the operator's :meth:`ForwardOperator.solve_normal`,
+    and takes f(x) = 0.5 ||Hx - b||^2 from the Hx that solve returns.  The
+    system is strongly convex for rho > 0, so the minimizer is unique.  A
+    non-finite right-hand side raises NonFiniteIterateError.
     """
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
@@ -290,7 +305,9 @@ def prox_x_update(f: FidelityTerm, rho: float, target: np.ndarray) -> np.ndarray
     rhs += f.adjoint_observation
     if not math.isfinite(float(rhs @ rhs)):
         raise NonFiniteIterateError("prox solve right-hand side is not finite")
-    return f.op.solve_normal(rhs, rho)
+    x, hx = f.op.solve_normal(rhs, rho)
+    r = hx - f.observation  # not in place: hx may be x
+    return x, 0.5 * float(r @ r)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,11 @@ from .linalg import IterateTriple
 from .solver import Observer, RunTrace, SolverConfig, run
 
 PRESET_NAMES = ("deblur", "superres", "smoke")
+# the Gaussian and box denoisers build a side x side matrix per axis, so a
+# long thin image costs memory quadratic in its long side (a 1 x 20000 strip
+# would ask for 3.2 GB).  With the long side at most this many times the
+# short one, a matrix holds at most that many times the image's pixels.
+MAX_ASPECT_RATIO = 16
 
 DENOISERS = {
     "gaussian": GaussianSmoothing,
@@ -139,6 +144,11 @@ def preset_settings(preset: ExperimentPreset) -> dict:
 
 def build_operator(preset: ExperimentPreset, image: ImageGrid) -> ForwardOperator:
     shape = (image.height, image.width)
+    if max(shape) > MAX_ASPECT_RATIO * min(shape):
+        raise ValueError(
+            f"image of {shape[0]}x{shape[1]} pixels (height x width): the long side "
+            f"exceeds {MAX_ASPECT_RATIO} times the short side"
+        )
     if preset.name == "deblur":
         if preset.blur_size > min(shape):
             raise ValueError(

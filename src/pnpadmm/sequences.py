@@ -422,6 +422,7 @@ def classify_case(trace: ConditionTrace, window: int) -> CaseClassification:
 class BoundCheck:
     holds: bool
     worst_margin: float
+    worst_margin_iteration: int
 
 
 def verify_bound(
@@ -433,7 +434,8 @@ def verify_bound(
     """Check delta_k <= y_k * (1 + rel_slack) for every k >= start.
 
     Both sequences are indexed from k = 1; worst_margin is the largest
-    observed ratio delta_k / y_k over the checked range.
+    observed ratio delta_k / y_k over the checked range, and
+    worst_margin_iteration the first k where it occurs.
     """
     d = np.asarray(deltas, dtype=float)
     y = np.asarray(bound, dtype=float)
@@ -445,5 +447,9 @@ def verify_bound(
     y = y[start - 1 :]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where((y == 0) & (d == 0), 1.0, d / y)
-    worst = float(np.max(ratios))
-    return BoundCheck(holds=bool(np.all(d <= y * (1.0 + rel_slack))), worst_margin=worst)
+    worst = int(np.argmax(ratios))
+    return BoundCheck(
+        holds=bool(np.all(d <= y * (1.0 + rel_slack))),
+        worst_margin=float(ratios[worst]),
+        worst_margin_iteration=start + worst,
+    )

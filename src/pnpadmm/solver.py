@@ -34,7 +34,8 @@ from .linalg import IterateTriple, NonFiniteIterateError, as_vector, metric_dist
 
 @dataclass(frozen=True)
 class StepInfo:
-    """The x-update of one iteration: its penalty rho and target t = v - u.
+    """The x-update of one iteration: its penalty rho, target t = v - u and
+    the data term f(x') of the new iterate, read off the solve's own Hx'.
 
     The update's optimality condition gives the data-term gradient at the
     new iterate for free: grad f(x') = rho (t - x').
@@ -42,6 +43,7 @@ class StepInfo:
 
     rho: float
     target: np.ndarray
+    fidelity_value: float
 
 
 Observer = Callable[[FidelityTerm, IterateTriple, StepInfo | None], None]
@@ -151,11 +153,11 @@ def step(
         raise ValueError("sigma must be positive")
     h, w = f.op.in_shape
     target = theta.v - theta.u
-    x_new = prox_x_update(f, rho, target)
+    x_new, value = prox_x_update(f, rho, target)
     noisy = ImageGrid(width=w, height=h, pixels=x_new + theta.u)
     v_new = denoise(kind, sigma, noisy).pixels
     u_new = theta.u + x_new - v_new
-    return IterateTriple(x=x_new, v=v_new, u=u_new), StepInfo(rho, target)
+    return IterateTriple(x=x_new, v=v_new, u=u_new), StepInfo(rho, target, value)
 
 
 def run(
@@ -217,7 +219,7 @@ def run(
                 rho=rho,
                 sigma=math.sqrt(cfg.lam / rho),
                 condition=flag,
-                fidelity_value=f.value(theta.x),
+                fidelity_value=info.fidelity_value,
             )
         )
         if observe is not None:

@@ -239,7 +239,7 @@ def test_a6_prox_against_dense_oracle():
             b = rng.standard_normal(op.out_dim)
             target = rng.standard_normal(op.in_dim)
             f = FidelityTerm(op=op, observation=b)
-            got = prox_x_update(f, rho, target)
+            got, _ = prox_x_update(f, rho, target)
             want = np.linalg.solve(
                 H.T @ H + rho * np.eye(op.in_dim), H.T @ b + rho * target
             )

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from pnpadmm import cli
-from pnpadmm.fidelity import estimate_gradient_bound
+from pnpadmm.denoisers import ImageGrid
+from pnpadmm.fidelity import CircularBlur, estimate_gradient_bound
 from pnpadmm.fileio import load_image, parse_config, read_trace_csv, save_image
 from pnpadmm.presets import make_preset, run_preset, synthetic_image
 from pnpadmm.sequences import PgsSpec, pgs_generate
@@ -63,6 +64,22 @@ def test_run_with_user_pgm_image(tmp_path):
     assert code == 0
     restored = load_image(out / "restored.pgm")
     assert restored.width == 16
+
+
+def test_run_rejects_image_too_thin_for_the_denoiser(tmp_path, capsys):
+    thin = tmp_path / "thin.pgm"
+    save_image(ImageGrid.from_array(np.full((1, 64), 0.5)), thin)
+    out = tmp_path / "thin"
+    args = ("run", "--preset", "smoke", "--denoiser", "gaussian", "--max-iter", "5")
+    assert run_cli(*args, "--image", thin, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "1x64" in err
+    assert not (out / "trace.csv").exists()
+    # 16:1 is the widest accepted shape
+    strip = tmp_path / "strip.pgm"
+    save_image(ImageGrid.from_array(np.full((4, 64), 0.5)), strip)
+    assert run_cli(*args, "--image", strip, "--out", tmp_path / "strip") == 0
+    assert len(read_trace_csv(tmp_path / "strip" / "trace.csv")) >= 1
 
 
 def test_run_missing_image_errors(tmp_path, capsys):
@@ -200,6 +217,28 @@ def test_streamed_gradient_bound_matches_explicit_gradient(preset):
         assert streamed == pytest.approx(explicit, rel=1e-8)
 
 
+def test_run_applies_h_independently_of_iteration_count(tmp_path, monkeypatch):
+    # the trace's data term comes from the x-update's own Hx, so H is applied
+    # only to degrade the image and for summary.txt's gradient samples
+    calls = 0
+    original = CircularBlur.apply
+
+    def counting(self, x):
+        nonlocal calls
+        calls += 1
+        return original(self, x)
+
+    monkeypatch.setattr(CircularBlur, "apply", counting)
+    counts = {}
+    for max_iter in (10, 30):
+        calls = 0
+        out = tmp_path / str(max_iter)
+        assert run_cli("run", "--preset", "deblur", "--max-iter", max_iter, "--out", out) == 0
+        assert len(read_trace_csv(out / "trace.csv")) == max_iter
+        counts[max_iter] = calls
+    assert counts[10] == counts[30]
+
+
 def test_analyze_on_run_output(tmp_path, capsys):
     run_dir = tmp_path / "run"
     assert run_cli(
@@ -218,6 +257,14 @@ def test_analyze_on_run_output(tmp_path, capsys):
     lines = (out / "bound.csv").read_text().splitlines()
     assert lines[0] == "iter,delta,bound,margin"
     assert len(lines) == 61
+    # the report names the first iteration with the largest margin in bound.csv
+    rows = [line.split(",") for line in lines[1:]]
+    margins = [(float(r[3]), int(r[0])) for r in rows if r[3]]
+    worst = max(m for m, _ in margins)
+    first = min(k for m, k in margins if m == worst)
+    report_lines = report.splitlines()
+    at = report_lines.index(f"worst_margin = {worst:.17g}")
+    assert report_lines[at + 1] == f"worst_margin_iteration = {first}"
 
 
 def test_analyze_all_c1_trace_uses_geometric_bound(tmp_path):

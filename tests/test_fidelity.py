@@ -149,7 +149,7 @@ def test_gradient_matches_finite_differences():
 
 def test_prox_identity_scalar_closed_form():
     f = FidelityTerm(op=Identity(1), observation=np.array([1.0]))
-    x = prox_x_update(f, rho=1.0, target=np.array([3.0]))
+    x, _ = prox_x_update(f, rho=1.0, target=np.array([3.0]))
     assert x[0] == pytest.approx(2.0, rel=1e-12)
 
 
@@ -158,7 +158,7 @@ def test_prox_large_rho_returns_target():
     op = CircularBlur((4, 4), averaging_stencil(3))
     f = FidelityTerm(op=op, observation=rng.standard_normal(16))
     target = rng.standard_normal(16)
-    x = prox_x_update(f, rho=1e12, target=target)
+    x, _ = prox_x_update(f, rho=1e12, target=target)
     assert np.linalg.norm(x - target) <= 1e-6 * np.linalg.norm(target)
 
 
@@ -186,7 +186,7 @@ def test_prox_matches_dense_solve_oracle(name):
         b = rng.standard_normal(op.out_dim)
         target = rng.standard_normal(op.in_dim)
         f = FidelityTerm(op=op, observation=b)
-        got = prox_x_update(f, rho, target)
+        got, _ = prox_x_update(f, rho, target)
         A = H.T @ H + rho * np.eye(op.in_dim)
         want = np.linalg.solve(A, H.T @ b + rho * target)
         assert np.linalg.norm(got - want) <= 1e-8 * max(1.0, np.linalg.norm(want))
@@ -200,7 +200,7 @@ def test_prox_downsample_16x16_dense_oracle():
     target = rng.standard_normal(op.in_dim)
     f = FidelityTerm(op=op, observation=b)
     rho = 1.1
-    got = prox_x_update(f, rho, target)
+    got, _ = prox_x_update(f, rho, target)
     want = np.linalg.solve(H.T @ H + rho * np.eye(256), H.T @ b + rho * target)
     assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
 
@@ -212,7 +212,7 @@ def test_prox_normal_equation_residual():
     target = rng.standard_normal(op.in_dim)
     f = FidelityTerm(op=op, observation=b)
     rho = 0.7
-    x = prox_x_update(f, rho, target)
+    x, _ = prox_x_update(f, rho, target)
     rhs = op.apply_adjoint(b) + rho * target
     resid = rhs - (op.apply_adjoint(op.apply(x)) + rho * x)
     assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(rhs)
@@ -224,7 +224,7 @@ def test_prox_gradient_optimality():
     f = FidelityTerm(op=op, observation=rng.standard_normal(16))
     rho = 1.3
     target = rng.standard_normal(16)
-    x = prox_x_update(f, rho, target)
+    x, _ = prox_x_update(f, rho, target)
     grad = f.gradient(x) + rho * (x - target)
     assert np.linalg.norm(grad) <= 1e-7 * (1 + np.linalg.norm(target))
 
@@ -236,8 +236,8 @@ def test_prox_nonexpansive_in_target():
     for _ in range(20):
         t1 = rng.standard_normal(16)
         t2 = rng.standard_normal(16)
-        s1 = prox_x_update(f, 0.9, t1)
-        s2 = prox_x_update(f, 0.9, t2)
+        s1, _ = prox_x_update(f, 0.9, t1)
+        s2, _ = prox_x_update(f, 0.9, t2)
         assert np.linalg.norm(s1 - s2) <= np.linalg.norm(t1 - t2) + 1e-9
 
 

@@ -122,6 +122,17 @@ def test_operator_adjoint_identity(op, seed):
 
 @settings(deadline=None)
 @given(operators(), st.floats(1e-6, 1e6), st.integers(0, 2**32 - 1))
+def test_solve_normal_returns_h_of_its_solution(op, rho, seed):
+    # the x-update reads f(x) off this Hx.  ||x|| <= ||rhs|| / rho, and the
+    # Woodbury form's x carries an error of eps ||rhs|| / rho, which H (of
+    # norm <= 1 for a stencil summing to 1) passes on to H x
+    rhs = np.random.default_rng(seed).standard_normal(op.in_dim)
+    x, hx = op.solve_normal(rhs, rho)
+    assert np.linalg.norm(hx - op.apply(x)) <= 1e-12 * np.linalg.norm(rhs) / rho
+
+
+@settings(deadline=None)
+@given(operators(), st.floats(1e-6, 1e6), st.integers(0, 2**32 - 1))
 def test_prox_satisfies_first_order_optimality(op, rho, seed):
     # a solve whose forward error is O(eps * cond) with cond <= (1 + rho) / rho
     # leaves a relative gradient of that order; 1e-12 is ~4500 eps
@@ -129,7 +140,7 @@ def test_prox_satisfies_first_order_optimality(op, rho, seed):
     b = rng.standard_normal(op.out_dim)
     t = rng.standard_normal(op.in_dim)
     f = FidelityTerm(op=op, observation=b)
-    x = prox_x_update(f, rho, t)
+    x, _ = prox_x_update(f, rho, t)
     grad = op.apply_adjoint(op.apply(x) - b) + rho * (x - t)
     scale = np.linalg.norm(f.adjoint_observation) + rho * np.linalg.norm(t)
     assert np.linalg.norm(grad) <= 1e-12 * (1 + 1 / rho) * scale

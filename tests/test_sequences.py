@@ -447,3 +447,13 @@ def test_verify_bound_equality_and_violation():
     check = verify_bound(y, bad, start=1)
     assert not check.holds
     assert check.worst_margin > 1.0
+
+
+def test_verify_bound_reports_first_iteration_of_worst_margin():
+    # iteration 1 has the largest ratio but lies before start; the worst
+    # checked ratio, 0.9, occurs at k = 3 and again at k = 5
+    deltas = [5.0, 0.5, 0.9, 0.3, 0.9, 0.1]
+    check = verify_bound(deltas, [1.0] * 6, start=2)
+    assert check.holds
+    assert check.worst_margin == 0.9
+    assert check.worst_margin_iteration == 3

@@ -4,7 +4,14 @@ import pytest
 from oracles import straight_line_step
 
 from pnpadmm.denoisers import GaussianSmoothing, IdentityDenoiser
-from pnpadmm.fidelity import CircularBlur, FidelityTerm, Identity, binomial_stencil
+from pnpadmm.fidelity import (
+    CircularBlur,
+    Downsample,
+    FidelityTerm,
+    Identity,
+    Mask,
+    binomial_stencil,
+)
 from pnpadmm.linalg import IterateTriple, metric_distance
 from pnpadmm.sequences import ConditionTrace
 from pnpadmm.solver import (
@@ -179,6 +186,36 @@ def test_observer_gets_each_steps_rho_and_target():
     for (prev, _), (_, info), rho in zip(seen, seen[1:], step_rhos):
         assert info.rho == rho
         assert np.array_equal(info.target, prev.v - prev.u)
+
+
+@pytest.mark.parametrize("kind", ["identity", "mask", "blur", "downsample"])
+def test_recorded_fidelity_value_matches_explicit_value(kind):
+    # the record takes f(x) from the x-update's own Hx, so a solve returning
+    # a wrong Hx shows here; the stencil is not symmetric, so a blur spectrum
+    # taken as conj(K) would too
+    rng = np.random.default_rng(109)
+    shape = (8, 12)
+    stencil = rng.uniform(size=(3, 3))
+    stencil /= stencil.sum()
+    op = {
+        "identity": Identity(shape),
+        "mask": Mask(rng.uniform(size=shape) < 0.6),
+        "blur": CircularBlur(shape, stencil),
+        "downsample": Downsample(shape, 2, prefilter=stencil),
+    }[kind]
+    f = FidelityTerm(op=op, observation=rng.uniform(size=op.out_dim))
+    x0 = op.apply_adjoint(f.observation)
+    theta0 = IterateTriple(x=x0, v=x0.copy(), u=np.zeros_like(x0))
+    explicit = []
+
+    def observe(f, theta, info):
+        if info is not None:
+            explicit.append(f.value(theta.x))
+
+    trace = run(f, GaussianSmoothing(), base_config(max_iter=20, delta_tol=0.0), theta0, observe)
+    assert len(explicit) == len(trace) == 20
+    for rec, value in zip(trace.records, explicit):
+        assert rec.fidelity_value == pytest.approx(value, rel=1e-12)
 
 
 def test_run_is_deterministic():

@@ -21,11 +21,11 @@ PINNED = {
         "ef51008c0d4fc3106df1edfcc56cbb68dc0d8e5c2da2175cf2bf7804a03b5077",
     ),
     "deblur": (
-        "49a690997a9b8a55dcded2ad8259de6f5fb84743dfa6f518bcc36afba0be854d",
+        "a42e9cb5fb6405a087db5dd78d26210d9e2e339271fb768c03a68ee80765ea86",
         "963944344b985bfd11cd77da67113915f31b5d3d77fddc20807c5d5fd9e4350f",
     ),
     "superres": (
-        "ab66c83bf0307fdb6f4322c18c2af94770590848d42ea815b66b61ea6b59425d",
+        "10c76c2a73c8c586d5cbbd7af0c1237fb25739ccad26dbf79a0c484d10493f95",
         "a814494fea835da635acaedfea8a32ea90bd6737391a5c5e2cd9ee96e08e2825",
     ),
 }
