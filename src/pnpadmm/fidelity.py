@@ -8,12 +8,14 @@ The x-update of the splitting loop is the proximal solve
 Each operator solves these normal equations in closed form: a pixelwise
 division (Identity, Mask), a division in the 2-D Fourier basis
 (CircularBlur), or the Woodbury identity around a Fourier solve on the
-low-resolution grid (Downsample).  Spectra are computed once, at
-construction.  Each solve also returns Hx, which it has formed on the way
-(or is one inverse transform away from), so the x-update reports the data
-term f(x) without applying H again.  The solves update their arrays in
-place: full-size temporaries freed between longer-lived arrays fragment
-the heap, which shows in peak memory.
+low-resolution grid (Downsample, whose H and H^T are a precomputed gather
+and its bincount, so its solve runs no full-size transform).  Spectra and
+index tables are computed once, at construction.  Each solve also returns
+Hx, which it has formed on the way (or is one inverse transform away
+from), so the x-update reports the data term f(x) without applying H
+again.  The solves update their arrays in place: full-size temporaries
+freed between longer-lived arrays fragment the heap, which shows in peak
+memory.
 """
 
 from __future__ import annotations
@@ -207,7 +209,15 @@ class Mask(ForwardOperator):
 
 
 class Downsample(ForwardOperator):
-    """Anti-alias prefilter followed by subsampling at integer stride."""
+    """Anti-alias prefilter followed by subsampling at integer stride.
+
+    H = S B, with B the circular prefilter blur and S the subsampling, is
+    computed only at the samples S keeps: each low-resolution pixel is a
+    weighted gather of the full-resolution pixels under the prefilter's
+    nonzero taps, and H^T scatters back with one ``np.bincount``.  The index
+    table behind both holds taps * d / f^2 entries (taps = (2f - 1)^2 for
+    the default binomial prefilter, fewer than 4 per pixel at any factor).
+    """
 
     def __init__(self, shape, factor: int, prefilter=None):
         self.in_shape = _as_shape(shape)
@@ -221,43 +231,46 @@ class Downsample(ForwardOperator):
         self.prefilter = (
             binomial_stencil(factor) if prefilter is None else _check_stencil(prefilter)
         )
-        # H = S B with B the prefilter blur (transfer function K) and S the
-        # subsampling.  H H^T = S B B^T S^T is circular on the low-resolution
-        # grid; its kernel is the autocorrelation of the prefilter at stride f.
-        self._spectrum = _stencil_spectrum(self.prefilter, self.in_shape)
-        autocorr = np.fft.irfft2(np.abs(self._spectrum) ** 2, s=self.in_shape)
-        self._low_eig = np.fft.rfft2(autocorr[::factor, ::factor]).real
+        # low-resolution pixel (p, q) gathers x[f p + r0 - a, f q + c0 - b]
+        # (mod the grid, so a stencil larger than the grid aliases exactly as
+        # _circ_filter does) with weight prefilter[a, b]
+        a, b = np.nonzero(self.prefilter)
+        r0, c0 = self.prefilter.shape[0] // 2, self.prefilter.shape[1] // 2
+        m, n = self.out_shape
+        rows = (factor * np.arange(m) + (r0 - a)[:, None]) % h
+        cols = (factor * np.arange(n) + (c0 - b)[:, None]) % w
+        self._weights = self.prefilter[a, b]
+        self._src = (rows[:, :, None] * w + cols[:, None, :]).reshape(a.size, m * n)
+        # H H^T = S B B^T S^T is circular on the low-resolution grid, so its
+        # eigenvalues are the spectrum of its impulse response
+        impulse = np.zeros(self.out_dim)
+        impulse[0] = 1.0
+        response = self.apply(self.apply_adjoint(impulse))
+        self._low_eig = np.fft.rfft2(response.reshape(self.out_shape)).real
 
     def apply(self, x):
-        x2 = self._check_in(x).reshape(self.in_shape)
-        blurred = _circ_filter(x2, self.prefilter, adjoint=False)
-        return blurred[:: self.factor, :: self.factor].reshape(-1)
+        return self._weights @ self._check_in(x)[self._src]
 
     def apply_adjoint(self, y):
-        y2 = self._check_out(y).reshape(self.out_shape)
-        up = np.zeros(self.in_shape)
-        up[:: self.factor, :: self.factor] = y2
-        return _circ_filter(up, self.prefilter, adjoint=True).reshape(-1)
+        y = self._check_out(y)
+        return np.bincount(
+            self._src.ravel(),
+            np.multiply.outer(self._weights, y).ravel(),
+            minlength=self.in_dim,
+        )
 
     def solve_normal(self, rhs, rho):
         # Woodbury (Zhao et al., IEEE TIP 2016):
-        # (H^T H + rho I)^-1 r = (r - B^T S^T z) / rho
-        # with z = (rho I + S B B^T S^T)^-1 S B r, which makes H x = S B x = z
-        f = self.factor
-        r2 = self._check_in(rhs, "rhs").reshape(self.in_shape)
-        spec = np.fft.rfft2(r2)
-        spec *= self._spectrum
-        low = np.fft.rfft2(np.fft.irfft2(spec, s=self.in_shape)[::f, ::f])
+        # (H^T H + rho I)^-1 r = (r - H^T z) / rho
+        # with z = (rho I + H H^T)^-1 H r, which makes H x = z
+        r = self._check_in(rhs, "rhs")
+        low = np.fft.rfft2(self.apply(r).reshape(self.out_shape))
         low /= rho + self._low_eig
-        hx = np.fft.irfft2(low, s=self.out_shape)
-        up = np.zeros(self.in_shape)
-        up[::f, ::f] = hx
-        spec = np.fft.rfft2(up)
-        spec *= self._spectrum.conj()
-        x = np.fft.irfft2(spec, s=self.in_shape)
-        x -= r2
+        hx = np.fft.irfft2(low, s=self.out_shape).reshape(-1)
+        x = self.apply_adjoint(hx)
+        x -= r
         x /= -rho
-        return x.reshape(-1), hx.reshape(-1)
+        return x, hx
 
 
 @dataclass(frozen=True)

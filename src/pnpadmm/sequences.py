@@ -124,8 +124,17 @@ def pgs_chunk_sum_bound(spec: PgsSpec, j: int) -> float:
 
 
 def pgs_total_sum_bound(spec: PgsSpec) -> float:
-    """Bound on the full series: head sum plus peak0 / (1 - beta)^2."""
-    return float(sum(spec.head_terms)) + spec.peak0 / (1.0 - spec.beta) ** 2
+    """Bound on the full series: head sum plus peak0 / (1 - beta)^2.
+
+    Rounded up: the float closed form is raised by a relative slack of
+    16 eps (3.6e-15).  That covers the few roundings of the closed form
+    itself and those of each term :func:`pgs_generate` computes (about
+    6 eps together), so the exact sum of any prefix of those terms stays
+    at or below the returned value even when the series sits within an ulp
+    of its limit (small beta).
+    """
+    bound = math.fsum(spec.head_terms) + spec.peak0 / (1.0 - spec.beta) ** 2
+    return bound * (1.0 + 16 * math.ulp(1.0))
 
 
 @dataclass(frozen=True)

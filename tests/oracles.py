@@ -39,6 +39,18 @@ def roll_circ_corr(y2, stencil):
     return out
 
 
+def autocorrelation_low_eig(stencil, shape, factor):
+    """Eigenvalues of S B B^T S^T on the low-resolution grid, B the circular
+    convolution with ``stencil`` on ``shape`` and S subsampling at stride
+    ``factor``: the stencil's autocorrelation, taken from its full-size
+    spectrum, at stride ``factor``."""
+    impulse = np.zeros(shape)
+    impulse[0, 0] = 1.0
+    spectrum = np.fft.rfft2(roll_circ_conv(impulse, stencil))
+    autocorr = np.fft.irfft2(np.abs(spectrum) ** 2, s=shape)
+    return np.fft.rfft2(autocorr[::factor, ::factor]).real
+
+
 def direct_gaussian(img, sigma, truncate=3.0, c_map=1.0):
     """Brute-force 2-D convolution with an outer-product Gaussian kernel."""
     std = c_map * sigma * max(img.width, img.height)

@@ -205,6 +205,29 @@ def test_prox_downsample_16x16_dense_oracle():
     assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
 
 
+def test_downsample_solve_runs_no_full_size_transform(monkeypatch):
+    # the Woodbury solve works on the low-resolution grid only; a full-size
+    # FFT would cost f^2 times as much for the same answer
+    op = Downsample((16, 24), 2)
+    grids = []
+    rfft2, irfft2 = np.fft.rfft2, np.fft.irfft2
+
+    def recording_rfft2(a, *args, **kwargs):
+        grids.append(np.shape(a))
+        return rfft2(a, *args, **kwargs)
+
+    def recording_irfft2(a, *args, **kwargs):
+        out = irfft2(a, *args, **kwargs)
+        grids.append(out.shape)
+        return out
+
+    monkeypatch.setattr(np.fft, "rfft2", recording_rfft2)
+    monkeypatch.setattr(np.fft, "irfft2", recording_irfft2)
+    op.solve_normal(np.random.default_rng(5).standard_normal(op.in_dim), 0.5)
+    assert grids
+    assert all(shape == op.out_shape for shape in grids)
+
+
 def test_prox_normal_equation_residual():
     rng = np.random.default_rng(67)
     op = Downsample((4, 8), 2)

@@ -1,16 +1,24 @@
 """Property tests: the PGS generator, its summability bound, and the
 closed-form Cauchy certificate against their direct definitions; the
 forward operators' adjoints and closed-form prox solves against their
-defining identities; the separable denoisers against two sliding-window
-passes; exact round trips of the trace CSV and PGM formats."""
+defining identities, and the downsampling gather against whole-image
+rolls; the separable denoisers against two sliding-window passes; exact
+round trips of the trace CSV and PGM formats."""
 
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import linear_cauchy_k, loop_pgs_generate, two_pass_filter
+from oracles import (
+    autocorrelation_low_eig,
+    linear_cauchy_k,
+    loop_pgs_generate,
+    roll_circ_conv,
+    roll_circ_corr,
+    two_pass_filter,
+)
 
 from pnpadmm.denoisers import BoxAverage, GaussianSmoothing, ImageGrid, denoise
 from pnpadmm.fidelity import (
@@ -53,10 +61,13 @@ def test_pgs_generate_is_bit_equal_to_chunk_loop(spec, length):
 
 @settings(deadline=None)
 @given(pgs_specs(), st.integers(1, 2000))
+# beta = 0.01 puts the sum within an ulp of the closed form, which a bound
+# rounded to nearest fell below
+@example(PgsSpec(beta=0.01, peak0=0.01, chunk_starts=(9, 18, 26, 33, 39, 44, 48, 51, 53)), 54)
 def test_pgs_partial_sums_stay_below_total_bound(spec, length):
     # the terms are nonnegative, so the full sum is the largest partial sum;
     # fsum rounds the exact sum once, where np.cumsum can overshoot it by a
-    # few ulps when the bound is tight (beta = 0.01: slack below one ulp)
+    # few ulps when the bound is tight
     y = pgs_generate(spec, length)
     assert np.all(y >= 0)
     assert math.fsum(y) <= pgs_total_sum_bound(spec)
@@ -92,9 +103,9 @@ def stencils(draw):
 
 
 @st.composite
-def operators(draw):
-    """Any of the four operators on a small grid; stencils may exceed it."""
-    kind = draw(st.sampled_from(["identity", "mask", "blur", "downsample"]))
+def operators(draw, kinds=("identity", "mask", "blur", "downsample")):
+    """Any of ``kinds`` of operator on a small grid; stencils may exceed it."""
+    kind = draw(st.sampled_from(kinds))
     factor = draw(st.integers(1, 3)) if kind == "downsample" else 1
     h = factor * draw(st.integers(1, 5))
     w = factor * draw(st.integers(1, 5))
@@ -118,6 +129,28 @@ def test_operator_adjoint_identity(op, seed):
     lhs = float(op.apply(x) @ y)
     rhs = float(x @ op.apply_adjoint(y))
     assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(y)
+
+
+@settings(deadline=None)
+@given(operators(kinds=["downsample"]), st.integers(0, 2**32 - 1))
+def test_downsample_matches_roll_oracles(op, seed):
+    # most draws have an asymmetric stencil and a non-square grid, so a
+    # flipped tap offset or a row index taken modulo the width shows
+    rng = np.random.default_rng(seed)
+    f = op.factor
+    x2 = rng.standard_normal(op.in_shape)
+    y2 = rng.standard_normal(op.out_shape)
+    want = roll_circ_conv(x2, op.prefilter)[::f, ::f]
+    got = op.apply(x2.reshape(-1)).reshape(op.out_shape)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(x2))
+    up = np.zeros(op.in_shape)
+    up[::f, ::f] = y2
+    want = roll_circ_corr(up, op.prefilter)
+    got = op.apply_adjoint(y2.reshape(-1)).reshape(op.in_shape)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(y2))
+    # eigenvalues of H H^T, at most 1 for a stencil summing to 1
+    want = autocorrelation_low_eig(op.prefilter, op.in_shape, f)
+    assert np.max(np.abs(op._low_eig - want)) <= 1e-13
 
 
 @settings(deadline=None)
