@@ -62,7 +62,23 @@ def _preset_from_args(args) -> ExperimentPreset:
     return make_preset(name, **overrides)
 
 
-def _summarize(result, trajectory_m_hat: float) -> str:
+def _sampled_bounds(result) -> tuple[float, float]:
+    """M-hat over 16 seeded samples of [0,1]^d, drawn one at a time, and the
+    denoiser's K-hat on 16x16 noise: neither depends on eta."""
+    seed = result.trace.config.seed
+    box_rng = np.random.default_rng(seed + 1)
+    d = result.fidelity.op.in_dim
+    box = (box_rng.uniform(0, 1, d) for _ in range(16))
+    m_hat = estimate_gradient_bound(result.fidelity, box).m_hat
+    est = estimate_denoiser_bound_constant(
+        result.preset.denoiser, 16, 16, (0.05, 0.1, 0.2), 20, seed + 2
+    )
+    return m_hat, est.k_hat
+
+
+def _summarize(
+    result, trajectory_m_hat: float, sampled_bounds: tuple[float, float]
+) -> str:
     trace = result.trace
     cfg = trace.config
     cond = ConditionTrace.from_records(trace.records, cfg.gamma, cfg.eta)
@@ -77,14 +93,10 @@ def _summarize(result, trajectory_m_hat: float) -> str:
     if cond.flags:
         label = classify_case(cond, window)
         lines.append(f"case = {label.label} (window {window}; {label.caveat})")
-    box_rng = np.random.default_rng(cfg.seed + 1)
-    box = [box_rng.uniform(0, 1, result.fidelity.op.in_dim) for _ in range(16)]
-    m_hat = max(trajectory_m_hat, estimate_gradient_bound(result.fidelity, box).m_hat)
+    box_m_hat, k_hat = sampled_bounds
+    m_hat = max(trajectory_m_hat, box_m_hat)
     lines.append(f"gradient_bound_m_hat = {m_hat:.6e} (trajectory plus [0,1]^d samples)")
-    est = estimate_denoiser_bound_constant(
-        result.preset.denoiser, 16, 16, (0.05, 0.1, 0.2), 20, cfg.seed + 2
-    )
-    lines.append(f"denoiser_bound_k_hat = {est.k_hat:.6e} (16x16 noise samples)")
+    lines.append(f"denoiser_bound_k_hat = {k_hat:.6e} (16x16 noise samples)")
     fp = fixed_point_residual(result.fidelity, result.preset.denoiser, trace)
     lines.append(f"fixed_point_residual = {fp.residual:.6e}")
     return "\n".join(lines) + "\n"
@@ -108,7 +120,13 @@ def _gradient_m_hat(f, theta, step) -> float:
     return step.rho * float(np.linalg.norm(step.target - theta.x)) / math.sqrt(theta.dim)
 
 
-def _run_one(preset: ExperimentPreset, out_dir: Path) -> Path:
+def _run_one(
+    preset: ExperimentPreset,
+    out_dir: Path,
+    sampled_bounds: tuple[float, float] | None = None,
+) -> tuple[float, float]:
+    """Run ``preset`` into ``out_dir``; the :func:`_sampled_bounds` its
+    summary used, computed here unless given."""
     out_dir.mkdir(parents=True, exist_ok=True)
     trajectory_m_hat = 0.0
 
@@ -119,9 +137,12 @@ def _run_one(preset: ExperimentPreset, out_dir: Path) -> Path:
     result = run_preset(preset, observe=observe)
     fileio.write_trace_csv(result.trace.records, out_dir / "trace.csv")
     fileio.save_image(result.restored, out_dir / "restored.pgm")
-    (out_dir / "summary.txt").write_text(_summarize(result, trajectory_m_hat))
+    if sampled_bounds is None:
+        sampled_bounds = _sampled_bounds(result)
+    summary = _summarize(result, trajectory_m_hat, sampled_bounds)
+    (out_dir / "summary.txt").write_text(summary)
     fileio.write_config(_run_config(preset), out_dir / "run_config.txt")
-    return out_dir / "trace.csv"
+    return sampled_bounds
 
 
 def cmd_run(args) -> int:
@@ -139,12 +160,14 @@ def cmd_run(args) -> int:
                     f"both write to {sub}"
                 )
             members[sub] = replace(preset, config=replace(preset.config, eta=eta))
+        # the sampled bounds do not depend on eta: the first member's serve all
+        sampled_bounds = None
         for sub, member in members.items():
-            _run_one(member, sub)
+            sampled_bounds = _run_one(member, sub, sampled_bounds)
         print(f"wrote {len(members)} runs under {out_dir}")
         return 0
-    trace_path = _run_one(preset, out_dir)
-    print(f"wrote {trace_path}")
+    _run_one(preset, out_dir)
+    print(f"wrote {out_dir / 'trace.csv'}")
     return 0
 
 

@@ -64,6 +64,8 @@ C_MAP = 1.0
 TRUNCATE = 3.0
 # the median filter copies at most this many bytes of windows at a time
 MEDIAN_BLOCK_BYTES = 4 * 2**20
+# the Gaussian and box filters multiply their band this many outputs at a time
+FILTER_BLOCK = 32
 
 
 def _window_half_width(sigma: float, img: ImageGrid) -> int:
@@ -87,12 +89,35 @@ def _filter_matrix(n: int, kernel: np.ndarray) -> np.ndarray:
     return np.bincount(flat, weights, minlength=n * n).reshape(n, n)
 
 
+def _blocks(n: int, radius: int):
+    """``(j0, j1, lo, hi)`` for each run of FILTER_BLOCK outputs j0..j1-1 of
+    a side-n filter matrix: columns lo..hi-1 of its rows j0..j1-1 hold every
+    nonzero.  Output j reads inputs j - radius .. j + radius, a reflection
+    included, so that is the band clipped to the side; once radius >= n the
+    extension reflects more than once and the band is the whole side."""
+    for j0 in range(0, n, FILTER_BLOCK):
+        j1 = min(n, j0 + FILTER_BLOCK)
+        yield j0, j1, max(0, j0 - radius), min(n, j1 + radius)
+
+
 def _separable_filter(img: ImageGrid, kernel: np.ndarray) -> ImageGrid:
-    """Filter rows then columns with kernel, as G_h @ (A @ G_w^T)."""
-    g_w = _filter_matrix(img.width, kernel)
-    g_h = g_w if img.height == img.width else _filter_matrix(img.height, kernel)
-    a = img.pixels.reshape(img.height, img.width)
-    return ImageGrid.from_array(g_h @ (a @ g_w.T))
+    """Filter rows then columns with kernel, as G_h @ (A @ G_w^T).
+
+    Each product is taken a block of output columns (then rows) at a time
+    and multiplies only the band of G that block reads.
+    """
+    h, w = img.height, img.width
+    radius = kernel.size // 2
+    g_w = _filter_matrix(w, kernel)
+    g_h = g_w if h == w else _filter_matrix(h, kernel)
+    a = img.pixels.reshape(h, w)
+    mid = np.empty((h, w))
+    for j0, j1, lo, hi in _blocks(w, radius):
+        np.matmul(a[:, lo:hi], g_w[j0:j1, lo:hi].T, out=mid[:, j0:j1])
+    out = np.empty((h, w))
+    for i0, i1, lo, hi in _blocks(h, radius):
+        np.matmul(g_h[i0:i1, lo:hi], mid[lo:hi], out=out[i0:i1])
+    return ImageGrid.from_array(out)
 
 
 class Denoiser:

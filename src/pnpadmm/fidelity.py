@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -119,7 +119,8 @@ class ForwardOperator:
     def solve_normal(self, rhs: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
         """``(x, hx)``: the exact solution x of (H^T H + rho I) x = rhs, for
         rho > 0, and hx = H x.  hx may be x itself, so neither is to be
-        changed in place."""
+        changed in place; neither shares memory with rhs, which the caller
+        may then reuse."""
         raise NotImplementedError
 
     def _check_in(self, x, what: str = "input") -> np.ndarray:
@@ -319,7 +320,8 @@ def prox_x_update(
     if not math.isfinite(float(rhs @ rhs)):
         raise NonFiniteIterateError("prox solve right-hand side is not finite")
     x, hx = f.op.solve_normal(rhs, rho)
-    r = hx - f.observation  # not in place: hx may be x
+    # into rhs, not hx, which may be x; a low-resolution hx needs its own array
+    r = np.subtract(hx, f.observation, out=rhs if hx.shape == rhs.shape else None)
     return x, 0.5 * float(r @ r)
 
 
@@ -336,12 +338,16 @@ class GradientBoundEstimate:
 
 def estimate_gradient_bound(
     f: FidelityTerm,
-    samples: Sequence[np.ndarray],
+    samples: Iterable[np.ndarray],
 ) -> GradientBoundEstimate:
-    if len(samples) == 0:
-        raise ValueError("samples must be non-empty")
+    """The largest ||grad f(x)|| / sqrt(d) over samples, taken one at a time,
+    so a generator of samples holds only one of them."""
     root_d = math.sqrt(f.op.in_dim)
     worst = 0.0
+    empty = True
     for x in samples:
         worst = max(worst, float(np.linalg.norm(f.gradient(x))) / root_d)
+        empty = False
+    if empty:
+        raise ValueError("samples must be non-empty")
     return GradientBoundEstimate(m_hat=worst)

@@ -81,9 +81,8 @@ def metric_distance(a: IterateTriple, b: IterateTriple) -> float:
             raise DimensionMismatchError(
                 f"{name} parts differ in dimension: {pa.size} vs {pb.size}"
             )
-    total = (
-        float(np.linalg.norm(a.x - b.x))
-        + float(np.linalg.norm(a.v - b.v))
-        + float(np.linalg.norm(a.u - b.u))
-    )
+    diff = np.subtract(a.x, b.x)
+    total = float(np.linalg.norm(diff))
+    total += float(np.linalg.norm(np.subtract(a.v, b.v, out=diff)))
+    total += float(np.linalg.norm(np.subtract(a.u, b.u, out=diff)))
     return total / math.sqrt(a.dim)

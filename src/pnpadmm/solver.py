@@ -154,9 +154,9 @@ def step(
     h, w = f.op.in_shape
     target = theta.v - theta.u
     x_new, value = prox_x_update(f, rho, target)
-    noisy = ImageGrid(width=w, height=h, pixels=x_new + theta.u)
-    v_new = denoise(kind, sigma, noisy).pixels
-    u_new = theta.u + x_new - v_new
+    noisy = x_new + theta.u
+    v_new = denoise(kind, sigma, ImageGrid(width=w, height=h, pixels=noisy)).pixels
+    u_new = noisy - v_new
     return IterateTriple(x=x_new, v=v_new, u=u_new), StepInfo(rho, target, value)
 
 

@@ -113,6 +113,46 @@ def test_run_sweep_rejects_values_sharing_a_directory(tmp_path, capsys, values):
     assert not out.exists()
 
 
+def test_run_sweep_samples_the_eta_free_bounds_once(tmp_path, monkeypatch):
+    # the box-sample M-hat and the denoiser's K-hat do not depend on eta, so
+    # a sweep computes them for its first member only; each member still
+    # takes the gradient at its own start iterate
+    calls = {"k_hat": 0, "m_hat": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(cli, "estimate_denoiser_bound_constant",
+                        counting("k_hat", cli.estimate_denoiser_bound_constant))
+    monkeypatch.setattr(cli, "estimate_gradient_bound",
+                        counting("m_hat", cli.estimate_gradient_bound))
+    cfg = tmp_path / "sr.cfg"
+    cfg.write_text("preset = superres\nimage_size = 32\nmax_iter = 10\n")
+    assert run_cli("run", "--config", cfg, "--sweep", "0.6,0.95", "--out", tmp_path / "s") == 0
+    assert calls == {"k_hat": 1, "m_hat": 2 + 1}
+
+
+def test_run_outputs_draw_the_box_samples_one_at_a_time(tmp_path, monkeypatch):
+    # everything a run does after its solve, the summary's 16 samples of
+    # [0,1]^d included: held at once they cost 16 d floats, drawn one at a
+    # time the whole stays below 8 d
+    preset = make_preset("deblur", image_size=128, max_iter=3)
+    result = run_preset(preset)
+    d = result.fidelity.op.in_dim
+    monkeypatch.setattr(cli, "run_preset", lambda preset, observe: result)
+    cli._run_one(preset, tmp_path / "warm-up")
+    tracemalloc.start()
+    try:
+        cli._run_one(preset, tmp_path / "run")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * d * 8
+
+
 def test_run_sweep_members_match_solo_runs(tmp_path):
     cfg = tmp_path / "sr.cfg"
     cfg.write_text("preset = superres\nimage_size = 32\nmax_iter = 10\n")

@@ -285,6 +285,21 @@ def test_gradient_bound_stationary_samples():
     assert est.m_hat == 0.0
 
 
+@pytest.mark.parametrize(
+    "samples", [[], iter([]), (x for x in [])], ids=["list", "iterator", "generator"]
+)
+def test_gradient_bound_rejects_no_samples(samples):
+    f = FidelityTerm(op=Identity(3), observation=np.zeros(3))
+    with pytest.raises(ValueError, match="non-empty"):
+        estimate_gradient_bound(f, samples)
+
+
+def test_gradient_bound_takes_a_generator():
+    f = FidelityTerm(op=Identity(2), observation=np.zeros(2))
+    xs = [np.array([3.0, 4.0]), np.array([0.0, 1.0])]
+    assert estimate_gradient_bound(f, (x for x in xs)) == estimate_gradient_bound(f, xs)
+
+
 def test_gradient_bound_scaled_basis_example():
     d = 9
     op = Identity(d)

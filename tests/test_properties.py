@@ -20,6 +20,7 @@ from oracles import (
     two_pass_filter,
 )
 
+from pnpadmm import denoisers
 from pnpadmm.denoisers import BoxAverage, GaussianSmoothing, ImageGrid, denoise
 from pnpadmm.fidelity import (
     CircularBlur,
@@ -198,6 +199,31 @@ def test_separable_denoisers_match_two_pass_oracle(h, w, sigma, seed):
     tol = 1e-13 * np.max(np.abs(img.pixels))
     for kind, kernel in kernels:
         got = denoise(kind, sigma, img).pixels.reshape(h, w)
+        assert np.max(np.abs(got - two_pass_filter(img, kernel))) <= tol
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(1, 200),
+    st.integers(1, 200),
+    st.floats(0.0, 1.1),
+    st.integers(0, 2**32 - 1),
+)
+def test_banded_filter_matches_two_pass_oracle_across_blocks(h, w, reach, seed):
+    # sides up to 200 span several blocks of FILTER_BLOCK outputs; the
+    # radius runs from 1 to past the longer side
+    radius = max(1, round(reach * max(h, w)))
+    img = ImageGrid(w, h, np.random.default_rng(seed).uniform(-1, 1, h * w))
+    offsets = np.arange(-radius, radius + 1)
+    gauss = np.exp(-0.5 * (3.0 * offsets / radius) ** 2)
+    box = np.ones(2 * radius + 1)
+    tol = 1e-13 * np.max(np.abs(img.pixels))
+    for kernel in (gauss / gauss.sum(), box / box.sum()):
+        for n in {h, w}:
+            g = denoisers._filter_matrix(n, kernel)
+            for j0, j1, lo, hi in denoisers._blocks(n, radius):
+                assert not g[j0:j1, :lo].any() and not g[j0:j1, hi:].any()
+        got = denoisers._separable_filter(img, kernel).pixels.reshape(h, w)
         assert np.max(np.abs(got - two_pass_filter(img, kernel))) <= tol
 
 
