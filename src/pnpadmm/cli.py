@@ -201,23 +201,22 @@ def cmd_analyze(args) -> int:
     has_c1 = ConditionFlag.C1 in cond.flags
     c = estimate_growth_coefficient(cond) if has_c1 else None
 
-    bound = None
+    spec = None
     bound_kind = "pgs"
     note = ""
     if args.mode in ("auto", "s3"):
         try:
-            bound = construct_s3_bound(cond, c)
+            spec = construct_s3_bound(cond, c)
         except BoundConstructionError as exc:
             if args.mode == "s3":
                 raise
             note = f"falling back to geometric bound: {exc}"
-    if bound is None:
-        bound = construct_s12_bound(cond, c)
+    if spec is None:
+        spec = construct_s12_bound(cond, c)
         bound_kind = "geometric"
-    bound_seq = bound.sequence(n)
-    start = bound.n1 + 1
+    bound_seq = pgs_generate(spec, n)
+    start = spec.chunk_starts[0] + 1
     check = verify_bound(cond.deltas, bound_seq, start=start)
-    spec = bound.spec
     cert = cauchy_index(spec.peak0, spec.beta, args.epsilon, spec.chunk_starts)
 
     with np.errstate(divide="ignore", invalid="ignore"):

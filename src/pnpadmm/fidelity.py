@@ -1,21 +1,22 @@
 """Quadratic data-fidelity terms f(x) = 0.5 ||Hx - b||^2 and their prox.
 
 Forward operators are matrix-free and act on flattened row-major images.
-The x-update of the splitting loop is the proximal solve
+The x-update of the splitting loop is the prox of f at a target t,
 
-    argmin_x f(x) + (rho/2) ||x - t||^2   <=>   (H^T H + rho I) x = H^T b + rho t.
+    argmin_x f(x) + (rho/2) ||x - t||^2   <=>   (H^T H + rho I) x = H^T b + rho t,
 
-Each operator solves these normal equations in closed form: a pixelwise
-division (Identity, Mask), a division in the 2-D Fourier basis
-(CircularBlur), or the Woodbury identity around a Fourier solve on the
+and each operator computes it in closed form from t, rho, b and the cached
+H^T b: a pixelwise division (Identity, Mask), a division in the 2-D
+Fourier basis (CircularBlur), or the push-through form
+x = t + H^T (rho I + H H^T)^-1 (b - H t) around a Fourier solve on the
 low-resolution grid (Downsample, whose H and H^T are a precomputed gather
-and its bincount, so its solve runs no full-size transform).  Spectra and
-index tables are computed once, at construction.  Each solve also returns
-Hx, which it has formed on the way (or is one inverse transform away
-from), so the x-update reports the data term f(x) without applying H
-again.  The solves update their arrays in place: full-size temporaries
-freed between longer-lived arrays fragment the heap, which shows in peak
-memory.
+and its bincount, so its prox runs no full-size transform and never
+divides by rho).  Spectra and index tables are computed once, at
+construction.  Each prox also returns the residual Hx - b, which it has
+formed on the way (or is one inverse transform away from), so the x-update
+reports the data term f(x) without applying H again.  The solves update
+their arrays in place: full-size temporaries freed between longer-lived
+arrays fragment the heap, which shows in peak memory.
 """
 
 from __future__ import annotations
@@ -116,11 +117,12 @@ class ForwardOperator:
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def solve_normal(self, rhs: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
-        """``(x, hx)``: the exact solution x of (H^T H + rho I) x = rhs, for
-        rho > 0, and hx = H x.  hx may be x itself, so neither is to be
-        changed in place; neither shares memory with rhs, which the caller
-        may then reuse."""
+    def prox(
+        self, t: np.ndarray, rho: float, b: np.ndarray, htb: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(x, r)``: the minimizer x of 0.5 ||Hx - b||^2 + (rho/2) ||x - t||^2,
+        for rho > 0 and htb = H^T b, and its residual r = Hx - b, each a
+        fresh array."""
         raise NotImplementedError
 
     def _check_in(self, x, what: str = "input") -> np.ndarray:
@@ -151,9 +153,11 @@ class Identity(ForwardOperator):
     def apply_adjoint(self, y):
         return self._check_out(y)
 
-    def solve_normal(self, rhs, rho):
-        x = self._check_in(rhs, "rhs") / (1.0 + rho)
-        return x, x
+    def prox(self, t, rho, b, htb):
+        x = rho * t
+        x += htb
+        x /= 1.0 + rho
+        return x, x - b
 
 
 class CircularBlur(ForwardOperator):
@@ -174,15 +178,17 @@ class CircularBlur(ForwardOperator):
         y2 = self._check_out(y).reshape(self.in_shape)
         return _circ_filter(y2, self.stencil, adjoint=True).reshape(-1)
 
-    def solve_normal(self, rhs, rho):
+    def prox(self, t, rho, b, htb):
         # H^T H is the circular convolution with transfer function |K|^2
-        r2 = self._check_in(rhs, "rhs").reshape(self.in_shape)
-        spec = np.fft.rfft2(r2)
+        rhs = rho * t
+        rhs += htb
+        spec = np.fft.rfft2(rhs.reshape(self.in_shape))
         spec /= self._gain + rho
         x = np.fft.irfft2(spec, s=self.in_shape)
         spec *= self._spectrum
-        hx = np.fft.irfft2(spec, s=self.in_shape)
-        return x.reshape(-1), hx.reshape(-1)
+        r = np.fft.irfft2(spec, s=self.in_shape).reshape(-1)
+        r -= b
+        return x.reshape(-1), r
 
 
 class Mask(ForwardOperator):
@@ -204,9 +210,11 @@ class Mask(ForwardOperator):
     def apply_adjoint(self, y):
         return self._check_out(y) * self.keep
 
-    def solve_normal(self, rhs, rho):
-        x = self._check_in(rhs, "rhs") / (self.keep + rho)
-        return x, self.keep * x
+    def prox(self, t, rho, b, htb):
+        x = rho * t
+        x += htb
+        x /= self.keep + rho
+        return x, self.keep * x - b
 
 
 class Downsample(ForwardOperator):
@@ -260,18 +268,16 @@ class Downsample(ForwardOperator):
             minlength=self.in_dim,
         )
 
-    def solve_normal(self, rhs, rho):
-        # Woodbury (Zhao et al., IEEE TIP 2016):
-        # (H^T H + rho I)^-1 r = (r - H^T z) / rho
-        # with z = (rho I + H H^T)^-1 H r, which makes H x = z
-        r = self._check_in(rhs, "rhs")
-        low = np.fft.rfft2(self.apply(r).reshape(self.out_shape))
+    def prox(self, t, rho, b, htb):
+        # push-through (Zhao et al., IEEE TIP 2016): x = t + H^T z with
+        # z = (rho I + H H^T)^-1 (b - H t), which makes Hx - b = -rho z
+        low = np.fft.rfft2((b - self.apply(t)).reshape(self.out_shape))
         low /= rho + self._low_eig
-        hx = np.fft.irfft2(low, s=self.out_shape).reshape(-1)
-        x = self.apply_adjoint(hx)
-        x -= r
-        x /= -rho
-        return x, hx
+        z = np.fft.irfft2(low, s=self.out_shape).reshape(-1)
+        x = self.apply_adjoint(z)
+        x += t
+        z *= -rho
+        return x, z
 
 
 @dataclass(frozen=True)
@@ -287,7 +293,7 @@ class FidelityTerm:
         self.op._check_out(b, "observation")
         b.flags.writeable = False
         object.__setattr__(self, "observation", b)
-        # H^T b, the fixed part of every prox right-hand side
+        # H^T b, which every prox but Downsample's uses
         htb = self.op.apply_adjoint(b)
         htb.flags.writeable = False
         object.__setattr__(self, "adjoint_observation", htb)
@@ -306,22 +312,17 @@ def prox_x_update(
 ) -> tuple[np.ndarray, float]:
     """Minimize f(x) + (rho/2) ||x - target||^2: the minimizer x and f(x).
 
-    Solves the normal equations (H^T H + rho I) x = H^T b + rho * target in
-    closed form through the operator's :meth:`ForwardOperator.solve_normal`,
-    and takes f(x) = 0.5 ||Hx - b||^2 from the Hx that solve returns.  The
-    system is strongly convex for rho > 0, so the minimizer is unique.  A
-    non-finite right-hand side raises NonFiniteIterateError.
+    The operator's :meth:`ForwardOperator.prox` gives x in closed form and
+    its residual Hx - b, from which f(x) is taken.  The problem is strongly
+    convex for rho > 0, so the minimizer is unique.  A non-finite target
+    raises NonFiniteIterateError.
     """
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
     t = f.op._check_in(target, "target")
-    rhs = rho * t
-    rhs += f.adjoint_observation
-    if not math.isfinite(float(rhs @ rhs)):
-        raise NonFiniteIterateError("prox solve right-hand side is not finite")
-    x, hx = f.op.solve_normal(rhs, rho)
-    # into rhs, not hx, which may be x; a low-resolution hx needs its own array
-    r = np.subtract(hx, f.observation, out=rhs if hx.shape == rhs.shape else None)
+    if not math.isfinite(float(t @ t)):
+        raise NonFiniteIterateError("prox target is not finite")
+    x, r = f.op.prox(t, rho, f.observation, f.adjoint_observation)
     return x, 0.5 * float(r @ r)
 
 

@@ -301,31 +301,13 @@ def estimate_growth_coefficient(trace: ConditionTrace) -> float:
     return float(best)
 
 
-@dataclass(frozen=True)
-class PgsBound:
-    """PGS envelope of a residual trace, checked from iteration n1 + 1 on."""
-
-    spec: PgsSpec
-
-    @property
-    def n1(self) -> int:
-        return self.spec.chunk_starts[0]
-
-    @property
-    def chunk_onsets(self) -> tuple[int, ...]:  # the n_j
-        return self.spec.chunk_starts
-
-    def sequence(self, length: int) -> np.ndarray:
-        return pgs_generate(self.spec, length)
-
-
-def construct_s3_bound(trace: ConditionTrace, c: float | None) -> PgsBound:
+def construct_s3_bound(trace: ConditionTrace, c: float | None) -> PgsSpec:
     """Build the PGS envelope of an alternating trace.
 
     Uses rate beta = max(1/sqrt(gamma), eta), first peak c / sqrt(rho_{n_1})
     and one chunk per C1 onset; the head copies the observed residuals up to
     n_1.  With c at least the true growth coefficient the envelope dominates
-    the residuals from iteration n_1 + 1 on.
+    the residuals from iteration n_1 + 1 = chunk_starts[0] + 1 on.
     """
     ns, _ = alternation_boundaries(trace.flags)
     if len(ns) < 2:
@@ -339,13 +321,12 @@ def construct_s3_bound(trace: ConditionTrace, c: float | None) -> PgsBound:
     n1 = ns[0]
     peak0 = c / math.sqrt(trace.rhos[n1 - 1])
     head = tuple(float(d) for d in trace.deltas[:n1])
-    spec = PgsSpec(beta=beta, peak0=peak0, chunk_starts=tuple(ns), head=head)
-    return PgsBound(spec=spec)
+    return PgsSpec(beta=beta, peak0=peak0, chunk_starts=tuple(ns), head=head)
 
 
 def construct_s12_bound(
     trace: ConditionTrace, c: float | None, window: int | None = None
-) -> PgsBound:
+) -> PgsSpec:
     """Build the geometric bound for a trace with a single-condition tail.
 
     For a tail of C1 flags starting at iteration t the bound is
@@ -387,8 +368,7 @@ def construct_s12_bound(
     # k = t + 1, taken through numpy's power as pgs_generate takes its terms
     peak0 = float((scale * rate ** np.array([t]))[0])
     head = tuple(float(d) for d in trace.deltas[:t])
-    spec = PgsSpec(beta=rate, peak0=peak0, chunk_starts=(t,), head=head)
-    return PgsBound(spec=spec)
+    return PgsSpec(beta=rate, peak0=peak0, chunk_starts=(t,), head=head)
 
 
 @dataclass(frozen=True)

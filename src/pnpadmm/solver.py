@@ -179,7 +179,7 @@ def run(
 
     theta0 is checked for finite entries and copied once.  Inside the loop a
     NaN entry makes the residual NaN, and an infinite one makes the next
-    prox residual non-finite; either raises NonFiniteIterateError naming
+    prox target non-finite; either raises NonFiniteIterateError naming
     the iteration.  An infinite residual alone is recorded as it is: huge
     but finite iterates can overflow the norm.
     """

@@ -127,13 +127,13 @@ def test_a2_pgs_bound_on_real_traces(runs):
         cond.validate()
         try:
             c = estimate_growth_coefficient(cond)
-            bound = construct_s3_bound(cond, c)
+            spec = construct_s3_bound(cond, c)
         except BoundConstructionError as exc:
             notes.append(f"eta={eta} gamma={gamma} excluded: {exc}")
             continue
         constructed += 1
         check = verify_bound(
-            cond.deltas, bound.sequence(len(cond)), start=bound.n1 + 1
+            cond.deltas, pgs_generate(spec, len(cond)), start=spec.chunk_starts[0] + 1
         )
         notes.append(
             f"eta={eta} gamma={gamma}: holds={check.holds} "

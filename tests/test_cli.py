@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import pnpadmm
 from pnpadmm import cli
 from pnpadmm.denoisers import ImageGrid
 from pnpadmm.fidelity import CircularBlur, estimate_gradient_bound
@@ -431,3 +432,8 @@ def test_pgs_demo_rejects_length_above_limit(tmp_path, capsys):
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit):
         cli.main([])
+
+
+def test_every_public_name_resolves():
+    # a name left in __all__ after its object is gone breaks star imports
+    assert [name for name in pnpadmm.__all__ if not hasattr(pnpadmm, name)] == []

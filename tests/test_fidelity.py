@@ -206,9 +206,11 @@ def test_prox_downsample_16x16_dense_oracle():
 
 
 def test_downsample_solve_runs_no_full_size_transform(monkeypatch):
-    # the Woodbury solve works on the low-resolution grid only; a full-size
-    # FFT would cost f^2 times as much for the same answer
+    # the push-through solve works on the low-resolution grid only; a
+    # full-size FFT would cost f^2 times as much for the same answer
     op = Downsample((16, 24), 2)
+    rng = np.random.default_rng(5)
+    f = FidelityTerm(op=op, observation=rng.standard_normal(op.out_dim))
     grids = []
     rfft2, irfft2 = np.fft.rfft2, np.fft.irfft2
 
@@ -223,7 +225,7 @@ def test_downsample_solve_runs_no_full_size_transform(monkeypatch):
 
     monkeypatch.setattr(np.fft, "rfft2", recording_rfft2)
     monkeypatch.setattr(np.fft, "irfft2", recording_irfft2)
-    op.solve_normal(np.random.default_rng(5).standard_normal(op.in_dim), 0.5)
+    prox_x_update(f, 0.5, rng.standard_normal(op.in_dim))
     assert grids
     assert all(shape == op.out_shape for shape in grids)
 
@@ -266,15 +268,32 @@ def test_prox_nonexpansive_in_target():
 
 @pytest.mark.parametrize("value", [1e308, np.nan])
 def test_prox_non_finite_residual_raises_promptly(value):
-    # the right-hand side H^T b + rho * target overflows (or is NaN); the
-    # solve must raise at once rather than return a non-finite iterate
-    op = Identity((64, 64))
-    f = FidelityTerm(op=op, observation=np.zeros(op.out_dim))
-    start = time.monotonic()
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NonFiniteIterateError):
-            prox_x_update(f, rho=1.0, target=np.full(op.in_dim, value))
-    assert time.monotonic() - start < 1.0
+    # the target overflows its squared norm (or is NaN); every operator's
+    # x-update must raise at once rather than return a non-finite iterate
+    for name, op in make_operators(np.random.default_rng(7), (64, 64)).items():
+        f = FidelityTerm(op=op, observation=np.zeros(op.out_dim))
+        start = time.monotonic()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteIterateError):
+                prox_x_update(f, rho=1.0, target=np.full(op.in_dim, value))
+        assert time.monotonic() - start < 1.0, name
+
+
+def test_downsample_prox_is_accurate_at_small_rho():
+    # the push-through solve never divides by rho, so its optimality
+    # residual stays at rounding level as rho -> 0; the Woodbury form
+    # (r - H^T z) / rho left 3e-11 to 5e-11 here
+    op = Downsample((16, 16), 2)
+    rho = 1e-6
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        b = rng.standard_normal(op.out_dim)
+        t = rng.standard_normal(op.in_dim)
+        f = FidelityTerm(op=op, observation=b)
+        x, _ = prox_x_update(f, rho, t)
+        grad = op.apply_adjoint(op.apply(x) - b) + rho * (x - t)
+        scale = np.linalg.norm(f.adjoint_observation) + rho * np.linalg.norm(t)
+        assert np.linalg.norm(grad) <= 1e-13 * scale, seed
 
 
 def test_gradient_bound_stationary_samples():

@@ -279,10 +279,9 @@ def test_alternation_boundaries():
 
 def test_s3_bound_beta_and_boundaries():
     tr = trace_from_flags([C1, C2, C1, C2, C1, C2], eta=0.3, gamma=4.0)
-    bound = construct_s3_bound(tr, c=estimate_growth_coefficient(tr))
-    assert bound.spec.beta == 0.5  # max(1/sqrt(4), 0.3)
-    assert bound.chunk_onsets == (1, 3, 5)
-    assert bound.n1 == 1
+    spec = construct_s3_bound(tr, c=estimate_growth_coefficient(tr))
+    assert spec.beta == 0.5  # max(1/sqrt(4), 0.3)
+    assert spec.chunk_starts == (1, 3, 5)
 
 
 @pytest.mark.parametrize(
@@ -290,8 +289,8 @@ def test_s3_bound_beta_and_boundaries():
 )
 def test_s3_bound_rate_is_exact_max(gamma, eta):
     tr = trace_from_flags([C1, C2, C1, C2, C1], eta=eta, gamma=gamma)
-    bound = construct_s3_bound(tr, c=1.0)
-    assert bound.spec.beta == max(1.0 / math.sqrt(gamma), eta)
+    spec = construct_s3_bound(tr, c=1.0)
+    assert spec.beta == max(1.0 / math.sqrt(gamma), eta)
 
 
 def test_s3_bound_requires_two_alternations():
@@ -321,8 +320,8 @@ def test_s3_bound_round_trip_on_exact_pgs():
     )
     tr.validate()
     assert alternation_boundaries(flags)[0] == list(starts)
-    bound = construct_s3_bound(tr, c=1.0)  # c / sqrt(rho_1) = peak0 = 1
-    check = verify_bound(deltas, bound.sequence(n), start=bound.n1 + 1)
+    spec = construct_s3_bound(tr, c=1.0)  # c / sqrt(rho_1) = peak0 = 1
+    check = verify_bound(deltas, pgs_generate(spec, n), start=spec.chunk_starts[0] + 1)
     assert check.holds
     assert check.worst_margin == 1.0
 
@@ -331,8 +330,8 @@ def test_s3_bound_peak_recursion_on_trace():
     # extracted peaks c/sqrt(rho_{n_j}) drop by at least 1/sqrt(gamma) per chunk
     tr = trace_from_flags([C1, C1, C2, C1, C2, C2, C1, C2], eta=0.5, gamma=2.25)
     c = estimate_growth_coefficient(tr)
-    bound = construct_s3_bound(tr, c)
-    peaks = [c / math.sqrt(tr.rhos[n - 1]) for n in bound.chunk_onsets]
+    spec = construct_s3_bound(tr, c)
+    peaks = [c / math.sqrt(tr.rhos[n - 1]) for n in spec.chunk_starts]
     alpha = 1.0 / math.sqrt(tr.gamma)
     for a, b in zip(peaks, peaks[1:]):
         assert b <= a * alpha * (1 + 1e-12)
@@ -351,8 +350,10 @@ def test_s3_bound_dominates_consistent_synthetic_trace():
     tr = trace_from_flags(flags, deltas=deltas, eta=eta, gamma=gamma)
     tr.validate()
     c = estimate_growth_coefficient(tr)
-    bound = construct_s3_bound(tr, c)
-    check = verify_bound(tr.deltas, bound.sequence(len(tr)), start=bound.n1 + 1)
+    spec = construct_s3_bound(tr, c)
+    check = verify_bound(
+        tr.deltas, pgs_generate(spec, len(tr)), start=spec.chunk_starts[0] + 1
+    )
     assert check.holds
 
 
@@ -361,13 +362,12 @@ def test_s3_bound_dominates_consistent_synthetic_trace():
 
 def test_s12_all_c1_formula():
     tr = trace_from_flags([C1] * 6, eta=0.5, gamma=4.0)
-    bound = construct_s12_bound(tr, c=1.0)
-    spec = bound.spec
+    spec = construct_s12_bound(tr, c=1.0)
     assert spec.beta == 0.5
-    assert bound.n1 == 1
+    assert spec.chunk_starts[0] == 1
     assert spec.chunk_starts == (1,)
     # delta_{k+1} <= 2 * 0.5^k = 0.5^(k-1): the first peak is y_2 = 1
-    seq = bound.sequence(7)
+    seq = pgs_generate(spec, 7)
     assert spec.peak0 == 1.0 == seq[1]
     assert np.allclose(seq[1:], 0.5 ** np.arange(6), rtol=1e-15)
 
@@ -378,10 +378,10 @@ def test_s12_all_c2_recursion_consistency():
     for _ in range(6):
         deltas.append(deltas[-1] * 0.4)
     tr = trace_from_flags([C2] * 6, deltas=deltas, eta=eta, gamma=2.0)
-    bound = construct_s12_bound(tr, c=None)
-    assert bound.spec.beta == eta
-    assert bound.n1 == 1
-    check = verify_bound(tr.deltas, bound.sequence(len(tr)), start=2)
+    spec = construct_s12_bound(tr, c=None)
+    assert spec.beta == eta
+    assert spec.chunk_starts[0] == 1
+    check = verify_bound(tr.deltas, pgs_generate(spec, len(tr)), start=2)
     assert check.holds
 
 
@@ -395,10 +395,12 @@ def test_s12_switch_point_bound_dominates():
     tr = trace_from_flags(flags, deltas=deltas, eta=eta, gamma=gamma)
     tr.validate()
     c = estimate_growth_coefficient(tr)
-    bound = construct_s12_bound(tr, c)
-    assert bound.spec.beta == eta
-    assert bound.n1 == 4
-    check = verify_bound(tr.deltas, bound.sequence(len(tr)), start=bound.n1 + 1)
+    spec = construct_s12_bound(tr, c)
+    assert spec.beta == eta
+    assert spec.chunk_starts[0] == 4
+    check = verify_bound(
+        tr.deltas, pgs_generate(spec, len(tr)), start=spec.chunk_starts[0] + 1
+    )
     assert check.holds
 
 
@@ -407,9 +409,11 @@ def test_s12_bound_keeps_a_zero_residual_in_its_head():
     # the run can move again; the zero lands in the envelope's head
     tr = trace_from_flags([C2, C1, C1], deltas=[1.0, 0.0, 0.5, 0.6], eta=0.5)
     tr.validate()
-    bound = construct_s12_bound(tr, estimate_growth_coefficient(tr))
-    assert bound.spec.head == (1.0, 0.0)
-    check = verify_bound(tr.deltas, bound.sequence(len(tr)), start=bound.n1 + 1)
+    spec = construct_s12_bound(tr, estimate_growth_coefficient(tr))
+    assert spec.head == (1.0, 0.0)
+    check = verify_bound(
+        tr.deltas, pgs_generate(spec, len(tr)), start=spec.chunk_starts[0] + 1
+    )
     assert check.holds
 
 

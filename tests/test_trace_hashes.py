@@ -25,7 +25,7 @@ PINNED = {
         "963944344b985bfd11cd77da67113915f31b5d3d77fddc20807c5d5fd9e4350f",
     ),
     "superres": (
-        "2808177019a1aa639586aa44fdc5a4b5deedaf11c2f7322407765569e63cd296",
+        "484b44b1780b2d63160fe87f57ac274854cca0e65eb497e14ec2b03785325bc6",
         "a814494fea835da635acaedfea8a32ea90bd6737391a5c5e2cd9ee96e08e2825",
     ),
 }
