@@ -9,6 +9,7 @@ estimated from samples and re-checked on held-out samples.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -89,6 +90,19 @@ def _filter_matrix(n: int, kernel: np.ndarray) -> np.ndarray:
     return np.bincount(flat, weights, minlength=n * n).reshape(n, n)
 
 
+@functools.lru_cache(maxsize=2)
+def _cached_filter_matrix(n: int, kernel_bytes: bytes) -> np.ndarray:
+    """:func:`_filter_matrix`, read-only, for the last kernel on each side.
+
+    sigma changes only when the penalty rule takes its C1 branch, so
+    consecutive iterations mostly filter with the same kernel; two entries
+    hold it for both sides of a non-square image.
+    """
+    g = _filter_matrix(n, np.frombuffer(kernel_bytes))
+    g.flags.writeable = False
+    return g
+
+
 def _blocks(n: int, radius: int):
     """``(j0, j1, lo, hi)`` for each run of FILTER_BLOCK outputs j0..j1-1 of
     a side-n filter matrix: columns lo..hi-1 of its rows j0..j1-1 hold every
@@ -108,8 +122,9 @@ def _separable_filter(img: ImageGrid, kernel: np.ndarray) -> ImageGrid:
     """
     h, w = img.height, img.width
     radius = kernel.size // 2
-    g_w = _filter_matrix(w, kernel)
-    g_h = g_w if h == w else _filter_matrix(h, kernel)
+    key = np.ascontiguousarray(kernel, dtype=np.float64).tobytes()
+    g_w = _cached_filter_matrix(w, key)
+    g_h = g_w if h == w else _cached_filter_matrix(h, key)
     a = img.pixels.reshape(h, w)
     mid = np.empty((h, w))
     for j0, j1, lo, hi in _blocks(w, radius):

@@ -12,11 +12,14 @@ x = t + H^T (rho I + H H^T)^-1 (b - H t) around a Fourier solve on the
 low-resolution grid (Downsample, whose H and H^T are a precomputed gather
 and its bincount, so its prox runs no full-size transform and never
 divides by rho).  Spectra and index tables are computed once, at
-construction.  Each prox also returns the residual Hx - b, which it has
-formed on the way (or is one inverse transform away from), so the x-update
-reports the data term f(x) without applying H again.  The solves update
-their arrays in place: full-size temporaries freed between longer-lived
-arrays fragment the heap, which shows in peak memory.
+construction.  Each prox also returns the data term f(x) of its solution,
+so the x-update never applies H again: the pixelwise and push-through
+solves take it from the residual Hx - b they form on the way, and the blur,
+which works only in its Fourier basis (H and H^T are products with the
+stencil's spectrum K and its conjugate), takes 0.5 ||Hx||^2 by Parseval
+from K X^ and adds -x.H^T b + 0.5 ||b||^2, around its one inverse transform.  The solves update their arrays in place:
+full-size temporaries freed between longer-lived arrays fragment the heap,
+which shows in peak memory.
 """
 
 from __future__ import annotations
@@ -55,28 +58,25 @@ def _check_stencil(stencil) -> np.ndarray:
     return arr
 
 
-def _circ_filter(x2: np.ndarray, stencil: np.ndarray, adjoint: bool) -> np.ndarray:
-    """Circular 2-D convolution (the stencil lands centered on each source
-    pixel), or with ``adjoint`` its adjoint, circular correlation."""
-    h, w = x2.shape
-    r0, c0 = stencil.shape[0] // 2, stencil.shape[1] // 2
-    padded = np.pad(x2, ((r0, r0), (c0, c0)), mode="wrap")
-    out = np.zeros_like(x2)
-    for a in range(stencil.shape[0]):
-        i = a if adjoint else 2 * r0 - a
-        for b in range(stencil.shape[1]):
-            j = b if adjoint else 2 * c0 - b
-            weight = stencil[a, b]
-            if weight != 0.0:
-                out += weight * padded[i : i + h, j : j + w]
-    return out
+def _forward(a: np.ndarray) -> np.ndarray:
+    """``np.fft.rfft2`` of a real 2-D array, as its two axis transforms with
+    the second one in place; the result is bit for bit the same."""
+    s = np.fft.rfft(a, axis=1)
+    return np.fft.fft(s, axis=0, out=s)
+
+
+def _inverse(s: np.ndarray, width: int) -> np.ndarray:
+    """``np.fft.irfft2`` of a half spectrum back to a real array of the given
+    width, bit for bit; the first axis transform overwrites ``s``."""
+    np.fft.ifft(s, axis=0, out=s)
+    return np.fft.irfft(s, n=width, axis=1)
 
 
 def _stencil_spectrum(stencil: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """rfft2 of the stencil wrapped onto the grid with its centre at the origin.
 
     Entries that wrap onto the same pixel add up, so a stencil larger than
-    the grid aliases exactly as :func:`_circ_filter` does.
+    the grid aliases exactly as circular convolution on that grid does.
     """
     h, w = shape
     r0, c0 = stencil.shape[0] // 2, stencil.shape[1] // 2
@@ -119,10 +119,10 @@ class ForwardOperator:
 
     def prox(
         self, t: np.ndarray, rho: float, b: np.ndarray, htb: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(x, r)``: the minimizer x of 0.5 ||Hx - b||^2 + (rho/2) ||x - t||^2,
-        for rho > 0 and htb = H^T b, and its residual r = Hx - b, each a
-        fresh array."""
+    ) -> tuple[np.ndarray, float]:
+        """``(x, fx)``: the minimizer x of 0.5 ||Hx - b||^2 + (rho/2) ||x - t||^2,
+        for rho > 0 and htb = H^T b, as a fresh array, and its data term
+        fx = 0.5 ||Hx - b||^2."""
         raise NotImplementedError
 
     def _check_in(self, x, what: str = "input") -> np.ndarray:
@@ -142,6 +142,11 @@ def _sized(x, dim: int, what: str) -> np.ndarray:
     return arr
 
 
+def _half_square(r: np.ndarray) -> float:
+    """0.5 ||r||^2."""
+    return 0.5 * float(r @ r)
+
+
 class Identity(ForwardOperator):
     def __init__(self, shape):
         self.in_shape = _as_shape(shape)
@@ -157,38 +162,55 @@ class Identity(ForwardOperator):
         x = rho * t
         x += htb
         x /= 1.0 + rho
-        return x, x - b
+        return x, _half_square(x - b)
 
 
 class CircularBlur(ForwardOperator):
-    """Circular (wraparound) convolution with a small nonnegative stencil."""
+    """Circular (wraparound) convolution with a small nonnegative stencil.
+
+    H and H^T multiply the half spectrum by the stencil's spectrum K and by
+    its conjugate.
+    """
 
     def __init__(self, shape, stencil):
         self.in_shape = _as_shape(shape)
         self.out_shape = self.in_shape
         self.stencil = _check_stencil(stencil)
         self._spectrum = _stencil_spectrum(self.stencil, self.in_shape)
+        self._conj_spectrum = self._spectrum.conj()
         self._gain = np.abs(self._spectrum) ** 2
+        # half-spectrum columns that stand only for themselves in Parseval's
+        # sum: column 0, and column w/2 when the width w is even; every other
+        # column also stands for its conjugate mirror
+        w = self.in_shape[1]
+        self._unpaired = [0] if w % 2 else [0, w // 2]
+
+    def _filter(self, v, spectrum):
+        s = _forward(v.reshape(self.in_shape))
+        s *= spectrum
+        return _inverse(s, self.in_shape[1]).reshape(-1)
 
     def apply(self, x):
-        x2 = self._check_in(x).reshape(self.in_shape)
-        return _circ_filter(x2, self.stencil, adjoint=False).reshape(-1)
+        return self._filter(self._check_in(x), self._spectrum)
 
     def apply_adjoint(self, y):
-        y2 = self._check_out(y).reshape(self.in_shape)
-        return _circ_filter(y2, self.stencil, adjoint=True).reshape(-1)
+        return self._filter(self._check_out(y), self._conj_spectrum)
 
     def prox(self, t, rho, b, htb):
         # H^T H is the circular convolution with transfer function |K|^2
         rhs = rho * t
         rhs += htb
-        spec = np.fft.rfft2(rhs.reshape(self.in_shape))
+        spec = _forward(rhs.reshape(self.in_shape))
         spec /= self._gain + rho
-        x = np.fft.irfft2(spec, s=self.in_shape)
-        spec *= self._spectrum
-        r = np.fft.irfft2(spec, s=self.in_shape).reshape(-1)
-        r -= b
-        return x.reshape(-1), r
+        # K X^ is the half spectrum of Hx; by Parseval
+        # 0.5 ||Hx||^2 = (sum |.|^2 - 0.5 sum over the unpaired columns) / d,
+        # and f(x) = 0.5 ||Hx||^2 - x.H^T b + 0.5 ||b||^2
+        hx = spec * self._spectrum
+        unpaired = hx[:, self._unpaired]
+        half_energy = np.vdot(hx, hx).real - 0.5 * np.vdot(unpaired, unpaired).real
+        x = _inverse(spec, self.in_shape[1]).reshape(-1)
+        fx = float(half_energy) / self.in_dim - float(x @ htb) + _half_square(b)
+        return x, fx
 
 
 class Mask(ForwardOperator):
@@ -214,7 +236,7 @@ class Mask(ForwardOperator):
         x = rho * t
         x += htb
         x /= self.keep + rho
-        return x, self.keep * x - b
+        return x, _half_square(self.keep * x - b)
 
 
 class Downsample(ForwardOperator):
@@ -242,7 +264,7 @@ class Downsample(ForwardOperator):
         )
         # low-resolution pixel (p, q) gathers x[f p + r0 - a, f q + c0 - b]
         # (mod the grid, so a stencil larger than the grid aliases exactly as
-        # _circ_filter does) with weight prefilter[a, b]
+        # CircularBlur's does) with weight prefilter[a, b]
         a, b = np.nonzero(self.prefilter)
         r0, c0 = self.prefilter.shape[0] // 2, self.prefilter.shape[1] // 2
         m, n = self.out_shape
@@ -271,13 +293,15 @@ class Downsample(ForwardOperator):
     def prox(self, t, rho, b, htb):
         # push-through (Zhao et al., IEEE TIP 2016): x = t + H^T z with
         # z = (rho I + H H^T)^-1 (b - H t), which makes Hx - b = -rho z
+        # (plain rfft2/irfft2: the in-place split of _forward/_inverse pays
+        # off on the full-size blur grid, this one is f^2 times smaller)
         low = np.fft.rfft2((b - self.apply(t)).reshape(self.out_shape))
         low /= rho + self._low_eig
         z = np.fft.irfft2(low, s=self.out_shape).reshape(-1)
         x = self.apply_adjoint(z)
         x += t
         z *= -rho
-        return x, z
+        return x, _half_square(z)
 
 
 @dataclass(frozen=True)
@@ -299,8 +323,7 @@ class FidelityTerm:
         object.__setattr__(self, "adjoint_observation", htb)
 
     def value(self, x) -> float:
-        r = self.op.apply(x) - self.observation
-        return 0.5 * float(r @ r)
+        return _half_square(self.op.apply(x) - self.observation)
 
     def gradient(self, x) -> np.ndarray:
         """H^T (Hx - b)."""
@@ -312,18 +335,16 @@ def prox_x_update(
 ) -> tuple[np.ndarray, float]:
     """Minimize f(x) + (rho/2) ||x - target||^2: the minimizer x and f(x).
 
-    The operator's :meth:`ForwardOperator.prox` gives x in closed form and
-    its residual Hx - b, from which f(x) is taken.  The problem is strongly
-    convex for rho > 0, so the minimizer is unique.  A non-finite target
-    raises NonFiniteIterateError.
+    The operator's :meth:`ForwardOperator.prox` gives both, x in closed
+    form.  The problem is strongly convex for rho > 0, so the minimizer is
+    unique.  A non-finite target raises NonFiniteIterateError.
     """
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
     t = f.op._check_in(target, "target")
     if not math.isfinite(float(t @ t)):
         raise NonFiniteIterateError("prox target is not finite")
-    x, r = f.op.prox(t, rho, f.observation, f.adjoint_observation)
-    return x, 0.5 * float(r @ r)
+    return f.op.prox(t, rho, f.observation, f.adjoint_observation)
 
 
 @dataclass(frozen=True)

@@ -162,6 +162,28 @@ def test_median_memory_stays_within_block_budget():
     assert peak < 12 * 2**20
 
 
+@pytest.mark.parametrize("kind", [GaussianSmoothing(), BoxAverage()], ids=["gaussian", "box"])
+@pytest.mark.parametrize("shape", [(29, 29), (29, 31)])
+def test_repeated_sigma_builds_each_filter_matrix_once(monkeypatch, kind, shape):
+    # an iteration that holds sigma reuses the kernel, so the second call
+    # builds nothing
+    denoisers._cached_filter_matrix.cache_clear()
+    builds = []
+    build = denoisers._filter_matrix
+
+    def counting_build(n, kernel):
+        builds.append(n)
+        return build(n, kernel)
+
+    monkeypatch.setattr(denoisers, "_filter_matrix", counting_build)
+    h, w = shape
+    img = noise_image(np.random.default_rng(53), w, h)
+    first = denoise(kind, 0.0731, img)
+    second = denoise(kind, 0.0731, img)
+    assert sorted(builds) == sorted({h, w})
+    assert np.array_equal(first.pixels, second.pixels)
+
+
 def test_denoise_rejects_negative_sigma():
     img = ImageGrid(2, 2, np.zeros(4))
     with pytest.raises(ValueError):

@@ -157,14 +157,16 @@ def test_downsample_matches_roll_oracles(op, seed):
 @settings(deadline=None)
 @given(operators(), st.floats(1e-6, 1e6), st.integers(0, 2**32 - 1))
 def test_prox_returns_the_residual_of_its_solution(op, rho, seed):
-    # the x-update reads f(x) off this r; forming Hx - b rounds at
-    # eps (||x|| + ||b||), since ||H|| <= 1 for a stencil summing to 1
+    # the x-update records the prox's fx = 0.5 ||Hx - b||^2; forming Hx - b
+    # rounds at eps (||x|| + ||b||), since ||H|| <= 1 for a stencil summing
+    # to 1, so its half square rounds at eps (||x|| + ||b||)^2
     rng = np.random.default_rng(seed)
     b = rng.standard_normal(op.out_dim)
     t = rng.standard_normal(op.in_dim)
-    x, r = op.prox(t, rho, b, op.apply_adjoint(b))
-    err = np.linalg.norm(r - (op.apply(x) - b))
-    assert err <= 1e-12 * (np.linalg.norm(x) + np.linalg.norm(b))
+    x, fx = op.prox(t, rho, b, op.apply_adjoint(b))
+    r = op.apply(x) - b
+    err = abs(fx - 0.5 * float(r @ r))
+    assert err <= 1e-12 * (np.linalg.norm(x) + np.linalg.norm(b)) ** 2
 
 
 @settings(deadline=None)
