@@ -13,6 +13,7 @@ import numpy as np
 from . import fileio
 from .denoisers import estimate_denoiser_bound_constant
 from .fidelity import estimate_gradient_bound
+from .linalg import scratch
 from .presets import (
     DENOISERS,
     PRESET_NAMES,
@@ -117,7 +118,8 @@ def _gradient_m_hat(f, theta, step) -> float:
     """
     if step is None:
         return estimate_gradient_bound(f, [theta.x]).m_hat
-    return step.rho * float(np.linalg.norm(step.target - theta.x)) / math.sqrt(theta.dim)
+    diff = np.subtract(step.target, theta.x, out=scratch("vector", theta.x.shape))
+    return step.rho * float(np.linalg.norm(diff)) / math.sqrt(theta.dim)
 
 
 def _run_one(

@@ -9,14 +9,13 @@ estimated from samples and re-checked on held-out samples.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .linalg import readonly_vector
+from .linalg import built, readonly_vector, scratch
 
 
 @dataclass(frozen=True)
@@ -73,34 +72,40 @@ def _window_half_width(sigma: float, img: ImageGrid) -> int:
     return int(math.floor(C_MAP * sigma * max(img.width, img.height) + 0.5))
 
 
-def _filter_matrix(n: int, kernel: np.ndarray) -> np.ndarray:
-    """n x n matrix of symmetric padding followed by correlation with kernel.
+def _fill_filter(g: np.ndarray, kernel: np.ndarray) -> None:
+    """Write into the n x n ``g`` symmetric padding followed by correlation
+    with ``kernel``.
 
-    Row i puts kernel[j] on the pixel that tap i + j - radius reflects onto
-    in the 2n-periodic symmetric extension; taps that land on the same pixel
-    add up, also when the radius exceeds n and the extension reflects more
-    than once.
+    At tap offset o, output i reads pixel i + o of the 2n-periodic symmetric
+    extension, so pixel m stands at the offsets m - i and -(i + m + 1) mod
+    2n.  With the kernel folded onto that period (c[s] the sum of the taps
+    at offsets s mod 2n, which holds a single tap while the radius is below
+    n), ``g[i, m] = c[m - i] + c[-(i + m + 1)]``: a Toeplitz part, copied as
+    one strided view, plus a Hankel part that is nonzero only in a k x k
+    corner at each end of the diagonal, k = min(radius, n).
     """
+    n = g.shape[0]
     radius = kernel.size // 2
-    rows = np.arange(n)[:, None]
-    src = (rows + np.arange(-radius, radius + 1)) % (2 * n)
-    src = np.where(src < n, src, 2 * n - 1 - src)
-    flat = (rows * n + src).ravel()
-    weights = np.broadcast_to(kernel, src.shape).ravel()
-    return np.bincount(flat, weights, minlength=n * n).reshape(n, n)
+    c = np.bincount(np.arange(-radius, radius + 1) % (2 * n), kernel, minlength=2 * n)
+    # row n - 1 - i of hankel(c[-(n - 1)], ..., c[n - 1]) is row i of the
+    # Toeplitz part: c[-i], ..., c[n - 1 - i]
+    g[...] = _hankel(np.concatenate((c[n + 1 :], c[:n])), n)[::-1]
+    # the Hankel part is hankel(mirror); its top corner takes the sums
+    # i + m < n and its bottom corner the rest
+    mirror = c[::-1]
+    top = mirror.copy()
+    top[n:] = 0.0
+    bottom = mirror.copy()
+    bottom[:n] = 0.0
+    k = min(radius, n)
+    g[:k, :k] += _hankel(top, k)
+    g[n - k :, n - k :] += _hankel(bottom[2 * (n - k) :], k)
 
 
-@functools.lru_cache(maxsize=2)
-def _cached_filter_matrix(n: int, kernel_bytes: bytes) -> np.ndarray:
-    """:func:`_filter_matrix`, read-only, for the last kernel on each side.
-
-    sigma changes only when the penalty rule takes its C1 branch, so
-    consecutive iterations mostly filter with the same kernel; two entries
-    hold it for both sides of a non-square image.
-    """
-    g = _filter_matrix(n, np.frombuffer(kernel_bytes))
-    g.flags.writeable = False
-    return g
+def _hankel(a: np.ndarray, k: int) -> np.ndarray:
+    """The k x k view of the contiguous vector ``a`` whose entry (i, m) is
+    a[i + m]."""
+    return np.ndarray((k, k), a.dtype, a, strides=(a.itemsize, a.itemsize))
 
 
 def _blocks(n: int, radius: int):
@@ -114,6 +119,14 @@ def _blocks(n: int, radius: int):
         yield j0, j1, max(0, j0 - radius), min(n, j1 + radius)
 
 
+def _side_filter(slot: str, n: int, kernel: np.ndarray) -> np.ndarray:
+    """The side-n filter matrix of ``kernel`` in workspace ``slot``, rebuilt
+    in place only when the kernel changed: sigma changes only when the
+    penalty rule takes its C1 branch."""
+    key = np.ascontiguousarray(kernel, dtype=np.float64).tobytes()
+    return built(slot, (n, n), key, lambda g: _fill_filter(g, kernel))
+
+
 def _separable_filter(img: ImageGrid, kernel: np.ndarray) -> ImageGrid:
     """Filter rows then columns with kernel, as G_h @ (A @ G_w^T).
 
@@ -122,11 +135,10 @@ def _separable_filter(img: ImageGrid, kernel: np.ndarray) -> ImageGrid:
     """
     h, w = img.height, img.width
     radius = kernel.size // 2
-    key = np.ascontiguousarray(kernel, dtype=np.float64).tobytes()
-    g_w = _cached_filter_matrix(w, key)
-    g_h = g_w if h == w else _cached_filter_matrix(h, key)
+    g_w = _side_filter("filter_w", w, kernel)
+    g_h = g_w if h == w else _side_filter("filter_h", h, kernel)
     a = img.pixels.reshape(h, w)
-    mid = np.empty((h, w))
+    mid = scratch("vector", (h, w))
     for j0, j1, lo, hi in _blocks(w, radius):
         np.matmul(a[:, lo:hi], g_w[j0:j1, lo:hi].T, out=mid[:, j0:j1])
     out = np.empty((h, w))

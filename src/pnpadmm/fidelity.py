@@ -17,9 +17,11 @@ so the x-update never applies H again: the pixelwise and push-through
 solves take it from the residual Hx - b they form on the way, and the blur,
 which works only in its Fourier basis (H and H^T are products with the
 stencil's spectrum K and its conjugate), takes 0.5 ||Hx||^2 by Parseval
-from K X^ and adds -x.H^T b + 0.5 ||b||^2, around its one inverse transform.  The solves update their arrays in place:
-full-size temporaries freed between longer-lived arrays fragment the heap,
-which shows in peak memory.
+from K X^ and adds -x.H^T b + 0.5 ||b||^2, around its one inverse
+transform.  The solution x is the one fresh full-size array of a prox: its
+other full-size temporaries (residuals, right-hand sides, spectra, the
+gather and scatter of Downsample) live in the calling thread's workspace
+(:func:`pnpadmm.linalg.scratch`), and no workspace buffer is returned.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, NonFiniteIterateError, as_vector
+from .linalg import DimensionMismatchError, NonFiniteIterateError, as_vector, scratch
 
 
 def _as_shape(shape) -> tuple[int, int]:
@@ -59,9 +61,10 @@ def _check_stencil(stencil) -> np.ndarray:
 
 
 def _forward(a: np.ndarray) -> np.ndarray:
-    """``np.fft.rfft2`` of a real 2-D array, as its two axis transforms with
-    the second one in place; the result is bit for bit the same."""
-    s = np.fft.rfft(a, axis=1)
+    """``np.fft.rfft2`` of a real 2-D array, bit for bit, as its two axis
+    transforms into the workspace's ``"spectrum"`` buffer."""
+    h, w = a.shape
+    s = np.fft.rfft(a, axis=1, out=scratch("spectrum", (h, w // 2 + 1), np.complex128))
     return np.fft.fft(s, axis=0, out=s)
 
 
@@ -162,7 +165,7 @@ class Identity(ForwardOperator):
         x = rho * t
         x += htb
         x /= 1.0 + rho
-        return x, _half_square(x - b)
+        return x, _half_square(np.subtract(x, b, out=scratch("vector", x.shape)))
 
 
 class CircularBlur(ForwardOperator):
@@ -197,15 +200,18 @@ class CircularBlur(ForwardOperator):
         return self._filter(self._check_out(y), self._conj_spectrum)
 
     def prox(self, t, rho, b, htb):
-        # H^T H is the circular convolution with transfer function |K|^2
-        rhs = rho * t
+        # H^T H is the circular convolution with transfer function |K|^2;
+        # the right-hand side, then the divisor, then K X^ take "vector"
+        rhs = np.multiply(t, rho, out=scratch("vector", t.shape))
         rhs += htb
         spec = _forward(rhs.reshape(self.in_shape))
-        spec /= self._gain + rho
+        spec /= np.add(self._gain, rho, out=scratch("vector", self._gain.shape))
         # K X^ is the half spectrum of Hx; by Parseval
         # 0.5 ||Hx||^2 = (sum |.|^2 - 0.5 sum over the unpaired columns) / d,
         # and f(x) = 0.5 ||Hx||^2 - x.H^T b + 0.5 ||b||^2
-        hx = spec * self._spectrum
+        hx = np.multiply(
+            spec, self._spectrum, out=scratch("vector", spec.shape, np.complex128)
+        )
         unpaired = hx[:, self._unpaired]
         half_energy = np.vdot(hx, hx).real - 0.5 * np.vdot(unpaired, unpaired).real
         x = _inverse(spec, self.in_shape[1]).reshape(-1)
@@ -236,7 +242,9 @@ class Mask(ForwardOperator):
         x = rho * t
         x += htb
         x /= self.keep + rho
-        return x, _half_square(self.keep * x - b)
+        residual = np.multiply(self.keep, x, out=scratch("vector", x.shape))
+        residual -= b
+        return x, _half_square(residual)
 
 
 class Downsample(ForwardOperator):
@@ -280,15 +288,20 @@ class Downsample(ForwardOperator):
         self._low_eig = np.fft.rfft2(response.reshape(self.out_shape)).real
 
     def apply(self, x):
-        return self._weights @ self._check_in(x)[self._src]
+        # the indices are in range by construction; mode="raise" would
+        # gather into a temporary and copy it to out
+        taps = np.take(
+            self._check_in(x), self._src, mode="clip",
+            out=scratch("vector", self._src.shape),
+        )
+        return self._weights @ taps
 
     def apply_adjoint(self, y):
-        y = self._check_out(y)
-        return np.bincount(
-            self._src.ravel(),
-            np.multiply.outer(self._weights, y).ravel(),
-            minlength=self.in_dim,
+        spread = np.multiply(
+            self._weights[:, None], self._check_out(y),
+            out=scratch("vector", self._src.shape),
         )
+        return np.bincount(self._src.ravel(), spread.ravel(), minlength=self.in_dim)
 
     def prox(self, t, rho, b, htb):
         # push-through (Zhao et al., IEEE TIP 2016): x = t + H^T z with

@@ -156,7 +156,12 @@ def step(
     x_new, value = prox_x_update(f, rho, target)
     noisy = x_new + theta.u
     v_new = denoise(kind, sigma, ImageGrid(width=w, height=h, pixels=noisy)).pixels
-    u_new = noisy - v_new
+    # u' = (x' + u) - v' overwrites x' + u, unless the denoiser handed back
+    # its input or a view of it (the identity, or sigma too small to act)
+    if np.may_share_memory(v_new, noisy):
+        u_new = noisy - v_new
+    else:
+        u_new = np.subtract(noisy, v_new, out=noisy)
     return IterateTriple(x=x_new, v=v_new, u=u_new), StepInfo(rho, target, value)
 
 

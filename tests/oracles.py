@@ -88,6 +88,19 @@ def two_pass_filter(img, kernel):
     return convolve_axis(convolve_axis(a, kernel, axis=1), kernel, axis=0)
 
 
+def bincount_filter_matrix(n, kernel):
+    """n x n matrix of symmetric padding followed by correlation with kernel,
+    summed tap by tap: row i puts kernel[j] on the pixel that tap
+    i + j - radius reflects onto in the 2n-periodic symmetric extension."""
+    radius = kernel.size // 2
+    rows = np.arange(n)[:, None]
+    src = (rows + np.arange(-radius, radius + 1)) % (2 * n)
+    src = np.where(src < n, src, 2 * n - 1 - src)
+    flat = (rows * n + src).ravel()
+    weights = np.broadcast_to(kernel, src.shape).ravel()
+    return np.bincount(flat, weights, minlength=n * n).reshape(n, n)
+
+
 def unblocked_median(img, sigma, c_map=1.0):
     """Square-window median over all windows of the image in one call."""
     half = int(math.floor(c_map * sigma * max(img.width, img.height) + 0.5))

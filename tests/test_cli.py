@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -413,6 +415,37 @@ def test_run_memory_does_not_grow_with_max_iter(tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks[80] - peaks[10] < 10 * d * 8
+
+
+def test_concurrent_runs_write_the_trace_of_a_solo_run(tmp_path):
+    # every thread has its own workspace: two runs at once, on exactly two
+    # threads and no pool, each write the trace a run alone writes
+    config = tmp_path / "deblur.conf"
+    config.write_text("preset = deblur\nimage_size = 32\n")
+    assert run_cli("run", "--config", config, "--out", tmp_path / "solo") == 0
+    start = threading.Barrier(2, timeout=60)
+    codes = {}
+
+    def member(name):
+        start.wait()
+        codes[name] = run_cli("run", "--config", config, "--out", tmp_path / name)
+
+    threads = [threading.Thread(target=member, args=(name,)) for name in ("a", "b")]
+    # switching threads often interleaves the two runs' steps finely
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert codes == {"a": 0, "b": 0}
+    solo = (tmp_path / "solo" / "trace.csv").read_bytes()
+    for name in ("a", "b"):
+        assert (tmp_path / name / "trace.csv").read_bytes() == solo
 
 
 def test_pgs_demo_rejects_bad_beta(tmp_path, capsys):

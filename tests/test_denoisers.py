@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -166,20 +167,23 @@ def test_median_memory_stays_within_block_budget():
 @pytest.mark.parametrize("shape", [(29, 29), (29, 31)])
 def test_repeated_sigma_builds_each_filter_matrix_once(monkeypatch, kind, shape):
     # an iteration that holds sigma reuses the kernel, so the second call
-    # builds nothing
-    denoisers._cached_filter_matrix.cache_clear()
+    # builds nothing; a new thread starts with an empty workspace
     builds = []
-    build = denoisers._filter_matrix
+    build = denoisers._fill_filter
 
-    def counting_build(n, kernel):
-        builds.append(n)
-        return build(n, kernel)
+    def counting_build(g, kernel):
+        builds.append(g.shape[0])
+        build(g, kernel)
 
-    monkeypatch.setattr(denoisers, "_filter_matrix", counting_build)
+    monkeypatch.setattr(denoisers, "_fill_filter", counting_build)
     h, w = shape
     img = noise_image(np.random.default_rng(53), w, h)
-    first = denoise(kind, 0.0731, img)
-    second = denoise(kind, 0.0731, img)
+
+    def twice():
+        return denoise(kind, 0.0731, img), denoise(kind, 0.0731, img)
+
+    with ThreadPoolExecutor(1) as pool:
+        first, second = pool.submit(twice).result()
     assert sorted(builds) == sorted({h, w})
     assert np.array_equal(first.pixels, second.pixels)
 

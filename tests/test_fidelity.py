@@ -264,6 +264,19 @@ def test_blur_prox_runs_one_forward_and_one_inverse_transform(monkeypatch, shape
     assert abs(fx - f.value(x)) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("name", ["identity", "blur", "mask", "downsample"])
+def test_consecutive_prox_solutions_share_no_memory(name):
+    # the solves take their temporaries from the workspace, never the result
+    rng = np.random.default_rng(97)
+    op = make_operators(rng)[name]
+    f = FidelityTerm(op=op, observation=rng.standard_normal(op.out_dim))
+    first, _ = prox_x_update(f, 0.5, rng.standard_normal(op.in_dim))
+    kept = first.copy()
+    second, _ = prox_x_update(f, 0.5, rng.standard_normal(op.in_dim))
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, kept)
+
+
 def test_prox_normal_equation_residual():
     rng = np.random.default_rng(67)
     op = Downsample((4, 8), 2)

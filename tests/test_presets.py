@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -117,3 +119,50 @@ def test_fixed_point_residual_tracks_final_delta():
     # reporting heuristic: one more frozen step moves about as far as the
     # last recorded step did
     assert fp.residual <= 10.0 * final_delta
+
+
+@pytest.mark.parametrize(
+    "name, denoiser",
+    [("smoke", "identity"), ("smoke", "gaussian"), ("deblur", "gaussian"),
+     ("superres", "gaussian")],
+)
+def test_observed_arrays_stay_unchanged_after_the_run(name, denoiser):
+    # no array an observer is handed is a workspace buffer or later updated
+    # in place: each kept x, v, u and target still holds what it held then
+    kept = []
+
+    def observe(f, theta, info):
+        arrays = [theta.x, theta.v, theta.u] + ([] if info is None else [info.target])
+        kept.append([(a, a.copy()) for a in arrays])
+
+    preset = make_preset(name, image_size=32, max_iter=10, delta_tol=0.0, denoiser=denoiser)
+    run_preset(preset, observe=observe)
+    assert len(kept) == 11
+    for arrays in kept:
+        for array, copy in arrays:
+            assert np.array_equal(array, copy)
+
+
+@pytest.mark.parametrize("name", ["smoke", "deblur", "superres"])
+def test_steady_state_iteration_allocates_only_the_kept_arrays(name):
+    # an iteration's fresh full-size arrays are the four an observer may
+    # keep (x, v, u and the x-update's target); every other temporary comes
+    # from the workspace, so the traced memory an iteration adds on top of
+    # the previous one's peaks at 4 vectors of d floats plus small change
+    d = 128 * 128
+    marks = []
+
+    def observe(f, theta, info):
+        marks.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+
+    preset = make_preset(name, image_size=128, max_iter=8, delta_tol=0.0, denoiser="gaussian")
+    tracemalloc.start()
+    try:
+        run_preset(preset, observe=observe)
+    finally:
+        tracemalloc.stop()
+    # the first two iterations may still grow the workspace
+    growth = [marks[k][1] - marks[k - 1][0] for k in range(3, len(marks))]
+    assert len(growth) == 6
+    assert max(growth) <= 4.25 * d * 8

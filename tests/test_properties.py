@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     autocorrelation_low_eig,
+    bincount_filter_matrix,
     linear_cauchy_k,
     loop_pgs_generate,
     roll_circ_conv,
@@ -228,11 +229,40 @@ def test_banded_filter_matches_two_pass_oracle_across_blocks(h, w, reach, seed):
     tol = 1e-13 * np.max(np.abs(img.pixels))
     for kernel in (gauss / gauss.sum(), box / box.sum()):
         for n in {h, w}:
-            g = denoisers._filter_matrix(n, kernel)
+            g = bincount_filter_matrix(n, kernel)
             for j0, j1, lo, hi in denoisers._blocks(n, radius):
                 assert not g[j0:j1, :lo].any() and not g[j0:j1, hi:].any()
         got = denoisers._separable_filter(img, kernel).pixels.reshape(h, w)
         assert np.max(np.abs(got - two_pass_filter(img, kernel))) <= tol
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(1, 300), st.integers(1, 300), st.floats(0.001, 1.0), st.booleans())
+# the default sigma on 16x256: radius 77 exceeds the short side
+@example(16, 256, 0.1, False)
+# one pixel that sums all 51 taps of a box
+@example(1, 25, 1.0, True)
+def test_inplace_filter_matrix_matches_bincount_oracle(h, w, sigma, box):
+    # bit for bit while each entry sums at most two taps (radius below the
+    # side); past the side the folded taps add up in another order, and two
+    # sums of m positive taps differ by at most m eps times the sum
+    img = ImageGrid(w, h, np.zeros(h * w))
+    if box:
+        half = max(1, round(sigma * max(h, w)))
+        kernel = np.full(2 * half + 1, 1.0 / (2 * half + 1))
+    else:
+        kernel = GaussianSmoothing().kernel(sigma, img)
+    radius = kernel.size // 2
+    for n in {h, w}:
+        g = np.full((n, n), np.nan)
+        denoisers._fill_filter(g, kernel)
+        expected = bincount_filter_matrix(n, kernel)
+        if radius < n:
+            assert np.array_equal(g, expected)
+        else:
+            taps = 2 * -(-kernel.size // (2 * n))
+            tol = taps * np.finfo(float).eps * np.max(expected)
+            assert np.max(np.abs(g - expected)) <= tol
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -3,7 +3,7 @@ import pytest
 
 from oracles import straight_line_step
 
-from pnpadmm.denoisers import GaussianSmoothing, IdentityDenoiser
+from pnpadmm.denoisers import GaussianSmoothing, IdentityDenoiser, ImageGrid
 from pnpadmm.fidelity import (
     CircularBlur,
     Downsample,
@@ -11,6 +11,7 @@ from pnpadmm.fidelity import (
     Identity,
     Mask,
     binomial_stencil,
+    prox_x_update,
 )
 from pnpadmm.linalg import IterateTriple, metric_distance
 from pnpadmm.sequences import ConditionTrace
@@ -76,6 +77,29 @@ def test_step_u_update_arithmetic():
     assert np.allclose(out.x, [1.0, 1.0], atol=1e-9)
     assert np.array_equal(out.v, [0.0, 1.0])
     assert np.allclose(out.u, [1.0, 0.0], atol=1e-9)
+
+
+class FlippedView(IdentityDenoiser):
+    """Hands back its input upside down, as a view of the input's memory."""
+
+    def apply(self, sigma, img):
+        return ImageGrid.from_array(img.pixels.reshape(img.height, img.width)[::-1, ::-1])
+
+
+@pytest.mark.parametrize("kind", [IdentityDenoiser(), FlippedView()], ids=["input", "view"])
+def test_step_keeps_a_denoiser_output_that_aliases_its_input(kind):
+    # u' may overwrite x' + u only when v' does not share its memory
+    rng = np.random.default_rng(89)
+    h, w = 3, 4
+    f = FidelityTerm(op=Identity((h, w)), observation=rng.standard_normal(h * w))
+    theta = IterateTriple(*rng.standard_normal((3, h * w)))
+    got, _ = step(f, kind, rho=0.7, sigma=0.1, theta=theta)
+    x_new, _ = prox_x_update(f, 0.7, theta.v - theta.u)
+    noisy = x_new + theta.u
+    v_new = kind.apply(0.1, ImageGrid(w, h, noisy.copy())).pixels
+    assert np.array_equal(got.x, x_new)
+    assert np.array_equal(got.v, v_new)
+    assert np.array_equal(got.u, noisy - v_new)
 
 
 def test_step_matches_straight_line_oracle():
