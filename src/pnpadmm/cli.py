@@ -70,7 +70,7 @@ def _sampled_bounds(result) -> tuple[float, float]:
     box_rng = np.random.default_rng(seed + 1)
     d = result.fidelity.op.in_dim
     box = (box_rng.uniform(0, 1, d) for _ in range(16))
-    m_hat = estimate_gradient_bound(result.fidelity, box).m_hat
+    m_hat = estimate_gradient_bound(result.fidelity, box)
     est = estimate_denoiser_bound_constant(
         result.preset.denoiser, 16, 16, (0.05, 0.1, 0.2), 20, seed + 2
     )
@@ -99,7 +99,7 @@ def _summarize(
     lines.append(f"gradient_bound_m_hat = {m_hat:.6e} (trajectory plus [0,1]^d samples)")
     lines.append(f"denoiser_bound_k_hat = {k_hat:.6e} (16x16 noise samples)")
     fp = fixed_point_residual(result.fidelity, result.preset.denoiser, trace)
-    lines.append(f"fixed_point_residual = {fp.residual:.6e}")
+    lines.append(f"fixed_point_residual = {fp:.6e}")
     return "\n".join(lines) + "\n"
 
 
@@ -117,7 +117,7 @@ def _gradient_m_hat(f, theta, step) -> float:
     grad f(x') = rho (t - x'), so only the start iterate needs H applied.
     """
     if step is None:
-        return estimate_gradient_bound(f, [theta.x]).m_hat
+        return estimate_gradient_bound(f, [theta.x])
     diff = np.subtract(step.target, theta.x, out=scratch("vector", theta.x.shape))
     return step.rho * float(np.linalg.norm(diff)) / math.sqrt(theta.dim)
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import built, readonly_vector, scratch
+from .linalg import readonly_vector, scratch
 
 
 @dataclass(frozen=True)
@@ -72,9 +72,9 @@ def _window_half_width(sigma: float, img: ImageGrid) -> int:
     return int(math.floor(C_MAP * sigma * max(img.width, img.height) + 0.5))
 
 
-def _fill_filter(g: np.ndarray, kernel: np.ndarray) -> None:
-    """Write into the n x n ``g`` symmetric padding followed by correlation
-    with ``kernel``.
+def _fill_filter(g: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Fill the n x n ``g`` with symmetric padding followed by correlation
+    with ``kernel``, and return it.
 
     At tap offset o, output i reads pixel i + o of the 2n-periodic symmetric
     extension, so pixel m stands at the offsets m - i and -(i + m + 1) mod
@@ -100,6 +100,7 @@ def _fill_filter(g: np.ndarray, kernel: np.ndarray) -> None:
     k = min(radius, n)
     g[:k, :k] += _hankel(top, k)
     g[n - k :, n - k :] += _hankel(bottom[2 * (n - k) :], k)
+    return g
 
 
 def _hankel(a: np.ndarray, k: int) -> np.ndarray:
@@ -119,24 +120,17 @@ def _blocks(n: int, radius: int):
         yield j0, j1, max(0, j0 - radius), min(n, j1 + radius)
 
 
-def _side_filter(slot: str, n: int, kernel: np.ndarray) -> np.ndarray:
-    """The side-n filter matrix of ``kernel`` in workspace ``slot``, rebuilt
-    in place only when the kernel changed: sigma changes only when the
-    penalty rule takes its C1 branch."""
-    key = np.ascontiguousarray(kernel, dtype=np.float64).tobytes()
-    return built(slot, (n, n), key, lambda g: _fill_filter(g, kernel))
-
-
 def _separable_filter(img: ImageGrid, kernel: np.ndarray) -> ImageGrid:
     """Filter rows then columns with kernel, as G_h @ (A @ G_w^T).
 
-    Each product is taken a block of output columns (then rows) at a time
-    and multiplies only the band of G that block reads.
+    Both matrices are built in the workspace on every call, one for a square
+    image.  Each product is taken a block of output columns (then rows) at a
+    time and multiplies only the band of G that block reads.
     """
     h, w = img.height, img.width
     radius = kernel.size // 2
-    g_w = _side_filter("filter_w", w, kernel)
-    g_h = g_w if h == w else _side_filter("filter_h", h, kernel)
+    g_w = _fill_filter(scratch("filter_w", (w, w)), kernel)
+    g_h = g_w if h == w else _fill_filter(scratch("filter_h", (h, h)), kernel)
     a = img.pixels.reshape(h, w)
     mid = scratch("vector", (h, w))
     for j0, j1, lo, hi in _blocks(w, radius):

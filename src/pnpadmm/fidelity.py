@@ -12,16 +12,18 @@ x = t + H^T (rho I + H H^T)^-1 (b - H t) around a Fourier solve on the
 low-resolution grid (Downsample, whose H and H^T are a precomputed gather
 and its bincount, so its prox runs no full-size transform and never
 divides by rho).  Spectra and index tables are computed once, at
-construction.  Each prox also returns the data term f(x) of its solution,
-so the x-update never applies H again: the pixelwise and push-through
-solves take it from the residual Hx - b they form on the way, and the blur,
-which works only in its Fourier basis (H and H^T are products with the
-stencil's spectrum K and its conjugate), takes 0.5 ||Hx||^2 by Parseval
-from K X^ and adds -x.H^T b + 0.5 ||b||^2, around its one inverse
-transform.  The solution x is the one fresh full-size array of a prox: its
-other full-size temporaries (residuals, right-hand sides, spectra, the
-gather and scatter of Downsample) live in the calling thread's workspace
-(:func:`pnpadmm.linalg.scratch`), and no workspace buffer is returned.
+construction; every later transform runs through one in-place pair,
+:func:`_forward` and :func:`_inverse`.  Each prox also returns the data
+term f(x) of its solution, so the x-update never applies H again: the
+pixelwise and push-through solves take it from the residual Hx - b they
+form on the way, and the blur, which works only in its Fourier basis (H
+and H^T are products with the stencil's spectrum K and its conjugate),
+takes 0.5 ||Hx||^2 by Parseval from K X^ and adds -x.H^T b + 0.5 ||b||^2,
+around its one inverse transform.  The solution x is the one fresh
+full-size array of a prox: its other temporaries (residuals, right-hand
+sides, divisors, spectra, the gather and scatter of Downsample) live in the
+calling thread's workspace (:func:`pnpadmm.linalg.scratch`), and no
+workspace buffer is returned.
 """
 
 from __future__ import annotations
@@ -62,7 +64,8 @@ def _check_stencil(stencil) -> np.ndarray:
 
 def _forward(a: np.ndarray) -> np.ndarray:
     """``np.fft.rfft2`` of a real 2-D array, bit for bit, as its two axis
-    transforms into the workspace's ``"spectrum"`` buffer."""
+    transforms into the workspace's ``"spectrum"`` buffer; a spectrum that is
+    kept, computed at construction, takes ``rfft2`` itself."""
     h, w = a.shape
     s = np.fft.rfft(a, axis=1, out=scratch("spectrum", (h, w // 2 + 1), np.complex128))
     return np.fft.fft(s, axis=0, out=s)
@@ -305,12 +308,12 @@ class Downsample(ForwardOperator):
 
     def prox(self, t, rho, b, htb):
         # push-through (Zhao et al., IEEE TIP 2016): x = t + H^T z with
-        # z = (rho I + H H^T)^-1 (b - H t), which makes Hx - b = -rho z
-        # (plain rfft2/irfft2: the in-place split of _forward/_inverse pays
-        # off on the full-size blur grid, this one is f^2 times smaller)
-        low = np.fft.rfft2((b - self.apply(t)).reshape(self.out_shape))
-        low /= rho + self._low_eig
-        z = np.fft.irfft2(low, s=self.out_shape).reshape(-1)
+        # z = (rho I + H H^T)^-1 (b - H t), which makes Hx - b = -rho z;
+        # the residual, then the divisor, take "vector"
+        r = np.subtract(b, self.apply(t), out=scratch("vector", b.shape))
+        low = _forward(r.reshape(self.out_shape))
+        low /= np.add(self._low_eig, rho, out=scratch("vector", self._low_eig.shape))
+        z = _inverse(low, self.out_shape[1]).reshape(-1)
         x = self.apply_adjoint(z)
         x += t
         z *= -rho
@@ -330,7 +333,7 @@ class FidelityTerm:
         self.op._check_out(b, "observation")
         b.flags.writeable = False
         object.__setattr__(self, "observation", b)
-        # H^T b, which every prox but Downsample's uses
+        # H^T b, which the start iterate and every prox but Downsample's use
         htb = self.op.apply_adjoint(b)
         htb.flags.writeable = False
         object.__setattr__(self, "adjoint_observation", htb)
@@ -360,23 +363,13 @@ def prox_x_update(
     return f.op.prox(t, rho, f.observation, f.adjoint_observation)
 
 
-@dataclass(frozen=True)
-class GradientBoundEstimate:
-    """Largest observed ||grad f(x)|| / sqrt(d) over a sampled region.
+def estimate_gradient_bound(f: FidelityTerm, samples: Iterable[np.ndarray]) -> float:
+    """The largest ||grad f(x)|| / sqrt(d) over samples, taken one at a time,
+    so a generator of samples holds only one of them.
 
     The quadratic fidelity has unbounded gradient on all of R^d, so this is
     an effective bound over the region actually visited, not a global one.
     """
-
-    m_hat: float
-
-
-def estimate_gradient_bound(
-    f: FidelityTerm,
-    samples: Iterable[np.ndarray],
-) -> GradientBoundEstimate:
-    """The largest ||grad f(x)|| / sqrt(d) over samples, taken one at a time,
-    so a generator of samples holds only one of them."""
     root_d = math.sqrt(f.op.in_dim)
     worst = 0.0
     empty = True
@@ -385,4 +378,4 @@ def estimate_gradient_bound(
         empty = False
     if empty:
         raise ValueError("samples must be non-empty")
-    return GradientBoundEstimate(m_hat=worst)
+    return worst

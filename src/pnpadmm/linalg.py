@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 import threading
-from collections.abc import Callable, Hashable
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,12 +73,10 @@ class IterateTriple:
 
 
 class _Workspace(threading.local):
-    """The calling thread's scratch buffers, raw bytes by slot name, and the
-    key of what :func:`built` last built in each."""
+    """The calling thread's scratch buffers, raw bytes by slot name."""
 
     def __init__(self):
         self.buffers: dict[str, np.ndarray] = {}
-        self.keys: dict[str, Hashable] = {}
 
 
 _workspace = _Workspace()
@@ -92,31 +89,17 @@ def scratch(slot: str, shape, dtype=np.float64) -> np.ndarray:
     A slot keeps its memory from call to call and is replaced only when a
     request needs more bytes than it holds, so layers whose uses never
     overlap share one: ``"vector"`` is every layer's one full-size real
-    temporary, ``"spectrum"`` the blur's half spectrum, and
-    ``"filter_w"``/``"filter_h"`` the denoiser's matrices (see :func:`built`).
-    A caller uses the buffer between two of its own statements and never
+    temporary, ``"spectrum"`` the half spectrum of the Fourier solves, and
+    ``"filter_w"``/``"filter_h"`` the denoiser's matrices.  A caller fills
+    the buffer and uses it between two of its own statements, and never
     returns it, so no array a caller receives is ever overwritten, and no
     input is a scratch buffer.  Each thread has its own slots.
     """
     nbytes = math.prod(shape) * np.dtype(dtype).itemsize
     buf = _workspace.buffers.get(slot)
     if buf is None or buf.size < nbytes:
-        _workspace.keys.pop(slot, None)
         buf = _workspace.buffers[slot] = np.empty(nbytes, np.uint8)
     return buf[:nbytes].view(dtype).reshape(shape)
-
-
-def built(slot: str, shape, key: Hashable, fill: Callable[[np.ndarray], None]) -> np.ndarray:
-    """:func:`scratch` float64 buffer ``slot`` as ``fill`` left it for ``key``:
-    ``fill(buffer)`` runs only when ``(shape, key)`` differs from the last
-    call's, or the buffer was replaced since."""
-    buf = scratch(slot, shape)
-    tag = (tuple(shape), key)
-    if _workspace.keys.get(slot) != tag:
-        _workspace.keys.pop(slot, None)
-        fill(buf)
-        _workspace.keys[slot] = tag
-    return buf
 
 
 def metric_distance(a: IterateTriple, b: IterateTriple) -> float:

@@ -171,10 +171,10 @@ def degrade(preset: ExperimentPreset, clean: ImageGrid) -> tuple[ForwardOperator
     return op, observation
 
 
-def initial_iterate(op: ForwardOperator, observation: np.ndarray) -> IterateTriple:
-    """Backprojection start: x = v = H^T b, u = 0."""
-    x0 = op.apply_adjoint(observation)
-    return IterateTriple(x=x0, v=x0.copy(), u=np.zeros_like(x0))
+def initial_iterate(f: FidelityTerm) -> IterateTriple:
+    """Backprojection start: x = v = H^T b, u = 0, from the term's cached H^T b."""
+    x0 = f.adjoint_observation
+    return IterateTriple(x=x0, v=x0, u=np.zeros_like(x0))
 
 
 @dataclass
@@ -196,7 +196,7 @@ def run_preset(
         clean = preset.source_image()
     op, observation = degrade(preset, clean)
     fidelity = FidelityTerm(op=op, observation=observation)
-    theta0 = initial_iterate(op, observation)
+    theta0 = initial_iterate(fidelity)
     trace = run(fidelity, preset.denoiser, preset.config, theta0, observe)
     h, w = op.in_shape
     restored = ImageGrid(width=w, height=h, pixels=trace.final_iterate.x)

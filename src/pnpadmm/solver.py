@@ -65,7 +65,7 @@ class SolverConfig:
     the penalty growth factor, and eta in (0, 1) the residual-ratio
     threshold.  delta_tol stops the run early once the residual falls below
     it; max_iter always bounds the run since no convergence rate is
-    guaranteed.
+    guaranteed.  Every float setting must be finite.
     """
 
     lam: float
@@ -77,6 +77,9 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("lam", "rho0", "gamma", "delta_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lam <= 0:
             raise ValueError("lam must be positive")
         if self.rho0 <= 0:
@@ -114,29 +117,18 @@ class RunTrace:
         return len(self.records)
 
 
-@dataclass(frozen=True)
-class FixedPointReport:
-    """Distance moved by one frozen-parameter iteration from the final state."""
-
-    residual: float
-
-
 def update_rho(
-    rho: float, delta_next: float, delta_prev: float, gamma: float, eta: float
+    rho: float, delta_next: float, delta_prev: float, cfg: SolverConfig
 ) -> tuple[float, ConditionFlag]:
-    """One penalty update: grow by gamma on C1, hold on C2.
+    """One penalty update: grow by cfg.gamma on C1, hold on C2.
 
-    C1 fires when delta_next >= eta * delta_prev (boundary equality counts
-    as C1).
+    C1 fires when delta_next >= cfg.eta * delta_prev (boundary equality
+    counts as C1).
     """
-    if gamma <= 1:
-        raise ValueError("gamma must be > 1")
-    if not (0 < eta < 1):
-        raise ValueError("eta must be in (0, 1)")
     if delta_next < 0 or delta_prev < 0:
         raise ValueError("residuals must be nonnegative")
-    if delta_next >= eta * delta_prev:
-        return gamma * rho, ConditionFlag.C1
+    if delta_next >= cfg.eta * delta_prev:
+        return cfg.gamma * rho, ConditionFlag.C1
     return rho, ConditionFlag.C2
 
 
@@ -216,7 +208,7 @@ def run(
         if prev_delta is None:
             flag = None  # first update has no previous residual; hold rho
         else:
-            rho, flag = update_rho(rho, delta, prev_delta, cfg.gamma, cfg.eta)
+            rho, flag = update_rho(rho, delta, prev_delta, cfg)
         records.append(
             TraceRecord(
                 iteration=k,
@@ -241,10 +233,8 @@ def run(
     )
 
 
-def fixed_point_residual(
-    f: FidelityTerm, kind: Denoiser, trace: RunTrace
-) -> FixedPointReport:
+def fixed_point_residual(f: FidelityTerm, kind: Denoiser, trace: RunTrace) -> float:
     """Distance between the final iterate and one more frozen-parameter step."""
     last = trace.records[-1]
     theta_next, _ = step(f, kind, last.rho, last.sigma, trace.final_iterate)
-    return FixedPointReport(residual=metric_distance(trace.final_iterate, theta_next))
+    return metric_distance(trace.final_iterate, theta_next)

@@ -93,6 +93,20 @@ def test_run_missing_image_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag,value,field", [("--lambda", "inf", "lam"), ("--gamma", "nan", "gamma"),
+                         ("--rho0", "nan", "rho0")]
+)
+def test_run_rejects_non_finite_settings(tmp_path, capsys, flag, value, field):
+    # argparse reads "inf" and "nan" as floats; the config must refuse them
+    # before the denoiser's kernel overflows or the schedule turns NaN
+    out = tmp_path / "o"
+    assert run_cli("run", "--preset", "deblur", flag, value, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: {field} must be finite, got {float(value)}"]
+    assert not out.exists()
+
+
 def test_run_sweep_writes_subdirectories(tmp_path):
     out = tmp_path / "sweep"
     code = run_cli(
@@ -251,7 +265,7 @@ def test_streamed_gradient_bound_matches_explicit_gradient(preset):
 
     def observe(f, theta, step):
         pairs.append(
-            (cli._gradient_m_hat(f, theta, step), estimate_gradient_bound(f, [theta.x]).m_hat)
+            (cli._gradient_m_hat(f, theta, step), estimate_gradient_bound(f, [theta.x]))
         )
 
     result = run_preset(make_preset(preset, image_size=32), observe=observe)

@@ -166,14 +166,15 @@ def test_median_memory_stays_within_block_budget():
 @pytest.mark.parametrize("kind", [GaussianSmoothing(), BoxAverage()], ids=["gaussian", "box"])
 @pytest.mark.parametrize("shape", [(29, 29), (29, 31)])
 def test_repeated_sigma_builds_each_filter_matrix_once(monkeypatch, kind, shape):
-    # an iteration that holds sigma reuses the kernel, so the second call
-    # builds nothing; a new thread starts with an empty workspace
+    # every call builds one matrix per distinct side, so a square image
+    # shares one build between rows and columns; a repeated sigma in a fresh
+    # thread gives bit-equal output
     builds = []
     build = denoisers._fill_filter
 
     def counting_build(g, kernel):
         builds.append(g.shape[0])
-        build(g, kernel)
+        return build(g, kernel)
 
     monkeypatch.setattr(denoisers, "_fill_filter", counting_build)
     h, w = shape
@@ -184,8 +185,28 @@ def test_repeated_sigma_builds_each_filter_matrix_once(monkeypatch, kind, shape)
 
     with ThreadPoolExecutor(1) as pool:
         first, second = pool.submit(twice).result()
-    assert sorted(builds) == sorted({h, w})
+    assert builds == 2 * ([w] if h == w else [w, h])
     assert np.array_equal(first.pixels, second.pixels)
+
+
+@pytest.mark.parametrize("kind", [GaussianSmoothing(), BoxAverage()], ids=["gaussian", "box"])
+def test_filter_output_does_not_depend_on_earlier_calls(kind):
+    # the filter matrices live in the thread's workspace and are rebuilt on
+    # every call: interleaved and repeated calls, on a square and a
+    # non-square image at two sigmas, each match a call in a fresh thread
+    rng = np.random.default_rng(53)
+    images = {shape: noise_image(rng, shape[1], shape[0]) for shape in [(29, 29), (29, 31)]}
+    calls = [(shape, sigma) for shape in images for sigma in (0.0731, 0.0412)]
+
+    def fresh(shape, sigma):
+        with ThreadPoolExecutor(1) as pool:
+            return pool.submit(denoise, kind, sigma, images[shape]).result()
+
+    want = {call: fresh(*call) for call in calls}
+    order = [calls[i] for i in (0, 2, 1, 3, 3, 0, 2, 1)]
+    for shape, sigma in order:
+        got = denoise(kind, sigma, images[shape])
+        assert np.array_equal(got.pixels, want[shape, sigma].pixels), (shape, sigma)
 
 
 def test_denoise_rejects_negative_sigma():

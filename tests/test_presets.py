@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pnpadmm.denoisers import GaussianSmoothing, IdentityDenoiser
+from pnpadmm.fidelity import FidelityTerm
 from pnpadmm.presets import (
     PRESET_NAMES,
     build_operator,
@@ -86,8 +87,9 @@ def test_initial_iterate_backprojection():
     clean = synthetic_image(8)
     p = make_preset("superres", image_size=8)
     op, b = degrade(p, clean)
-    theta0 = initial_iterate(op, b)
+    theta0 = initial_iterate(FidelityTerm(op=op, observation=b))
     assert theta0.dim == 64
+    assert np.array_equal(theta0.x, op.apply_adjoint(b))
     assert np.array_equal(theta0.x, theta0.v)
     assert np.all(theta0.u == 0.0)
 
@@ -118,7 +120,7 @@ def test_fixed_point_residual_tracks_final_delta():
     fp = fixed_point_residual(result.fidelity, preset.denoiser, trace)
     # reporting heuristic: one more frozen step moves about as far as the
     # last recorded step did
-    assert fp.residual <= 10.0 * final_delta
+    assert fp <= 10.0 * final_delta
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -33,24 +35,30 @@ def identity_problem(d, b=None):
     return FidelityTerm(op=op, observation=np.asarray(b, dtype=float))
 
 
+# gamma = 2, eta = 0.5
+RULE = SolverConfig(lam=1.0, rho0=1.0, gamma=2.0, eta=0.5, max_iter=1)
+
+
 def test_update_rho_growth_branch():
-    assert update_rho(1.0, 0.6, 1.0, gamma=2.0, eta=0.5) == (2.0, ConditionFlag.C1)
+    assert update_rho(1.0, 0.6, 1.0, RULE) == (2.0, ConditionFlag.C1)
 
 
 def test_update_rho_hold_branch():
-    assert update_rho(1.0, 0.4, 1.0, gamma=2.0, eta=0.5) == (1.0, ConditionFlag.C2)
+    assert update_rho(1.0, 0.4, 1.0, RULE) == (1.0, ConditionFlag.C2)
 
 
 def test_update_rho_boundary_counts_as_growth():
-    rho, flag = update_rho(1.0, 0.5, 1.0, gamma=2.0, eta=0.5)
+    rho, flag = update_rho(1.0, 0.5, 1.0, RULE)
     assert (rho, flag) == (2.0, ConditionFlag.C1)
 
 
 def test_update_rho_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        update_rho(1.0, 0.1, 0.2, gamma=1.0, eta=0.5)
-    with pytest.raises(ValueError):
-        update_rho(1.0, 0.1, 0.2, gamma=2.0, eta=1.0)
+    # gamma and eta are checked with the config (test_config_validation);
+    # what is left to reject is a negative residual
+    with pytest.raises(ValueError, match="nonnegative"):
+        update_rho(1.0, -0.1, 0.2, RULE)
+    with pytest.raises(ValueError, match="nonnegative"):
+        update_rho(1.0, 0.1, -0.2, RULE)
 
 
 def test_step_fixed_point_of_composition():
@@ -331,8 +339,7 @@ def test_fixed_point_residual_zero_at_fixed_point():
     f = identity_problem(2, b=v0)
     theta0 = IterateTriple(x=v0.copy(), v=v0.copy(), u=np.zeros(2))
     trace = run(f, IdentityDenoiser(), base_config(delta_tol=1e-12), theta0)
-    report = fixed_point_residual(f, IdentityDenoiser(), trace)
-    assert report.residual <= 1e-14
+    assert fixed_point_residual(f, IdentityDenoiser(), trace) <= 1e-14
 
 
 def test_fixed_point_residual_matches_one_step_replay():
@@ -343,12 +350,12 @@ def test_fixed_point_residual_matches_one_step_replay():
     theta0 = IterateTriple(x=b, v=b, u=np.zeros(64))
     cfg = base_config(max_iter=1, delta_tol=0.0)
     trace = run(f, GaussianSmoothing(), cfg, theta0)
-    report = fixed_point_residual(f, GaussianSmoothing(), trace)
+    residual = fixed_point_residual(f, GaussianSmoothing(), trace)
     # replay: the next step at the recorded (rho, sigma) is exactly delta_2
     last = trace.records[-1]
     theta2, _ = step(f, GaussianSmoothing(), last.rho, last.sigma, trace.final_iterate)
-    assert report.residual == metric_distance(trace.final_iterate, theta2)
-    assert report.residual > 0
+    assert residual == metric_distance(trace.final_iterate, theta2)
+    assert residual > 0
 
 
 def test_config_validation():
@@ -358,3 +365,17 @@ def test_config_validation():
         SolverConfig(lam=1, rho0=1, gamma=0.9, eta=0.5, max_iter=5)
     with pytest.raises(ValueError):
         SolverConfig(lam=1, rho0=1, gamma=2, eta=0.5, max_iter=0)
+    # the penalty rule's own bounds: gamma > 1 and eta in (0, 1)
+    with pytest.raises(ValueError, match="gamma"):
+        SolverConfig(lam=1, rho0=1, gamma=1.0, eta=0.5, max_iter=5)
+    with pytest.raises(ValueError, match="eta"):
+        SolverConfig(lam=1, rho0=1, gamma=2, eta=1.0, max_iter=5)
+    # NaN passes every comparison-based check, and inf passes the lower bounds
+    good = dict(lam=1.0, rho0=1.0, gamma=2.0, eta=0.5, max_iter=5, delta_tol=1e-6)
+    for name in ("lam", "rho0", "gamma", "delta_tol"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                SolverConfig(**{**good, name: value})
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="eta"):
+            SolverConfig(**{**good, "eta": value})
