@@ -23,7 +23,9 @@ from .presets import (
     run_preset,
 )
 from .sequences import (
+    CLASSIFY_CAVEAT,
     BoundConstructionError,
+    ConditionFlag,
     ConditionTrace,
     PgsSpec,
     cauchy_index,
@@ -35,7 +37,7 @@ from .sequences import (
     pgs_generate,
     verify_bound,
 )
-from .solver import ConditionFlag, fixed_point_residual
+from .solver import fixed_point_residual
 
 # config-file spellings of two make_preset keywords
 _FILE_KEYS = {"lambda": "lam", "image": "image_source"}
@@ -81,19 +83,18 @@ def _summarize(
     result, trajectory_m_hat: float, sampled_bounds: tuple[float, float]
 ) -> str:
     trace = result.trace
-    cfg = trace.config
-    cond = ConditionTrace.from_records(trace.records, cfg.gamma, cfg.eta)
+    cond = trace.condition_trace
     lines = [
         f"preset = {result.preset.name}",
         f"iterations = {len(trace)}",
         f"stop_reason = {trace.stop_reason}",
-        f"final_delta = {trace.records[-1].delta:.6e}",
-        f"final_rho = {trace.records[-1].rho:.6e}",
+        f"final_delta = {cond.deltas[-1]:.6e}",
+        f"final_rho = {cond.rhos[-1]:.6e}",
     ]
     window = min(40, max(1, len(cond.flags)))
     if cond.flags:
         label = classify_case(cond, window)
-        lines.append(f"case = {label.label} (window {window}; {label.caveat})")
+        lines.append(f"case = {label} (window {window}; {CLASSIFY_CAVEAT})")
     box_m_hat, k_hat = sampled_bounds
     m_hat = max(trajectory_m_hat, box_m_hat)
     lines.append(f"gradient_bound_m_hat = {m_hat:.6e} (trajectory plus [0,1]^d samples)")
@@ -137,7 +138,7 @@ def _run_one(
         trajectory_m_hat = max(trajectory_m_hat, _gradient_m_hat(f, theta, step))
 
     result = run_preset(preset, observe=observe)
-    fileio.write_trace_csv(result.trace.records, out_dir / "trace.csv")
+    fileio.write_trace_csv(result.trace.condition_trace, out_dir / "trace.csv")
     fileio.save_image(result.restored, out_dir / "restored.pgm")
     if sampled_bounds is None:
         sampled_bounds = _sampled_bounds(result)
@@ -177,18 +178,18 @@ def _condition_trace_from_csv(
     path, gamma: float | None, eta: float | None
 ) -> tuple[ConditionTrace, bool]:
     """The validated trace, and whether gamma had to be assumed."""
-    records = fileio.read_trace_csv(path)
-    if len(records) < 2:
+    columns = fileio.read_trace_csv(path)
+    if len(columns["deltas"]) < 2:
         raise BoundConstructionError("insufficient iterations for bound construction")
     if gamma is None:
-        gamma = fileio.infer_gamma(records)
+        gamma = fileio.infer_gamma(columns["rhos"], columns["flags"])
     if eta is None:
-        eta = fileio.infer_eta(records)
+        eta = fileio.infer_eta(columns["deltas"], columns["flags"])
     assumed = gamma is None
     if assumed:
-        # no C1 record constrains gamma; any value > 1 is consistent
+        # no C1 flag constrains gamma; any value > 1 is consistent
         gamma = 2.0
-    cond = ConditionTrace.from_records(records, gamma, eta)
+    cond = ConditionTrace(**columns, gamma=gamma, eta=eta)
     cond.validate()
     return cond, assumed
 
@@ -198,7 +199,7 @@ def cmd_analyze(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     n = len(cond)
-    window = min(args.window, max(1, n - 1))
+    window = min(args.window, max(1, len(cond.flags)))
     label = classify_case(cond, window)
     has_c1 = ConditionFlag.C1 in cond.flags
     c = estimate_growth_coefficient(cond) if has_c1 else None
@@ -237,7 +238,7 @@ def cmd_analyze(args) -> int:
     report = [
         f"trace = {args.trace}",
         f"iterations = {n}",
-        f"case = {label.label} (window {window}; {label.caveat})",
+        f"case = {label} (window {window}; {CLASSIFY_CAVEAT})",
         f"bound_kind = {bound_kind}",
         f"bound_start = {start}",
         f"bound_holds = {check.holds}",

@@ -68,10 +68,6 @@ MEDIAN_BLOCK_BYTES = 4 * 2**20
 FILTER_BLOCK = 32
 
 
-def _window_half_width(sigma: float, img: ImageGrid) -> int:
-    return int(math.floor(C_MAP * sigma * max(img.width, img.height) + 0.5))
-
-
 def _fill_filter(g: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Fill the n x n ``g`` with symmetric padding followed by correlation
     with ``kernel``, and return it.
@@ -149,6 +145,11 @@ class Denoiser:
     def apply(self, sigma: float, img: ImageGrid) -> ImageGrid:
         raise NotImplementedError
 
+    def radius(self, sigma: float, side: int) -> int:
+        """Half-width in pixels of the window ``apply(sigma, img)`` reads,
+        for an image whose longer side is ``side``; 0 reads no neighbours."""
+        return 0
+
 
 class IdentityDenoiser(Denoiser):
     """Returns its input unchanged at every sigma; useful as a null prior."""
@@ -168,9 +169,13 @@ class GaussianSmoothing(Denoiser):
 
     name = "gaussian"
 
+    def radius(self, sigma: float, side: int) -> int:
+        return max(1, int(math.ceil(TRUNCATE * (C_MAP * sigma * side))))
+
     def kernel(self, sigma: float, img: ImageGrid) -> np.ndarray:
-        std = C_MAP * sigma * max(img.width, img.height)
-        radius = max(1, int(math.ceil(TRUNCATE * std)))
+        side = max(img.width, img.height)
+        std = C_MAP * sigma * side
+        radius = self.radius(sigma, side)
         offsets = np.arange(-radius, radius + 1, dtype=np.float64)
         k = np.exp(-0.5 * (offsets / std) ** 2)
         return k / k.sum()
@@ -189,8 +194,11 @@ class MedianFilter(Denoiser):
 
     name = "median"
 
+    def radius(self, sigma: float, side: int) -> int:
+        return int(math.floor(C_MAP * sigma * side + 0.5))
+
     def apply(self, sigma: float, img: ImageGrid) -> ImageGrid:
-        half = _window_half_width(sigma, img)
+        half = self.radius(sigma, max(img.width, img.height))
         if half == 0:
             return img
         a = img.pixels.reshape(img.height, img.width)
@@ -211,8 +219,10 @@ class BoxAverage(Denoiser):
 
     name = "box"
 
+    radius = MedianFilter.radius
+
     def apply(self, sigma: float, img: ImageGrid) -> ImageGrid:
-        half = _window_half_width(sigma, img)
+        half = self.radius(sigma, max(img.width, img.height))
         if half == 0:
             return img
         win = 2 * half + 1

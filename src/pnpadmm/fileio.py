@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from .denoisers import ImageGrid
-from .solver import ConditionFlag, TraceRecord
+from .sequences import ConditionFlag, ConditionTrace
 
 TRACE_COLUMNS = ("iter", "delta", "rho", "sigma", "condition", "fidelity_value")
 
@@ -89,28 +89,36 @@ def save_image(img: ImageGrid, path) -> None:
 # ---------------------------------------------------------------------------
 # Trace CSV
 
-def serialize_trace(records: list[TraceRecord]) -> str:
+def serialize_trace(trace: ConditionTrace) -> str:
     lines = [",".join(TRACE_COLUMNS)]
-    for r in records:
-        cond = r.condition.value if r.condition is not None else "NA"
+    columns = (trace.deltas, trace.rhos, trace.sigmas, trace.fidelity_values)
+    rows = zip(*(c.tolist() for c in columns), trace.row_flags)
+    for k, (delta, rho, sigma, value, flag) in enumerate(rows, start=1):
+        cond = "NA" if flag is None else flag.value
         lines.append(
-            f"{r.iteration},{_fmt(r.delta)},{_fmt(r.rho)},{_fmt(r.sigma)},"
-            f"{cond},{_fmt(r.fidelity_value)}"
+            f"{k},{_fmt(delta)},{_fmt(rho)},{_fmt(sigma)},{cond},{_fmt(value)}"
         )
     return "\n".join(lines) + "\n"
 
 
-def write_trace_csv(records: list[TraceRecord], path) -> None:
-    Path(path).write_text(serialize_trace(records), encoding="ascii", newline="")
+def write_trace_csv(trace: ConditionTrace, path) -> None:
+    Path(path).write_text(serialize_trace(trace), encoding="ascii", newline="")
 
 
-def parse_trace(text: str) -> list[TraceRecord]:
+def parse_trace(text: str) -> dict:
+    """The columns of a trace CSV under their ConditionTrace field names:
+    ``ConditionTrace(**parse_trace(text), gamma=..., eta=...)`` is the trace.
+
+    The iterations must read 1..n in order, and the condition must be NA
+    on the first row alone, where :attr:`ConditionTrace.row_flags` puts it.
+    """
     lines = text.splitlines()
     if not lines or tuple(lines[0].split(",")) != TRACE_COLUMNS:
         raise TraceFormatError(
             f"expected header {','.join(TRACE_COLUMNS)}", line=1
         )
-    records = []
+    rows: list[tuple[float, float, float, float]] = []
+    flags: list[ConditionFlag] = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -120,73 +128,67 @@ def parse_trace(text: str) -> list[TraceRecord]:
                 f"expected {len(TRACE_COLUMNS)} fields, got {len(parts)}",
                 line=lineno,
             )
+        k = len(rows) + 1
         try:
             iteration = int(parts[0])
-            delta, rho, sigma = (float(p) for p in parts[1:4])
-            fidelity_value = float(parts[5])
+            delta, rho, sigma, value = (float(parts[i]) for i in (1, 2, 3, 5))
         except ValueError as exc:
             raise TraceFormatError(str(exc), line=lineno) from exc
-        if parts[4] == "NA":
-            condition = None
-        else:
+        if iteration != k:
+            raise TraceFormatError(f"expected iteration {k}, got {iteration}", line=lineno)
+        label = parts[4]
+        if label != "NA":
             try:
-                condition = ConditionFlag(parts[4])
+                flags.append(ConditionFlag(label))
             except ValueError as exc:
-                raise TraceFormatError(
-                    f"bad condition {parts[4]!r}", line=lineno
-                ) from exc
-        records.append(
-            TraceRecord(
-                iteration=iteration,
-                delta=delta,
-                rho=rho,
-                sigma=sigma,
-                condition=condition,
-                fidelity_value=fidelity_value,
+                raise TraceFormatError(f"bad condition {label!r}", line=lineno) from exc
+        if (label == "NA") != (k == 1):
+            raise TraceFormatError(
+                f"condition {label} at iteration {k}: NA belongs to iteration 1 alone",
+                line=lineno,
             )
-        )
-    return records
+        rows.append((delta, rho, sigma, value))
+    columns = np.array(rows, dtype=float).reshape(-1, 4).T
+    names = ("deltas", "rhos", "sigmas", "fidelity_values")
+    return {**dict(zip(names, columns)), "flags": tuple(flags)}
 
 
-def read_trace_csv(path) -> list[TraceRecord]:
+def read_trace_csv(path) -> dict:
     return parse_trace(Path(path).read_text(encoding="ascii"))
 
 
-def infer_gamma(records: list[TraceRecord]) -> float | None:
-    """Recover the penalty growth factor from the first C1 record, if any."""
-    for prev, rec in zip(records, records[1:]):
-        if rec.condition == ConditionFlag.C1:
-            return rec.rho / prev.rho
+def infer_gamma(rhos, flags) -> float | None:
+    """Recover the penalty growth factor from the first C1 flag, if any."""
+    for i, flag in enumerate(flags):
+        if flag == ConditionFlag.C1:
+            return float(rhos[i + 1] / rhos[i])
     return None
 
 
-def infer_eta(records: list[TraceRecord]) -> float:
+def infer_eta(deltas, flags) -> float:
     """Tightest threshold consistent with the flags: min C1 residual ratio.
 
     Any eta in (max C2 ratio, min C1 ratio] reproduces the recorded flags;
     using the upper end can only enlarge downstream envelopes, never
     invalidate them.  The rounded ratio can sit one step above the true
-    one, so it is stepped down until every C1 record passes the product
+    one, so it is stepped down until every C1 flag passes the product
     test d_next >= eta * d_prev that the flags were made with.
     """
-    c1 = [
-        (prev.delta, rec.delta)
-        for prev, rec in zip(records, records[1:])
-        if rec.condition == ConditionFlag.C1 and prev.delta > 0
-    ]
-    if c1:
-        d_prev, d_next = np.array(c1).T
-        best = float(np.min(d_next / d_prev))
+    deltas = np.asarray(deltas, dtype=float)
+    d_prev, d_next = deltas[:-1], deltas[1:]
+    is_c1 = np.array([flag == ConditionFlag.C1 for flag in flags], dtype=bool)
+    positive = d_prev > 0
+    c1_prev, c1_next = d_prev[is_c1 & positive], d_next[is_c1 & positive]
+    if c1_prev.size:
+        best = float(np.min(c1_next / c1_prev))
         if 0 < best < 1:
-            while np.any(best * d_prev > d_next):
+            while np.any(best * c1_prev > c1_next):
                 best = float(np.nextafter(best, 0.0))
             return best
     # all-C2 traces leave eta unconstrained from above; any valid value
     # at least as large as every C2 ratio keeps the flags consistent
-    worst_c2 = 0.0
-    for prev, rec in zip(records, records[1:]):
-        if rec.condition == ConditionFlag.C2 and prev.delta > 0:
-            worst_c2 = max(worst_c2, rec.delta / prev.delta)
+    c2 = ~is_c1 & positive
+    worst_c2 = float(np.max(d_next[c2] / d_prev[c2], initial=0.0))
     return float(min(0.5 * (worst_c2 + 1.0) if worst_c2 > 0 else 0.5, 1.0 - 1e-9))
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -32,6 +33,10 @@ PRESET_NAMES = ("deblur", "superres", "smoke")
 # would ask for 3.2 GB).  With the long side at most this many times the
 # short one, a matrix holds at most that many times the image's pixels.
 MAX_ASPECT_RATIO = 16
+# rho only grows, so sigma_0 = sqrt(lambda / rho0) gives a run's widest
+# denoiser window; its half-width may be at most this many long sides (a
+# huge lambda would otherwise ask for a kernel of ~1e8 taps)
+MAX_WINDOW_RATIO = 1
 
 DENOISERS = {
     "gaussian": GaussianSmoothing,
@@ -148,6 +153,16 @@ def build_operator(preset: ExperimentPreset, image: ImageGrid) -> ForwardOperato
         raise ValueError(
             f"image of {shape[0]}x{shape[1]} pixels (height x width): the long side "
             f"exceeds {MAX_ASPECT_RATIO} times the short side"
+        )
+    cfg = preset.config
+    side = max(shape)
+    sigma0 = math.sqrt(cfg.lam / cfg.rho0)
+    radius = preset.denoiser.radius(sigma0, side)
+    if radius > MAX_WINDOW_RATIO * side:
+        raise ValueError(
+            f"lambda = {cfg.lam:g} and rho0 = {cfg.rho0:g} give sigma_0 = {sigma0:.4g}, "
+            f"where the {preset.denoiser.name} denoiser's window is wider than the image: "
+            f"half-width {radius} > {MAX_WINDOW_RATIO} x {side} pixels (its long side)"
         )
     if preset.name == "deblur":
         if preset.blur_size > min(shape):

@@ -22,17 +22,19 @@ Traces fall into three classes by their condition flags:
 
 A finite trace can never settle which class an infinite run belongs to, so
 all classification here is explicitly heuristic.
+
+:class:`ConditionTrace` is the one trace type: the run builds it, trace.csv
+holds its columns, and the envelope code reads it.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-from .solver import ConditionFlag, TraceRecord
 
 
 class TraceInvariantError(ValueError):
@@ -186,35 +188,56 @@ def cauchy_index(
     )
 
 
+class ConditionFlag(enum.Enum):
+    C1 = "C1"  # residual ratio >= eta: penalty raised
+    C2 = "C2"  # residual ratio < eta: penalty held
+
+    def __str__(self):
+        return self.value
+
+
 @dataclass(frozen=True)
 class ConditionTrace:
-    """Residuals, penalties, and condition flags of a finished run.
+    """The trace of a run, one column per quantity.
 
-    deltas[i] and rhos[i] are the residual and post-update penalty of
-    iteration i+1.  flags[i] is the condition observed at iteration i+1,
-    i.e. C1 iff deltas[i+1] >= eta * deltas[i]; a trace of n iterations
-    therefore carries n-1 flags.
+    deltas[i], rhos[i], sigmas[i] and fidelity_values[i] are the residual,
+    post-update penalty (the one the next iteration uses), denoising
+    strength sqrt(lambda / rhos[i]) and data term f(x) of iteration i+1;
+    sigmas and fidelity_values are only reported.  flags[i] is the
+    condition observed at iteration i+1, i.e. C1 iff deltas[i+1] >=
+    eta * deltas[i], and it set rhos[i+1].  The first residual has no
+    predecessor, so a trace of n iterations carries n-1 flags;
+    :attr:`row_flags` lists them by iteration, as trace.csv does.
     """
 
     deltas: np.ndarray
     rhos: np.ndarray
+    sigmas: np.ndarray
     flags: tuple[ConditionFlag, ...]
+    fidelity_values: np.ndarray
     gamma: float
     eta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "deltas", np.asarray(self.deltas, dtype=float))
-        object.__setattr__(self, "rhos", np.asarray(self.rhos, dtype=float))
+        for name in ("deltas", "rhos", "sigmas", "fidelity_values"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         object.__setattr__(self, "flags", tuple(self.flags))
 
     def __len__(self):
         return self.deltas.size
 
+    @property
+    def row_flags(self) -> tuple[ConditionFlag | None, ...]:
+        """One entry per iteration: None at iteration 1, then at iteration
+        k >= 2 the flag flags[k - 2] that set rhos[k - 1]."""
+        return (None, *self.flags)
+
     def validate(self) -> None:
         """Check structural invariants; raise TraceInvariantError on failure."""
         n = len(self)
-        if self.rhos.size != n:
-            raise TraceInvariantError("deltas and rhos must have equal length")
+        for name in ("rhos", "sigmas", "fidelity_values"):
+            if getattr(self, name).size != n:
+                raise TraceInvariantError(f"deltas and {name} must have equal length")
         if len(self.flags) != n - 1:
             raise TraceInvariantError(
                 f"expected {n - 1} condition flags for {n} iterations, "
@@ -245,20 +268,6 @@ class ConditionTrace:
                     f"penalty at iteration {i + 2} inconsistent with flag "
                     f"at iteration {i + 1}"
                 )
-
-    @classmethod
-    def from_records(
-        cls, records: Sequence[TraceRecord], gamma: float, eta: float
-    ) -> "ConditionTrace":
-        """The trace of a run's records: record k >= 2 carries the flag of
-        iteration k-1, so the first record's (absent) flag is dropped."""
-        return cls(
-            deltas=np.array([r.delta for r in records]),
-            rhos=np.array([r.rho for r in records]),
-            flags=tuple(r.condition for r in records[1:]),
-            gamma=gamma,
-            eta=eta,
-        )
 
 
 def alternation_boundaries(
@@ -324,9 +333,7 @@ def construct_s3_bound(trace: ConditionTrace, c: float | None) -> PgsSpec:
     return PgsSpec(beta=beta, peak0=peak0, chunk_starts=tuple(ns), head=head)
 
 
-def construct_s12_bound(
-    trace: ConditionTrace, c: float | None, window: int | None = None
-) -> PgsSpec:
+def construct_s12_bound(trace: ConditionTrace, c: float | None) -> PgsSpec:
     """Build the geometric bound for a trace with a single-condition tail.
 
     For a tail of C1 flags starting at iteration t the bound is
@@ -334,19 +341,12 @@ def construct_s12_bound(
     eta-decay chained from the anchor residual at t (itself bounded through
     c when a C1 iteration precedes the tail).  Either is a PGS with the one
     listed chunk start t, head delta_1 .. delta_t and unit chunks after it.
-    With ``window`` given, a tail window containing both flags is rejected.
     """
     flags = trace.flags
     if not flags:
         raise BoundConstructionError(
             "insufficient iterations for bound construction"
         )
-    if window is not None:
-        tail = flags[-window:]
-        if ConditionFlag.C1 in tail and ConditionFlag.C2 in tail:
-            raise BoundConstructionError(
-                "mixed condition tail; use construct_s3_bound"
-            )
     last = flags[-1]
     i = len(flags) - 1
     while i > 0 and flags[i - 1] == last:
@@ -371,23 +371,16 @@ def construct_s12_bound(
     return PgsSpec(beta=rate, peak0=peak0, chunk_starts=(t,), head=head)
 
 
-@dataclass(frozen=True)
-class CaseClassification:
-    label: str  # "S1-like" | "S2-like" | "S3-like"
-    caveat: str
-
-
-_CLASSIFY_CAVEAT = (
+CLASSIFY_CAVEAT = (
     "finite-horizon classification is heuristic: a finite trace cannot "
     "settle which conditions occur infinitely often"
 )
 
 
-def classify_case(trace: ConditionTrace, window: int) -> CaseClassification:
-    """Label the trace by the flags in its final window.
-
-    S1-like if the window holds no C2, S2-like if it holds no C1, S3-like
-    otherwise.
+def classify_case(trace: ConditionTrace, window: int) -> str:
+    """Label the trace by the flags in its final window: "S1-like" if the
+    window holds no C2, "S2-like" if it holds no C1, "S3-like" otherwise.
+    The label is a guess; see CLASSIFY_CAVEAT.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -399,12 +392,12 @@ def classify_case(trace: ConditionTrace, window: int) -> CaseClassification:
     has_c1 = ConditionFlag.C1 in tail
     has_c2 = ConditionFlag.C2 in tail
     if has_c1 and has_c2:
-        label = "S3-like"
-    elif has_c1:
-        label = "S1-like"
-    else:
-        label = "S2-like"
-    return CaseClassification(label=label, caveat=_CLASSIFY_CAVEAT)
+        return "S3-like"
+    return "S1-like" if has_c1 else "S2-like"
+
+
+# verify_bound forgives this relative excess of a residual over its bound
+VERIFY_REL_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -418,9 +411,8 @@ def verify_bound(
     deltas: Sequence[float],
     bound: Sequence[float],
     start: int,
-    rel_slack: float = 1e-12,
 ) -> BoundCheck:
-    """Check delta_k <= y_k * (1 + rel_slack) for every k >= start.
+    """Check delta_k <= y_k * (1 + VERIFY_REL_SLACK) for every k >= start.
 
     Both sequences are indexed from k = 1; worst_margin is the largest
     observed ratio delta_k / y_k over the checked range, and
@@ -438,7 +430,7 @@ def verify_bound(
         ratios = np.where((y == 0) & (d == 0), 1.0, d / y)
     worst = int(np.argmax(ratios))
     return BoundCheck(
-        holds=bool(np.all(d <= y * (1.0 + rel_slack))),
+        holds=bool(np.all(d <= y * (1.0 + VERIFY_REL_SLACK))),
         worst_margin=float(ratios[worst]),
         worst_margin_iteration=start + worst,
     )

@@ -13,14 +13,14 @@ updated: if the new residual failed to drop below eta times the previous one
 held (condition C2).  The very first update has no previous residual to
 compare against, so the penalty is held and no flag is recorded.
 
-Record k of a run trace carries delta_k, the post-update penalty rho_k (the
-one the next iteration will use), sigma_k = sqrt(lambda/rho_k), and the
-condition flag that produced rho_k.
+The run returns its trace as a :class:`~pnpadmm.sequences.ConditionTrace`:
+per iteration k the residual delta_k, the post-update penalty rho_k (the
+one the next iteration will use), sigma_k = sqrt(lambda/rho_k) and the data
+term f(x_k), plus the flag of every penalty update.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -30,6 +30,7 @@ import numpy as np
 from .denoisers import Denoiser, ImageGrid, denoise
 from .fidelity import FidelityTerm, prox_x_update
 from .linalg import IterateTriple, NonFiniteIterateError, as_vector, metric_distance
+from .sequences import ConditionFlag, ConditionTrace
 
 
 @dataclass(frozen=True)
@@ -49,14 +50,6 @@ class StepInfo:
 Observer = Callable[[FidelityTerm, IterateTriple, StepInfo | None], None]
 
 
-class ConditionFlag(enum.Enum):
-    C1 = "C1"  # residual ratio >= eta: penalty raised
-    C2 = "C2"  # residual ratio < eta: penalty held
-
-    def __str__(self):
-        return self.value
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Parameters of the loop and its penalty schedule.
@@ -65,7 +58,8 @@ class SolverConfig:
     the penalty growth factor, and eta in (0, 1) the residual-ratio
     threshold.  delta_tol stops the run early once the residual falls below
     it; max_iter always bounds the run since no convergence rate is
-    guaranteed.  Every float setting must be finite.
+    guaranteed.  Every float setting must be finite, and so must
+    lam / rho0, the square of the first denoising strength.
     """
 
     lam: float
@@ -84,6 +78,8 @@ class SolverConfig:
             raise ValueError("lam must be positive")
         if self.rho0 <= 0:
             raise ValueError("rho0 must be positive")
+        if not math.isfinite(self.lam / self.rho0):
+            raise ValueError(f"lam / rho0 must be finite, got {self.lam} / {self.rho0}")
         if self.gamma <= 1:
             raise ValueError("gamma must be > 1")
         if not (0 < self.eta < 1):
@@ -94,27 +90,17 @@ class SolverConfig:
             raise ValueError("delta_tol must be >= 0")
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    iteration: int
-    delta: float
-    rho: float
-    sigma: float
-    condition: ConditionFlag | None
-    fidelity_value: float
-
-
 @dataclass
 class RunTrace:
-    """Per-iteration records plus the final state of a run."""
+    """The condition trace plus the final state of a run."""
 
-    records: list[TraceRecord]
+    condition_trace: ConditionTrace
     final_iterate: IterateTriple
     stop_reason: str  # "tolerance" | "max_iter"
     config: SolverConfig
 
     def __len__(self):
-        return len(self.records)
+        return len(self.condition_trace)
 
 
 def update_rho(
@@ -169,9 +155,9 @@ def run(
     Deterministic given (f, kind, cfg, theta0).  The run keeps only the
     current iterate; observe, if given, is called as observe(f, theta, None)
     with the start iterate and then as observe(f, theta, info) after each
-    iteration's record is appended, where info is the StepInfo of the
-    x-update that produced theta (its rho is the penalty the step used, not
-    the record's post-update one).  A caller can so stream statistics of
+    iteration's trace entries are appended, where info is the StepInfo of
+    the x-update that produced theta (its rho is the penalty the step used,
+    not the trace's post-update one).  A caller can so stream statistics of
     every iterate in O(d) memory, the data-term gradient included.
 
     theta0 is checked for finite entries and copied once.  Inside the loop a
@@ -188,10 +174,10 @@ def run(
         *(as_vector(getattr(theta0, n), n).copy() for n in ("x", "v", "u"))
     )
     rho = cfg.rho0
-    records: list[TraceRecord] = []
+    deltas, rhos, sigmas, values = [], [], [], []  # floats, one per iteration
+    flags: list[ConditionFlag] = []
     if observe is not None:
         observe(f, theta, None)
-    prev_delta: float | None = None
     stop_reason = "max_iter"
     for k in range(1, cfg.max_iter + 1):
         sigma_step = math.sqrt(cfg.lam / rho)
@@ -205,36 +191,25 @@ def run(
         if math.isnan(delta):
             raise NonFiniteIterateError(f"non-finite iterate at iteration {k}")
         theta = theta_next
-        if prev_delta is None:
-            flag = None  # first update has no previous residual; hold rho
-        else:
-            rho, flag = update_rho(rho, delta, prev_delta, cfg)
-        records.append(
-            TraceRecord(
-                iteration=k,
-                delta=delta,
-                rho=rho,
-                sigma=math.sqrt(cfg.lam / rho),
-                condition=flag,
-                fidelity_value=info.fidelity_value,
-            )
-        )
+        if deltas:  # the first update has no previous residual; hold rho
+            rho, flag = update_rho(rho, delta, deltas[-1], cfg)
+            flags.append(flag)
+        deltas.append(delta)
+        rhos.append(rho)
+        sigmas.append(math.sqrt(cfg.lam / rho))
+        values.append(info.fidelity_value)
         if observe is not None:
             observe(f, theta, info)
-        prev_delta = delta
         if delta < cfg.delta_tol:
             stop_reason = "tolerance"
             break
-    return RunTrace(
-        records=records,
-        final_iterate=theta,
-        stop_reason=stop_reason,
-        config=cfg,
-    )
+    trace = ConditionTrace(deltas, rhos, sigmas, flags, values, cfg.gamma, cfg.eta)
+    return RunTrace(trace, theta, stop_reason, cfg)
 
 
 def fixed_point_residual(f: FidelityTerm, kind: Denoiser, trace: RunTrace) -> float:
     """Distance between the final iterate and one more frozen-parameter step."""
-    last = trace.records[-1]
-    theta_next, _ = step(f, kind, last.rho, last.sigma, trace.final_iterate)
+    cond = trace.condition_trace
+    rho, sigma = float(cond.rhos[-1]), float(cond.sigmas[-1])
+    theta_next, _ = step(f, kind, rho, sigma, trace.final_iterate)
     return metric_distance(trace.final_iterate, theta_next)

@@ -35,7 +35,7 @@ from pnpadmm.linalg import metric_distance
 from pnpadmm.presets import make_preset, run_preset
 from pnpadmm.sequences import (
     BoundConstructionError,
-    ConditionTrace,
+    ConditionFlag,
     PgsSpec,
     cauchy_index,
     classify_case,
@@ -45,18 +45,12 @@ from pnpadmm.sequences import (
     pgs_total_sum_bound,
     verify_bound,
 )
-from pnpadmm.solver import ConditionFlag
 
 
 def report(name: str, ok: bool, extra: str = ""):
     status = "PASS" if ok else "FAIL"
     suffix = f" ({extra})" if extra else ""
     print(f"{name}: {status}{suffix}")
-
-
-def _condition_trace(trace):
-    cfg = trace.config
-    return ConditionTrace.from_records(trace.records, cfg.gamma, cfg.eta)
 
 
 def random_specs(count=100, seed=2024, n_chunks=40):
@@ -123,7 +117,7 @@ def test_a2_pgs_bound_on_real_traces(runs):
     notes = []
     for eta, gamma in grid:
         trace = runs[("deblur", eta, gamma)].trace
-        cond = _condition_trace(trace)
+        cond = trace.condition_trace
         cond.validate()
         try:
             c = estimate_growth_coefficient(cond)
@@ -168,9 +162,8 @@ def test_a3_cauchy_certificates(pgs_specs):
 
 
 def _flags_by_iteration(trace):
-    return {
-        r.iteration: r.condition for r in trace.records if r.condition is not None
-    }
+    rows = enumerate(trace.condition_trace.row_flags, start=1)
+    return {k: flag for k, flag in rows if flag is not None}
 
 
 def test_a4_condition_switching_pattern(runs):
@@ -180,15 +173,15 @@ def test_a4_condition_switching_pattern(runs):
         low = runs[(name, 0.1, None)].trace
         flags_low = _flags_by_iteration(low)
         c2_late = [k for k, f in flags_low.items() if f == ConditionFlag.C2 and k >= 20]
-        cond_low = _condition_trace(low)
-        label_low = classify_case(cond_low, 40).label
+        cond_low = low.condition_trace
+        label_low = classify_case(cond_low, 40)
         low_ok = not c2_late and label_low == "S1-like"
 
         high = runs[(name, 0.95, None)].trace
         flags_high = _flags_by_iteration(high)
         late = {f for k, f in flags_high.items() if k > 20}
-        cond_high = _condition_trace(high)
-        label_high = classify_case(cond_high, 40).label
+        cond_high = high.condition_trace
+        label_high = classify_case(cond_high, 40)
         high_ok = late == {ConditionFlag.C1, ConditionFlag.C2} and label_high == "S3-like"
 
         notes.append(f"{name}: eta=0.1 {label_low}, eta=0.95 {label_high}")
@@ -265,11 +258,11 @@ def test_a7_trace_invariants_and_determinism(runs):
     for (name, eta, gamma), result in runs.items():
         trace = result.trace
         cfg = trace.config
-        cond = _condition_trace(trace)
+        cond = trace.condition_trace
         rhos = cond.rhos
         deltas = cond.deltas
-        for r in trace.records:
-            ok = ok and abs(r.sigma**2 * r.rho - cfg.lam) <= 1e-12 * cfg.lam
+        for sigma, rho in zip(cond.sigmas, rhos):
+            ok = ok and abs(sigma**2 * rho - cfg.lam) <= 1e-12 * cfg.lam
         for a, b in zip(rhos, rhos[1:]):
             ratio = b / a
             ok = ok and ratio >= 1.0
@@ -280,10 +273,10 @@ def test_a7_trace_invariants_and_determinism(runs):
                 if deltas[i] >= cfg.eta * deltas[i - 1]
                 else ConditionFlag.C2
             )
-            ok = ok and trace.records[i].condition == expected
+            ok = ok and cond.row_flags[i] == expected
         rerun = run_preset(result.preset)
-        ok = ok and serialize_trace(rerun.trace.records) == serialize_trace(
-            trace.records
+        ok = ok and serialize_trace(rerun.trace.condition_trace) == serialize_trace(
+            cond
         )
         if not ok:
             report("A7 trace invariants", False, f"failed at {name} eta={eta}")
@@ -298,7 +291,7 @@ def test_a8_triangle_inequality_chain():
     result = run_preset(preset, observe=lambda f, t, _: iterates.append(t))
     trace = result.trace
     assert trace.stop_reason == "tolerance", "run did not converge"
-    deltas = _condition_trace(trace).deltas
+    deltas = trace.condition_trace.deltas
     rng = np.random.default_rng(99)
     worst_gap = -np.inf
     n_total = len(iterates)  # theta_0 .. theta_N

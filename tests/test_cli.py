@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -21,8 +22,8 @@ def run_cli(*args):
 def test_run_smoke_writes_outputs(tmp_path, capsys):
     out = tmp_path / "smoke"
     assert run_cli("run", "--preset", "smoke", "--out", out) == 0
-    records = read_trace_csv(out / "trace.csv")
-    assert len(records) >= 1
+    deltas = read_trace_csv(out / "trace.csv")["deltas"]
+    assert len(deltas) >= 1
     assert (out / "restored.pgm").exists()
     summary = (out / "summary.txt").read_text()
     assert "stop_reason = tolerance" in summary
@@ -82,7 +83,7 @@ def test_run_rejects_image_too_thin_for_the_denoiser(tmp_path, capsys):
     strip = tmp_path / "strip.pgm"
     save_image(ImageGrid.from_array(np.full((4, 64), 0.5)), strip)
     assert run_cli(*args, "--image", strip, "--out", tmp_path / "strip") == 0
-    assert len(read_trace_csv(tmp_path / "strip" / "trace.csv")) >= 1
+    assert len(read_trace_csv(tmp_path / "strip" / "trace.csv")["deltas"]) >= 1
 
 
 def test_run_missing_image_errors(tmp_path, capsys):
@@ -105,6 +106,19 @@ def test_run_rejects_non_finite_settings(tmp_path, capsys, flag, value, field):
     err = capsys.readouterr().err
     assert err.splitlines() == [f"error: {field} must be finite, got {float(value)}"]
     assert not out.exists()
+
+
+def test_run_refuses_a_denoiser_window_wider_than_the_image(tmp_path, capsys):
+    # sigma_0 = sqrt(lambda / rho0) = 1e6 asks the Gaussian for ~4e8 taps at 64x64
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    code = run_cli("run", "--preset", "deblur", "--lambda", "1e12", "--out", out)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: lambda = 1e+12 and rho0 = 1 ")
+    assert "gaussian denoiser's window is wider than the image" in err[0]
+    assert not (out / "trace.csv").exists()
 
 
 def test_run_sweep_writes_subdirectories(tmp_path):
@@ -291,7 +305,7 @@ def test_run_applies_h_independently_of_iteration_count(tmp_path, monkeypatch):
         calls = 0
         out = tmp_path / str(max_iter)
         assert run_cli("run", "--preset", "deblur", "--max-iter", max_iter, "--out", out) == 0
-        assert len(read_trace_csv(out / "trace.csv")) == max_iter
+        assert len(read_trace_csv(out / "trace.csv")["deltas"]) == max_iter
         counts[max_iter] = calls
     assert counts[10] == counts[30]
 
@@ -384,6 +398,24 @@ def test_analyze_malformed_trace_errors(tmp_path, capsys):
     code = run_cli("analyze", "--trace", trace, "--out", tmp_path / "o")
     assert code == 1
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "rows, line",
+    [
+        # renumbered iterations were once read as 1, 2, 3
+        (("0,1,1,0.1,NA,0", "37,0.1,1,0.1,C2,0", "74,0.01,1,0.1,C2,0"), 2),
+        (("1,1,1,0.1,NA,0", "2,0.1,1,0.1,C2,0", "4,0.01,1,0.1,C2,0"), 4),
+        (("1,1,1,0.1,NA,0", "2,0.1,1,0.1,NA,0", "3,0.01,1,0.1,C2,0"), 3),
+        (("1,1,1,0.1,C2,0", "2,0.1,1,0.1,C2,0", "3,0.01,1,0.1,C2,0"), 2),
+    ],
+)
+def test_analyze_refuses_misnumbered_or_misflagged_rows(tmp_path, capsys, rows, line):
+    trace = tmp_path / "bad.csv"
+    trace.write_text("iter,delta,rho,sigma,condition,fidelity_value\n" + "\n".join(rows))
+    assert run_cli("analyze", "--trace", trace, "--out", tmp_path / "o") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: line {line}: ")
 
 
 def test_pgs_demo_values(tmp_path, capsys):

@@ -16,15 +16,25 @@ from pnpadmm.fileio import (
     write_config,
     write_trace_csv,
 )
-from pnpadmm.solver import ConditionFlag, TraceRecord
+from pnpadmm.sequences import ConditionFlag, ConditionTrace
 
 
-def make_records():
-    return [
-        TraceRecord(1, 0.5, 1.0, 0.1, None, 12.25),
-        TraceRecord(2, 0.3, 1.2, 1.0 / 3.0, ConditionFlag.C1, 7.5),
-        TraceRecord(3, 0.1, 1.2, 0.09128709291752768, ConditionFlag.C2, 1e-17),
-    ]
+def make_trace():
+    return ConditionTrace(
+        deltas=[0.5, 0.3, 0.1],
+        rhos=[1.0, 1.2, 1.2],
+        sigmas=[0.1, 1.0 / 3.0, 0.09128709291752768],
+        flags=(ConditionFlag.C1, ConditionFlag.C2),
+        fidelity_values=[12.25, 7.5, 1e-17],
+        gamma=1.2,
+        eta=0.6,
+    )
+
+
+def assert_columns_of(columns, trace):
+    assert columns["flags"] == trace.flags
+    for name in ("deltas", "rhos", "sigmas", "fidelity_values"):
+        assert np.array_equal(columns[name], getattr(trace, name))
 
 
 def test_pgm_endpoint_mapping(tmp_path):
@@ -84,30 +94,30 @@ def test_pgm_save_clamps(tmp_path):
 
 
 def test_trace_round_trip_field_for_field():
-    records = make_records()
-    text = serialize_trace(records)
+    trace = make_trace()
+    text = serialize_trace(trace)
     assert text.splitlines()[0] == "iter,delta,rho,sigma,condition,fidelity_value"
-    back = parse_trace(text)
-    assert back == records
+    assert [line.split(",")[4] for line in text.splitlines()[1:]] == ["NA", "C1", "C2"]
+    assert_columns_of(parse_trace(text), trace)
 
 
 def test_trace_file_round_trip(tmp_path):
-    records = make_records()
+    trace = make_trace()
     path = tmp_path / "trace.csv"
-    write_trace_csv(records, path)
-    assert read_trace_csv(path) == records
+    write_trace_csv(trace, path)
+    assert_columns_of(read_trace_csv(path), trace)
     # serialization is byte-stable
-    write_trace_csv(records, tmp_path / "again.csv")
+    write_trace_csv(trace, tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
 def test_trace_parse_errors_carry_line_numbers():
-    records = make_records()
-    lines = serialize_trace(records).splitlines()
+    trace = make_trace()
+    lines = serialize_trace(trace).splitlines()
     lines[2] = "2,0.3,1.2"
     with pytest.raises(TraceFormatError, match="line 3"):
         parse_trace("\n".join(lines))
-    lines = serialize_trace(records).splitlines()
+    lines = serialize_trace(trace).splitlines()
     lines[1] = lines[1].replace("0.5", "abc")
     with pytest.raises(TraceFormatError, match="line 2"):
         parse_trace("\n".join(lines))
@@ -124,32 +134,48 @@ def test_trace_bad_condition_label():
         parse_trace(text)
 
 
+@pytest.mark.parametrize(
+    "iterations, line",
+    [((0, 37, 74), 2), ((1, 2, 2), 4), ((1, 3, 2), 3), ((2, 1, 3), 2)],
+)
+def test_trace_parse_requires_iterations_one_to_n(iterations, line):
+    lines = serialize_trace(make_trace()).splitlines()
+    for i, k in enumerate(iterations, start=1):
+        lines[i] = f"{k}," + lines[i].split(",", 1)[1]
+    with pytest.raises(TraceFormatError, match=f"line {line}: expected iteration"):
+        parse_trace("\n".join(lines))
+
+
+@pytest.mark.parametrize("row, label", [(1, "C1"), (2, "NA"), (3, "NA")])
+def test_trace_parse_requires_na_on_the_first_row_alone(row, label):
+    lines = serialize_trace(make_trace()).splitlines()
+    parts = lines[row].split(",")
+    parts[4] = label
+    lines[row] = ",".join(parts)
+    with pytest.raises(TraceFormatError, match=f"line {row + 1}: condition {label}"):
+        parse_trace("\n".join(lines))
+
+
 def test_infer_gamma_and_eta():
-    records = make_records()
-    assert infer_gamma(records) == pytest.approx(1.2)
+    trace = make_trace()
+    assert infer_gamma(trace.rhos, trace.flags) == pytest.approx(1.2)
     # min C1 ratio = 0.3/0.5
-    assert infer_eta(records) == pytest.approx(0.6)
-    no_c1 = [
-        TraceRecord(1, 0.5, 1.0, 0.1, None, 0.0),
-        TraceRecord(2, 0.2, 1.0, 0.1, ConditionFlag.C2, 0.0),
-    ]
-    assert infer_gamma(no_c1) is None
-    eta = infer_eta(no_c1)
+    assert infer_eta(trace.deltas, trace.flags) == pytest.approx(0.6)
+    no_c1 = (ConditionFlag.C2,)
+    assert infer_gamma([1.0, 1.0], no_c1) is None
+    eta = infer_eta([0.5, 0.2], no_c1)
     assert 0.4 < eta < 1.0  # any valid threshold above the observed C2 ratio
 
 
 def test_infer_eta_reproduces_flag_despite_rounding():
     # the rounded ratio 0.47243780963943144 / 0.876660559320164 times the
     # previous residual lands one step above the next residual
-    records = [
-        TraceRecord(1, 0.876660559320164, 1.0, 0.1, None, 0.0),
-        TraceRecord(2, 0.47243780963943144, 1.05, 0.1, ConditionFlag.C1, 0.0),
-    ]
-    ratio = records[1].delta / records[0].delta
-    assert ratio * records[0].delta > records[1].delta
-    eta = infer_eta(records)
+    deltas = [0.876660559320164, 0.47243780963943144]
+    ratio = deltas[1] / deltas[0]
+    assert ratio * deltas[0] > deltas[1]
+    eta = infer_eta(deltas, (ConditionFlag.C1,))
     assert eta < ratio
-    assert records[1].delta >= eta * records[0].delta
+    assert deltas[1] >= eta * deltas[0]
 
 
 def test_config_round_trip(tmp_path):

@@ -98,7 +98,7 @@ def test_smoke_preset_converges_fast():
     result = run_preset(make_preset("smoke"))
     assert result.trace.stop_reason == "tolerance"
     assert len(result.trace) <= 5
-    assert result.trace.records[-1].delta < 1e-6
+    assert result.trace.condition_trace.deltas[-1] < 1e-6
 
 
 def test_superres_observation_has_reduced_dim():
@@ -115,7 +115,7 @@ def test_fixed_point_residual_tracks_final_delta():
     result = run_preset(preset)
     trace = result.trace
     assert trace.stop_reason == "tolerance"
-    final_delta = trace.records[-1].delta
+    final_delta = trace.condition_trace.deltas[-1]
     assert final_delta < 1e-8
     fp = fixed_point_residual(result.fidelity, preset.denoiser, trace)
     # reporting heuristic: one more frozen step moves about as far as the

@@ -33,12 +33,13 @@ from pnpadmm.fidelity import (
 )
 from pnpadmm.fileio import load_image, parse_trace, save_image, serialize_trace
 from pnpadmm.sequences import (
+    ConditionFlag,
+    ConditionTrace,
     PgsSpec,
     cauchy_index,
     pgs_generate,
     pgs_total_sum_bound,
 )
-from pnpadmm.solver import ConditionFlag, TraceRecord
 
 
 @st.composite
@@ -268,23 +269,30 @@ def test_inplace_filter_matrix_matches_bincount_oracle(h, w, sigma, box):
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
-@settings(deadline=None)
-@given(
-    st.lists(
-        st.builds(
-            TraceRecord,
-            iteration=st.integers(0, 10**9),
-            delta=finite,
-            rho=finite,
-            sigma=finite,
-            condition=st.sampled_from([None, ConditionFlag.C1, ConditionFlag.C2]),
-            fidelity_value=finite,
-        ),
-        max_size=20,
+@st.composite
+def column_traces(draw):
+    """A ConditionTrace of 1..20 iterations holding arbitrary finite values."""
+    n = draw(st.integers(1, 20))
+    column = st.lists(finite, min_size=n, max_size=n)
+    flag = st.sampled_from([ConditionFlag.C1, ConditionFlag.C2])
+    return ConditionTrace(
+        deltas=draw(column),
+        rhos=draw(column),
+        sigmas=draw(column),
+        flags=draw(st.lists(flag, min_size=n - 1, max_size=n - 1)),
+        fidelity_values=draw(column),
+        gamma=2.0,
+        eta=0.5,
     )
-)
-def test_trace_csv_round_trip_is_exact(records):
-    assert parse_trace(serialize_trace(records)) == records
+
+
+@settings(deadline=None)
+@given(column_traces())
+def test_trace_csv_round_trip_is_exact(trace):
+    back = parse_trace(serialize_trace(trace))
+    assert back["flags"] == trace.flags
+    for name in ("deltas", "rhos", "sigmas", "fidelity_values"):
+        assert back[name].tobytes() == getattr(trace, name).tobytes()
 
 
 @settings(deadline=None)

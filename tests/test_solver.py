@@ -16,9 +16,8 @@ from pnpadmm.fidelity import (
     prox_x_update,
 )
 from pnpadmm.linalg import IterateTriple, metric_distance
-from pnpadmm.sequences import ConditionTrace
+from pnpadmm.sequences import ConditionFlag
 from pnpadmm.solver import (
-    ConditionFlag,
     NonFiniteIterateError,
     SolverConfig,
     fixed_point_residual,
@@ -138,9 +137,9 @@ def test_run_fixed_point_start_stops_immediately():
     theta0 = IterateTriple(x=v0.copy(), v=v0.copy(), u=np.zeros(2))
     trace = run(f, IdentityDenoiser(), base_config(delta_tol=1e-12), theta0)
     assert len(trace) == 1
-    assert trace.records[0].delta <= 1e-14
+    assert trace.condition_trace.deltas[0] <= 1e-14
     assert trace.stop_reason == "tolerance"
-    assert trace.records[0].condition is None
+    assert trace.condition_trace.row_flags[0] is None
 
 
 def test_run_first_flag_appears_at_iteration_two():
@@ -150,8 +149,9 @@ def test_run_first_flag_appears_at_iteration_two():
         x=rng.standard_normal(4), v=rng.standard_normal(4), u=np.zeros(4)
     )
     trace = run(f, IdentityDenoiser(), base_config(delta_tol=0.0, max_iter=10), theta0)
-    assert trace.records[0].condition is None
-    assert all(r.condition is not None for r in trace.records[1:])
+    flags = trace.condition_trace.row_flags
+    assert flags[0] is None
+    assert all(flag is not None for flag in flags[1:])
 
 
 def test_run_trace_invariants_and_flag_consistency():
@@ -162,12 +162,12 @@ def test_run_trace_invariants_and_flag_consistency():
     theta0 = IterateTriple(x=b, v=b, u=np.zeros(64))
     cfg = base_config(eta=0.9, max_iter=30, delta_tol=0.0)
     trace = run(f, GaussianSmoothing(), cfg, theta0)
-    cond = ConditionTrace.from_records(trace.records, cfg.gamma, cfg.eta)
+    cond = trace.condition_trace
     rhos = cond.rhos
     deltas = cond.deltas
     # sigma consistency
-    for r in trace.records:
-        assert abs(r.sigma**2 * r.rho - cfg.lam) <= 1e-12 * cfg.lam
+    for sigma, rho in zip(cond.sigmas, rhos):
+        assert abs(sigma**2 * rho - cfg.lam) <= 1e-12 * cfg.lam
     # rho monotone with ratio 1 or gamma
     for a, bb in zip(rhos, rhos[1:]):
         ratio = bb / a
@@ -175,11 +175,10 @@ def test_run_trace_invariants_and_flag_consistency():
         assert min(abs(ratio - 1.0), abs(ratio - cfg.gamma)) <= 1e-12
     # flags match the recorded residual pairs and the rho transition
     for i in range(1, len(trace)):
-        rec = trace.records[i]
         expected = (
             ConditionFlag.C1 if deltas[i] >= cfg.eta * deltas[i - 1] else ConditionFlag.C2
         )
-        assert rec.condition == expected
+        assert cond.row_flags[i] == expected
         factor = cfg.gamma if expected == ConditionFlag.C1 else 1.0
         assert rhos[i] == pytest.approx(factor * rhos[i - 1], rel=1e-15)
 
@@ -195,9 +194,9 @@ def test_run_deltas_recomputable_from_snapshots():
     iterates = []
     trace = run(f, GaussianSmoothing(), cfg, theta0, lambda f, t, _: iterates.append(t))
     assert len(iterates) == len(trace) + 1
-    for k, rec in enumerate(trace.records, start=1):
+    for k, delta in enumerate(trace.condition_trace.deltas, start=1):
         d = metric_distance(iterates[k - 1], iterates[k])
-        assert abs(d - rec.delta) <= 1e-12
+        assert abs(d - delta) <= 1e-12
 
 
 def test_observer_gets_each_steps_rho_and_target():
@@ -211,10 +210,10 @@ def test_observer_gets_each_steps_rho_and_target():
     seen = []
     trace = run(f, GaussianSmoothing(), cfg, theta0, lambda f, t, s: seen.append((t, s)))
     # penalty growth makes the step's rho differ from its record's rho
-    assert ConditionFlag.C1 in [rec.condition for rec in trace.records]
+    assert ConditionFlag.C1 in trace.condition_trace.flags
     assert len(seen) == len(trace) + 1
     assert seen[0][1] is None
-    step_rhos = [cfg.rho0] + [rec.rho for rec in trace.records[:-1]]
+    step_rhos = [cfg.rho0, *trace.condition_trace.rhos[:-1]]
     for (prev, _), (_, info), rho in zip(seen, seen[1:], step_rhos):
         assert info.rho == rho
         assert np.array_equal(info.target, prev.v - prev.u)
@@ -246,8 +245,8 @@ def test_recorded_fidelity_value_matches_explicit_value(kind):
 
     trace = run(f, GaussianSmoothing(), base_config(max_iter=20, delta_tol=0.0), theta0, observe)
     assert len(explicit) == len(trace) == 20
-    for rec, value in zip(trace.records, explicit):
-        assert rec.fidelity_value == pytest.approx(value, rel=1e-12)
+    for recorded, value in zip(trace.condition_trace.fidelity_values, explicit):
+        assert recorded == pytest.approx(value, rel=1e-12)
 
 
 def test_run_is_deterministic():
@@ -258,7 +257,10 @@ def test_run_is_deterministic():
     cfg = base_config(max_iter=12, delta_tol=0.0)
     t1 = run(f, GaussianSmoothing(), cfg, theta0)
     t2 = run(f, GaussianSmoothing(), cfg, theta0)
-    assert t1.records == t2.records
+    c1, c2 = t1.condition_trace, t2.condition_trace
+    assert c1.flags == c2.flags
+    for name in ("deltas", "rhos", "sigmas", "fidelity_values"):
+        assert np.array_equal(getattr(c1, name), getattr(c2, name))
     assert np.array_equal(t1.final_iterate.x, t2.final_iterate.x)
 
 
@@ -271,14 +273,15 @@ def test_identity_denoiser_reaches_exact_zero_delta():
     theta0 = IterateTriple(x=v0.copy(), v=v0.copy(), u=np.zeros(4))
     cfg = base_config(eta=0.9, max_iter=1200, delta_tol=0.0)
     trace = run(f, IdentityDenoiser(), cfg, theta0)
-    deltas = ConditionTrace.from_records(trace.records, cfg.gamma, cfg.eta).deltas
+    cond = trace.condition_trace
+    deltas = cond.deltas
     zeros = np.flatnonzero(deltas == 0.0)
     assert zeros.size > 0
     first = int(zeros[0])
     # strictly halving residuals hold the penalty until the exact-zero point;
     # from there the boundary rule 0 >= eta*0 reads as growth
-    assert all(r.condition == ConditionFlag.C2 for r in trace.records[1 : first + 1])
-    assert trace.records[first].rho == 1.0
+    assert all(flag == ConditionFlag.C2 for flag in cond.row_flags[1 : first + 1])
+    assert cond.rhos[first] == 1.0
 
 
 def test_run_rejects_dimension_mismatch():
@@ -352,8 +355,9 @@ def test_fixed_point_residual_matches_one_step_replay():
     trace = run(f, GaussianSmoothing(), cfg, theta0)
     residual = fixed_point_residual(f, GaussianSmoothing(), trace)
     # replay: the next step at the recorded (rho, sigma) is exactly delta_2
-    last = trace.records[-1]
-    theta2, _ = step(f, GaussianSmoothing(), last.rho, last.sigma, trace.final_iterate)
+    cond = trace.condition_trace
+    rho, sigma = cond.rhos[-1], cond.sigmas[-1]
+    theta2, _ = step(f, GaussianSmoothing(), rho, sigma, trace.final_iterate)
     assert residual == metric_distance(trace.final_iterate, theta2)
     assert residual > 0
 
@@ -379,3 +383,6 @@ def test_config_validation():
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="eta"):
             SolverConfig(**{**good, "eta": value})
+    # finite settings whose quotient, sigma_0 squared, overflows
+    with pytest.raises(ValueError, match="lam / rho0 must be finite"):
+        SolverConfig(**{**good, "lam": 1e300, "rho0": 1e-300})
