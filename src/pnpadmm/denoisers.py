@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import readonly_vector, scratch
+from .linalg import readonly_vector
 
 
 @dataclass(frozen=True)
@@ -68,9 +68,9 @@ MEDIAN_BLOCK_BYTES = 4 * 2**20
 FILTER_BLOCK = 32
 
 
-def _fill_filter(g: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Fill the n x n ``g`` with symmetric padding followed by correlation
-    with ``kernel``, and return it.
+def _fill_filter(n: int, kernel: np.ndarray) -> np.ndarray:
+    """The n x n matrix of symmetric padding followed by correlation with
+    ``kernel``, as a fresh array.
 
     At tap offset o, output i reads pixel i + o of the 2n-periodic symmetric
     extension, so pixel m stands at the offsets m - i and -(i + m + 1) mod
@@ -80,12 +80,11 @@ def _fill_filter(g: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     one strided view, plus a Hankel part that is nonzero only in a k x k
     corner at each end of the diagonal, k = min(radius, n).
     """
-    n = g.shape[0]
     radius = kernel.size // 2
     c = np.bincount(np.arange(-radius, radius + 1) % (2 * n), kernel, minlength=2 * n)
     # row n - 1 - i of hankel(c[-(n - 1)], ..., c[n - 1]) is row i of the
     # Toeplitz part: c[-i], ..., c[n - 1 - i]
-    g[...] = _hankel(np.concatenate((c[n + 1 :], c[:n])), n)[::-1]
+    g = _hankel(np.concatenate((c[n + 1 :], c[:n])), n)[::-1].copy()
     # the Hankel part is hankel(mirror); its top corner takes the sums
     # i + m < n and its bottom corner the rest
     mirror = c[::-1]
@@ -119,16 +118,16 @@ def _blocks(n: int, radius: int):
 def _separable_filter(img: ImageGrid, kernel: np.ndarray) -> ImageGrid:
     """Filter rows then columns with kernel, as G_h @ (A @ G_w^T).
 
-    Both matrices are built in the workspace on every call, one for a square
-    image.  Each product is taken a block of output columns (then rows) at a
-    time and multiplies only the band of G that block reads.
+    Both matrices are built on every call, one for a square image.  Each
+    product is taken a block of output columns (then rows) at a time and
+    multiplies only the band of G that block reads.
     """
     h, w = img.height, img.width
     radius = kernel.size // 2
-    g_w = _fill_filter(scratch("filter_w", (w, w)), kernel)
-    g_h = g_w if h == w else _fill_filter(scratch("filter_h", (h, h)), kernel)
+    g_w = _fill_filter(w, kernel)
+    g_h = g_w if h == w else _fill_filter(h, kernel)
     a = img.pixels.reshape(h, w)
-    mid = scratch("vector", (h, w))
+    mid = np.empty((h, w))
     for j0, j1, lo, hi in _blocks(w, radius):
         np.matmul(a[:, lo:hi], g_w[j0:j1, lo:hi].T, out=mid[:, j0:j1])
     out = np.empty((h, w))

@@ -19,11 +19,8 @@ pixelwise and push-through solves take it from the residual Hx - b they
 form on the way, and the blur, which works only in its Fourier basis (H
 and H^T are products with the stencil's spectrum K and its conjugate),
 takes 0.5 ||Hx||^2 by Parseval from K X^ and adds -x.H^T b + 0.5 ||b||^2,
-around its one inverse transform.  The solution x is the one fresh
-full-size array of a prox: its other temporaries (residuals, right-hand
-sides, divisors, spectra, the gather and scatter of Downsample) live in the
-calling thread's workspace (:func:`pnpadmm.linalg.scratch`), and no
-workspace buffer is returned.
+around its one inverse transform.  Every prox returns a fresh x and keeps
+no state between calls.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, NonFiniteIterateError, as_vector, scratch
+from .linalg import DimensionMismatchError, NonFiniteIterateError, as_vector
 
 
 def _as_shape(shape) -> tuple[int, int]:
@@ -64,10 +61,9 @@ def _check_stencil(stencil) -> np.ndarray:
 
 def _forward(a: np.ndarray) -> np.ndarray:
     """``np.fft.rfft2`` of a real 2-D array, bit for bit, as its two axis
-    transforms into the workspace's ``"spectrum"`` buffer; a spectrum that is
-    kept, computed at construction, takes ``rfft2`` itself."""
-    h, w = a.shape
-    s = np.fft.rfft(a, axis=1, out=scratch("spectrum", (h, w // 2 + 1), np.complex128))
+    transforms, the second in place; a spectrum that is kept, computed at
+    construction, takes ``rfft2`` itself."""
+    s = np.fft.rfft(a, axis=1)
     return np.fft.fft(s, axis=0, out=s)
 
 
@@ -168,7 +164,7 @@ class Identity(ForwardOperator):
         x = rho * t
         x += htb
         x /= 1.0 + rho
-        return x, _half_square(np.subtract(x, b, out=scratch("vector", x.shape)))
+        return x, _half_square(x - b)
 
 
 class CircularBlur(ForwardOperator):
@@ -203,18 +199,15 @@ class CircularBlur(ForwardOperator):
         return self._filter(self._check_out(y), self._conj_spectrum)
 
     def prox(self, t, rho, b, htb):
-        # H^T H is the circular convolution with transfer function |K|^2;
-        # the right-hand side, then the divisor, then K X^ take "vector"
-        rhs = np.multiply(t, rho, out=scratch("vector", t.shape))
+        # H^T H is the circular convolution with transfer function |K|^2
+        rhs = rho * t
         rhs += htb
         spec = _forward(rhs.reshape(self.in_shape))
-        spec /= np.add(self._gain, rho, out=scratch("vector", self._gain.shape))
+        spec /= self._gain + rho
         # K X^ is the half spectrum of Hx; by Parseval
         # 0.5 ||Hx||^2 = (sum |.|^2 - 0.5 sum over the unpaired columns) / d,
         # and f(x) = 0.5 ||Hx||^2 - x.H^T b + 0.5 ||b||^2
-        hx = np.multiply(
-            spec, self._spectrum, out=scratch("vector", spec.shape, np.complex128)
-        )
+        hx = spec * self._spectrum
         unpaired = hx[:, self._unpaired]
         half_energy = np.vdot(hx, hx).real - 0.5 * np.vdot(unpaired, unpaired).real
         x = _inverse(spec, self.in_shape[1]).reshape(-1)
@@ -245,7 +238,7 @@ class Mask(ForwardOperator):
         x = rho * t
         x += htb
         x /= self.keep + rho
-        residual = np.multiply(self.keep, x, out=scratch("vector", x.shape))
+        residual = self.keep * x
         residual -= b
         return x, _half_square(residual)
 
@@ -291,28 +284,18 @@ class Downsample(ForwardOperator):
         self._low_eig = np.fft.rfft2(response.reshape(self.out_shape)).real
 
     def apply(self, x):
-        # the indices are in range by construction; mode="raise" would
-        # gather into a temporary and copy it to out
-        taps = np.take(
-            self._check_in(x), self._src, mode="clip",
-            out=scratch("vector", self._src.shape),
-        )
-        return self._weights @ taps
+        return self._weights @ self._check_in(x)[self._src]
 
     def apply_adjoint(self, y):
-        spread = np.multiply(
-            self._weights[:, None], self._check_out(y),
-            out=scratch("vector", self._src.shape),
-        )
+        spread = self._weights[:, None] * self._check_out(y)
         return np.bincount(self._src.ravel(), spread.ravel(), minlength=self.in_dim)
 
     def prox(self, t, rho, b, htb):
         # push-through (Zhao et al., IEEE TIP 2016): x = t + H^T z with
-        # z = (rho I + H H^T)^-1 (b - H t), which makes Hx - b = -rho z;
-        # the residual, then the divisor, take "vector"
-        r = np.subtract(b, self.apply(t), out=scratch("vector", b.shape))
+        # z = (rho I + H H^T)^-1 (b - H t), which makes Hx - b = -rho z
+        r = b - self.apply(t)
         low = _forward(r.reshape(self.out_shape))
-        low /= np.add(self._low_eig, rho, out=scratch("vector", self._low_eig.shape))
+        low /= self._low_eig + rho
         z = _inverse(low, self.out_shape[1]).reshape(-1)
         x = self.apply_adjoint(z)
         x += t
@@ -353,12 +336,17 @@ def prox_x_update(
 
     The operator's :meth:`ForwardOperator.prox` gives both, x in closed
     form.  The problem is strongly convex for rho > 0, so the minimizer is
-    unique.  A non-finite target raises NonFiniteIterateError.
+    unique.  A non-finite target raises NonFiniteIterateError; a huge but
+    finite one is solved, though its f(x) may overflow to inf.
     """
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
     t = f.op._check_in(target, "target")
-    if not math.isfinite(float(t @ t)):
+    # one dot product clears a target whose squared norm is finite; only an
+    # overflow needs the scan of its entries
+    with np.errstate(over="ignore"):
+        square = float(t @ t)
+    if not math.isfinite(square) and not np.isfinite(t).all():
         raise NonFiniteIterateError("prox target is not finite")
     return f.op.prox(t, rho, f.observation, f.adjoint_observation)
 

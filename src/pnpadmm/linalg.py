@@ -1,10 +1,8 @@
-"""Dense float64 vectors, the (x, v, u) iterate triple, its metric, and the
-per-thread workspace the iteration takes its scratch memory from."""
+"""Dense float64 vectors, the (x, v, u) iterate triple, and its metric."""
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,36 +70,6 @@ class IterateTriple:
         return self.x.size
 
 
-class _Workspace(threading.local):
-    """The calling thread's scratch buffers, raw bytes by slot name."""
-
-    def __init__(self):
-        self.buffers: dict[str, np.ndarray] = {}
-
-
-_workspace = _Workspace()
-
-
-def scratch(slot: str, shape, dtype=np.float64) -> np.ndarray:
-    """This thread's buffer ``slot`` as a ``shape`` array of ``dtype``, with
-    undefined contents.
-
-    A slot keeps its memory from call to call and is replaced only when a
-    request needs more bytes than it holds, so layers whose uses never
-    overlap share one: ``"vector"`` is every layer's one full-size real
-    temporary, ``"spectrum"`` the half spectrum of the Fourier solves, and
-    ``"filter_w"``/``"filter_h"`` the denoiser's matrices.  A caller fills
-    the buffer and uses it between two of its own statements, and never
-    returns it, so no array a caller receives is ever overwritten, and no
-    input is a scratch buffer.  Each thread has its own slots.
-    """
-    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-    buf = _workspace.buffers.get(slot)
-    if buf is None or buf.size < nbytes:
-        buf = _workspace.buffers[slot] = np.empty(nbytes, np.uint8)
-    return buf[:nbytes].view(dtype).reshape(shape)
-
-
 def metric_distance(a: IterateTriple, b: IterateTriple) -> float:
     """Distance (||x1-x2|| + ||v1-v2|| + ||u1-u2||) / sqrt(d) between triples.
 
@@ -113,7 +81,7 @@ def metric_distance(a: IterateTriple, b: IterateTriple) -> float:
             raise DimensionMismatchError(
                 f"{name} parts differ in dimension: {pa.size} vs {pb.size}"
             )
-    diff = np.subtract(a.x, b.x, out=scratch("vector", a.x.shape))
+    diff = a.x - b.x
     total = float(np.linalg.norm(diff))
     total += float(np.linalg.norm(np.subtract(a.v, b.v, out=diff)))
     total += float(np.linalg.norm(np.subtract(a.u, b.u, out=diff)))

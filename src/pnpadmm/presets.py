@@ -37,6 +37,11 @@ MAX_ASPECT_RATIO = 16
 # denoiser window; its half-width may be at most this many long sides (a
 # huge lambda would otherwise ask for a kernel of ~1e8 taps)
 MAX_WINDOW_RATIO = 1
+# the median filter copies the (2r + 1)^2 pixels of each of the d windows on
+# every call, so its time grows as d (2r + 1)^2; a call at this many copies
+# takes ~2.2 s on 2 CPUs, and the default lambda at 256 x 256 (r = 26,
+# 1.8e8) stays below
+MAX_MEDIAN_COPIES = 2 * 10**8
 
 DENOISERS = {
     "gaussian": GaussianSmoothing,
@@ -158,11 +163,18 @@ def build_operator(preset: ExperimentPreset, image: ImageGrid) -> ForwardOperato
     side = max(shape)
     sigma0 = math.sqrt(cfg.lam / cfg.rho0)
     radius = preset.denoiser.radius(sigma0, side)
+    given = f"lambda = {cfg.lam:g} and rho0 = {cfg.rho0:g} give sigma_0 = {sigma0:.4g}, where"
     if radius > MAX_WINDOW_RATIO * side:
         raise ValueError(
-            f"lambda = {cfg.lam:g} and rho0 = {cfg.rho0:g} give sigma_0 = {sigma0:.4g}, "
-            f"where the {preset.denoiser.name} denoiser's window is wider than the image: "
+            f"{given} the {preset.denoiser.name} denoiser's window is wider than the image: "
             f"half-width {radius} > {MAX_WINDOW_RATIO} x {side} pixels (its long side)"
+        )
+    copies = image.dim * (2 * radius + 1) ** 2
+    if isinstance(preset.denoiser, MedianFilter) and copies > MAX_MEDIAN_COPIES:
+        raise ValueError(
+            f"{given} the median denoiser's window of half-width {radius} copies "
+            f"{copies:.3g} pixels per call on {shape[0]}x{shape[1]} pixels, "
+            f"above the limit of {MAX_MEDIAN_COPIES:.3g}"
         )
     if preset.name == "deblur":
         if preset.blur_size > min(shape):
@@ -209,11 +221,11 @@ def run_preset(
     """Degrade, solve, and package everything the harness reports on."""
     if clean is None:
         clean = preset.source_image()
-    op, observation = degrade(preset, clean)
-    fidelity = FidelityTerm(op=op, observation=observation)
-    theta0 = initial_iterate(fidelity)
-    trace = run(fidelity, preset.denoiser, preset.config, theta0, observe)
-    h, w = op.in_shape
+    # the term keeps its own copy of the observation and run its own copy of
+    # the start iterate, so neither original is held through the loop
+    fidelity = FidelityTerm(*degrade(preset, clean))
+    trace = run(fidelity, preset.denoiser, preset.config, initial_iterate(fidelity), observe)
+    h, w = fidelity.op.in_shape
     restored = ImageGrid(width=w, height=h, pixels=trace.final_iterate.x)
     return PresetResult(
         preset=preset,

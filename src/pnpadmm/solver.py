@@ -134,12 +134,7 @@ def step(
     x_new, value = prox_x_update(f, rho, target)
     noisy = x_new + theta.u
     v_new = denoise(kind, sigma, ImageGrid(width=w, height=h, pixels=noisy)).pixels
-    # u' = (x' + u) - v' overwrites x' + u, unless the denoiser handed back
-    # its input or a view of it (the identity, or sigma too small to act)
-    if np.may_share_memory(v_new, noisy):
-        u_new = noisy - v_new
-    else:
-        u_new = np.subtract(noisy, v_new, out=noisy)
+    u_new = noisy - v_new
     return IterateTriple(x=x_new, v=v_new, u=u_new), StepInfo(rho, target, value)
 
 
@@ -160,11 +155,12 @@ def run(
     not the trace's post-update one).  A caller can so stream statistics of
     every iterate in O(d) memory, the data-term gradient included.
 
-    theta0 is checked for finite entries and copied once.  Inside the loop a
-    NaN entry makes the residual NaN, and an infinite one makes the next
-    prox target non-finite; either raises NonFiniteIterateError naming
-    the iteration.  An infinite residual alone is recorded as it is: huge
-    but finite iterates can overflow the norm.
+    theta0 is checked for finite entries and copied once, and the run drops
+    its reference to it: a caller that keeps none frees it before the first
+    observe call.  Inside the loop a NaN entry makes the residual NaN, and
+    an infinite one makes the next prox target non-finite; either raises
+    NonFiniteIterateError naming the iteration.  An infinite residual alone
+    is recorded as it is: huge but finite iterates can overflow the norm.
     """
     if theta0.dim != f.op.in_dim:
         raise ValueError(
@@ -173,6 +169,7 @@ def run(
     theta = IterateTriple(
         *(as_vector(getattr(theta0, n), n).copy() for n in ("x", "v", "u"))
     )
+    del theta0
     rho = cfg.rho0
     deltas, rhos, sigmas, values = [], [], [], []  # floats, one per iteration
     flags: list[ConditionFlag] = []

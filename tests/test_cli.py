@@ -121,6 +121,24 @@ def test_run_refuses_a_denoiser_window_wider_than_the_image(tmp_path, capsys):
     assert not (out / "trace.csv").exists()
 
 
+def test_run_refuses_a_median_window_too_costly_for_the_image(tmp_path, capsys):
+    # sigma_0 = 0.5 gives the median half-width 64 at 128x128: 2.7e8 pixel
+    # copies per call, ~12 min for the 100 iterations
+    config = tmp_path / "deblur.conf"
+    config.write_text("preset = deblur\nimage_size = 128\n")
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    code = run_cli(
+        "run", "--config", config, "--denoiser", "median", "--lambda", "0.25", "--out", out
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: lambda = 0.25 and rho0 = 1 ")
+    assert "median denoiser's window of half-width 64" in err[0]
+    assert not (out / "trace.csv").exists()
+
+
 def test_run_sweep_writes_subdirectories(tmp_path):
     out = tmp_path / "sweep"
     code = run_cli(
@@ -464,8 +482,8 @@ def test_run_memory_does_not_grow_with_max_iter(tmp_path):
 
 
 def test_concurrent_runs_write_the_trace_of_a_solo_run(tmp_path):
-    # every thread has its own workspace: two runs at once, on exactly two
-    # threads and no pool, each write the trace a run alone writes
+    # runs share no mutable state: two runs at once, on exactly two threads
+    # and no pool, each write the trace a run alone writes
     config = tmp_path / "deblur.conf"
     config.write_text("preset = deblur\nimage_size = 32\n")
     assert run_cli("run", "--config", config, "--out", tmp_path / "solo") == 0

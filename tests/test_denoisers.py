@@ -172,9 +172,9 @@ def test_repeated_sigma_builds_each_filter_matrix_once(monkeypatch, kind, shape)
     builds = []
     build = denoisers._fill_filter
 
-    def counting_build(g, kernel):
-        builds.append(g.shape[0])
-        return build(g, kernel)
+    def counting_build(n, kernel):
+        builds.append(n)
+        return build(n, kernel)
 
     monkeypatch.setattr(denoisers, "_fill_filter", counting_build)
     h, w = shape
@@ -191,9 +191,9 @@ def test_repeated_sigma_builds_each_filter_matrix_once(monkeypatch, kind, shape)
 
 @pytest.mark.parametrize("kind", [GaussianSmoothing(), BoxAverage()], ids=["gaussian", "box"])
 def test_filter_output_does_not_depend_on_earlier_calls(kind):
-    # the filter matrices live in the thread's workspace and are rebuilt on
-    # every call: interleaved and repeated calls, on a square and a
-    # non-square image at two sigmas, each match a call in a fresh thread
+    # the filter matrices are rebuilt on every call: interleaved and
+    # repeated calls, on a square and a non-square image at two sigmas, each
+    # match a call in a fresh thread
     rng = np.random.default_rng(53)
     images = {shape: noise_image(rng, shape[1], shape[0]) for shape in [(29, 29), (29, 31)]}
     calls = [(shape, sigma) for shape in images for sigma in (0.0731, 0.0412)]

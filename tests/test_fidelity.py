@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -273,7 +274,7 @@ def test_blur_prox_runs_one_forward_and_one_inverse_transform(monkeypatch, shape
 
 @pytest.mark.parametrize("name", ["identity", "blur", "mask", "downsample"])
 def test_consecutive_prox_solutions_share_no_memory(name):
-    # the solves take their temporaries from the workspace, never the result
+    # each solve returns a fresh x: a later solve leaves an earlier one as it was
     rng = np.random.default_rng(97)
     op = make_operators(rng)[name]
     f = FidelityTerm(op=op, observation=rng.standard_normal(op.out_dim))
@@ -320,17 +321,33 @@ def test_prox_nonexpansive_in_target():
         assert np.linalg.norm(s1 - s2) <= np.linalg.norm(t1 - t2) + 1e-9
 
 
-@pytest.mark.parametrize("value", [1e308, np.nan])
+@pytest.mark.parametrize("value", [np.inf, np.nan])
 def test_prox_non_finite_residual_raises_promptly(value):
-    # the target overflows its squared norm (or is NaN); every operator's
-    # x-update must raise at once rather than return a non-finite iterate
+    # one entry of the target is infinite or NaN; every operator's x-update
+    # must raise at once rather than return a non-finite iterate
     for name, op in make_operators(np.random.default_rng(7), (64, 64)).items():
         f = FidelityTerm(op=op, observation=np.zeros(op.out_dim))
+        target = np.ones(op.in_dim)
+        target[op.in_dim // 2] = value
         start = time.monotonic()
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonFiniteIterateError):
-                prox_x_update(f, rho=1.0, target=np.full(op.in_dim, value))
+        with pytest.raises(NonFiniteIterateError):
+            prox_x_update(f, rho=1.0, target=target)
         assert time.monotonic() - start < 1.0, name
+
+
+def test_prox_accepts_a_huge_finite_target():
+    # the squared norm of 1e160 everywhere overflows, yet every entry is
+    # finite: the x-update solves it without a warning of its own, and only
+    # the data term of its solution may overflow
+    op = Identity((4, 4))
+    t = np.full(op.in_dim, 1e160)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, fx = prox_x_update(FidelityTerm(op=op, observation=t), 1.0, t)
+    assert np.array_equal(x, t) and fx == 0.0
+    with np.errstate(over="ignore"):
+        x, fx = prox_x_update(FidelityTerm(op=op, observation=np.zeros(op.in_dim)), 1.0, t)
+    assert np.all(x == 5e159) and fx == math.inf
 
 
 def test_downsample_prox_is_accurate_at_small_rho():

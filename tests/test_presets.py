@@ -1,8 +1,9 @@
-import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from pnpadmm import presets
 from pnpadmm.denoisers import GaussianSmoothing, IdentityDenoiser
 from pnpadmm.fidelity import FidelityTerm
 from pnpadmm.presets import (
@@ -129,8 +130,8 @@ def test_fixed_point_residual_tracks_final_delta():
      ("superres", "gaussian")],
 )
 def test_observed_arrays_stay_unchanged_after_the_run(name, denoiser):
-    # no array an observer is handed is a workspace buffer or later updated
-    # in place: each kept x, v, u and target still holds what it held then
+    # no array an observer is handed is later updated in place: each kept
+    # x, v, u and target still holds what it held then
     kept = []
 
     def observe(f, theta, info):
@@ -145,26 +146,32 @@ def test_observed_arrays_stay_unchanged_after_the_run(name, denoiser):
             assert np.array_equal(array, copy)
 
 
-@pytest.mark.parametrize("name", ["smoke", "deblur", "superres"])
-def test_steady_state_iteration_allocates_only_the_kept_arrays(name):
-    # an iteration's fresh full-size arrays are the four an observer may
-    # keep (x, v, u and the x-update's target); every other temporary comes
-    # from the workspace, so the traced memory an iteration adds on top of
-    # the previous one's peaks at 4 vectors of d floats plus small change
-    d = 128 * 128
-    marks = []
+@pytest.mark.parametrize("name", ["deblur", "superres"])
+def test_run_holds_neither_the_observation_nor_the_start_iterate(monkeypatch, name):
+    # the fidelity term keeps its own copy of the observation and run its
+    # own copy of the start iterate, so at the first observer call the
+    # originals are gone
+    refs = {}
+    real_degrade, real_initial_iterate = presets.degrade, presets.initial_iterate
+
+    def tracked_degrade(preset, clean):
+        op, observation = real_degrade(preset, clean)
+        refs["observation"] = weakref.ref(observation)
+        return op, observation
+
+    def tracked_initial_iterate(f):
+        theta0 = real_initial_iterate(f)
+        refs["start u"] = weakref.ref(theta0.u)
+        return theta0
+
+    monkeypatch.setattr(presets, "degrade", tracked_degrade)
+    monkeypatch.setattr(presets, "initial_iterate", tracked_initial_iterate)
+    alive = []
 
     def observe(f, theta, info):
-        marks.append(tracemalloc.get_traced_memory())
-        tracemalloc.reset_peak()
+        if not alive:
+            alive.append(sorted(key for key, ref in refs.items() if ref() is not None))
 
-    preset = make_preset(name, image_size=128, max_iter=8, delta_tol=0.0, denoiser="gaussian")
-    tracemalloc.start()
-    try:
-        run_preset(preset, observe=observe)
-    finally:
-        tracemalloc.stop()
-    # the first two iterations may still grow the workspace
-    growth = [marks[k][1] - marks[k - 1][0] for k in range(3, len(marks))]
-    assert len(growth) == 6
-    assert max(growth) <= 4.25 * d * 8
+    run_preset(make_preset(name, image_size=16, max_iter=2), observe=observe)
+    assert sorted(refs) == ["observation", "start u"]
+    assert alive == [[]]

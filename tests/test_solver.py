@@ -298,10 +298,13 @@ def test_non_finite_iterate_error_names_iteration():
 
             return ImageGrid(img.width, img.height, img.pixels * 1e308)
 
+    # the iterates are huge but finite through iteration 3 (the prox target
+    # of iteration 2 is 1e308, whose squared norm overflows); iteration 4's
+    # denoiser output overflows to inf, so iteration 5's target is infinite
     f = identity_problem(2, b=np.array([1.0, 1.0]))
     theta0 = IterateTriple(x=[0.0, 0.0], v=[0.0, 0.0], u=[0.0, 0.0])
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NonFiniteIterateError, match="iteration 2"):
+        with pytest.raises(NonFiniteIterateError, match="iteration 5"):
             run(f, ExplodingStub(), base_config(delta_tol=0.0), theta0)
 
 
