@@ -13,6 +13,7 @@ import numpy as np
 from . import fileio
 from .denoisers import estimate_denoiser_bound_constant
 from .fidelity import estimate_gradient_bound
+from .linalg import norm
 from .presets import (
     DENOISERS,
     PRESET_NAMES,
@@ -119,7 +120,7 @@ def _gradient_m_hat(f, theta, step) -> float:
     if step is None:
         return estimate_gradient_bound(f, [theta.x])
     diff = step.target - theta.x
-    return step.rho * float(np.linalg.norm(diff)) / math.sqrt(theta.dim)
+    return step.rho * norm(diff) / math.sqrt(theta.dim)
 
 
 def _run_one(

@@ -20,7 +20,12 @@ form on the way, and the blur, which works only in its Fourier basis (H
 and H^T are products with the stencil's spectrum K and its conjugate),
 takes 0.5 ||Hx||^2 by Parseval from K X^ and adds -x.H^T b + 0.5 ||b||^2,
 around its one inverse transform.  Every prox returns a fresh x and keeps
-no state between calls.
+no state between calls, and its f(x) is not finite when t is not, which
+is all the x-update checks of its target.  The gradient H^T (Hx - b) also
+comes from the operator: the blur takes it as IFFT(|K|^2 X^) - H^T b, one
+transform pair instead of two.  Every dot product and norm goes through
+:func:`~pnpadmm.linalg.dot`, so its bits do not depend on the BLAS thread
+count.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, NonFiniteIterateError, as_vector
+from .linalg import DimensionMismatchError, NonFiniteIterateError, as_vector, dot, norm
 
 
 def _as_shape(shape) -> tuple[int, int]:
@@ -124,8 +129,12 @@ class ForwardOperator:
     ) -> tuple[np.ndarray, float]:
         """``(x, fx)``: the minimizer x of 0.5 ||Hx - b||^2 + (rho/2) ||x - t||^2,
         for rho > 0 and htb = H^T b, as a fresh array, and its data term
-        fx = 0.5 ||Hx - b||^2."""
+        fx = 0.5 ||Hx - b||^2, which is not finite when t is not."""
         raise NotImplementedError
+
+    def gradient(self, x: np.ndarray, b: np.ndarray, htb: np.ndarray) -> np.ndarray:
+        """H^T (Hx - b), the gradient of 0.5 ||Hx - b||^2, for htb = H^T b."""
+        return self.apply_adjoint(self.apply(x) - b)
 
     def _check_in(self, x, what: str = "input") -> np.ndarray:
         return _sized(x, self.in_dim, what)
@@ -146,7 +155,7 @@ def _sized(x, dim: int, what: str) -> np.ndarray:
 
 def _half_square(r: np.ndarray) -> float:
     """0.5 ||r||^2."""
-    return 0.5 * float(r @ r)
+    return 0.5 * dot(r, r)
 
 
 class Identity(ForwardOperator):
@@ -198,20 +207,29 @@ class CircularBlur(ForwardOperator):
     def apply_adjoint(self, y):
         return self._filter(self._check_out(y), self._conj_spectrum)
 
-    def prox(self, t, rho, b, htb):
+    def gradient(self, x, b, htb):
         # H^T H is the circular convolution with transfer function |K|^2
+        g = self._filter(self._check_in(x), self._gain)
+        g -= htb
+        return g
+
+    def prox(self, t, rho, b, htb):
         rhs = rho * t
         rhs += htb
         spec = _forward(rhs.reshape(self.in_shape))
-        spec /= self._gain + rho
+        # divide by |K|^2 + rho, the transfer function of H^T H + rho I; numpy
+        # divides a complex by a real-valued one as a multiply by the real's
+        # reciprocal, so this multiply gives the same bits, faster
+        spec *= 1.0 / (self._gain + rho)
         # K X^ is the half spectrum of Hx; by Parseval
         # 0.5 ||Hx||^2 = (sum |.|^2 - 0.5 sum over the unpaired columns) / d,
         # and f(x) = 0.5 ||Hx||^2 - x.H^T b + 0.5 ||b||^2
         hx = spec * self._spectrum
-        unpaired = hx[:, self._unpaired]
-        half_energy = np.vdot(hx, hx).real - 0.5 * np.vdot(unpaired, unpaired).real
+        paired = hx.ravel().view(np.float64)
+        unpaired = hx[:, self._unpaired].ravel().view(np.float64)
+        half_energy = dot(paired, paired) - 0.5 * dot(unpaired, unpaired)
         x = _inverse(spec, self.in_shape[1]).reshape(-1)
-        fx = float(half_energy) / self.in_dim - float(x @ htb) + _half_square(b)
+        fx = half_energy / self.in_dim - dot(x, htb) + _half_square(b)
         return x, fx
 
 
@@ -276,6 +294,11 @@ class Downsample(ForwardOperator):
         cols = (factor * np.arange(n) + (c0 - b)[:, None]) % w
         self._weights = self.prefilter[a, b]
         self._src = (rows[:, :, None] * w + cols[:, None, :]).reshape(a.size, m * n)
+        # pixels no tap reads (none for the default prefilter): x equals t
+        # there, and f(x) never sees them
+        read = np.zeros(self.in_dim, bool)
+        read[self._src] = True
+        self._unread = np.flatnonzero(~read)
         # H H^T = S B B^T S^T is circular on the low-resolution grid, so its
         # eigenvalues are the spectrum of its impulse response
         impulse = np.zeros(self.out_dim)
@@ -284,7 +307,9 @@ class Downsample(ForwardOperator):
         self._low_eig = np.fft.rfft2(response.reshape(self.out_shape)).real
 
     def apply(self, x):
-        return self._weights @ self._check_in(x)[self._src]
+        # every index is in range by construction, so "clip" only skips the
+        # bounds check
+        return self._weights @ np.take(self._check_in(x), self._src, mode="clip")
 
     def apply_adjoint(self, y):
         spread = self._weights[:, None] * self._check_out(y)
@@ -300,7 +325,10 @@ class Downsample(ForwardOperator):
         x = self.apply_adjoint(z)
         x += t
         z *= -rho
-        return x, _half_square(z)
+        fx = _half_square(z)
+        if self._unread.size and not np.isfinite(t[self._unread]).all():
+            fx = math.nan
+        return x, fx
 
 
 @dataclass(frozen=True)
@@ -325,8 +353,8 @@ class FidelityTerm:
         return _half_square(self.op.apply(x) - self.observation)
 
     def gradient(self, x) -> np.ndarray:
-        """H^T (Hx - b)."""
-        return self.op.apply_adjoint(self.op.apply(x) - self.observation)
+        """H^T (Hx - b), in the operator's cheapest form."""
+        return self.op.gradient(x, self.observation, self.adjoint_observation)
 
 
 def prox_x_update(
@@ -342,13 +370,13 @@ def prox_x_update(
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
     t = f.op._check_in(target, "target")
-    # one dot product clears a target whose squared norm is finite; only an
-    # overflow needs the scan of its entries
-    with np.errstate(over="ignore"):
-        square = float(t @ t)
-    if not math.isfinite(square) and not np.isfinite(t).all():
+    # a non-finite target makes f(x) non-finite, and only then are its
+    # entries scanned; the solve's own invalid operations on it stay silent
+    with np.errstate(invalid="ignore"):
+        x, fx = f.op.prox(t, rho, f.observation, f.adjoint_observation)
+    if not math.isfinite(fx) and not np.isfinite(t).all():
         raise NonFiniteIterateError("prox target is not finite")
-    return f.op.prox(t, rho, f.observation, f.adjoint_observation)
+    return x, fx
 
 
 def estimate_gradient_bound(f: FidelityTerm, samples: Iterable[np.ndarray]) -> float:
@@ -362,7 +390,7 @@ def estimate_gradient_bound(f: FidelityTerm, samples: Iterable[np.ndarray]) -> f
     worst = 0.0
     empty = True
     for x in samples:
-        worst = max(worst, float(np.linalg.norm(f.gradient(x))) / root_d)
+        worst = max(worst, norm(f.gradient(x)) / root_d)
         empty = False
     if empty:
         raise ValueError("samples must be non-empty")

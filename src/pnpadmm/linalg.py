@@ -1,4 +1,5 @@
-"""Dense float64 vectors, the (x, v, u) iterate triple, and its metric."""
+"""Dense float64 vectors, their reductions, the (x, v, u) iterate triple,
+and its metric."""
 
 from __future__ import annotations
 
@@ -6,6 +7,27 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+# OpenBLAS splits a dot product over its threads above about 10 000 entries,
+# and where it splits moves the last bits of the sum; below that it runs on
+# one thread
+REDUCE_CHUNK = 8192
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b of two 1-D float64 arrays, summed REDUCE_CHUNK entries at a time
+    in a fixed order, so its bits do not depend on the BLAS thread count;
+    equal to ``a @ b`` up to REDUCE_CHUNK entries."""
+    total = 0.0
+    for i in range(0, a.size, REDUCE_CHUNK):
+        total += float(a[i : i + REDUCE_CHUNK] @ b[i : i + REDUCE_CHUNK])
+    return total
+
+
+def norm(a: np.ndarray) -> float:
+    """||a||, from :func:`dot`."""
+    return math.sqrt(dot(a, a))
 
 
 class DimensionMismatchError(ValueError):
@@ -82,7 +104,7 @@ def metric_distance(a: IterateTriple, b: IterateTriple) -> float:
                 f"{name} parts differ in dimension: {pa.size} vs {pb.size}"
             )
     diff = a.x - b.x
-    total = float(np.linalg.norm(diff))
-    total += float(np.linalg.norm(np.subtract(a.v, b.v, out=diff)))
-    total += float(np.linalg.norm(np.subtract(a.u, b.u, out=diff)))
+    total = norm(diff)
+    total += norm(np.subtract(a.v, b.v, out=diff))
+    total += norm(np.subtract(a.u, b.u, out=diff))
     return total / math.sqrt(a.dim)

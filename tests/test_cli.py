@@ -1,7 +1,10 @@
+import os
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +44,24 @@ def test_run_is_byte_deterministic(tmp_path):
     assert run_cli(*args, "--out", a) == 0
     assert run_cli(*args, "--out", b) == 0
     assert (a / "trace.csv").read_bytes() == (b / "trace.csv").read_bytes()
+
+
+def test_run_trace_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # OpenBLAS splits a dot product of more than ~10 000 entries over its
+    # threads, and the split moves the last bits of the sum; a 128x128 run
+    # takes every reduction in chunks that one thread sums
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("preset = deblur\nimage_size = 128\nseed = 5\n")
+    src = str(Path(pnpadmm.__file__).resolve().parents[1])
+    traces = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        argv = [sys.executable, "-m", "pnpadmm.cli", "run", "--config", str(cfg),
+                "--out", str(out)]
+        subprocess.run(argv, env=env, check=True, capture_output=True, timeout=120)
+        traces.append((out / "trace.csv").read_bytes())
+    assert traces[0] == traces[1]
 
 
 def test_run_accepts_config_file_and_overrides(tmp_path):

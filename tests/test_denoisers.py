@@ -268,3 +268,70 @@ def test_holdout_margin_protects_honest_estimate():
     )
     report = verify_denoiser_bound(kind, est, n_holdout=100, seed=8, margin=0.5)
     assert report.violations == 0
+
+
+@pytest.mark.parametrize("h,w", [(16, 16), (7, 12), (12, 7), (1, 9), (40, 70)])
+@pytest.mark.parametrize("reach", [0.1, 0.5, 1.5])
+def test_stacked_filter_is_bit_equal_to_one_call_per_image(h, w, reach):
+    # reach 1.5 puts the radius past the longer side, where the symmetric
+    # extension reflects more than once
+    stack = np.random.default_rng(31).uniform(0, 1, (5, h, w))
+    radius = max(1, round(reach * max(h, w)))
+    offsets = np.arange(-radius, radius + 1)
+    gauss = np.exp(-0.5 * (3.0 * offsets / radius) ** 2)
+    for kernel in (gauss / gauss.sum(), np.full(2 * radius + 1, 1.0 / (2 * radius + 1))):
+        got = denoisers._separable_filter(stack, kernel)
+        for a, image in zip(got, stack):
+            assert np.array_equal(a, denoisers._separable_filter(image, kernel))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name)
+def test_bound_checks_equal_a_per_sample_residue_ratio_loop(kind):
+    grid = (0.05, 0.1, 0.2)
+    est = estimate_denoiser_bound_constant(kind, 12, 9, grid, n_samples=6, seed=3)
+    ratios = [
+        residue_ratio(kind, s, ImageGrid(12, 9, np.random.default_rng((3, i)).uniform(0, 1, 108)))
+        for i in range(6)
+        for s in grid
+    ]
+    assert est.k_hat == max(ratios)
+    # margin 0 puts the threshold at k_hat itself, which one of the 15
+    # held-out ratios exceeds for each filter
+    holdout = [
+        residue_ratio(kind, s, ImageGrid(12, 9, np.random.default_rng((4, i)).uniform(0, 1, 108)))
+        for i in range(5)
+        for s in grid
+    ]
+    report = verify_denoiser_bound(kind, est, n_holdout=5, seed=4, margin=0.0)
+    assert report.worst_ratio == max(holdout)
+    assert report.violations == sum(r > est.k_hat for r in holdout)
+
+
+def test_bound_checks_stay_within_the_stack_budget(monkeypatch):
+    # more samples than one stack holds: each stack is filtered once per
+    # sigma, and the estimate does not depend on where the stacks split
+    kind = GaussianSmoothing()
+    whole = estimate_denoiser_bound_constant(kind, 8, 8, (0.1, 0.2), n_samples=7, seed=2)
+    monkeypatch.setattr(denoisers, "STACK_BYTES", 3 * 8 * 64)
+    calls = []
+    filtered = denoisers._separable_filter
+    monkeypatch.setattr(
+        denoisers, "_separable_filter", lambda a, k: calls.append(a.shape) or filtered(a, k)
+    )
+    split = estimate_denoiser_bound_constant(kind, 8, 8, (0.1, 0.2), n_samples=7, seed=2)
+    assert split.k_hat == whole.k_hat
+    assert calls == [(3, 8, 8)] * 4 + [(1, 8, 8)] * 2
+
+
+@pytest.mark.parametrize("kind", [GaussianSmoothing(), BoxAverage()], ids=lambda k: k.name)
+def test_denoiser_bound_estimate_filters_once_per_sigma(kind, monkeypatch):
+    # the 20 samples of each sigma go through one filter call, as the run's
+    # summary draws them
+    calls = []
+    filtered = denoisers._separable_filter
+    monkeypatch.setattr(
+        denoisers, "_separable_filter", lambda a, k: calls.append(a.shape) or filtered(a, k)
+    )
+    grid = (0.05, 0.1, 0.2)
+    estimate_denoiser_bound_constant(kind, 16, 16, grid, n_samples=20, seed=7)
+    assert calls == [(20, 16, 16)] * len(grid)

@@ -330,9 +330,50 @@ def test_prox_non_finite_residual_raises_promptly(value):
         target = np.ones(op.in_dim)
         target[op.in_dim // 2] = value
         start = time.monotonic()
-        with pytest.raises(NonFiniteIterateError):
+        # the solve runs on the non-finite entry before the check reads its
+        # f(x); none of the invalid operations on the way may warn
+        with warnings.catch_warnings(), pytest.raises(NonFiniteIterateError):
+            warnings.simplefilter("error")
             prox_x_update(f, rho=1.0, target=target)
         assert time.monotonic() - start < 1.0, name
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_prox_non_finite_target_raises_where_no_tap_reads(value):
+    # plain decimation reads one pixel in four, and f(x) never sees the
+    # others; a non-finite one among them still raises
+    op = Downsample((8, 8), 2, prefilter=np.array([[1.0]]))
+    f = FidelityTerm(op=op, observation=np.zeros(op.out_dim))
+    target = np.ones(op.in_dim)
+    target[9] = value
+    with pytest.raises(NonFiniteIterateError):
+        prox_x_update(f, rho=1.0, target=target)
+    target[9] = 1.0
+    x, fx = prox_x_update(f, rho=1.0, target=target)
+    assert x[9] == 1.0 and math.isfinite(fx)
+
+
+def test_blur_gradient_bound_runs_one_transform_pair_per_sample(monkeypatch):
+    # grad f = IFFT(|K|^2 X^) - H^T b: one forward and one inverse transform
+    # per box sample, where H^T (Hx - b) would take two of each
+    op = CircularBlur((16, 12), binomial_stencil(2))
+    rng = np.random.default_rng(3)
+    f = FidelityTerm(op=op, observation=rng.standard_normal(op.out_dim))
+    counts = {"forward": 0, "inverse": 0}
+    forward, inverse = fidelity._forward, fidelity._inverse
+
+    def counting(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(fidelity, "_forward", counting("forward", forward))
+    monkeypatch.setattr(fidelity, "_inverse", counting("inverse", inverse))
+    samples = [rng.uniform(0, 1, op.in_dim) for _ in range(16)]
+    estimate_gradient_bound(f, samples)
+    assert counts == {"forward": 16, "inverse": 16}
 
 
 def test_prox_accepts_a_huge_finite_target():

@@ -21,7 +21,7 @@ PINNED = {
         "ef51008c0d4fc3106df1edfcc56cbb68dc0d8e5c2da2175cf2bf7804a03b5077",
     ),
     "deblur": (
-        "cc0b95fbe0e5e51b68f7f895222e55693425ecd8f0be9520abbcaf2e10b9d29d",
+        "f62c4ce0241aa3a316bf9c9783f24f6eef52f43b4ff537fd63a6a65e010a2c71",
         "963944344b985bfd11cd77da67113915f31b5d3d77fddc20807c5d5fd9e4350f",
     ),
     "superres": (
