@@ -1,13 +1,15 @@
 """Sigma-parameterized denoisers and empirical checks of the residue bound.
 
-Every denoiser maps an image to an image of the same size and acts as the
-identity at sigma = 0 (enforced centrally in :func:`denoise`).  The residue
-bound under test is ``||D_sigma(x) - x||^2 <= K * d * sigma^2``; since it is
-hard to establish analytically even for simple filters, the constant K is
-estimated from samples and re-checked on held-out samples.  Both checks
-filter their samples as (k, h, w) stacks, one :meth:`Denoiser.apply_stack`
-call per sigma; the Gaussian and box filters take a whole stack in one
-pass of their matrix products.
+Every denoiser has one entry point, ``apply(sigma, a)``, which maps a
+float64 (h, w) image, or each image of a (k, h, w) stack, to an array of
+the same shape.  :func:`denoise` is the checked way in: it validates the
+array, hands the denoiser a read-only view and acts as the identity at
+sigma = 0.  The residue bound under test is
+``||D_sigma(x) - x||^2 <= K * d * sigma^2``; since it is hard to establish
+analytically even for simple filters, the constant K is estimated from
+samples and re-checked on held-out samples.  Both checks filter their
+samples as (k, h, w) stacks, one call per sigma; the Gaussian and box
+filters take a whole stack in one pass of their matrix products.
 """
 
 from __future__ import annotations
@@ -17,47 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-from .linalg import readonly_vector
-
-
-@dataclass(frozen=True)
-class ImageGrid:
-    """A width x height image stored as a flat row-major float64 vector.
-
-    pixels is a read-only view of the given array, not a copy.
-    """
-
-    width: int
-    height: int
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError("image dimensions must be >= 1")
-        arr = readonly_vector(self.pixels, "pixels")
-        if arr.size != self.width * self.height:
-            raise ValueError(
-                f"pixel count {arr.size} != width*height "
-                f"{self.width * self.height}"
-            )
-        object.__setattr__(self, "pixels", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.width * self.height
-
-    def to_array(self) -> np.ndarray:
-        """Return a writable (height, width) copy."""
-        return self.pixels.reshape(self.height, self.width).copy()
-
-    @classmethod
-    def from_array(cls, arr) -> "ImageGrid":
-        arr = np.asarray(arr, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError(f"expected a 2-D array, got shape {arr.shape}")
-        h, w = arr.shape
-        return cls(width=w, height=h, pixels=arr.reshape(-1))
 
 
 # sigma is mapped to pixels through the larger image side, times C_MAP, so
@@ -143,29 +104,19 @@ def _separable_filter(a: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return out
 
 
-def _image_array(img: ImageGrid) -> np.ndarray:
-    """The (height, width) view of an image's pixels."""
-    return img.pixels.reshape(img.height, img.width)
-
-
 class Denoiser:
     """Base class: a family of denoising maps indexed by sigma >= 0."""
 
     name = "base"
 
-    def apply(self, sigma: float, img: ImageGrid) -> ImageGrid:
+    def apply(self, sigma: float, a: np.ndarray) -> np.ndarray:
+        """D_sigma of a float64 (h, w) image, or of each image of a (k, h, w)
+        stack, as an array of the same shape; ``a`` may be read-only, and
+        the result may be ``a`` itself."""
         raise NotImplementedError
 
-    def apply_stack(self, sigma: float, stack: np.ndarray) -> np.ndarray:
-        """:meth:`apply` to each image of a (k, h, w) stack, as a new stack;
-        the base calls it once per image.  The separable filters' own
-        versions also take one (h, w) image, which is how their apply runs."""
-        return np.stack(
-            [self.apply(sigma, ImageGrid.from_array(a)).pixels.reshape(a.shape) for a in stack]
-        )
-
     def radius(self, sigma: float, side: int) -> int:
-        """Half-width in pixels of the window ``apply(sigma, img)`` reads,
+        """Half-width in pixels of the window ``apply(sigma, a)`` reads,
         for an image whose longer side is ``side``; 0 reads no neighbours."""
         return 0
 
@@ -175,11 +126,8 @@ class IdentityDenoiser(Denoiser):
 
     name = "identity"
 
-    def apply(self, sigma: float, img: ImageGrid) -> ImageGrid:
-        return img
-
-    def apply_stack(self, sigma: float, stack: np.ndarray) -> np.ndarray:
-        return stack
+    def apply(self, sigma: float, a: np.ndarray) -> np.ndarray:
+        return a
 
 
 class GaussianSmoothing(Denoiser):
@@ -202,11 +150,8 @@ class GaussianSmoothing(Denoiser):
         k = np.exp(-0.5 * (offsets / std) ** 2)
         return k / k.sum()
 
-    def apply(self, sigma: float, img: ImageGrid) -> ImageGrid:
-        return ImageGrid.from_array(self.apply_stack(sigma, _image_array(img)))
-
-    def apply_stack(self, sigma: float, stack: np.ndarray) -> np.ndarray:
-        return _separable_filter(stack, self.kernel(sigma, max(stack.shape[-2:])))
+    def apply(self, sigma: float, a: np.ndarray) -> np.ndarray:
+        return _separable_filter(a, self.kernel(sigma, max(a.shape[-2:])))
 
 
 class MedianFilter(Denoiser):
@@ -222,21 +167,22 @@ class MedianFilter(Denoiser):
     def radius(self, sigma: float, side: int) -> int:
         return int(math.floor(C_MAP * sigma * side + 0.5))
 
-    def apply(self, sigma: float, img: ImageGrid) -> ImageGrid:
-        half = self.radius(sigma, max(img.width, img.height))
+    def apply(self, sigma: float, a: np.ndarray) -> np.ndarray:
+        h, w = a.shape[-2:]
+        half = self.radius(sigma, max(h, w))
         if half == 0:
-            return img
-        a = _image_array(img)
-        padded = np.pad(a, half, mode="symmetric")
+            return a
         win = 2 * half + 1
-        windows = np.lib.stride_tricks.sliding_window_view(padded, (win, win))
         # np.median copies the windows it is given, so take them a block of
         # rows at a time: each block's copy stays within MEDIAN_BLOCK_BYTES
-        rows = max(1, MEDIAN_BLOCK_BYTES // (img.width * win * win * 8))
-        out = np.empty_like(a)
-        for r in range(0, img.height, rows):
-            out[r : r + rows] = np.median(windows[r : r + rows], axis=(2, 3))
-        return ImageGrid.from_array(out)
+        rows = max(1, MEDIAN_BLOCK_BYTES // (w * win * win * 8))
+        out = np.empty(a.shape)
+        for image, filtered in zip(a.reshape(-1, h, w), out.reshape(-1, h, w)):
+            padded = np.pad(image, half, mode="symmetric")
+            windows = np.lib.stride_tricks.sliding_window_view(padded, (win, win))
+            for r in range(0, h, rows):
+                filtered[r : r + rows] = np.median(windows[r : r + rows], axis=(2, 3))
+        return out
 
 
 class BoxAverage(Denoiser):
@@ -246,35 +192,37 @@ class BoxAverage(Denoiser):
 
     radius = MedianFilter.radius
 
-    def apply(self, sigma: float, img: ImageGrid) -> ImageGrid:
-        a = _image_array(img)
-        out = self.apply_stack(sigma, a)
-        return img if out is a else ImageGrid.from_array(out)
-
-    def apply_stack(self, sigma: float, stack: np.ndarray) -> np.ndarray:
-        half = self.radius(sigma, max(stack.shape[-2:]))
+    def apply(self, sigma: float, a: np.ndarray) -> np.ndarray:
+        half = self.radius(sigma, max(a.shape[-2:]))
         if half == 0:
-            return stack
+            return a
         win = 2 * half + 1
-        return _separable_filter(stack, np.full(win, 1.0 / win))
+        return _separable_filter(a, np.full(win, 1.0 / win))
 
 
-def denoise(kind: Denoiser, sigma: float, img: ImageGrid) -> ImageGrid:
-    """Apply ``kind`` at strength ``sigma``.
+def denoise(kind: Denoiser, sigma: float, a) -> np.ndarray:
+    """Apply ``kind`` at strength ``sigma`` to an (h, w) image or to each
+    image of a (k, h, w) stack.
 
-    sigma = 0 returns the input bit-exactly for every kind; the output always
-    has the input dimensions.
+    The input is taken as float64 and handed over as a read-only view, with
+    no copy and no scan; it must have no empty side.  sigma = 0 returns that
+    view, equal to the input bit for bit, for every kind; the output always
+    has the input's shape.
     """
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-    if sigma == 0.0:
-        return img
-    out = kind.apply(sigma, img)
-    if (out.width, out.height) != (img.width, img.height):
+    a = np.asarray(a, dtype=np.float64).view()
+    if a.ndim not in (2, 3) or 0 in a.shape:
         raise ValueError(
-            f"denoiser {kind.name} changed image size: "
-            f"{(img.width, img.height)} -> {(out.width, out.height)}"
+            f"expected an (h, w) image or a (k, h, w) stack with no empty side, "
+            f"got shape {a.shape}"
         )
+    a.flags.writeable = False
+    if sigma == 0.0:
+        return a
+    out = kind.apply(sigma, a)
+    if out.shape != a.shape:
+        raise ValueError(f"denoiser {kind.name} changed image shape: {a.shape} -> {out.shape}")
     return out
 
 
@@ -312,25 +260,17 @@ def _sample_stacks(width: int, height: int, seed: int, count: int):
         yield stack
 
 
-def residue_ratio(kind: Denoiser, sigma: float, img: ImageGrid) -> float:
-    """||D_sigma(x) - x||^2 / (d * sigma^2) for one image and one sigma."""
+def residue_ratio(kind: Denoiser, sigma: float, a):
+    """||D_sigma(x) - x||^2 / (d * sigma^2) at one sigma > 0: a float for an
+    (h, w) image x, an array of k for a (k, h, w) stack, from one call."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    out = denoise(kind, sigma, img)
-    res = float(np.sum((out.pixels - img.pixels) ** 2))
-    return res / (img.dim * sigma * sigma)
-
-
-def _residue_ratios(kind: Denoiser, sigma: float, stack: np.ndarray) -> np.ndarray:
-    """:func:`residue_ratio` of each image of a (k, h, w) stack at sigma > 0,
-    from one :meth:`Denoiser.apply_stack` call."""
-    out = kind.apply_stack(sigma, stack)
-    if out.shape != stack.shape:
-        raise ValueError(
-            f"denoiser {kind.name} changed stack shape: {stack.shape} -> {out.shape}"
-        )
-    res = np.sum(((out - stack) ** 2).reshape(len(stack), -1), axis=1)
-    return res / (stack[0].size * sigma * sigma)
+    a = np.asarray(a, dtype=np.float64)
+    out = denoise(kind, sigma, a)
+    h, w = a.shape[-2:]
+    res = np.sum(((out - a) ** 2).reshape(*a.shape[:-2], -1), axis=-1)
+    ratio = res / (h * w * sigma * sigma)
+    return float(ratio) if a.ndim == 2 else ratio
 
 
 def estimate_denoiser_bound_constant(
@@ -355,7 +295,7 @@ def estimate_denoiser_bound_constant(
     worst = 0.0
     for stack in _sample_stacks(width, height, seed, n_samples):
         for s in grid:
-            worst = max(worst, *_residue_ratios(kind, s, stack).tolist())
+            worst = max(worst, *residue_ratio(kind, s, stack).tolist())
     return DenoiserBoundEstimate(
         k_hat=worst,
         sample_count=n_samples,
@@ -384,7 +324,7 @@ def verify_denoiser_bound(
     worst = 0.0
     for stack in _sample_stacks(estimate.width, estimate.height, seed, n_holdout):
         for s in estimate.sigma_grid:
-            ratios = _residue_ratios(kind, s, stack)
+            ratios = residue_ratio(kind, s, stack)
             worst = max(worst, *ratios.tolist())
             violations += int(np.count_nonzero(ratios > threshold))
     return BoundCheckReport(

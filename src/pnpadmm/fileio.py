@@ -1,13 +1,57 @@
-"""File formats: binary PGM images, trace CSV, and flat key=value configs."""
+"""File formats: binary PGM images (read into and written from
+:class:`ImageGrid`), trace CSV, and flat key=value configs."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .denoisers import ImageGrid
+from .linalg import readonly_vector
 from .sequences import ConditionFlag, ConditionTrace
+
+
+@dataclass(frozen=True)
+class ImageGrid:
+    """A width x height image stored as a flat row-major float64 vector: the
+    form in which an image is read from or written to a file, or made by a
+    preset.
+
+    pixels is a read-only view of the given array, not a copy.
+    """
+
+    width: int
+    height: int
+    pixels: np.ndarray
+
+    def __post_init__(self):
+        if self.width < 1 or self.height < 1:
+            raise ValueError("image dimensions must be >= 1")
+        arr = readonly_vector(self.pixels, "pixels")
+        if arr.size != self.width * self.height:
+            raise ValueError(
+                f"pixel count {arr.size} != width*height "
+                f"{self.width * self.height}"
+            )
+        object.__setattr__(self, "pixels", arr)
+
+    @property
+    def dim(self) -> int:
+        return self.width * self.height
+
+    def to_array(self) -> np.ndarray:
+        """Return a writable (height, width) copy."""
+        return self.pixels.reshape(self.height, self.width).copy()
+
+    @classmethod
+    def from_array(cls, arr) -> "ImageGrid":
+        arr = np.asarray(arr, dtype=np.float64)
+        if arr.ndim != 2:
+            raise ValueError(f"expected a 2-D array, got shape {arr.shape}")
+        h, w = arr.shape
+        return cls(width=w, height=h, pixels=arr.reshape(-1))
+
 
 TRACE_COLUMNS = ("iter", "delta", "rho", "sigma", "condition", "fidelity_value")
 
@@ -54,7 +98,7 @@ def _read_pgm_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
 
 
 def load_image(path) -> ImageGrid:
-    """Load an 8-bit binary PGM, mapping [0, 255] to [0, 1]."""
+    """Load an 8-bit binary PGM, mapping [0, maxval] to [0, 1]."""
     data = Path(path).read_bytes()
     tokens, pos = _read_pgm_tokens(data, 4)
     if tokens[0] != b"P5":
@@ -74,7 +118,11 @@ def load_image(path) -> ImageGrid:
             f"truncated payload: expected {width * height} bytes, "
             f"got {len(payload)}"
         )
-    pixels = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / 255.0
+    samples = np.frombuffer(payload, dtype=np.uint8)
+    top = int(samples.max())
+    if top > maxval:
+        raise PgmFormatError(f"sample {top} above the declared maxval {maxval}")
+    pixels = samples.astype(np.float64) / maxval
     return ImageGrid(width=width, height=height, pixels=pixels)
 
 

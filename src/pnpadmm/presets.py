@@ -13,7 +13,6 @@ from .denoisers import (
     Denoiser,
     GaussianSmoothing,
     IdentityDenoiser,
-    ImageGrid,
     MedianFilter,
 )
 from .fidelity import (
@@ -24,6 +23,7 @@ from .fidelity import (
     Identity,
     binomial_stencil,
 )
+from .fileio import ImageGrid, load_image
 from .linalg import IterateTriple
 from .solver import Observer, RunTrace, SolverConfig, run
 
@@ -77,8 +77,6 @@ class ExperimentPreset:
     def source_image(self) -> ImageGrid:
         if self.image_source == "builtin":
             return synthetic_image(self.image_size)
-        from .fileio import load_image
-
         return load_image(self.image_source)
 
 

@@ -386,7 +386,7 @@ def classify_case(trace: ConditionTrace, window: int) -> str:
         raise ValueError("window must be >= 1")
     if len(trace.flags) < window:
         raise ValueError(
-            f"trace has {len(trace.flags)} flags, need more than window={window}"
+            f"trace has {len(trace.flags)} flags, need at least window={window}"
         )
     tail = trace.flags[-window:]
     has_c1 = ConditionFlag.C1 in tail

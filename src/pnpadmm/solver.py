@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoisers import Denoiser, ImageGrid, denoise
+from .denoisers import Denoiser, denoise
 from .fidelity import FidelityTerm, prox_x_update
 from .linalg import IterateTriple, NonFiniteIterateError, as_vector, metric_distance
 from .sequences import ConditionFlag, ConditionTrace
@@ -129,11 +129,10 @@ def step(
     the x-update that produced it."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    h, w = f.op.in_shape
     target = theta.v - theta.u
     x_new, value = prox_x_update(f, rho, target)
     noisy = x_new + theta.u
-    v_new = denoise(kind, sigma, ImageGrid(width=w, height=h, pixels=noisy)).pixels
+    v_new = denoise(kind, sigma, noisy.reshape(f.op.in_shape)).reshape(-1)
     u_new = noisy - v_new
     return IterateTriple(x=x_new, v=v_new, u=u_new), StepInfo(rho, target, value)
 

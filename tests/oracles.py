@@ -51,19 +51,20 @@ def autocorrelation_low_eig(stencil, shape, factor):
     return np.fft.rfft2(autocorr[::factor, ::factor]).real
 
 
-def direct_gaussian(img, sigma, truncate=3.0, c_map=1.0):
-    """Brute-force 2-D convolution with an outer-product Gaussian kernel."""
-    std = c_map * sigma * max(img.width, img.height)
+def direct_gaussian(a, sigma, truncate=3.0, c_map=1.0):
+    """Brute-force 2-D convolution of an (h, w) image with an outer-product
+    Gaussian kernel."""
+    h, w = a.shape
+    std = c_map * sigma * max(h, w)
     radius = max(1, int(math.ceil(truncate * std)))
     offs = np.arange(-radius, radius + 1, dtype=float)
     k1 = np.exp(-0.5 * (offs / std) ** 2)
     k1 /= k1.sum()
     k2 = np.outer(k1, k1)
-    a = img.pixels.reshape(img.height, img.width)
     padded = np.pad(a, radius, mode="symmetric")
     out = np.zeros_like(a)
-    for i in range(img.height):
-        for j in range(img.width):
+    for i in range(h):
+        for j in range(w):
             patch = padded[i : i + 2 * radius + 1, j : j + 2 * radius + 1]
             out[i, j] = np.sum(patch * k2)
     return out
@@ -82,9 +83,9 @@ def convolve_axis(arr, kernel, axis):
     return windows @ kernel
 
 
-def two_pass_filter(img, kernel):
-    """Separable filter as two :func:`convolve_axis` passes, rows first."""
-    a = img.pixels.reshape(img.height, img.width)
+def two_pass_filter(a, kernel):
+    """Separable filter of an (h, w) image as two :func:`convolve_axis`
+    passes, rows first."""
     return convolve_axis(convolve_axis(a, kernel, axis=1), kernel, axis=0)
 
 
@@ -101,10 +102,9 @@ def bincount_filter_matrix(n, kernel):
     return np.bincount(flat, weights, minlength=n * n).reshape(n, n)
 
 
-def unblocked_median(img, sigma, c_map=1.0):
-    """Square-window median over all windows of the image in one call."""
-    half = int(math.floor(c_map * sigma * max(img.width, img.height) + 0.5))
-    a = img.pixels.reshape(img.height, img.width)
+def unblocked_median(a, sigma, c_map=1.0):
+    """Square-window median over all windows of an (h, w) image in one call."""
+    half = int(math.floor(c_map * sigma * max(a.shape) + 0.5))
     if half == 0:
         return a.copy()
     padded = np.pad(a, half, mode="symmetric")
@@ -119,14 +119,11 @@ def straight_line_step(op, b, rho, sigma, x, v, u, c_map=1.0, truncate=3.0):
     Dense solve for the data update, brute-force Gaussian convolution for
     the denoising update, then the running-sum correction.
     """
-    from pnpadmm.denoisers import ImageGrid
-
     H = dense_matrix(op)
     A = H.T @ H + rho * np.eye(op.in_dim)
     x_new = np.linalg.solve(A, H.T @ b + rho * (v - u))
-    h, w = op.in_shape
-    img = ImageGrid(width=w, height=h, pixels=x_new + u)
-    v_new = direct_gaussian(img, sigma, truncate=truncate, c_map=c_map).reshape(-1)
+    noisy = (x_new + u).reshape(op.in_shape)
+    v_new = direct_gaussian(noisy, sigma, truncate=truncate, c_map=c_map).reshape(-1)
     u_new = u + x_new - v_new
     return x_new, v_new, u_new
 

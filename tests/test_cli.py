@@ -11,9 +11,8 @@ import pytest
 
 import pnpadmm
 from pnpadmm import cli
-from pnpadmm.denoisers import ImageGrid
 from pnpadmm.fidelity import CircularBlur, estimate_gradient_bound
-from pnpadmm.fileio import load_image, parse_config, read_trace_csv, save_image
+from pnpadmm.fileio import ImageGrid, load_image, parse_config, read_trace_csv, save_image
 from pnpadmm.presets import make_preset, run_preset, synthetic_image
 from pnpadmm.sequences import PgsSpec, pgs_generate
 

@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from oracles import unblocked_median
+from oracles import direct_gaussian, unblocked_median
 
 from pnpadmm import denoisers
 from pnpadmm.denoisers import (
@@ -13,7 +13,6 @@ from pnpadmm.denoisers import (
     Denoiser,
     GaussianSmoothing,
     IdentityDenoiser,
-    ImageGrid,
     MedianFilter,
     denoise,
     estimate_denoiser_bound_constant,
@@ -25,25 +24,7 @@ ALL_KINDS = [GaussianSmoothing(), MedianFilter(), BoxAverage(), IdentityDenoiser
 
 
 def noise_image(rng, w=16, h=16):
-    return ImageGrid(w, h, rng.uniform(0, 1, w * h))
-
-
-def direct_gaussian_oracle(img: ImageGrid, sigma: float, truncate=3.0, c_map=1.0):
-    """Brute-force 2-D convolution with an outer-product Gaussian kernel."""
-    std = c_map * sigma * max(img.width, img.height)
-    radius = max(1, int(math.ceil(truncate * std)))
-    offs = np.arange(-radius, radius + 1, dtype=float)
-    k1 = np.exp(-0.5 * (offs / std) ** 2)
-    k1 /= k1.sum()
-    k2 = np.outer(k1, k1)
-    a = img.pixels.reshape(img.height, img.width)
-    padded = np.pad(a, radius, mode="symmetric")
-    out = np.zeros_like(a)
-    for i in range(img.height):
-        for j in range(img.width):
-            patch = padded[i : i + 2 * radius + 1, j : j + 2 * radius + 1]
-            out[i, j] = np.sum(patch * k2)
-    return out
+    return rng.uniform(0, 1, (h, w))
 
 
 class ShiftStub(Denoiser):
@@ -54,16 +35,8 @@ class ShiftStub(Denoiser):
     def __init__(self, k_true: float):
         self.k_true = k_true
 
-    def apply(self, sigma, img):
-        shift = 2.0 * sigma * math.sqrt(self.k_true)
-        return ImageGrid(img.width, img.height, img.pixels + shift)
-
-
-def test_image_grid_validation():
-    with pytest.raises(ValueError):
-        ImageGrid(2, 2, np.zeros(3))
-    with pytest.raises(ValueError):
-        ImageGrid(0, 2, np.zeros(0))
+    def apply(self, sigma, a):
+        return a + 2.0 * sigma * math.sqrt(self.k_true)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name)
@@ -72,31 +45,30 @@ def test_sigma_zero_is_bit_exact_identity(kind):
     for _ in range(50):
         img = noise_image(rng, 9, 7)
         out = denoise(kind, 0.0, img)
-        assert np.array_equal(out.pixels, img.pixels)
+        assert np.array_equal(out, img)
 
 
 @pytest.mark.parametrize("kind", [GaussianSmoothing(), BoxAverage()], ids=lambda k: k.name)
 def test_constant_preservation(kind):
     for c in (0.0, 0.37, 1.0):
-        img = ImageGrid(12, 10, np.full(120, c))
-        out = denoise(kind, 0.2, img)
-        assert np.max(np.abs(out.pixels - c)) <= 1e-12
+        out = denoise(kind, 0.2, np.full((10, 12), c))
+        assert np.max(np.abs(out - c)) <= 1e-12
 
 
 def test_gaussian_matches_direct_convolution_oracle():
     rng = np.random.default_rng(29)
     img = noise_image(rng, 16, 16)
     got = denoise(GaussianSmoothing(), 0.1, img)
-    want = direct_gaussian_oracle(img, 0.1)
-    assert np.max(np.abs(got.pixels - want.reshape(-1))) < 1e-10
+    want = direct_gaussian(img, 0.1)
+    assert np.max(np.abs(got - want)) < 1e-10
 
 
 def test_gaussian_oracle_non_square():
     rng = np.random.default_rng(31)
     img = noise_image(rng, 12, 7)
     got = denoise(GaussianSmoothing(), 0.07, img)
-    want = direct_gaussian_oracle(img, 0.07)
-    assert np.max(np.abs(got.pixels - want.reshape(-1))) < 1e-10
+    want = direct_gaussian(img, 0.07)
+    assert np.max(np.abs(got - want)) < 1e-10
 
 
 def test_gaussian_residue_monotone_in_sigma():
@@ -105,7 +77,7 @@ def test_gaussian_residue_monotone_in_sigma():
     for _ in range(20):
         img = noise_image(rng)
         residues = [
-            np.linalg.norm(denoise(GaussianSmoothing(), s, img).pixels - img.pixels)
+            np.linalg.norm(denoise(GaussianSmoothing(), s, img) - img)
             for s in sigmas
         ]
         assert all(b >= a - 1e-12 for a, b in zip(residues, residues[1:]))
@@ -115,10 +87,9 @@ def test_median_filter_known_window():
     # 3x3 median of a one-hot image removes the spike
     a = np.zeros((8, 8))
     a[4, 4] = 1.0
-    img = ImageGrid.from_array(a)
     sigma = 1.0 / 8.0  # half-width round(0.125 * 8) = 1
-    out = denoise(MedianFilter(), sigma, img)
-    assert np.max(out.pixels) == 0.0
+    out = denoise(MedianFilter(), sigma, a)
+    assert np.max(out) == 0.0
 
 
 def test_median_against_brute_force():
@@ -127,9 +98,8 @@ def test_median_against_brute_force():
     sigma = 0.15
     half = int(math.floor(0.15 * 10 + 0.5))
     assert half >= 1
-    got = denoise(MedianFilter(), sigma, img).pixels.reshape(9, 10)
-    a = img.pixels.reshape(9, 10)
-    padded = np.pad(a, half, mode="symmetric")
+    got = denoise(MedianFilter(), sigma, img)
+    padded = np.pad(img, half, mode="symmetric")
     for i in range(9):
         for j in range(10):
             win = padded[i : i + 2 * half + 1, j : j + 2 * half + 1]
@@ -145,7 +115,7 @@ def test_blocked_median_equals_unblocked(monkeypatch, budget, shape, sigma):
     monkeypatch.setattr(denoisers, "MEDIAN_BLOCK_BYTES", budget)
     h, w = shape
     img = noise_image(np.random.default_rng(43), w, h)
-    got = denoise(MedianFilter(), sigma, img).pixels.reshape(h, w)
+    got = denoise(MedianFilter(), sigma, img)
     assert np.array_equal(got, unblocked_median(img, sigma))
 
 
@@ -186,7 +156,7 @@ def test_repeated_sigma_builds_each_filter_matrix_once(monkeypatch, kind, shape)
     with ThreadPoolExecutor(1) as pool:
         first, second = pool.submit(twice).result()
     assert builds == 2 * ([w] if h == w else [w, h])
-    assert np.array_equal(first.pixels, second.pixels)
+    assert np.array_equal(first, second)
 
 
 @pytest.mark.parametrize("kind", [GaussianSmoothing(), BoxAverage()], ids=["gaussian", "box"])
@@ -206,13 +176,49 @@ def test_filter_output_does_not_depend_on_earlier_calls(kind):
     order = [calls[i] for i in (0, 2, 1, 3, 3, 0, 2, 1)]
     for shape, sigma in order:
         got = denoise(kind, sigma, images[shape])
-        assert np.array_equal(got.pixels, want[shape, sigma].pixels), (shape, sigma)
+        assert np.array_equal(got, want[shape, sigma]), (shape, sigma)
 
 
 def test_denoise_rejects_negative_sigma():
-    img = ImageGrid(2, 2, np.zeros(4))
-    with pytest.raises(ValueError):
-        denoise(IdentityDenoiser(), -0.1, img)
+    with pytest.raises(ValueError, match="sigma must be >= 0"):
+        denoise(IdentityDenoiser(), -0.1, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("shape", [(4,), (1, 2, 2, 2), (0, 3), (3, 0), (0, 2, 2), (2, 2, 0)])
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name)
+def test_denoise_refuses_what_is_not_an_image_or_a_stack(kind, shape):
+    for sigma in (0.0, 0.1):
+        with pytest.raises(ValueError, match="got shape"):
+            denoise(kind, sigma, np.zeros(shape))
+
+
+class Recorder(IdentityDenoiser):
+    """Keeps the array it is handed."""
+
+    def apply(self, sigma, a):
+        self.seen = a
+        return a
+
+
+def test_denoise_hands_over_a_read_only_float64_view():
+    a = np.arange(12.0).reshape(3, 4)
+    kind = Recorder()
+    out = denoise(kind, 0.1, a)
+    assert out is kind.seen and np.shares_memory(out, a)
+    assert not out.flags.writeable and a.flags.writeable
+    levels = np.arange(6).reshape(2, 3)
+    got = denoise(kind, 0.1, levels)
+    assert got.dtype == np.float64 and np.array_equal(got, levels)
+    assert not denoise(kind, 0.0, a).flags.writeable
+
+
+def test_denoise_refuses_a_denoiser_that_changes_the_shape():
+    class Cropping(IdentityDenoiser):
+        def apply(self, sigma, a):
+            return a[..., :-1]
+
+    with pytest.raises(ValueError, match="changed image shape"):
+        denoise(Cropping(), 0.1, np.zeros((3, 4)))
 
 
 def test_estimate_identity_gives_zero():
@@ -240,7 +246,7 @@ def test_estimate_matches_bruteforce_max():
     ratios = []
     for i in range(7):
         rng = np.random.default_rng((3, i))
-        img = ImageGrid(8, 8, rng.uniform(0, 1, 64))
+        img = rng.uniform(0, 1, (8, 8))
         for s in grid:
             ratios.append(residue_ratio(kind, s, img))
     assert est.k_hat == max(ratios)
@@ -251,7 +257,7 @@ def test_holdout_detects_adversarial_stub():
     # a weaker stub makes every holdout sample a violation
     k_true = 0.25
     stub = ShiftStub(k_true)
-    img = ImageGrid(8, 8, np.zeros(64))
+    img = np.zeros((8, 8))
     assert residue_ratio(stub, 0.3, img) == pytest.approx(4.0 * k_true)
     weak = estimate_denoiser_bound_constant(
         ShiftStub(k_true / 8), 8, 8, [0.1], n_samples=3, seed=0
@@ -286,11 +292,26 @@ def test_stacked_filter_is_bit_equal_to_one_call_per_image(h, w, reach):
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name)
+@pytest.mark.parametrize("h,w", [(9, 9), (7, 12), (1, 9)])
+@pytest.mark.parametrize("sigma", [0.05, 0.3, 1.5])
+def test_denoise_on_a_stack_is_bit_equal_to_one_call_per_image(kind, h, w, sigma):
+    # sigma 0.05 leaves the median and box windows at half-width 0 on the
+    # smaller images; 1.5 puts every window past the longer side
+    stack = np.random.default_rng(37).uniform(0, 1, (4, h, w))
+    got = denoise(kind, sigma, stack)
+    assert got.shape == stack.shape
+    for a, image in zip(got, stack):
+        assert np.array_equal(a, denoise(kind, sigma, image))
+    ratios = residue_ratio(kind, sigma, stack)
+    assert ratios.tolist() == [residue_ratio(kind, sigma, image) for image in stack]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name)
 def test_bound_checks_equal_a_per_sample_residue_ratio_loop(kind):
     grid = (0.05, 0.1, 0.2)
     est = estimate_denoiser_bound_constant(kind, 12, 9, grid, n_samples=6, seed=3)
     ratios = [
-        residue_ratio(kind, s, ImageGrid(12, 9, np.random.default_rng((3, i)).uniform(0, 1, 108)))
+        residue_ratio(kind, s, np.random.default_rng((3, i)).uniform(0, 1, (9, 12)))
         for i in range(6)
         for s in grid
     ]
@@ -298,7 +319,7 @@ def test_bound_checks_equal_a_per_sample_residue_ratio_loop(kind):
     # margin 0 puts the threshold at k_hat itself, which one of the 15
     # held-out ratios exceeds for each filter
     holdout = [
-        residue_ratio(kind, s, ImageGrid(12, 9, np.random.default_rng((4, i)).uniform(0, 1, 108)))
+        residue_ratio(kind, s, np.random.default_rng((4, i)).uniform(0, 1, (9, 12)))
         for i in range(5)
         for s in grid
     ]

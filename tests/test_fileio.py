@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from pnpadmm.denoisers import ImageGrid
 from pnpadmm.fileio import (
+    ImageGrid,
     PgmFormatError,
     TraceFormatError,
     infer_eta,
@@ -35,6 +35,13 @@ def assert_columns_of(columns, trace):
     assert columns["flags"] == trace.flags
     for name in ("deltas", "rhos", "sigmas", "fidelity_values"):
         assert np.array_equal(columns[name], getattr(trace, name))
+
+
+def test_image_grid_validation():
+    with pytest.raises(ValueError):
+        ImageGrid(2, 2, np.zeros(3))
+    with pytest.raises(ValueError):
+        ImageGrid(0, 2, np.zeros(0))
 
 
 def test_pgm_endpoint_mapping(tmp_path):
@@ -72,6 +79,21 @@ def test_pgm_maxval_out_of_range(tmp_path):
     path = tmp_path / "deep.pgm"
     path.write_bytes(b"P5\n1 1\n65535\n\x00\x00")
     with pytest.raises(PgmFormatError, match="maxval"):
+        load_image(path)
+
+
+def test_pgm_scales_by_the_declared_maxval(tmp_path):
+    path = tmp_path / "four_bit.pgm"
+    path.write_bytes(b"P5\n2 1\n15\n\x0f\x07")
+    assert np.array_equal(load_image(path).pixels, [1.0, 7.0 / 15.0])
+    path.write_bytes(b"P5\n2 1\n1\n\x01\x00")
+    assert np.array_equal(load_image(path).pixels, [1.0, 0.0])
+
+
+def test_pgm_sample_above_maxval(tmp_path):
+    path = tmp_path / "over.pgm"
+    path.write_bytes(b"P5\n2 1\n15\n\x0f\xff")
+    with pytest.raises(PgmFormatError, match="sample 255 above the declared maxval 15"):
         load_image(path)
 
 

@@ -22,7 +22,7 @@ from oracles import (
 )
 
 from pnpadmm import denoisers
-from pnpadmm.denoisers import BoxAverage, GaussianSmoothing, ImageGrid, denoise
+from pnpadmm.denoisers import BoxAverage, GaussianSmoothing, denoise
 from pnpadmm.fidelity import (
     CircularBlur,
     Downsample,
@@ -31,7 +31,7 @@ from pnpadmm.fidelity import (
     Mask,
     prox_x_update,
 )
-from pnpadmm.fileio import load_image, parse_trace, save_image, serialize_trace
+from pnpadmm.fileio import ImageGrid, load_image, parse_trace, save_image, serialize_trace
 from pnpadmm.sequences import (
     ConditionFlag,
     ConditionTrace,
@@ -215,15 +215,15 @@ def test_prox_satisfies_first_order_optimality(op, rho, seed):
 def test_separable_denoisers_match_two_pass_oracle(h, w, sigma, seed):
     # sigma up to 2 puts the Gaussian radius (and the box half-width) past
     # the image side, where the symmetric extension reflects more than once
-    img = ImageGrid(w, h, np.random.default_rng(seed).uniform(-1, 1, h * w))
+    img = np.random.default_rng(seed).uniform(-1, 1, (h, w))
     half = int(math.floor(sigma * max(h, w) + 0.5))
     gauss = GaussianSmoothing()
     kernels = [(gauss, gauss.kernel(sigma, max(h, w)))]
     if half >= 1:
         kernels.append((BoxAverage(), np.full(2 * half + 1, 1.0 / (2 * half + 1))))
-    tol = 1e-13 * np.max(np.abs(img.pixels))
+    tol = 1e-13 * np.max(np.abs(img))
     for kind, kernel in kernels:
-        got = denoise(kind, sigma, img).pixels.reshape(h, w)
+        got = denoise(kind, sigma, img)
         assert np.max(np.abs(got - two_pass_filter(img, kernel))) <= tol
 
 
@@ -238,17 +238,17 @@ def test_banded_filter_matches_two_pass_oracle_across_blocks(h, w, reach, seed):
     # sides up to 200 span several blocks of FILTER_BLOCK outputs; the
     # radius runs from 1 to past the longer side
     radius = max(1, round(reach * max(h, w)))
-    img = ImageGrid(w, h, np.random.default_rng(seed).uniform(-1, 1, h * w))
+    img = np.random.default_rng(seed).uniform(-1, 1, (h, w))
     offsets = np.arange(-radius, radius + 1)
     gauss = np.exp(-0.5 * (3.0 * offsets / radius) ** 2)
     box = np.ones(2 * radius + 1)
-    tol = 1e-13 * np.max(np.abs(img.pixels))
+    tol = 1e-13 * np.max(np.abs(img))
     for kernel in (gauss / gauss.sum(), box / box.sum()):
         for n in {h, w}:
             g = bincount_filter_matrix(n, kernel)
             for j0, j1, lo, hi in denoisers._blocks(n, radius):
                 assert not g[j0:j1, :lo].any() and not g[j0:j1, hi:].any()
-        got = denoisers._separable_filter(img.pixels.reshape(h, w), kernel)
+        got = denoisers._separable_filter(img, kernel)
         assert np.max(np.abs(got - two_pass_filter(img, kernel))) <= tol
 
 
@@ -262,7 +262,6 @@ def test_inplace_filter_matrix_matches_bincount_oracle(h, w, sigma, box):
     # bit for bit while each entry sums at most two taps (radius below the
     # side); past the side the folded taps add up in another order, and two
     # sums of m positive taps differ by at most m eps times the sum
-    img = ImageGrid(w, h, np.zeros(h * w))
     if box:
         half = max(1, round(sigma * max(h, w)))
         kernel = np.full(2 * half + 1, 1.0 / (2 * half + 1))

@@ -440,8 +440,9 @@ def test_classify_cases():
 
 def test_classify_requires_long_enough_trace():
     tr = trace_from_flags([C1, C2])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="has 2 flags, need at least window=10"):
         classify_case(tr, window=10)
+    assert classify_case(tr, window=2) == "S3-like"
 
 
 def test_verify_bound_equality_and_violation():

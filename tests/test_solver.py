@@ -5,7 +5,7 @@ import pytest
 
 from oracles import straight_line_step
 
-from pnpadmm.denoisers import GaussianSmoothing, IdentityDenoiser, ImageGrid
+from pnpadmm.denoisers import GaussianSmoothing, IdentityDenoiser
 from pnpadmm.fidelity import (
     CircularBlur,
     Downsample,
@@ -15,6 +15,7 @@ from pnpadmm.fidelity import (
     binomial_stencil,
     prox_x_update,
 )
+from pnpadmm.fileio import ImageGrid
 from pnpadmm.linalg import IterateTriple, metric_distance
 from pnpadmm.sequences import ConditionFlag
 from pnpadmm.solver import (
@@ -72,10 +73,8 @@ def test_step_fixed_point_of_composition():
 def test_step_u_update_arithmetic():
     # forced by u' = u + x' - v' with an identity solve and a stub denoiser
     class ConstStub(IdentityDenoiser):
-        def apply(self, sigma, img):
-            from pnpadmm.denoisers import ImageGrid
-
-            return ImageGrid(img.width, img.height, np.array([0.0, 1.0]))
+        def apply(self, sigma, a):
+            return np.array([0.0, 1.0]).reshape(a.shape)
 
     f = identity_problem(2, b=np.array([1.0, 1.0]))
     theta = IterateTriple(x=[0.0, 0.0], v=[1.0, 1.0], u=[0.0, 0.0])
@@ -89,8 +88,8 @@ def test_step_u_update_arithmetic():
 class FlippedView(IdentityDenoiser):
     """Hands back its input upside down, as a view of the input's memory."""
 
-    def apply(self, sigma, img):
-        return ImageGrid.from_array(img.pixels.reshape(img.height, img.width)[::-1, ::-1])
+    def apply(self, sigma, a):
+        return a[::-1, ::-1]
 
 
 @pytest.mark.parametrize("kind", [IdentityDenoiser(), FlippedView()], ids=["input", "view"])
@@ -103,7 +102,7 @@ def test_step_keeps_a_denoiser_output_that_aliases_its_input(kind):
     got, _ = step(f, kind, rho=0.7, sigma=0.1, theta=theta)
     x_new, _ = prox_x_update(f, 0.7, theta.v - theta.u)
     noisy = x_new + theta.u
-    v_new = kind.apply(0.1, ImageGrid(w, h, noisy.copy())).pixels
+    v_new = kind.apply(0.1, noisy.copy().reshape(h, w)).reshape(-1)
     assert np.array_equal(got.x, x_new)
     assert np.array_equal(got.v, v_new)
     assert np.array_equal(got.u, noisy - v_new)
@@ -284,6 +283,29 @@ def test_identity_denoiser_reaches_exact_zero_delta():
     assert cond.rhos[first] == 1.0
 
 
+def test_run_builds_no_image_grid(monkeypatch):
+    # the loop hands the denoiser (h, w) views of its vectors; ImageGrid is
+    # only where an image meets a file or a preset
+    built = []
+    post_init = ImageGrid.__post_init__
+
+    def counting_post_init(self):
+        built.append((self.width, self.height))
+        post_init(self)
+
+    monkeypatch.setattr(ImageGrid, "__post_init__", counting_post_init)
+    rng = np.random.default_rng(97)
+    op = CircularBlur((12, 16), binomial_stencil(3))
+    f = FidelityTerm(op=op, observation=rng.uniform(size=op.out_dim))
+    x0 = f.adjoint_observation
+    trace = run(f, GaussianSmoothing(), base_config(max_iter=5, delta_tol=0.0),
+                IterateTriple(x=x0, v=x0, u=np.zeros_like(x0)))
+    fixed_point_residual(f, GaussianSmoothing(), trace)
+    assert len(trace) == 5 and built == []
+    ImageGrid(16, 12, trace.final_iterate.x)
+    assert built == [(16, 12)]
+
+
 def test_run_rejects_dimension_mismatch():
     f = identity_problem(4)
     theta0 = IterateTriple(x=np.zeros(3), v=np.zeros(3), u=np.zeros(3))
@@ -293,10 +315,8 @@ def test_run_rejects_dimension_mismatch():
 
 def test_non_finite_iterate_error_names_iteration():
     class ExplodingStub(IdentityDenoiser):
-        def apply(self, sigma, img):
-            from pnpadmm.denoisers import ImageGrid
-
-            return ImageGrid(img.width, img.height, img.pixels * 1e308)
+        def apply(self, sigma, a):
+            return a * 1e308
 
     # the iterates are huge but finite through iteration 3 (the prox target
     # of iteration 2 is 1e308, whose squared norm overflows); iteration 4's
@@ -310,10 +330,8 @@ def test_non_finite_iterate_error_names_iteration():
 
 def test_nan_from_denoiser_is_caught_in_the_same_iteration():
     class NanStub(IdentityDenoiser):
-        def apply(self, sigma, img):
-            from pnpadmm.denoisers import ImageGrid
-
-            return ImageGrid(img.width, img.height, np.full(img.dim, np.nan))
+        def apply(self, sigma, a):
+            return np.full(a.shape, np.nan)
 
     f = identity_problem(2, b=np.array([1.0, 1.0]))
     theta0 = IterateTriple(x=[0.0, 0.0], v=[0.0, 0.0], u=[0.0, 0.0])
@@ -323,7 +341,7 @@ def test_nan_from_denoiser_is_caught_in_the_same_iteration():
 
 def test_unrelated_denoiser_value_error_is_not_relabeled():
     class FailingStub(IdentityDenoiser):
-        def apply(self, sigma, img):
+        def apply(self, sigma, a):
             raise ValueError("stub denoiser refused")
 
     f = identity_problem(2, b=np.array([1.0, 1.0]))
