@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .denoisers import estimate_denoiser_bound_constant
-from .fidelity import estimate_gradient_bound
+from .denoisers import certified_denoiser_bound, estimate_denoiser_bound_constant
+from .fidelity import box_gradient_bound, estimate_gradient_bound
 from .linalg import norm
 from .presets import (
     DENOISERS,
@@ -44,6 +44,9 @@ _FILE_KEYS = {"lambda": "lam", "image": "image_source"}
 # pgs-demo writes one CSV line per term: 10^6 lines take ~4 s and make a
 # 21 MB file, so a longer request is refused before anything is allocated
 MAX_PGS_DEMO_LENGTH = 10**6
+# summary.txt bounds the denoiser on images of this side at these strengths
+BOUND_SIDE = 16
+BOUND_SIGMAS = (0.05, 0.1, 0.2)
 
 
 def _preset_from_args(args) -> ExperimentPreset:
@@ -65,23 +68,7 @@ def _preset_from_args(args) -> ExperimentPreset:
     return make_preset(name, **overrides)
 
 
-def _sampled_bounds(result) -> tuple[float, float]:
-    """M-hat over 16 seeded samples of [0,1]^d, drawn one at a time, and the
-    denoiser's K-hat on 16x16 noise: neither depends on eta."""
-    seed = result.trace.config.seed
-    box_rng = np.random.default_rng(seed + 1)
-    d = result.fidelity.op.in_dim
-    box = (box_rng.uniform(0, 1, d) for _ in range(16))
-    m_hat = estimate_gradient_bound(result.fidelity, box)
-    est = estimate_denoiser_bound_constant(
-        result.preset.denoiser, 16, 16, (0.05, 0.1, 0.2), 20, seed + 2
-    )
-    return m_hat, est.k_hat
-
-
-def _summarize(
-    result, trajectory_m_hat: float, sampled_bounds: tuple[float, float]
-) -> str:
+def _summarize(result, trajectory_m_hat: float) -> str:
     trace = result.trace
     cond = trace.condition_trace
     lines = [
@@ -95,10 +82,26 @@ def _summarize(
     if cond.flags:
         label = classify_case(cond, window)
         lines.append(f"case = {label} (window {window}; {CLASSIFY_CAVEAT})")
-    box_m_hat, k_hat = sampled_bounds
-    m_hat = max(trajectory_m_hat, box_m_hat)
-    lines.append(f"gradient_bound_m_hat = {m_hat:.6e} (trajectory plus [0,1]^d samples)")
-    lines.append(f"denoiser_bound_k_hat = {k_hat:.6e} (16x16 noise samples)")
+    lines.append(
+        f"gradient_bound_m = {box_gradient_bound(result.fidelity):.6e} "
+        "(certified on [0,1]^d: ||H|| ||max(|b|, |1 - b|)|| / sqrt(d))"
+    )
+    lines.append(f"gradient_bound_m_hat = {trajectory_m_hat:.6e} (sampled: trajectory maximum)")
+    kind = result.preset.denoiser
+    grid = f"{BOUND_SIDE}x{BOUND_SIDE} images in [0,1]^d, sigma in {BOUND_SIGMAS}"
+    certified = certified_denoiser_bound(kind, BOUND_SIDE, BOUND_SIGMAS)
+    if certified is None:
+        est = estimate_denoiser_bound_constant(
+            kind, BOUND_SIDE, BOUND_SIDE, BOUND_SIGMAS, 20, trace.config.seed + 2
+        )
+        lines.append(
+            f"denoiser_bound_k_hat = {est.k_hat:.6e} "
+            f"(sampled on 20 noise {grid}; not a bound)"
+        )
+    else:
+        k, lowest = certified
+        lines.append(f"denoiser_bound_k = {k:.6e} (certified on {grid})")
+        lines.append(f"denoiser_min_eigenvalue = {lowest:.6e} (certified on {grid})")
     fp = fixed_point_residual(result.fidelity, result.preset.denoiser, trace)
     lines.append(f"fixed_point_residual = {fp:.6e}")
     return "\n".join(lines) + "\n"
@@ -123,13 +126,8 @@ def _gradient_m_hat(f, theta, step) -> float:
     return step.rho * norm(diff) / math.sqrt(theta.dim)
 
 
-def _run_one(
-    preset: ExperimentPreset,
-    out_dir: Path,
-    sampled_bounds: tuple[float, float] | None = None,
-) -> tuple[float, float]:
-    """Run ``preset`` into ``out_dir``; the :func:`_sampled_bounds` its
-    summary used, computed here unless given."""
+def _run_one(preset: ExperimentPreset, out_dir: Path) -> None:
+    """Run ``preset`` and write its four files into ``out_dir``."""
     out_dir.mkdir(parents=True, exist_ok=True)
     trajectory_m_hat = 0.0
 
@@ -140,12 +138,9 @@ def _run_one(
     result = run_preset(preset, observe=observe)
     fileio.write_trace_csv(result.trace.condition_trace, out_dir / "trace.csv")
     fileio.save_image(result.restored, out_dir / "restored.pgm")
-    if sampled_bounds is None:
-        sampled_bounds = _sampled_bounds(result)
-    summary = _summarize(result, trajectory_m_hat, sampled_bounds)
+    summary = _summarize(result, trajectory_m_hat)
     (out_dir / "summary.txt").write_text(summary)
     fileio.write_config(_run_config(preset), out_dir / "run_config.txt")
-    return sampled_bounds
 
 
 def cmd_run(args) -> int:
@@ -163,10 +158,8 @@ def cmd_run(args) -> int:
                     f"both write to {sub}"
                 )
             members[sub] = replace(preset, config=replace(preset.config, eta=eta))
-        # the sampled bounds do not depend on eta: the first member's serve all
-        sampled_bounds = None
         for sub, member in members.items():
-            sampled_bounds = _run_one(member, sub, sampled_bounds)
+            _run_one(member, sub)
         print(f"wrote {len(members)} runs under {out_dir}")
         return 0
     _run_one(preset, out_dir)

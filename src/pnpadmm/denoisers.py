@@ -5,11 +5,15 @@ float64 (h, w) image, or each image of a (k, h, w) stack, to an array of
 the same shape.  :func:`denoise` is the checked way in: it validates the
 array, hands the denoiser a read-only view and acts as the identity at
 sigma = 0.  The residue bound under test is
-``||D_sigma(x) - x||^2 <= K * d * sigma^2``; since it is hard to establish
-analytically even for simple filters, the constant K is estimated from
-samples and re-checked on held-out samples.  Both checks filter their
-samples as (k, h, w) stacks, one call per sigma; the Gaussian and box
-filters take a whole stack in one pass of their matrix products.
+``||D_sigma(x) - x||^2 <= K * d * sigma^2`` on [0, 1]^d.  The linear
+filters (Gaussian, box, identity) are symmetric and diagonal in the DCT-II
+basis, so :meth:`Denoiser.spectrum` gives their eigenvalues in closed form
+and :func:`certified_denoiser_bound` a K that provably holds.  The median
+filter has no spectrum: for it K can only be estimated from samples and
+re-checked on held-out samples, a sample maximum and not a bound.  Both
+sampled checks filter their samples as (k, h, w) stacks, one call per
+sigma; the Gaussian and box filters take a whole stack in one pass of
+their matrix products.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ def _fill_filter(n: int, kernel: np.ndarray) -> np.ndarray:
     corner at each end of the diagonal, k = min(radius, n).
     """
     radius = kernel.size // 2
-    c = np.bincount(np.arange(-radius, radius + 1) % (2 * n), kernel, minlength=2 * n)
+    c = _fold(n, kernel)
     # row n - 1 - i of hankel(c[-(n - 1)], ..., c[n - 1]) is row i of the
     # Toeplitz part: c[-i], ..., c[n - 1 - i]
     g = _hankel(np.concatenate((c[n + 1 :], c[:n])), n)[::-1].copy()
@@ -63,6 +67,26 @@ def _fill_filter(n: int, kernel: np.ndarray) -> np.ndarray:
     g[:k, :k] += _hankel(top, k)
     g[n - k :, n - k :] += _hankel(bottom[2 * (n - k) :], k)
     return g
+
+
+def _fold(n: int, kernel: np.ndarray) -> np.ndarray:
+    """The taps of an odd-length, centred ``kernel`` summed by their offset
+    mod 2n, as a length-2n vector: c[s] sums the taps at offsets = s mod 2n."""
+    radius = kernel.size // 2
+    return np.bincount(np.arange(-radius, radius + 1) % (2 * n), kernel, minlength=2 * n)
+
+
+def _filter_spectrum(n: int, kernel: np.ndarray) -> np.ndarray:
+    """The n eigenvalues of ``_fill_filter(n, kernel)`` for a symmetric
+    kernel, in DCT-II order.
+
+    Symmetric padding makes the filter matrix diagonal in the DCT-II basis
+    at every radius, the wraparound included (Martucci, IEEE TSP 1994;
+    Strang, SIAM Review 1999): the cosine cos(pi k (m + 1/2) / n) is an
+    eigenvector with eigenvalue sum_s c[s] cos(pi k s / n), which is the
+    real part of entry k of the length-2n DFT of the folded kernel c.
+    """
+    return np.fft.rfft(_fold(n, kernel)).real[:n]
 
 
 def _hankel(a: np.ndarray, k: int) -> np.ndarray:
@@ -120,6 +144,12 @@ class Denoiser:
         for an image whose longer side is ``side``; 0 reads no neighbours."""
         return 0
 
+    def spectrum(self, sigma: float, n: int) -> np.ndarray | None:
+        """The n eigenvalues of the symmetric side-n matrix that D_sigma
+        applies along each axis of an n x n image, so that D_sigma's own
+        are their pairwise products; None when D_sigma is not linear."""
+        return None
+
 
 class IdentityDenoiser(Denoiser):
     """Returns its input unchanged at every sigma; useful as a null prior."""
@@ -128,6 +158,9 @@ class IdentityDenoiser(Denoiser):
 
     def apply(self, sigma: float, a: np.ndarray) -> np.ndarray:
         return a
+
+    def spectrum(self, sigma: float, n: int) -> np.ndarray:
+        return np.ones(n)
 
 
 class GaussianSmoothing(Denoiser):
@@ -152,6 +185,9 @@ class GaussianSmoothing(Denoiser):
 
     def apply(self, sigma: float, a: np.ndarray) -> np.ndarray:
         return _separable_filter(a, self.kernel(sigma, max(a.shape[-2:])))
+
+    def spectrum(self, sigma: float, n: int) -> np.ndarray:
+        return _filter_spectrum(n, self.kernel(sigma, n))
 
 
 class MedianFilter(Denoiser):
@@ -192,12 +228,19 @@ class BoxAverage(Denoiser):
 
     radius = MedianFilter.radius
 
+    def kernel(self, sigma: float, side: int) -> np.ndarray:
+        """The equal taps for an image whose longer side is ``side``."""
+        win = 2 * self.radius(sigma, side) + 1
+        return np.full(win, 1.0 / win)
+
     def apply(self, sigma: float, a: np.ndarray) -> np.ndarray:
-        half = self.radius(sigma, max(a.shape[-2:]))
-        if half == 0:
+        kernel = self.kernel(sigma, max(a.shape[-2:]))
+        if kernel.size == 1:
             return a
-        win = 2 * half + 1
-        return _separable_filter(a, np.full(win, 1.0 / win))
+        return _separable_filter(a, kernel)
+
+    def spectrum(self, sigma: float, n: int) -> np.ndarray:
+        return _filter_spectrum(n, self.kernel(sigma, n))
 
 
 def denoise(kind: Denoiser, sigma: float, a) -> np.ndarray:
@@ -303,6 +346,37 @@ def estimate_denoiser_bound_constant(
         width=width,
         height=height,
     )
+
+
+def certified_denoiser_bound(
+    kind: Denoiser, side: int, sigma_grid: Sequence[float]
+) -> tuple[float, float] | None:
+    """``(K, lowest)`` for a linear denoiser on side x side images in [0, 1]^d:
+    the least K with ``||D_sigma(x) - x||^2 <= K * d * sigma^2`` that the
+    spectrum certifies at every sigma of the grid, and the smallest
+    eigenvalue of D_sigma over the grid; None when the denoiser has no
+    :meth:`Denoiser.spectrum`.
+
+    D_sigma is the symmetric matrix G kron G with eigenvalues lambda_i
+    lambda_j.  Its rows sum to 1, so it fixes constants, and
+    D_sigma(x) - x = (D_sigma - I)(x - 1/2); on [0, 1]^d the last factor
+    has squared norm at most d / 4, which gives
+    K = max (1 - lambda_i lambda_j)^2 / (4 sigma^2).  A {0, 1} image that
+    takes the sign of the worst cosine mode comes close to it.
+    """
+    grid = tuple(float(s) for s in sigma_grid)
+    if not grid or any(s <= 0 for s in grid):
+        raise ValueError("sigma_grid must be non-empty with positive entries")
+    k = 0.0
+    lowest = math.inf
+    for s in grid:
+        lam = kind.spectrum(s, side)
+        if lam is None:
+            return None
+        pairs = np.outer(lam, lam)
+        k = max(k, float(np.max((1.0 - pairs) ** 2)) / (4.0 * s * s))
+        lowest = min(lowest, float(np.min(pairs)))
+    return k, lowest
 
 
 def verify_denoiser_bound(

@@ -21,11 +21,12 @@ and H^T are products with the stencil's spectrum K and its conjugate),
 takes 0.5 ||Hx||^2 by Parseval from K X^ and adds -x.H^T b + 0.5 ||b||^2,
 around its one inverse transform.  Every prox returns a fresh x and keeps
 no state between calls, and its f(x) is not finite when t is not, which
-is all the x-update checks of its target.  The gradient H^T (Hx - b) also
-comes from the operator: the blur takes it as IFFT(|K|^2 X^) - H^T b, one
-transform pair instead of two.  Every dot product and norm goes through
-:func:`~pnpadmm.linalg.dot`, so its bits do not depend on the BLAS thread
-count.
+is all the x-update checks of its target.  The gradient H^T (Hx - b) is
+one H and one H^T; over the box [0, 1]^d its norm needs neither, since
+:func:`box_gradient_bound` bounds it in closed form from b and ||H||_2,
+which each operator reads off its spectrum.  Every dot product and norm
+goes through :func:`~pnpadmm.linalg.dot`, so its bits do not depend on
+the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -132,9 +133,9 @@ class ForwardOperator:
         fx = 0.5 ||Hx - b||^2, which is not finite when t is not."""
         raise NotImplementedError
 
-    def gradient(self, x: np.ndarray, b: np.ndarray, htb: np.ndarray) -> np.ndarray:
-        """H^T (Hx - b), the gradient of 0.5 ||Hx - b||^2, for htb = H^T b."""
-        return self.apply_adjoint(self.apply(x) - b)
+    def spectral_norm(self) -> float:
+        """||H||_2, the largest singular value of H."""
+        raise NotImplementedError
 
     def _check_in(self, x, what: str = "input") -> np.ndarray:
         return _sized(x, self.in_dim, what)
@@ -168,6 +169,9 @@ class Identity(ForwardOperator):
 
     def apply_adjoint(self, y):
         return self._check_out(y)
+
+    def spectral_norm(self):
+        return 1.0
 
     def prox(self, t, rho, b, htb):
         x = rho * t
@@ -207,11 +211,8 @@ class CircularBlur(ForwardOperator):
     def apply_adjoint(self, y):
         return self._filter(self._check_out(y), self._conj_spectrum)
 
-    def gradient(self, x, b, htb):
-        # H^T H is the circular convolution with transfer function |K|^2
-        g = self._filter(self._check_in(x), self._gain)
-        g -= htb
-        return g
+    def spectral_norm(self):
+        return float(np.max(np.abs(self._spectrum)))
 
     def prox(self, t, rho, b, htb):
         rhs = rho * t
@@ -251,6 +252,9 @@ class Mask(ForwardOperator):
 
     def apply_adjoint(self, y):
         return self._check_out(y) * self.keep
+
+    def spectral_norm(self):
+        return 1.0
 
     def prox(self, t, rho, b, htb):
         x = rho * t
@@ -315,6 +319,10 @@ class Downsample(ForwardOperator):
         spread = self._weights[:, None] * self._check_out(y)
         return np.bincount(self._src.ravel(), spread.ravel(), minlength=self.in_dim)
 
+    def spectral_norm(self):
+        # ||H||^2 = ||H H^T||, the largest eigenvalue of a circulant
+        return math.sqrt(float(np.max(self._low_eig)))
+
     def prox(self, t, rho, b, htb):
         # push-through (Zhao et al., IEEE TIP 2016): x = t + H^T z with
         # z = (rho I + H H^T)^-1 (b - H t), which makes Hx - b = -rho z
@@ -353,8 +361,8 @@ class FidelityTerm:
         return _half_square(self.op.apply(x) - self.observation)
 
     def gradient(self, x) -> np.ndarray:
-        """H^T (Hx - b), in the operator's cheapest form."""
-        return self.op.gradient(x, self.observation, self.adjoint_observation)
+        """H^T (Hx - b), the gradient of f at x."""
+        return self.op.apply_adjoint(self.op.apply(x) - self.observation)
 
 
 def prox_x_update(
@@ -395,3 +403,17 @@ def estimate_gradient_bound(f: FidelityTerm, samples: Iterable[np.ndarray]) -> f
     if empty:
         raise ValueError("samples must be non-empty")
     return worst
+
+
+def box_gradient_bound(f: FidelityTerm) -> float:
+    """M = ||H||_2 ||max(|b|, |1 - b|)|| / sqrt(d), a bound on
+    ||grad f(x)|| / sqrt(d) over the box [0, 1]^d.
+
+    grad f(x) = H^T (Hx - b), and every operator of this module has
+    nonnegative rows that sum to at most 1 (a stencil sums to 1, a mask
+    row holds one 0 or 1), so Hx lies in [0, 1]^m and each entry of Hx - b
+    is at most max(|b_i|, |1 - b_i|) in absolute value.
+    """
+    b = f.observation
+    worst = np.maximum(np.abs(b), np.abs(1.0 - b))
+    return f.op.spectral_norm() * norm(worst) / math.sqrt(f.op.in_dim)

@@ -18,10 +18,20 @@ REDUCE_CHUNK = 8192
 def dot(a: np.ndarray, b: np.ndarray) -> float:
     """a . b of two 1-D float64 arrays, summed REDUCE_CHUNK entries at a time
     in a fixed order, so its bits do not depend on the BLAS thread count;
-    equal to ``a @ b`` up to REDUCE_CHUNK entries."""
+    equal to ``a @ b`` up to REDUCE_CHUNK entries.
+
+    The whole chunks go through one batched product, each chunk its own
+    1 x 1 result, and are added left to right, then the shorter tail chunk.
+    """
+    full = a.size - a.size % REDUCE_CHUNK
     total = 0.0
-    for i in range(0, a.size, REDUCE_CHUNK):
-        total += float(a[i : i + REDUCE_CHUNK] @ b[i : i + REDUCE_CHUNK])
+    if full:
+        rows = a[:full].reshape(-1, 1, REDUCE_CHUNK)
+        cols = b[:full].reshape(-1, REDUCE_CHUNK, 1)
+        for part in np.matmul(rows, cols).ravel().tolist():
+            total += part
+    if full < a.size:
+        total += float(a[full:] @ b[full:])
     return total
 
 

@@ -58,8 +58,8 @@ class SolverConfig:
     the penalty growth factor, and eta in (0, 1) the residual-ratio
     threshold.  delta_tol stops the run early once the residual falls below
     it; max_iter always bounds the run since no convergence rate is
-    guaranteed.  Every float setting must be finite, and so must
-    lam / rho0, the square of the first denoising strength.
+    guaranteed.  Every float setting must be finite, and lam / rho0, the
+    square of the first denoising strength, finite and positive.
     """
 
     lam: float
@@ -78,8 +78,10 @@ class SolverConfig:
             raise ValueError("lam must be positive")
         if self.rho0 <= 0:
             raise ValueError("rho0 must be positive")
-        if not math.isfinite(self.lam / self.rho0):
-            raise ValueError(f"lam / rho0 must be finite, got {self.lam} / {self.rho0}")
+        if not 0 < self.lam / self.rho0 < math.inf:
+            raise ValueError(
+                f"lam / rho0 must be finite and positive, got {self.lam} / {self.rho0}"
+            )
         if self.gamma <= 1:
             raise ValueError("gamma must be > 1")
         if not (0 < self.eta < 1):
@@ -96,7 +98,7 @@ class RunTrace:
 
     condition_trace: ConditionTrace
     final_iterate: IterateTriple
-    stop_reason: str  # "tolerance" | "max_iter"
+    stop_reason: str  # "tolerance" | "fixed_point" | "penalty_limit" | "max_iter"
     config: SolverConfig
 
     def __len__(self):
@@ -144,7 +146,17 @@ def run(
     theta0: IterateTriple,
     observe: Observer | None = None,
 ) -> RunTrace:
-    """Run the loop from theta0 until delta < delta_tol or max_iter.
+    """Run the loop from theta0 until it stops, for one of four reasons:
+
+    - "tolerance": delta < delta_tol;
+    - "fixed_point": delta = 0 exactly, so the step returned its own input;
+      the penalty is held after it (0 < eta * delta_prev), so one more step
+      would return it again;
+    - "penalty_limit": the penalty update after iteration k would make rho
+      infinite or sigma = sqrt(lam / rho) zero, which no step can use;
+      iteration k is not recorded, so the final iterate is the one the last
+      row's rho and sigma step from;
+    - "max_iter".
 
     Deterministic given (f, kind, cfg, theta0).  The run keeps only the
     current iterate; observe, if given, is called as observe(f, theta, None)
@@ -170,15 +182,15 @@ def run(
     )
     del theta0
     rho = cfg.rho0
+    sigma = math.sqrt(cfg.lam / rho)
     deltas, rhos, sigmas, values = [], [], [], []  # floats, one per iteration
     flags: list[ConditionFlag] = []
     if observe is not None:
         observe(f, theta, None)
     stop_reason = "max_iter"
     for k in range(1, cfg.max_iter + 1):
-        sigma_step = math.sqrt(cfg.lam / rho)
         try:
-            theta_next, info = step(f, kind, rho, sigma_step, theta)
+            theta_next, info = step(f, kind, rho, sigma, theta)
         except NonFiniteIterateError as exc:
             raise NonFiniteIterateError(
                 f"non-finite iterate at iteration {k}: {exc}"
@@ -186,18 +198,27 @@ def run(
         delta = metric_distance(theta, theta_next)
         if math.isnan(delta):
             raise NonFiniteIterateError(f"non-finite iterate at iteration {k}")
-        theta = theta_next
+        rho_next, flag = rho, None
         if deltas:  # the first update has no previous residual; hold rho
-            rho, flag = update_rho(rho, delta, deltas[-1], cfg)
+            rho_next, flag = update_rho(rho, delta, deltas[-1], cfg)
+        sigma_next = math.sqrt(cfg.lam / rho_next)
+        if sigma_next == 0.0:  # rho_next is inf, or lam / rho_next underflows
+            stop_reason = "penalty_limit"
+            break
+        theta, rho, sigma = theta_next, rho_next, sigma_next
+        if flag is not None:
             flags.append(flag)
         deltas.append(delta)
         rhos.append(rho)
-        sigmas.append(math.sqrt(cfg.lam / rho))
+        sigmas.append(sigma)
         values.append(info.fidelity_value)
         if observe is not None:
             observe(f, theta, info)
         if delta < cfg.delta_tol:
             stop_reason = "tolerance"
+            break
+        if delta == 0.0:
+            stop_reason = "fixed_point"
             break
     trace = ConditionTrace(deltas, rhos, sigmas, flags, values, cfg.gamma, cfg.eta)
     return RunTrace(trace, theta, stop_reason, cfg)

@@ -159,3 +159,12 @@ def linear_cauchy_k(peak0, beta, epsilon, max_k):
         if k > max_k:
             return None
     return k
+
+
+def chunk_loop_dot(a, b, chunk):
+    """a . b summed ``chunk`` entries at a time, one ``@`` per chunk, left to
+    right from 0.0."""
+    total = 0.0
+    for i in range(0, a.size, chunk):
+        total += float(a[i : i + chunk] @ b[i : i + chunk])
+    return total

@@ -30,10 +30,38 @@ def test_run_smoke_writes_outputs(tmp_path, capsys):
     summary = (out / "summary.txt").read_text()
     assert "stop_reason = tolerance" in summary
     assert "fixed_point_residual" in summary
-    assert "gradient_bound_m_hat" in summary
-    assert "denoiser_bound_k_hat" in summary
+    # smoke's identity denoiser is linear: its K is certified, not sampled
+    for key in ("gradient_bound_m", "gradient_bound_m_hat", "denoiser_bound_k",
+                "denoiser_min_eigenvalue"):
+        assert f"\n{key} = " in summary
+    assert "denoiser_bound_k_hat" not in summary
     cfg = parse_config(out / "run_config.txt")
     assert cfg["preset"] == "smoke"
+
+
+@pytest.mark.parametrize(
+    "config,reason,rows",
+    [
+        # rho = 1e150 ** 3 overflows on the third C1 step, so sigma would be 0
+        ("preset = deblur\ngamma = 1e150\n", "penalty_limit", 5),
+        # delta reaches 0 exactly; C1 on 0 >= eta * 0 would then grow rho
+        # until it overflowed, near iteration 3900
+        ("preset = superres\nimage_size = 32\nmax_iter = 5000\n", "fixed_point", 199),
+    ],
+    ids=["penalty_limit", "fixed_point"],
+)
+def test_run_ends_with_its_stop_reason_and_writes_every_output(tmp_path, config, reason, rows):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "run"
+    assert run_cli("run", "--config", cfg, "--out", out) == 0
+    summary = (out / "summary.txt").read_text()
+    assert f"\nstop_reason = {reason}\n" in summary
+    assert f"\niterations = {rows}\n" in summary
+    columns = read_trace_csv(out / "trace.csv")
+    assert len(columns["deltas"]) == rows
+    assert np.all(np.isfinite(columns["rhos"])) and np.all(columns["sigmas"] > 0)
+    assert load_image(out / "restored.pgm").dim == (64 if rows == 5 else 32) ** 2
 
 
 def test_run_is_byte_deterministic(tmp_path):
@@ -180,46 +208,6 @@ def test_run_sweep_rejects_values_sharing_a_directory(tmp_path, capsys, values):
     assert first in err and second in err
     assert str(out / f"eta={first}") in err
     assert not out.exists()
-
-
-def test_run_sweep_samples_the_eta_free_bounds_once(tmp_path, monkeypatch):
-    # the box-sample M-hat and the denoiser's K-hat do not depend on eta, so
-    # a sweep computes them for its first member only; each member still
-    # takes the gradient at its own start iterate
-    calls = {"k_hat": 0, "m_hat": 0}
-
-    def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapped
-
-    monkeypatch.setattr(cli, "estimate_denoiser_bound_constant",
-                        counting("k_hat", cli.estimate_denoiser_bound_constant))
-    monkeypatch.setattr(cli, "estimate_gradient_bound",
-                        counting("m_hat", cli.estimate_gradient_bound))
-    cfg = tmp_path / "sr.cfg"
-    cfg.write_text("preset = superres\nimage_size = 32\nmax_iter = 10\n")
-    assert run_cli("run", "--config", cfg, "--sweep", "0.6,0.95", "--out", tmp_path / "s") == 0
-    assert calls == {"k_hat": 1, "m_hat": 2 + 1}
-
-
-def test_run_outputs_draw_the_box_samples_one_at_a_time(tmp_path, monkeypatch):
-    # everything a run does after its solve, the summary's 16 samples of
-    # [0,1]^d included: held at once they cost 16 d floats, drawn one at a
-    # time the whole stays below 8 d
-    preset = make_preset("deblur", image_size=128, max_iter=3)
-    result = run_preset(preset)
-    d = result.fidelity.op.in_dim
-    monkeypatch.setattr(cli, "run_preset", lambda preset, observe: result)
-    cli._run_one(preset, tmp_path / "warm-up")
-    tracemalloc.start()
-    try:
-        cli._run_one(preset, tmp_path / "run")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * d * 8
 
 
 def test_run_sweep_members_match_solo_runs(tmp_path):

@@ -14,6 +14,7 @@ from pnpadmm.denoisers import (
     GaussianSmoothing,
     IdentityDenoiser,
     MedianFilter,
+    certified_denoiser_bound,
     denoise,
     estimate_denoiser_bound_constant,
     residue_ratio,
@@ -356,3 +357,56 @@ def test_denoiser_bound_estimate_filters_once_per_sigma(kind, monkeypatch):
     grid = (0.05, 0.1, 0.2)
     estimate_denoiser_bound_constant(kind, 16, 16, grid, n_samples=20, seed=7)
     assert calls == [(20, 16, 16)] * len(grid)
+
+
+LINEAR_KINDS = [GaussianSmoothing(), BoxAverage(), IdentityDenoiser()]
+BOUND_GRID = (0.05, 0.1, 0.2)
+
+
+@pytest.mark.parametrize("kind", LINEAR_KINDS, ids=lambda k: k.name)
+@pytest.mark.parametrize("n", [5, 16, 29, 64])
+def test_spectrum_equals_the_dense_eigenvalues(kind, n):
+    # radii below, at and above the side: past it the symmetric extension
+    # reflects more than once and the folded kernel wraps
+    for radius in (1, n // 2, n - 1, n, n + 1, 3 * n):
+        sigma = radius / n
+        if isinstance(kind, GaussianSmoothing):
+            sigma /= 3.0
+        g = (
+            np.eye(n) if isinstance(kind, IdentityDenoiser)
+            else denoisers._fill_filter(n, kind.kernel(sigma, n))
+        )
+        assert np.max(np.abs(g - g.T)) <= 1e-15
+        got = np.sort(kind.spectrum(sigma, n))
+        assert np.max(np.abs(got - np.linalg.eigvalsh(g))) < 1e-13
+
+
+def test_median_has_no_spectrum_and_no_certificate():
+    assert MedianFilter().spectrum(0.1, 16) is None
+    assert certified_denoiser_bound(MedianFilter(), 16, BOUND_GRID) is None
+
+
+@pytest.mark.parametrize("kind", LINEAR_KINDS, ids=lambda k: k.name)
+def test_certified_k_dominates_every_sampled_ratio(kind):
+    k, lowest = certified_denoiser_bound(kind, 16, BOUND_GRID)
+    est = estimate_denoiser_bound_constant(kind, 16, 16, BOUND_GRID, n_samples=200, seed=7)
+    assert est.k_hat <= k
+    assert lowest <= 1.0
+    if isinstance(kind, IdentityDenoiser):
+        assert (k, lowest) == (0.0, 1.0)
+
+
+def test_sign_pattern_image_comes_close_to_the_certified_k():
+    # a {0,1} image that takes the sign of the worst DCT-II mode stays in
+    # [0,1]^d and reaches within 10 % of the certificate, so the certified
+    # K is near the true one, where noise samples fall 4x short of it
+    kind, n = GaussianSmoothing(), 16
+    k, _ = certified_denoiser_bound(kind, n, BOUND_GRID)
+    worst = 0.0
+    cosines = np.cos(np.pi * np.outer(np.arange(n), np.arange(n) + 0.5) / n)
+    for sigma in BOUND_GRID:
+        lam = kind.spectrum(sigma, n)
+        i, j = np.unravel_index(np.argmax((1.0 - np.outer(lam, lam)) ** 2), (n, n))
+        image = (np.outer(cosines[i], cosines[j]) >= 0).astype(np.float64)
+        worst = max(worst, residue_ratio(kind, sigma, image))
+    assert 0.9 * k <= worst <= k

@@ -13,10 +13,12 @@ from pnpadmm.fidelity import (
     Identity,
     Mask,
     binomial_stencil,
+    box_gradient_bound,
     estimate_gradient_bound,
     prox_x_update,
 )
 from pnpadmm.linalg import DimensionMismatchError, NonFiniteIterateError
+from pnpadmm.presets import PRESET_NAMES, degrade, make_preset
 
 
 from oracles import dense_matrix, roll_circ_conv, roll_circ_corr
@@ -353,29 +355,6 @@ def test_prox_non_finite_target_raises_where_no_tap_reads(value):
     assert x[9] == 1.0 and math.isfinite(fx)
 
 
-def test_blur_gradient_bound_runs_one_transform_pair_per_sample(monkeypatch):
-    # grad f = IFFT(|K|^2 X^) - H^T b: one forward and one inverse transform
-    # per box sample, where H^T (Hx - b) would take two of each
-    op = CircularBlur((16, 12), binomial_stencil(2))
-    rng = np.random.default_rng(3)
-    f = FidelityTerm(op=op, observation=rng.standard_normal(op.out_dim))
-    counts = {"forward": 0, "inverse": 0}
-    forward, inverse = fidelity._forward, fidelity._inverse
-
-    def counting(name, fn):
-        def wrapped(*args):
-            counts[name] += 1
-            return fn(*args)
-
-        return wrapped
-
-    monkeypatch.setattr(fidelity, "_forward", counting("forward", forward))
-    monkeypatch.setattr(fidelity, "_inverse", counting("inverse", inverse))
-    samples = [rng.uniform(0, 1, op.in_dim) for _ in range(16)]
-    estimate_gradient_bound(f, samples)
-    assert counts == {"forward": 16, "inverse": 16}
-
-
 def test_prox_accepts_a_huge_finite_target():
     # the squared norm of 1e160 everywhere overflows, yet every entry is
     # finite: the x-update solves it without a warning of its own, and only
@@ -437,3 +416,28 @@ def test_gradient_bound_scaled_basis_example():
     x = np.zeros(d)
     x[0] = math.sqrt(d)
     assert estimate_gradient_bound(f, [x]) == pytest.approx(1.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(4, 8), (6, 6)])
+def test_spectral_norm_is_the_largest_singular_value(shape):
+    rng = np.random.default_rng(29)
+    for name, op in make_operators(rng, shape).items():
+        want = np.linalg.norm(dense_matrix(op), 2)
+        assert op.spectral_norm() == pytest.approx(want, rel=1e-12), name
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_box_gradient_bound_dominates_samples_and_the_corner(name):
+    # the certificate holds on all of [0,1]^d, so it must sit above every
+    # uniform sample and the corner x = 1[H^T b < 1/2], which makes each
+    # entry of H^T (Hx - b) lean one way
+    preset = make_preset(name, image_size=32, noise_sigma=0.05)
+    f = FidelityTerm(*degrade(preset, preset.source_image()))
+    m = box_gradient_bound(f)
+    rng = np.random.default_rng(31)
+    samples = [rng.uniform(0, 1, f.op.in_dim) for _ in range(16)]
+    corner = (f.adjoint_observation < 0.5).astype(np.float64)
+    assert estimate_gradient_bound(f, samples) <= m
+    assert estimate_gradient_bound(f, [corner]) <= m
+    # the corner is not far off the bound
+    assert estimate_gradient_bound(f, [corner]) >= 0.3 * m

@@ -1,10 +1,20 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from oracles import chunk_loop_dot
+
+import pnpadmm
 from pnpadmm.linalg import (
+    REDUCE_CHUNK,
     DimensionMismatchError,
     IterateTriple,
     as_vector,
+    dot,
     metric_distance,
 )
 
@@ -99,3 +109,35 @@ def test_metric_zero_iff_equal():
     a = random_triple(rng, 4)
     b = IterateTriple(a.x + 1e-9, a.v, a.u)
     assert metric_distance(a, b) > 0.0
+
+
+def dot_mismatches() -> list[int]:
+    """The sizes, around each multiple of REDUCE_CHUNK up to 25 chunks, at
+    which :func:`dot` and the chunk loop differ in any bit."""
+    rng = np.random.default_rng(47)
+    sizes = [
+        n for m in range(26) for n in (m * REDUCE_CHUNK - 1, m * REDUCE_CHUNK,
+                                       m * REDUCE_CHUNK + 1) if n >= 1
+    ]
+    return [
+        n for n in sizes
+        if dot(*(a := rng.standard_normal((2, n)))) != chunk_loop_dot(*a, REDUCE_CHUNK)
+    ]
+
+
+@pytest.mark.parametrize("threads", ["1", None], ids=["one-thread", "default"])
+def test_dot_equals_the_chunk_loop_bit_for_bit(threads):
+    # a fresh interpreter, since OpenBLAS reads its thread count at import;
+    # past 7 chunks a pairwise sum of the chunks would differ here
+    tests = Path(__file__).resolve().parent
+    src = Path(pnpadmm.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join([str(src), str(tests)])
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    code = "import test_linalg; print(test_linalg.dot_mismatches())"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -139,8 +139,11 @@ def test_observed_arrays_stay_unchanged_after_the_run(name, denoiser):
         kept.append([(a, a.copy()) for a in arrays])
 
     preset = make_preset(name, image_size=32, max_iter=10, delta_tol=0.0, denoiser=denoiser)
-    run_preset(preset, observe=observe)
-    assert len(kept) == 11
+    result = run_preset(preset, observe=observe)
+    # the identity operator and denoiser start at their fixed point, where
+    # the run stops after one step
+    assert len(result.trace) == (1 if denoiser == "identity" else 10)
+    assert len(kept) == len(result.trace) + 1
     for arrays in kept:
         for array, copy in arrays:
             assert np.array_equal(array, copy)

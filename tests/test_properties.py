@@ -159,8 +159,8 @@ def test_downsample_matches_roll_oracles(op, seed):
 @settings(deadline=None)
 @given(operators(kinds=["blur"]), st.integers(0, 2**32 - 1))
 def test_blur_gradient_matches_roll_oracles(op, seed):
-    # IFFT(|K|^2 X^) - H^T b rounds differently from H^T (Hx - b) taken tap
-    # by tap, to a few eps of the inputs' scale
+    # H^T (Hx - b) through the Fourier basis rounds differently from the
+    # same product taken tap by tap, to a few eps of the inputs' scale
     rng = np.random.default_rng(seed)
     x2 = rng.standard_normal(op.in_shape)
     b2 = rng.standard_normal(op.out_shape)

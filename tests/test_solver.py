@@ -141,6 +141,24 @@ def test_run_fixed_point_start_stops_immediately():
     assert trace.condition_trace.row_flags[0] is None
 
 
+def test_run_stops_before_a_penalty_update_that_would_leave_sigma_zero():
+    # gamma = 1e150 overflows rho on its third C1 update; that iteration is
+    # dropped, so the last row's rho and sigma step from the final iterate
+    rng = np.random.default_rng(113)
+    op = CircularBlur((8, 8), binomial_stencil(2))
+    f = FidelityTerm(op=op, observation=rng.uniform(size=64))
+    x0 = op.apply_adjoint(f.observation)
+    theta0 = IterateTriple(x=x0, v=x0.copy(), u=np.zeros(64))
+    trace = run(f, GaussianSmoothing(), base_config(gamma=1e150, delta_tol=0.0), theta0)
+    cond = trace.condition_trace
+    assert trace.stop_reason == "penalty_limit"
+    assert 3 <= len(trace) < 40
+    assert cond.rhos[-1] == pytest.approx(1e300) and cond.sigmas[-1] > 0
+    cond.validate()
+    # one more step at the last row's rho and sigma can still be taken
+    assert fixed_point_residual(f, GaussianSmoothing(), trace) > 0
+
+
 def test_run_first_flag_appears_at_iteration_two():
     rng = np.random.default_rng(89)
     f = identity_problem(4, b=rng.standard_normal(4))
@@ -243,7 +261,9 @@ def test_recorded_fidelity_value_matches_explicit_value(kind):
             explicit.append(f.value(theta.x))
 
     trace = run(f, GaussianSmoothing(), base_config(max_iter=20, delta_tol=0.0), theta0, observe)
-    assert len(explicit) == len(trace) == 20
+    # with H = I the third step returns its own input, and the run stops there
+    assert len(explicit) == len(trace) == (3 if kind == "identity" else 20)
+    assert trace.stop_reason == ("fixed_point" if kind == "identity" else "max_iter")
     for recorded, value in zip(trace.condition_trace.fidelity_values, explicit):
         assert recorded == pytest.approx(value, rel=1e-12)
 
@@ -407,3 +427,6 @@ def test_config_validation():
     # finite settings whose quotient, sigma_0 squared, overflows
     with pytest.raises(ValueError, match="lam / rho0 must be finite"):
         SolverConfig(**{**good, "lam": 1e300, "rho0": 1e-300})
+    # and finite settings whose quotient underflows, so that sigma_0 = 0
+    with pytest.raises(ValueError, match="lam / rho0 must be finite and positive"):
+        SolverConfig(**{**good, "lam": 1e-300, "rho0": 1e300})

@@ -18,17 +18,17 @@ from pnpadmm import cli
 PINNED = {
     "smoke": (
         "fdab975f7356eefe053a7bea19e1b0226b9fc38fec582bb50a7887661b1dbaea",
-        "ef51008c0d4fc3106df1edfcc56cbb68dc0d8e5c2da2175cf2bf7804a03b5077",
+        "e4155c3cadc10f1e0d541fdffd164e13d8428e9bec8517c62471d8d066a7c155",
         "38ee54f65d13d44d4a1dd60b538ff8a13c052c8418fd4170db32405a72357bd8",
     ),
     "deblur": (
         "f62c4ce0241aa3a316bf9c9783f24f6eef52f43b4ff537fd63a6a65e010a2c71",
-        "963944344b985bfd11cd77da67113915f31b5d3d77fddc20807c5d5fd9e4350f",
+        "a3ff20d6eea21f24ee50db02f1ff35182a43abaa0314ca6622eba21a9e85b925",
         "189d9d6bcbb2c7706b7d7a982f464f3fe395491f7d91245c11d08ef67fd0e16a",
     ),
     "superres": (
         "484b44b1780b2d63160fe87f57ac274854cca0e65eb497e14ec2b03785325bc6",
-        "a814494fea835da635acaedfea8a32ea90bd6737391a5c5e2cd9ee96e08e2825",
+        "31ec127d1bc765e3020e9e1189a2bdd8077e406539641c3808ee9ed4b4fdf248",
         "a6bff9a0be49b395810e58306336c0cac1ba3fcb452341aae5666a2ec8905c01",
     ),
 }
