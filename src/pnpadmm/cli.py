@@ -47,6 +47,9 @@ MAX_PGS_DEMO_LENGTH = 10**6
 # summary.txt bounds the denoiser on images of this side at these strengths
 BOUND_SIDE = 16
 BOUND_SIGMAS = (0.05, 0.1, 0.2)
+# above this penalty rho (t - x') is mostly rounding error times rho (rho eps
+# is ~1e-6 at unit scale), so the gradient is computed from the iterate
+STREAMED_GRADIENT_MAX_RHO = 2.0**32
 
 
 def _preset_from_args(args) -> ExperimentPreset:
@@ -118,9 +121,9 @@ def _gradient_m_hat(f, theta, step) -> float:
     """||grad f(theta.x)|| / sqrt(d) at an iterate the run observed.
 
     After a step the x-update's optimality condition gives the gradient,
-    grad f(x') = rho (t - x'), so only the start iterate needs H applied.
+    grad f(x') = rho (t - x'), unless rho exceeds STREAMED_GRADIENT_MAX_RHO.
     """
-    if step is None:
+    if step is None or step.rho > STREAMED_GRADIENT_MAX_RHO:
         return estimate_gradient_bound(f, [theta.x])
     diff = step.target - theta.x
     return step.rho * norm(diff) / math.sqrt(theta.dim)
@@ -154,10 +157,10 @@ def cmd_run(args) -> int:
             sub = out_dir / f"eta={eta:g}"
             if sub in members:
                 raise ValueError(
-                    f"sweep values {members[sub].config.eta!r} and {eta!r} "
+                    f"sweep values {members[sub].eta!r} and {eta!r} "
                     f"both write to {sub}"
                 )
-            members[sub] = replace(preset, config=replace(preset.config, eta=eta))
+            members[sub] = replace(preset, eta=eta)
         for sub, member in members.items():
             _run_one(member, sub)
         print(f"wrote {len(members)} runs under {out_dir}")

@@ -5,9 +5,9 @@ The x-update of the splitting loop is the prox of f at a target t,
 
     argmin_x f(x) + (rho/2) ||x - t||^2   <=>   (H^T H + rho I) x = H^T b + rho t,
 
-and each operator computes it in closed form from t, rho, b and the cached
-H^T b: a pixelwise division (Identity, Mask), a division in the 2-D
-Fourier basis (CircularBlur), or the push-through form
+and each operator computes it in closed form from t, rho and the term's
+cached b, H^T b and 0.5 ||b||^2: a pixelwise division (Identity, Mask), a
+division in the 2-D Fourier basis (CircularBlur), or the push-through form
 x = t + H^T (rho I + H H^T)^-1 (b - H t) around a Fourier solve on the
 low-resolution grid (Downsample, whose H and H^T are a precomputed gather
 and its bincount, so its prox runs no full-size transform and never
@@ -126,11 +126,11 @@ class ForwardOperator:
         raise NotImplementedError
 
     def prox(
-        self, t: np.ndarray, rho: float, b: np.ndarray, htb: np.ndarray
+        self, t: np.ndarray, rho: float, f: FidelityTerm
     ) -> tuple[np.ndarray, float]:
-        """``(x, fx)``: the minimizer x of 0.5 ||Hx - b||^2 + (rho/2) ||x - t||^2,
-        for rho > 0 and htb = H^T b, as a fresh array, and its data term
-        fx = 0.5 ||Hx - b||^2, which is not finite when t is not."""
+        """``(x, fx)``: the minimizer x of f(x) + (rho/2) ||x - t||^2, for
+        rho > 0 and a term f of this operator, as a fresh array, and its
+        data term fx = f(x), which is not finite when t is not."""
         raise NotImplementedError
 
     def spectral_norm(self) -> float:
@@ -173,11 +173,11 @@ class Identity(ForwardOperator):
     def spectral_norm(self):
         return 1.0
 
-    def prox(self, t, rho, b, htb):
+    def prox(self, t, rho, f):
         x = rho * t
-        x += htb
+        x += f.adjoint_observation
         x /= 1.0 + rho
-        return x, _half_square(x - b)
+        return x, _half_square(x - f.observation)
 
 
 class CircularBlur(ForwardOperator):
@@ -214,9 +214,9 @@ class CircularBlur(ForwardOperator):
     def spectral_norm(self):
         return float(np.max(np.abs(self._spectrum)))
 
-    def prox(self, t, rho, b, htb):
+    def prox(self, t, rho, f):
         rhs = rho * t
-        rhs += htb
+        rhs += f.adjoint_observation
         spec = _forward(rhs.reshape(self.in_shape))
         # divide by |K|^2 + rho, the transfer function of H^T H + rho I; numpy
         # divides a complex by a real-valued one as a multiply by the real's
@@ -230,7 +230,8 @@ class CircularBlur(ForwardOperator):
         unpaired = hx[:, self._unpaired].ravel().view(np.float64)
         half_energy = dot(paired, paired) - 0.5 * dot(unpaired, unpaired)
         x = _inverse(spec, self.in_shape[1]).reshape(-1)
-        fx = half_energy / self.in_dim - dot(x, htb) + _half_square(b)
+        fx = half_energy / self.in_dim - dot(x, f.adjoint_observation)
+        fx += f.observation_half_square
         return x, fx
 
 
@@ -256,12 +257,12 @@ class Mask(ForwardOperator):
     def spectral_norm(self):
         return 1.0
 
-    def prox(self, t, rho, b, htb):
+    def prox(self, t, rho, f):
         x = rho * t
-        x += htb
+        x += f.adjoint_observation
         x /= self.keep + rho
         residual = self.keep * x
-        residual -= b
+        residual -= f.observation
         return x, _half_square(residual)
 
 
@@ -323,10 +324,10 @@ class Downsample(ForwardOperator):
         # ||H||^2 = ||H H^T||, the largest eigenvalue of a circulant
         return math.sqrt(float(np.max(self._low_eig)))
 
-    def prox(self, t, rho, b, htb):
+    def prox(self, t, rho, f):
         # push-through (Zhao et al., IEEE TIP 2016): x = t + H^T z with
         # z = (rho I + H H^T)^-1 (b - H t), which makes Hx - b = -rho z
-        r = b - self.apply(t)
+        r = f.observation - self.apply(t)
         low = _forward(r.reshape(self.out_shape))
         low /= self._low_eig + rho
         z = _inverse(low, self.out_shape[1]).reshape(-1)
@@ -346,6 +347,7 @@ class FidelityTerm:
     op: ForwardOperator
     observation: np.ndarray
     adjoint_observation: np.ndarray = field(init=False, repr=False, compare=False)
+    observation_half_square: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         b = as_vector(self.observation, "observation").copy()
@@ -356,6 +358,9 @@ class FidelityTerm:
         htb = self.op.apply_adjoint(b)
         htb.flags.writeable = False
         object.__setattr__(self, "adjoint_observation", htb)
+        # 0.5 ||b||^2, for CircularBlur's f(x); inf, silently, if it overflows
+        with np.errstate(over="ignore"):
+            object.__setattr__(self, "observation_half_square", _half_square(b))
 
     def value(self, x) -> float:
         return _half_square(self.op.apply(x) - self.observation)
@@ -381,7 +386,7 @@ def prox_x_update(
     # a non-finite target makes f(x) non-finite, and only then are its
     # entries scanned; the solve's own invalid operations on it stay silent
     with np.errstate(invalid="ignore"):
-        x, fx = f.op.prox(t, rho, f.observation, f.adjoint_observation)
+        x, fx = f.op.prox(t, rho, f)
     if not math.isfinite(fx) and not np.isfinite(t).all():
         raise NonFiniteIterateError("prox target is not finite")
     return x, fx

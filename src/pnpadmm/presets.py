@@ -1,9 +1,14 @@
-"""Experiment presets: synthetic test image, degradations, end-to-end runs."""
+"""Experiment presets: synthetic test image, degradations, end-to-end runs.
+
+A preset is one flat :class:`ExperimentPreset` of every run setting, with
+deblur's defaults; :data:`PRESET_DEFAULTS` holds the other presets'
+departures, and :func:`make_preset` merges them with its keyword overrides.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +32,21 @@ from .fileio import ImageGrid, load_image
 from .linalg import IterateTriple
 from .solver import Observer, RunTrace, SolverConfig, run
 
-PRESET_NAMES = ("deblur", "superres", "smoke")
+# each preset's departures from ExperimentPreset's defaults, which are
+# deblur's, calibrated on the 64x64 synthetic problems so the penalty
+# schedule exercises both its branches across the eta range
+PRESET_DEFAULTS: dict[str, dict] = {
+    "deblur": {},
+    # the downsampled problem contracts hard at small penalties; starting
+    # higher with a faster growth factor keeps the residual ratio in the
+    # regime where the schedule actually switches
+    "superres": {"rho0": 5.0, "gamma": 1.2},
+    "smoke": {
+        "delta_tol": 1e-6, "max_iter": 50, "image_size": 16, "noise_sigma": 0.0,
+        "denoiser": "identity",
+    },
+}
+PRESET_NAMES = tuple(PRESET_DEFAULTS)
 # the Gaussian and box denoisers build a side x side matrix per axis, so a
 # long thin image costs memory quadratic in its long side (a 1 x 20000 strip
 # would ask for 3.2 GB).  With the long side at most this many times the
@@ -53,9 +72,19 @@ DENOISERS = {
 
 @dataclass(frozen=True)
 class ExperimentPreset:
+    """Every setting of one run, in ``run_config.txt`` order.  Construction
+    checks them, turns a :data:`DENOISERS` name into its :class:`Denoiser`
+    and builds ``config``, the loop's :class:`SolverConfig`."""
+
     name: str
-    config: SolverConfig
-    denoiser: Denoiser
+    lam: float = 0.01
+    rho0: float = 1.0
+    gamma: float = 1.05
+    eta: float = 0.6
+    max_iter: int = 100
+    delta_tol: float = 0.0
+    seed: int = 0
+    denoiser: Denoiser = "gaussian"
     image_source: str = "builtin"  # "builtin" or a PGM path
     image_size: int = 64
     blur_size: int = 5
@@ -65,6 +94,14 @@ class ExperimentPreset:
     def __post_init__(self):
         if self.name not in PRESET_NAMES:
             raise ValueError(f"unknown preset {self.name!r}, expected {PRESET_NAMES}")
+        config = SolverConfig(**{f.name: getattr(self, f.name) for f in fields(SolverConfig)})
+        object.__setattr__(self, "config", config)
+        if not isinstance(self.denoiser, Denoiser):
+            if self.denoiser not in DENOISERS:
+                raise ValueError(
+                    f"unknown denoiser {self.denoiser!r}, expected one of {sorted(DENOISERS)}"
+                )
+            object.__setattr__(self, "denoiser", DENOISERS[self.denoiser]())
         if self.blur_size < 1 or self.blur_size % 2 == 0:
             raise ValueError("blur_size must be odd and >= 1")
         if self.downsample_factor < 1:
@@ -89,63 +126,16 @@ def synthetic_image(size: int = 64) -> ImageGrid:
 
 
 def make_preset(name: str, **overrides) -> ExperimentPreset:
-    """Build a named preset; keyword overrides replace any field or config
-    entry (the keys of :func:`preset_settings`); ``denoiser`` is a name or
-    a :class:`Denoiser`."""
-    # documented defaults, calibrated on the 64x64 synthetic problems so the
-    # penalty schedule exercises both its branches across the eta range
-    cfg_kwargs = dict(
-        lam=0.01,
-        rho0=1.0,
-        gamma=1.05,
-        eta=0.6,
-        max_iter=100,
-        delta_tol=0.0,
-        seed=0,
-    )
-    preset_kwargs: dict = {"name": name}
-    if name == "smoke":
-        cfg_kwargs.update(delta_tol=1e-6, max_iter=50)
-        preset_kwargs.update(image_size=16, noise_sigma=0.0)
-        denoiser_key = "identity"
-    elif name == "superres":
-        # the downsampled problem contracts hard at small penalties; starting
-        # higher with a faster growth factor keeps the residual ratio in the
-        # regime where the schedule actually switches
-        cfg_kwargs.update(rho0=5.0, gamma=1.2)
-        denoiser_key = "gaussian"
-    elif name == "deblur":
-        denoiser_key = "gaussian"
-    else:
-        raise ValueError(f"unknown preset {name!r}, expected {PRESET_NAMES}")
-    for key, value in overrides.items():
-        if key in cfg_kwargs:
-            cfg_kwargs[key] = value
-        elif key == "denoiser":
-            denoiser_key = value
-        else:
-            preset_kwargs[key] = value
-    if isinstance(denoiser_key, Denoiser):
-        denoiser = denoiser_key
-    elif denoiser_key in DENOISERS:
-        denoiser = DENOISERS[denoiser_key]()
-    else:
-        raise ValueError(
-            f"unknown denoiser {denoiser_key!r}, expected one of {sorted(DENOISERS)}"
-        )
-    return ExperimentPreset(
-        config=SolverConfig(**cfg_kwargs), denoiser=denoiser, **preset_kwargs
-    )
+    """The preset ``name``: its :data:`PRESET_DEFAULTS`, then ``overrides``
+    (the keys of :func:`preset_settings`), merged into the record."""
+    return ExperimentPreset(name, **{**PRESET_DEFAULTS.get(name, {}), **overrides})
 
 
 def preset_settings(preset: ExperimentPreset) -> dict:
     """Every ``make_preset`` keyword with its value in ``preset``, the
     denoiser by name: ``make_preset(p.name, **preset_settings(p))``
     rebuilds ``p``."""
-    settings = asdict(preset.config)
-    for field in fields(preset):
-        if field.name not in ("name", "config"):
-            settings[field.name] = getattr(preset, field.name)
+    settings = {f.name: getattr(preset, f.name) for f in fields(preset) if f.name != "name"}
     settings["denoiser"] = preset.denoiser.name
     return settings
 
@@ -189,7 +179,7 @@ def build_operator(preset: ExperimentPreset, image: ImageGrid) -> ForwardOperato
 def degrade(preset: ExperimentPreset, clean: ImageGrid) -> tuple[ForwardOperator, np.ndarray]:
     """Apply the preset degradation plus seeded Gaussian noise."""
     op = build_operator(preset, clean)
-    rng = np.random.default_rng(preset.config.seed)
+    rng = np.random.default_rng(preset.seed)
     observation = op.apply(clean.pixels)
     if preset.noise_sigma > 0:
         observation = observation + preset.noise_sigma * rng.standard_normal(op.out_dim)

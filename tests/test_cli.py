@@ -297,8 +297,16 @@ def test_run_rejects_image_path_run_config_cannot_hold(tmp_path, monkeypatch, ca
     assert not out.exists()
 
 
-@pytest.mark.parametrize("preset", ["deblur", "superres"])
-def test_streamed_gradient_bound_matches_explicit_gradient(preset):
+@pytest.mark.parametrize(
+    "preset,settings",
+    [
+        pytest.param("deblur", {}, id="deblur"),
+        pytest.param("superres", {}, id="superres"),
+        # rho reaches 1e300, where rho (t - x') is rounding error times rho
+        pytest.param("deblur", {"gamma": 1e150}, id="deblur-gamma1e150"),
+    ],
+)
+def test_streamed_gradient_bound_matches_explicit_gradient(preset, settings):
     # summary.txt shows only the max over the trajectory and the box samples,
     # which can hide a wrong per-iterate formula
     pairs = []
@@ -308,7 +316,7 @@ def test_streamed_gradient_bound_matches_explicit_gradient(preset):
             (cli._gradient_m_hat(f, theta, step), estimate_gradient_bound(f, [theta.x]))
         )
 
-    result = run_preset(make_preset(preset, image_size=32), observe=observe)
+    result = run_preset(make_preset(preset, image_size=32, **settings), observe=observe)
     assert len(pairs) == len(result.trace) + 1
     for streamed, explicit in pairs:
         assert streamed == pytest.approx(explicit, rel=1e-8)
@@ -375,6 +383,30 @@ def test_analyze_all_c1_trace_uses_geometric_bound(tmp_path):
     report = (out / "bound_report.txt").read_text()
     assert "bound_kind = geometric" in report
     assert "bound_holds = True" in report
+
+
+def test_analyze_mode_and_window_flags(tmp_path, capsys):
+    # --mode s3 refuses a trace with fewer than two C1 onsets instead of
+    # falling back, --mode s12 takes the geometric bound on a trace whose
+    # auto mode takes the PGS one, and --window sets the classification
+    # window (the default would read "window 39" on these 40 rows)
+    s1, s3 = tmp_path / "s1", tmp_path / "s3"
+    for preset, eta, run_dir in (("deblur", 0.1, s1), ("superres", 0.95, s3)):
+        assert run_cli(
+            "run", "--preset", preset, "--eta", eta, "--max-iter", "40", "--out", run_dir
+        ) == 0
+    capsys.readouterr()
+    assert run_cli(
+        "analyze", "--trace", s1 / "trace.csv", "--mode", "s3", "--out", tmp_path / "a"
+    ) == 1
+    assert "fewer than two C1 onsets" in capsys.readouterr().err
+    out = tmp_path / "b"
+    assert run_cli(
+        "analyze", "--trace", s3 / "trace.csv", "--mode", "s12", "--window", "5", "--out", out
+    ) == 0
+    report = (out / "bound_report.txt").read_text().splitlines()
+    assert "bound_kind = geometric" in report
+    assert any(line.startswith("case = S3-like (window 5;") for line in report)
 
 
 @pytest.mark.parametrize(

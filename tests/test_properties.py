@@ -180,7 +180,7 @@ def test_prox_returns_the_residual_of_its_solution(op, rho, seed):
     rng = np.random.default_rng(seed)
     b = rng.standard_normal(op.out_dim)
     t = rng.standard_normal(op.in_dim)
-    x, fx = op.prox(t, rho, b, op.apply_adjoint(b))
+    x, fx = op.prox(t, rho, FidelityTerm(op=op, observation=b))
     r = op.apply(x) - b
     err = abs(fx - 0.5 * float(r @ r))
     assert err <= 1e-12 * (np.linalg.norm(x) + np.linalg.norm(b)) ** 2
