@@ -39,8 +39,6 @@ from .sequences import (
 )
 from .solver import fixed_point_residual
 
-# config-file spellings of two make_preset keywords
-_FILE_KEYS = {"lambda": "lam", "image": "image_source"}
 # pgs-demo writes one CSV line per term: 10^6 lines take ~4 s and make a
 # 21 MB file, so a longer request is refused before anything is allocated
 MAX_PGS_DEMO_LENGTH = 10**6
@@ -61,14 +59,24 @@ def _preset_from_args(args) -> ExperimentPreset:
     defaults = preset_settings(make_preset(name))
     overrides: dict = {}
     for key, value in raw.items():
-        setting = _FILE_KEYS.get(key, key)
+        setting = fileio.CONFIG_SPELLINGS.get(key, key)
         if setting not in defaults:
             raise ValueError(f"unknown config key {key!r}")
-        overrides[setting] = type(defaults[setting])(value)
+        try:
+            overrides[setting] = type(defaults[setting])(value)
+        except ValueError as exc:
+            raise ValueError(f"config key {key} = {value!r}: {exc}") from exc
     for setting in defaults:
         if (value := getattr(args, setting, None)) is not None:
             overrides[setting] = value
     return make_preset(name, **overrides)
+
+
+def _case_line(cond: ConditionTrace, window: int) -> str:
+    """The ``case = ...`` line: the label of the last ``window`` flags, or of
+    all of them when there are fewer."""
+    window = min(window, len(cond.flags))
+    return f"case = {classify_case(cond, window)} (window {window}; {CLASSIFY_CAVEAT})"
 
 
 def _summarize(result, trajectory_m_hat: float) -> str:
@@ -81,10 +89,8 @@ def _summarize(result, trajectory_m_hat: float) -> str:
         f"final_delta = {cond.deltas[-1]:.6e}",
         f"final_rho = {cond.rhos[-1]:.6e}",
     ]
-    window = min(40, max(1, len(cond.flags)))
     if cond.flags:
-        label = classify_case(cond, window)
-        lines.append(f"case = {label} (window {window}; {CLASSIFY_CAVEAT})")
+        lines.append(_case_line(cond, 40))
     lines.append(
         f"gradient_bound_m = {box_gradient_bound(result.fidelity):.6e} "
         "(certified on [0,1]^d: ||H|| ||max(|b|, |1 - b|)|| / sqrt(d))"
@@ -95,7 +101,7 @@ def _summarize(result, trajectory_m_hat: float) -> str:
     certified = certified_denoiser_bound(kind, BOUND_SIDE, BOUND_SIGMAS)
     if certified is None:
         est = estimate_denoiser_bound_constant(
-            kind, BOUND_SIDE, BOUND_SIDE, BOUND_SIGMAS, 20, trace.config.seed + 2
+            kind, BOUND_SIDE, BOUND_SIDE, BOUND_SIGMAS, 20, result.preset.seed + 2
         )
         lines.append(
             f"denoiser_bound_k_hat = {est.k_hat:.6e} "
@@ -112,7 +118,7 @@ def _summarize(result, trajectory_m_hat: float) -> str:
 
 def _run_config(preset: ExperimentPreset) -> dict:
     """The run_config.txt entries that replay a run of ``preset``."""
-    file_key = {setting: key for key, setting in _FILE_KEYS.items()}
+    file_key = {setting: key for key, setting in fileio.CONFIG_SPELLINGS.items()}
     settings = {"preset": preset.name, **preset_settings(preset)}
     return {file_key.get(k, k): v for k, v in settings.items()}
 
@@ -195,8 +201,7 @@ def cmd_analyze(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     n = len(cond)
-    window = min(args.window, max(1, len(cond.flags)))
-    label = classify_case(cond, window)
+    case = _case_line(cond, args.window)
     has_c1 = ConditionFlag.C1 in cond.flags
     c = estimate_growth_coefficient(cond) if has_c1 else None
 
@@ -216,25 +221,20 @@ def cmd_analyze(args) -> int:
     bound_seq = pgs_generate(spec, n)
     start = spec.chunk_starts[0] + 1
     check = verify_bound(cond.deltas, bound_seq, start=start)
-    cert = cauchy_index(spec.peak0, spec.beta, args.epsilon, spec.chunk_starts)
+    cert = cauchy_index(spec, args.epsilon)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        margins = np.where(bound_seq > 0, cond.deltas / bound_seq, np.inf)
     lines = ["iter,delta,bound,margin"]
-    for i in range(n):
-        if i + 1 >= start:
-            lines.append(
-                f"{i + 1},{format(cond.deltas[i], '.17g')},"
-                f"{format(bound_seq[i], '.17g')},{format(margins[i], '.17g')}"
-            )
-        else:
-            lines.append(f"{i + 1},{format(cond.deltas[i], '.17g')},,")
+    for k, delta in enumerate(cond.deltas[: start - 1], start=1):
+        lines.append(f"{k},{format(delta, '.17g')},,")
+    checked = zip(cond.deltas[start - 1 :], bound_seq[start - 1 :], check.margins)
+    for k, row in enumerate(checked, start=start):
+        lines.append(f"{k}," + ",".join(format(v, ".17g") for v in row))
     (out_dir / "bound.csv").write_text("\n".join(lines) + "\n")
 
     report = [
         f"trace = {args.trace}",
         f"iterations = {n}",
-        f"case = {label} (window {window}; {CLASSIFY_CAVEAT})",
+        case,
         f"bound_kind = {bound_kind}",
         f"bound_start = {start}",
         f"bound_holds = {check.holds}",
@@ -265,6 +265,7 @@ def cmd_pgs_demo(args) -> int:
         raise ValueError("chunk lengths must be >= 1")
     starts = tuple(int(n) for n in np.cumsum([1] + lengths))
     spec = PgsSpec(beta=args.beta, peak0=args.peak, chunk_starts=starts)
+    cert = cauchy_index(spec, args.epsilon)
     y = pgs_generate(spec, args.length)
     partial = np.cumsum(y)
     # chunk bound column repeats each chunk's closed-form sum bound; past the
@@ -282,7 +283,6 @@ def cmd_pgs_demo(args) -> int:
             f"{format(cb, '.17g')}"
         )
     out.write_text("\n".join(lines) + "\n")
-    cert = cauchy_index(spec.peak0, spec.beta, args.epsilon, spec.chunk_starts)
     print(
         f"wrote {out}; tail sums from index {cert.n_start} stay below "
         f"{cert.tail_bound:.6g} < epsilon={cert.epsilon:g}"

@@ -243,17 +243,31 @@ def infer_eta(deltas, flags) -> float:
 # ---------------------------------------------------------------------------
 # Flat key=value config files
 
+# config-file spellings of two make_preset keywords
+CONFIG_SPELLINGS = {"lambda": "lam", "image": "image_source"}
+
+
 def parse_config(path) -> dict[str, str]:
-    """Parse lines of the form ``key = value``; # starts a comment."""
+    """Parse lines of the form ``key = value``; # starts a comment.
+
+    A key may be given once, and a key and its :data:`CONFIG_SPELLINGS`
+    spelling count as one; a repeat is an error naming both lines.
+    """
     out: dict[str, str] = {}
+    first: dict[str, tuple[str, int]] = {}  # key -> (spelling, line)
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected key = value, got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        name = CONFIG_SPELLINGS.get(key, key)
+        if name in first:
+            spelling, at = first[name]
+            raise ValueError(f"config line {lineno}: {key!r} repeats {spelling!r} on line {at}")
+        first[name] = (key, lineno)
+        out[key] = value
     return out
 
 

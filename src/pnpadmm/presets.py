@@ -106,8 +106,8 @@ class ExperimentPreset:
             raise ValueError("blur_size must be odd and >= 1")
         if self.downsample_factor < 1:
             raise ValueError("downsample_factor must be >= 1")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.image_source != "builtin" and not Path(self.image_source).is_file():
             raise ValueError(f"unreadable image: {self.image_source!r} does not exist")
 
@@ -147,11 +147,10 @@ def build_operator(preset: ExperimentPreset, image: ImageGrid) -> ForwardOperato
             f"image of {shape[0]}x{shape[1]} pixels (height x width): the long side "
             f"exceeds {MAX_ASPECT_RATIO} times the short side"
         )
-    cfg = preset.config
     side = max(shape)
-    sigma0 = math.sqrt(cfg.lam / cfg.rho0)
+    sigma0 = math.sqrt(preset.lam / preset.rho0)
     radius = preset.denoiser.radius(sigma0, side)
-    given = f"lambda = {cfg.lam:g} and rho0 = {cfg.rho0:g} give sigma_0 = {sigma0:.4g}, where"
+    given = f"lambda = {preset.lam:g} and rho0 = {preset.rho0:g} give sigma_0 = {sigma0:.4g}, where"
     if radius > MAX_WINDOW_RATIO * side:
         raise ValueError(
             f"{given} the {preset.denoiser.name} denoiser's window is wider than the image: "
@@ -195,30 +194,17 @@ def initial_iterate(f: FidelityTerm) -> IterateTriple:
 @dataclass
 class PresetResult:
     preset: ExperimentPreset
-    clean: ImageGrid
     fidelity: FidelityTerm
     trace: RunTrace
     restored: ImageGrid
 
 
-def run_preset(
-    preset: ExperimentPreset,
-    clean: ImageGrid | None = None,
-    observe: Observer | None = None,
-) -> PresetResult:
+def run_preset(preset: ExperimentPreset, observe: Observer | None = None) -> PresetResult:
     """Degrade, solve, and package everything the harness reports on."""
-    if clean is None:
-        clean = preset.source_image()
     # the term keeps its own copy of the observation and run its own copy of
     # the start iterate, so neither original is held through the loop
-    fidelity = FidelityTerm(*degrade(preset, clean))
+    fidelity = FidelityTerm(*degrade(preset, preset.source_image()))
     trace = run(fidelity, preset.denoiser, preset.config, initial_iterate(fidelity), observe)
     h, w = fidelity.op.in_shape
     restored = ImageGrid(width=w, height=h, pixels=trace.final_iterate.x)
-    return PresetResult(
-        preset=preset,
-        clean=clean,
-        fidelity=fidelity,
-        trace=trace,
-        restored=restored,
-    )
+    return PresetResult(preset=preset, fidelity=fidelity, trace=trace, restored=restored)

@@ -63,8 +63,8 @@ class PgsSpec:
     def __post_init__(self):
         if not (0 < self.beta < 1):
             raise ValueError(f"beta must be in (0, 1), got {self.beta}")
-        if self.peak0 <= 0:
-            raise ValueError("peak0 must be positive")
+        if not 0 < self.peak0 < math.inf:
+            raise ValueError(f"peak0 must be finite and positive, got {self.peak0}")
         starts = tuple(int(n) for n in self.chunk_starts)
         if not starts:
             raise ValueError("chunk_starts must be non-empty")
@@ -155,19 +155,16 @@ class CauchyCertificate:
     tail_bound: float
 
 
-def cauchy_index(
-    peak0: float, beta: float, epsilon: float, chunk_starts: Sequence[int]
-) -> CauchyCertificate:
+def cauchy_index(spec: PgsSpec, epsilon: float) -> CauchyCertificate:
     """Find the chunk count K and start index N certifying tail sums < epsilon.
 
     K is the closed form 1 + log(threshold) / log(beta), nudged to the
     smallest K with beta^(K-1) < threshold; past the listed starts the
     chunks have unit length.
     """
-    if not (0 < beta < 1):
-        raise ValueError("beta must be in (0, 1)")
-    if peak0 <= 0 or epsilon <= 0:
-        raise ValueError("peak0 and epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
+    beta, peak0, chunk_starts = spec.beta, spec.peak0, spec.chunk_starts
     threshold = epsilon * (1.0 - beta) ** 2 / peak0
     if not threshold > 0:
         raise ValueError("epsilon * (1 - beta)^2 / peak0 underflows to zero")
@@ -337,10 +334,11 @@ def construct_s12_bound(trace: ConditionTrace, c: float | None) -> PgsSpec:
     """Build the geometric bound for a trace with a single-condition tail.
 
     For a tail of C1 flags starting at iteration t the bound is
-    (c / sqrt(rho_t)) * (1/sqrt(gamma))^(k - t); for a C2 tail it is the
+    (c / sqrt(rho_t)) * (1/sqrt(gamma))^(k - t - 1); for a C2 tail it is the
     eta-decay chained from the anchor residual at t (itself bounded through
-    c when a C1 iteration precedes the tail).  Either is a PGS with the one
-    listed chunk start t, head delta_1 .. delta_t and unit chunks after it.
+    c when a C1 iteration precedes the tail), eta * anchor * eta^(k - t - 1).
+    Either is a PGS with that first peak at k = t + 1, the one listed chunk
+    start t, head delta_1 .. delta_t and unit chunks after it.
     """
     flags = trace.flags
     if not flags:
@@ -356,17 +354,14 @@ def construct_s12_bound(trace: ConditionTrace, c: float | None) -> PgsSpec:
         if c is None:
             raise ValueError("c is required for a C1 tail")
         rate = 1.0 / math.sqrt(trace.gamma)
-        scale = (c / math.sqrt(trace.rhos[t - 1])) * rate ** (-t)
+        peak0 = c / math.sqrt(trace.rhos[t - 1])
     else:
         rate = trace.eta
         if t >= 2 and c is not None:
             anchor = c / math.sqrt(trace.rhos[t - 2])
         else:
             anchor = float(trace.deltas[t - 1])
-        scale = anchor * rate ** (1 - t)
-    # delta_k <= scale * rate^(k-1) for k > t; the first peak is its value at
-    # k = t + 1, taken through numpy's power as pgs_generate takes its terms
-    peak0 = float((scale * rate ** np.array([t]))[0])
+        peak0 = rate * anchor
     head = tuple(float(d) for d in trace.deltas[:t])
     return PgsSpec(beta=rate, peak0=peak0, chunk_starts=(t,), head=head)
 
@@ -402,9 +397,12 @@ VERIFY_REL_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class BoundCheck:
+    """margins[i] is delta_k / y_k at k = start + i, with 0/0 read as 1."""
+
     holds: bool
     worst_margin: float
     worst_margin_iteration: int
+    margins: np.ndarray
 
 
 def verify_bound(
@@ -414,8 +412,8 @@ def verify_bound(
 ) -> BoundCheck:
     """Check delta_k <= y_k * (1 + VERIFY_REL_SLACK) for every k >= start.
 
-    Both sequences are indexed from k = 1; worst_margin is the largest
-    observed ratio delta_k / y_k over the checked range, and
+    Both sequences are indexed from k = 1; margins holds the ratio
+    delta_k / y_k of every checked k, worst_margin the largest of them and
     worst_margin_iteration the first k where it occurs.
     """
     d = np.asarray(deltas, dtype=float)
@@ -433,4 +431,5 @@ def verify_bound(
         holds=bool(np.all(d <= y * (1.0 + VERIFY_REL_SLACK))),
         worst_margin=float(ratios[worst]),
         worst_margin_iteration=start + worst,
+        margins=ratios,
     )

@@ -68,7 +68,6 @@ class SolverConfig:
     eta: float
     max_iter: int
     delta_tol: float = 1e-6
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("lam", "rho0", "gamma", "delta_tol"):
@@ -99,7 +98,6 @@ class RunTrace:
     condition_trace: ConditionTrace
     final_iterate: IterateTriple
     stop_reason: str  # "tolerance" | "fixed_point" | "penalty_limit" | "max_iter"
-    config: SolverConfig
 
     def __len__(self):
         return len(self.condition_trace)
@@ -221,7 +219,7 @@ def run(
             stop_reason = "fixed_point"
             break
     trace = ConditionTrace(deltas, rhos, sigmas, flags, values, cfg.gamma, cfg.eta)
-    return RunTrace(trace, theta, stop_reason, cfg)
+    return RunTrace(trace, theta, stop_reason)
 
 
 def fixed_point_residual(f: FidelityTerm, kind: Denoiser, trace: RunTrace) -> float:

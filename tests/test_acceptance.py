@@ -146,7 +146,7 @@ def test_a3_cauchy_certificates(pgs_specs):
     for spec in pgs_specs:
         y = pgs_generate(spec, 10_000)
         for eps in (1e-1, 1e-3):
-            cert = cauchy_index(spec.peak0, spec.beta, eps, spec.chunk_starts)
+            cert = cauchy_index(spec, eps)
             threshold = eps * (1 - spec.beta) ** 2 / spec.peak0
             if not spec.beta ** (cert.k_index - 1) < threshold:
                 violations += 1
@@ -256,7 +256,7 @@ def test_a7_trace_invariants_and_determinism(runs):
     ok = True
     for (name, eta, gamma), result in runs.items():
         trace = result.trace
-        cfg = trace.config
+        cfg = result.preset.config
         cond = trace.condition_trace
         rhos = cond.rhos
         deltas = cond.deltas

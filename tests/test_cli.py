@@ -12,9 +12,16 @@ import pytest
 import pnpadmm
 from pnpadmm import cli
 from pnpadmm.fidelity import CircularBlur, estimate_gradient_bound
-from pnpadmm.fileio import ImageGrid, load_image, parse_config, read_trace_csv, save_image
+from pnpadmm.fileio import (
+    ImageGrid,
+    load_image,
+    parse_config,
+    read_trace_csv,
+    save_image,
+    write_trace_csv,
+)
 from pnpadmm.presets import make_preset, run_preset, synthetic_image
-from pnpadmm.sequences import PgsSpec, pgs_generate
+from pnpadmm.sequences import ConditionFlag, ConditionTrace, PgsSpec, pgs_generate
 
 
 def run_cli(*args):
@@ -273,6 +280,38 @@ def test_run_rejects_bad_config_entries(tmp_path, capsys, line, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "lines,message",
+    [
+        ("lam = 0.01\nlambda = 0.5\nlambda = 0.02", "line 3: 'lambda' repeats 'lam' on line 2"),
+        ("eta = 0.5\neta = 0.6", "line 3: 'eta' repeats 'eta' on line 2"),
+        ("image = builtin\nimage_source = x", "line 3: 'image_source' repeats 'image' on line 2"),
+    ],
+)
+def test_run_rejects_a_setting_given_twice(tmp_path, capsys, lines, message):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text(f"preset = smoke\n{lines}\n")
+    assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 1
+    assert capsys.readouterr().err == f"error: config {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_names_the_key_of_an_unparsable_value(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("preset = smoke\nmax_iter = 1e3\n")
+    assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 1
+    assert capsys.readouterr().err.startswith("error: config key max_iter = '1e3': invalid literal")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_run_rejects_non_finite_noise_sigma(tmp_path, capsys, value):
+    out = tmp_path / "o"
+    assert run_cli("run", "--preset", "deblur", "--noise-sigma", value, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: noise_sigma must be finite and >= 0, got {float(value)}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("size,blur", [(32, 33), (64, 2101)])
 def test_run_rejects_blur_larger_than_image(tmp_path, capsys, size, blur):
     cfg = tmp_path / "blur.cfg"
@@ -424,6 +463,20 @@ def test_analyze_never_errors_on_short_valid_traces(tmp_path, preset, eta):
     assert code == 0
 
 
+def test_analyze_holds_on_a_c1_tail_after_a_long_c2_run(tmp_path):
+    # the geometric bound's first peak was once reached through
+    # (1/sqrt(gamma))^(-t), which overflows at t = 3001
+    flags = [ConditionFlag.C2] * 3000 + [ConditionFlag.C1] * 20
+    deltas = np.cumprod([1.0] + [0.9 if f == ConditionFlag.C2 else 0.97 for f in flags])
+    rhos = np.cumprod([1.0] + [2.0 if f == ConditionFlag.C1 else 1.0 for f in flags])
+    trace = ConditionTrace(deltas, rhos, 1 / np.sqrt(rhos), flags, np.zeros(rhos.size), 2.0, 0.95)
+    write_trace_csv(trace, tmp_path / "trace.csv")
+    out = tmp_path / "a"
+    assert run_cli("analyze", "--trace", tmp_path / "trace.csv", "--out", out) == 0
+    report = (out / "bound_report.txt").read_text().splitlines()
+    assert {"bound_kind = geometric", "bound_start = 3002", "bound_holds = True"} <= set(report)
+
+
 def test_analyze_truncated_trace_errors(tmp_path, capsys):
     trace = tmp_path / "one.csv"
     trace.write_text(
@@ -556,6 +609,21 @@ def test_pgs_demo_rejects_bad_beta(tmp_path, capsys):
     code = run_cli("pgs-demo", "--beta", "1.5", "--out", tmp_path / "x.csv")
     assert code == 1
     assert "beta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--peak", "nan", "peak0 must be finite and positive, got nan"),
+        ("--peak", "inf", "peak0 must be finite and positive, got inf"),
+        ("--epsilon", "nan", "epsilon must be finite and positive, got nan"),
+    ],
+)
+def test_pgs_demo_refuses_non_finite_input_before_writing(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "x.csv"
+    assert run_cli("pgs-demo", "--beta", "0.5", flag, value, "--out", out) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_pgs_demo_rejects_length_above_limit(tmp_path, capsys):

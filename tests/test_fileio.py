@@ -215,6 +215,16 @@ def test_write_config_rejects_values_that_do_not_read_back(tmp_path, value):
     assert not path.exists()
 
 
+def test_config_refuses_a_key_given_twice_under_either_spelling(tmp_path):
+    path = tmp_path / "c.cfg"
+    path.write_text("eta = 0.5\n# comment\neta = 0.6\n")
+    with pytest.raises(ValueError, match="config line 3: 'eta' repeats 'eta' on line 1"):
+        parse_config(path)
+    path.write_text("lam = 0.01\nlambda = 0.5\n")
+    with pytest.raises(ValueError, match="config line 2: 'lambda' repeats 'lam' on line 1"):
+        parse_config(path)
+
+
 def test_config_comments_and_errors(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("# full comment\n eta = 0.5  # trailing\n\nbad line\n")

@@ -87,7 +87,7 @@ def test_closed_form_cauchy_index_matches_linear_search(peak0, beta, eps, length
     starts = tuple(int(s) for s in np.cumsum(lengths))
     want = linear_cauchy_k(peak0, beta, eps, max_k=200_000)
     assume(want is not None)
-    cert = cauchy_index(peak0, beta, eps, starts)
+    cert = cauchy_index(PgsSpec(beta=beta, peak0=peak0, chunk_starts=starts), eps)
     assert cert.k_index == want
     assert cert.tail_bound < eps
     extended = list(starts) + list(range(starts[-1] + 1, starts[-1] + want + 1))

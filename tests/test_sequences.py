@@ -169,7 +169,7 @@ def test_slow_rate_long_chunks_sum_bound():
 
 def test_cauchy_index_enumerated_example():
     # threshold 0.25: 2^-(K-1) < 0.25 first at K = 4
-    cert = cauchy_index(1.0, 0.5, 1.0, chunk_starts=(1, 3, 6))
+    cert = cauchy_index(PgsSpec(beta=0.5, peak0=1.0, chunk_starts=(1, 3, 6)), 1.0)
     assert cert.k_index == 4
     # one unit chunk extends (1, 3, 6) to n_4 = 7
     assert cert.n_start == 8
@@ -178,7 +178,7 @@ def test_cauchy_index_enumerated_example():
 
 
 def test_cauchy_index_small_beta():
-    cert = cauchy_index(1.0, 0.01, 1.0, chunk_starts=(1,))
+    cert = cauchy_index(PgsSpec(beta=0.01, peak0=1.0, chunk_starts=(1,)), 1.0)
     assert cert.k_index == 2
 
 
@@ -186,7 +186,7 @@ def test_cauchy_index_returns_promptly_for_beta_near_one():
     # a linear search over K would need ~5.5e10 steps here
     beta = 1 - 1e-9
     start = time.monotonic()
-    cert = cauchy_index(1.0, beta, 1e-6, chunk_starts=(1, 3))
+    cert = cauchy_index(PgsSpec(beta=beta, peak0=1.0, chunk_starts=(1, 3)), 1e-6)
     assert time.monotonic() - start < 1.0
     threshold = 1e-6 * (1.0 - beta) ** 2
     assert beta ** (cert.k_index - 1) < threshold <= beta ** (cert.k_index - 2)
@@ -197,8 +197,9 @@ def test_cauchy_index_returns_promptly_for_beta_near_one():
 
 def test_cauchy_index_threshold_at_and_above_one():
     # threshold = epsilon (1-beta)^2 / peak0; K = 1 needs beta^0 = 1 < threshold
-    assert cauchy_index(0.25, 0.5, 1.0, chunk_starts=(2,)).k_index == 2
-    cert = cauchy_index(0.25, 0.5, 2.0, chunk_starts=(2,))
+    spec = PgsSpec(beta=0.5, peak0=0.25, chunk_starts=(2,))
+    assert cauchy_index(spec, 1.0).k_index == 2
+    cert = cauchy_index(spec, 2.0)
     assert (cert.k_index, cert.n_start) == (1, 3)
     assert cert.tail_bound < cert.epsilon
 
@@ -211,7 +212,7 @@ def test_cauchy_index_minimality_and_tail_sums():
         starts = tuple(np.cumsum(rng.integers(1, 8, size=10)).tolist())
         spec = PgsSpec(beta=beta, peak0=peak0, chunk_starts=starts)
         for eps in (1e-1, 1e-3):
-            cert = cauchy_index(peak0, beta, eps, starts)
+            cert = cauchy_index(spec, eps)
             threshold = eps * (1 - beta) ** 2 / peak0
             assert beta ** (cert.k_index - 1) < threshold
             if cert.k_index > 1:
@@ -425,6 +426,23 @@ def test_s12_bound_keeps_a_zero_residual_in_its_head():
     assert check.holds
 
 
+def test_s12_first_peak_of_a_late_c1_tail_is_finite():
+    # 3000 C2 steps at ratio 0.9, then 20 C1 steps at 0.97: the tail starts
+    # at t = 3001, where (1/sqrt(gamma))^(-t) = 2^1500.5 overflows; the peak
+    # c / sqrt(rho_t) does not
+    flags = [C2] * 3000 + [C1] * 20
+    deltas = np.cumprod([1.0] + [0.9 if f == C2 else 0.97 for f in flags])
+    tr = trace_from_flags(flags, deltas=deltas, eta=0.95, gamma=2.0)
+    tr.validate()
+    c = estimate_growth_coefficient(tr)
+    spec = construct_s12_bound(tr, c)
+    assert spec.chunk_starts == (3001,)
+    assert spec.peak0 == c / math.sqrt(tr.rhos[3000])
+    bound = pgs_generate(spec, len(tr))
+    assert np.all(np.isfinite(bound))
+    assert verify_bound(tr.deltas, bound, start=3002).holds
+
+
 # ---------------------------------------------------------------------------
 # Classification and bound verification
 
@@ -464,3 +482,20 @@ def test_verify_bound_reports_first_iteration_of_worst_margin():
     assert check.holds
     assert check.worst_margin == 0.9
     assert check.worst_margin_iteration == 3
+
+
+def test_verify_bound_margins_read_zero_over_zero_as_one():
+    check = verify_bound([7.0, 0.0, 1.0, 3.0, 0.0], [1.0, 0.0, 2.0, 1.0, 4.0], start=2)
+    assert check.margins.tolist() == [1.0, 0.5, 3.0, 0.0]
+    assert (check.worst_margin, check.worst_margin_iteration) == (3.0, 4)
+    assert not check.holds
+
+
+def test_pgs_spec_and_cauchy_index_refuse_non_finite_inputs():
+    for peak0 in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="peak0 must be finite and positive"):
+            PgsSpec(beta=0.5, peak0=peak0, chunk_starts=(1,))
+    spec = PgsSpec(beta=0.5, peak0=1.0, chunk_starts=(1,))
+    for epsilon in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+            cauchy_index(spec, epsilon)

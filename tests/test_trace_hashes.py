@@ -1,5 +1,6 @@
 """Byte-identity guard: pinned sha256 of trace.csv, summary.txt and
-restored.pgm for three small runs.
+restored.pgm for three small runs, and of bound.csv and bound_report.txt
+for a plain ``analyze`` of each run's trace.
 
 A change that keeps the arithmetic must keep these hashes.  A change that
 alters the arithmetic on purpose (a different prox solver, say) updates
@@ -34,6 +35,21 @@ PINNED = {
 }
 
 
+# preset -> (bound.csv, bound_report.txt without its "trace = <path>" line);
+# the smoke run stops after one row, and analyze refuses it and writes neither
+PINNED_ANALYSIS = {
+    "smoke": (None, None),
+    "deblur": (
+        "9ccb5aa742c3d993b6ef0ee5ded75247a9ca0d0ee0012b6efb0720bd84feb04a",
+        "703417837746c9f7a8e0cf19c68b82b309961ee1a1960b2b6ba18cb02bf7f879",
+    ),
+    "superres": (
+        "4890009ee6f76d9b92d0853b4582d8ded25eb3fb8297abfcd57c6a61227ee97c",
+        "1ad8b683a271c2ebe854747ab79f31f48cab28620713925ce107c3dbc582c4ba",
+    ),
+}
+
+
 @pytest.fixture(scope="module", params=sorted(PINNED))
 def run_dir(request, tmp_path_factory):
     """(preset, output directory) of one 32x32, 30-iteration run."""
@@ -46,8 +62,28 @@ def run_dir(request, tmp_path_factory):
     return preset, out
 
 
+@pytest.fixture(scope="module")
+def analysis_dir(run_dir):
+    """(preset, output directory) of ``analyze`` on the run's trace."""
+    preset, out = run_dir
+    analysis = out.parent / "analysis"
+    argv = ["analyze", "--trace", str(out / "trace.csv"), "--out", str(analysis)]
+    assert cli.main(argv) == (1 if PINNED_ANALYSIS[preset][0] is None else 0)
+    return preset, analysis
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _analysis_sha256(path, drop_prefix=None) -> str | None:
+    """sha256 of the file without its lines that start with drop_prefix, or
+    None when analyze did not write it."""
+    if not path.exists():
+        return None
+    lines = path.read_text().splitlines(keepends=True)
+    kept = "".join(line for line in lines if not (drop_prefix and line.startswith(drop_prefix)))
+    return hashlib.sha256(kept.encode()).hexdigest()
 
 
 def test_trace_csv_sha256_is_pinned(run_dir):
@@ -63,3 +99,14 @@ def test_summary_txt_sha256_is_pinned(run_dir):
 def test_restored_pgm_sha256_is_pinned(run_dir):
     preset, out = run_dir
     assert _sha256(out / "restored.pgm") == PINNED[preset][2]
+
+
+def test_bound_csv_sha256_is_pinned(analysis_dir):
+    preset, out = analysis_dir
+    assert _analysis_sha256(out / "bound.csv") == PINNED_ANALYSIS[preset][0]
+
+
+def test_bound_report_sha256_is_pinned(analysis_dir):
+    preset, out = analysis_dir
+    digest = _analysis_sha256(out / "bound_report.txt", drop_prefix="trace = ")
+    assert digest == PINNED_ANALYSIS[preset][1]
