@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -70,6 +71,20 @@ def _preset_from_args(args) -> ExperimentPreset:
         if (value := getattr(args, setting, None)) is not None:
             overrides[setting] = value
     return make_preset(name, **overrides)
+
+
+def _parse_list(text: str, flag: str, convert) -> list:
+    """The comma-separated entries of ``text`` through ``convert``; an entry
+    it refuses, an empty one included, is an error naming ``flag``."""
+    values = []
+    for entry in text.split(","):
+        try:
+            values.append(convert(entry))
+        except ValueError:
+            raise ValueError(
+                f"{flag} {text!r}: entry {entry!r} is not a valid {convert.__name__}"
+            ) from None
+    return values
 
 
 def _case_line(cond: ConditionTrace, window: int) -> str:
@@ -157,9 +172,9 @@ def cmd_run(args) -> int:
     # sweep members differ only in eta, so one check covers them all
     fileio.check_config(_run_config(preset))
     out_dir = Path(args.out)
-    if args.sweep:
+    if args.sweep is not None:
         members: dict[Path, ExperimentPreset] = {}
-        for eta in map(float, args.sweep.split(",")):
+        for eta in _parse_list(args.sweep, "--sweep", float):
             sub = out_dir / f"eta={eta:g}"
             if sub in members:
                 raise ValueError(
@@ -198,8 +213,6 @@ def _condition_trace_from_csv(
 
 def cmd_analyze(args) -> int:
     cond, gamma_assumed = _condition_trace_from_csv(args.trace, args.gamma, args.eta)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     n = len(cond)
     case = _case_line(cond, args.window)
     has_c1 = ConditionFlag.C1 in cond.flags
@@ -223,12 +236,16 @@ def cmd_analyze(args) -> int:
     check = verify_bound(cond.deltas, bound_seq, start=start)
     cert = cauchy_index(spec, args.epsilon)
 
+    deltas, bounds = cond.deltas.tolist(), bound_seq.tolist()
     lines = ["iter,delta,bound,margin"]
-    for k, delta in enumerate(cond.deltas[: start - 1], start=1):
-        lines.append(f"{k},{format(delta, '.17g')},,")
-    checked = zip(cond.deltas[start - 1 :], bound_seq[start - 1 :], check.margins)
-    for k, row in enumerate(checked, start=start):
-        lines.append(f"{k}," + ",".join(format(v, ".17g") for v in row))
+    lines += [f"{k},{d:.17g},," for k, d in enumerate(deltas[: start - 1], start=1)]
+    checked = zip(deltas[start - 1 :], bounds[start - 1 :], check.margins.tolist())
+    lines += [
+        f"{k},{d:.17g},{b:.17g},{m:.17g}" for k, (d, b, m) in enumerate(checked, start=start)
+    ]
+    # nothing is created until every number to be written has been computed
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "bound.csv").write_text("\n".join(lines) + "\n")
 
     report = [
@@ -260,7 +277,7 @@ def cmd_pgs_demo(args) -> int:
         raise ValueError(
             f"--length {args.length} exceeds the limit of {MAX_PGS_DEMO_LENGTH}"
         )
-    lengths = [int(v) for v in args.chunk_lengths.split(",")]
+    lengths = _parse_list(args.chunk_lengths, "--chunk-lengths", int)
     if any(v < 1 for v in lengths):
         raise ValueError("chunk lengths must be >= 1")
     starts = tuple(int(n) for n in np.cumsum([1] + lengths))
@@ -290,7 +307,11 @@ def cmd_pgs_demo(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    one: :func:`main` runs many times in one process (tests, benchmarks), and
+    a build costs about as much as an ``analyze`` of a 100-row trace."""
     p = argparse.ArgumentParser(
         prog="pnpadmm",
         description="Plug-and-play ADMM restoration runs and residual-envelope analysis",

@@ -153,6 +153,10 @@ def write_trace_csv(trace: ConditionTrace, path) -> None:
     Path(path).write_text(serialize_trace(trace), encoding="ascii", newline="")
 
 
+# the condition column's labels; NA marks the first row, which has no flag
+_ROW_FLAGS = {"NA": None, **{flag.value: flag for flag in ConditionFlag}}
+
+
 def parse_trace(text: str) -> dict:
     """The columns of a trace CSV under their ConditionTrace field names:
     ``ConditionTrace(**parse_trace(text), gamma=..., eta=...)`` is the trace.
@@ -179,23 +183,23 @@ def parse_trace(text: str) -> dict:
         k = len(rows) + 1
         try:
             iteration = int(parts[0])
-            delta, rho, sigma, value = (float(parts[i]) for i in (1, 2, 3, 5))
+            row = (float(parts[1]), float(parts[2]), float(parts[3]), float(parts[5]))
         except ValueError as exc:
             raise TraceFormatError(str(exc), line=lineno) from exc
         if iteration != k:
             raise TraceFormatError(f"expected iteration {k}, got {iteration}", line=lineno)
         label = parts[4]
-        if label != "NA":
-            try:
-                flags.append(ConditionFlag(label))
-            except ValueError as exc:
-                raise TraceFormatError(f"bad condition {label!r}", line=lineno) from exc
-        if (label == "NA") != (k == 1):
+        if label not in _ROW_FLAGS:
+            raise TraceFormatError(f"bad condition {label!r}", line=lineno)
+        flag = _ROW_FLAGS[label]
+        if (flag is None) != (k == 1):
             raise TraceFormatError(
                 f"condition {label} at iteration {k}: NA belongs to iteration 1 alone",
                 line=lineno,
             )
-        rows.append((delta, rho, sigma, value))
+        if flag is not None:
+            flags.append(flag)
+        rows.append(row)
     columns = np.array(rows, dtype=float).reshape(-1, 4).T
     names = ("deltas", "rhos", "sigmas", "fidelity_values")
     return {**dict(zip(names, columns)), "flags": tuple(flags)}

@@ -230,7 +230,13 @@ class ConditionTrace:
         return (None, *self.flags)
 
     def validate(self) -> None:
-        """Check structural invariants; raise TraceInvariantError on failure."""
+        """Check structural invariants; raise TraceInvariantError on failure.
+
+        Every flag must match its residuals and eta, and every penalty must
+        be gamma times (C1) or equal to (C2) the previous one up to a
+        relative 1e-12, as :func:`math.isclose` reads it.  The error names
+        the first iteration where either fails, its flag before its penalty.
+        """
         n = len(self)
         for name in ("rhos", "sigmas", "fidelity_values"):
             if getattr(self, name).size != n:
@@ -244,27 +250,31 @@ class ConditionTrace:
             raise TraceInvariantError("residuals must be finite and nonnegative")
         if np.any(self.rhos <= 0):
             raise TraceInvariantError("penalties must be positive")
-        if not (0 < self.eta < 1) or self.gamma <= 1:
+        if not (0 < self.eta < 1) or not (1 < self.gamma < math.inf):
             raise TraceInvariantError("need gamma > 1 and eta in (0, 1)")
-        for i, flag in enumerate(self.flags):
-            expected = (
-                ConditionFlag.C1
-                if self.deltas[i + 1] >= self.eta * self.deltas[i]
-                else ConditionFlag.C2
+        deltas, rhos = self.deltas, self.rhos
+        c1 = deltas[1:] >= self.eta * deltas[:-1]
+        expected = np.where(c1, ConditionFlag.C1, ConditionFlag.C2)
+        bad_flag = np.fromiter(self.flags, dtype=object, count=n - 1) != expected
+        # up to the first bad flag the expected flags are the recorded ones
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.where(c1, self.gamma, 1.0) * rhos[:-1]
+            diff = np.abs(rhos[1:] - want)
+            close = (rhos[1:] == want) | (
+                np.isfinite(diff) & (diff <= 1e-12 * np.maximum(np.abs(want), rhos[1:]))
             )
-            if flag != expected:
-                raise TraceInvariantError(
-                    f"flag at iteration {i + 1} is {flag}, inconsistent with "
-                    f"residuals and eta"
-                )
-            factor = self.gamma if flag == ConditionFlag.C1 else 1.0
-            if not math.isclose(
-                self.rhos[i + 1], factor * self.rhos[i], rel_tol=1e-12
-            ):
-                raise TraceInvariantError(
-                    f"penalty at iteration {i + 2} inconsistent with flag "
-                    f"at iteration {i + 1}"
-                )
+        bad = np.flatnonzero(bad_flag | ~close)
+        if bad.size == 0:
+            return
+        i = int(bad[0])
+        if bad_flag[i]:
+            raise TraceInvariantError(
+                f"flag at iteration {i + 1} is {self.flags[i]}, inconsistent with "
+                f"residuals and eta"
+            )
+        raise TraceInvariantError(
+            f"penalty at iteration {i + 2} inconsistent with flag at iteration {i + 1}"
+        )
 
 
 def alternation_boundaries(

@@ -168,3 +168,40 @@ def chunk_loop_dot(a, b, chunk):
     for i in range(0, a.size, chunk):
         total += float(a[i : i + chunk] @ b[i : i + chunk])
     return total
+
+
+def loop_validate(trace):
+    """ConditionTrace.validate as one loop over the flags: the same checks,
+    messages and order, each flag and penalty tested one iteration at a
+    time with :func:`math.isclose`."""
+    from pnpadmm.sequences import ConditionFlag, TraceInvariantError
+
+    n = len(trace)
+    for name in ("rhos", "sigmas", "fidelity_values"):
+        if getattr(trace, name).size != n:
+            raise TraceInvariantError(f"deltas and {name} must have equal length")
+    if len(trace.flags) != n - 1:
+        raise TraceInvariantError(
+            f"expected {n - 1} condition flags for {n} iterations, got {len(trace.flags)}"
+        )
+    if np.any(trace.deltas < 0) or not np.all(np.isfinite(trace.deltas)):
+        raise TraceInvariantError("residuals must be finite and nonnegative")
+    if np.any(trace.rhos <= 0):
+        raise TraceInvariantError("penalties must be positive")
+    if not (0 < trace.eta < 1) or not (1 < trace.gamma < math.inf):
+        raise TraceInvariantError("need gamma > 1 and eta in (0, 1)")
+    for i, flag in enumerate(trace.flags):
+        expected = (
+            ConditionFlag.C1
+            if trace.deltas[i + 1] >= trace.eta * trace.deltas[i]
+            else ConditionFlag.C2
+        )
+        if flag != expected:
+            raise TraceInvariantError(
+                f"flag at iteration {i + 1} is {flag}, inconsistent with residuals and eta"
+            )
+        factor = trace.gamma if flag == ConditionFlag.C1 else 1.0
+        if not math.isclose(trace.rhos[i + 1], factor * trace.rhos[i], rel_tol=1e-12):
+            raise TraceInvariantError(
+                f"penalty at iteration {i + 2} inconsistent with flag at iteration {i + 1}"
+            )

@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -527,6 +528,107 @@ def test_analyze_refuses_misnumbered_or_misflagged_rows(tmp_path, capsys, rows, 
     assert run_cli("analyze", "--trace", trace, "--out", tmp_path / "o") == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: line {line}: ")
+
+
+def write_s1_trace(path, rows=45):
+    """An S1-like trace: every residual ratio 0.97 >= eta = 0.5 raises rho by 2."""
+    flags = [ConditionFlag.C1] * (rows - 1)
+    deltas = 0.97 ** np.arange(rows)
+    rhos = 2.0 ** np.arange(rows)
+    trace = ConditionTrace(deltas, rhos, 1 / np.sqrt(rhos), flags, np.zeros(rows), 2.0, 0.5)
+    write_trace_csv(trace, path)
+    return path
+
+
+@pytest.mark.parametrize("gamma", ["nan", "inf"])
+def test_analyze_refuses_a_non_finite_gamma(tmp_path, capsys, gamma):
+    # nan <= 1 is false, so a NaN gamma once got as far as the first C1
+    # penalty and was reported as an inconsistent penalty there
+    trace = write_s1_trace(tmp_path / "trace.csv")
+    out = tmp_path / "a"
+    assert run_cli("analyze", "--trace", trace, "--gamma", gamma, "--out", out) == 1
+    assert capsys.readouterr().err == "error: need gamma > 1 and eta in (0, 1)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("--window", "0"), "window must be >= 1"),
+        (("--epsilon", "0"), "epsilon must be finite and positive, got 0.0"),
+        (("--mode", "s3"), "trace is S1/S2-like (fewer than two C1 onsets); "
+                           "use the geometric bound"),
+    ],
+    ids=["window", "epsilon", "mode-s3"],
+)
+def test_analyze_creates_no_output_directory_when_it_refuses(tmp_path, capsys, args, message):
+    trace = write_s1_trace(tmp_path / "trace.csv")
+    out = tmp_path / "a" / "b"
+    assert run_cli("analyze", "--trace", trace, *args, "--out", out) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == [trace]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("run", "--preset", "smoke", "--sweep", ""), "--sweep '': entry '' is not a valid float"),
+        (("run", "--preset", "smoke", "--sweep", "0.6,,0.9"),
+         "--sweep '0.6,,0.9': entry '' is not a valid float"),
+        (("run", "--preset", "smoke", "--sweep", "0.6,x"),
+         "--sweep '0.6,x': entry 'x' is not a valid float"),
+        (("pgs-demo", "--beta", "0.5", "--chunk-lengths", ""),
+         "--chunk-lengths '': entry '' is not a valid int"),
+        (("pgs-demo", "--beta", "0.5", "--chunk-lengths", "2,,3"),
+         "--chunk-lengths '2,,3': entry '' is not a valid int"),
+        (("pgs-demo", "--beta", "0.5", "--chunk-lengths", "2,1.5"),
+         "--chunk-lengths '2,1.5': entry '1.5' is not a valid int"),
+    ],
+    ids=["sweep-empty", "sweep-blank-entry", "sweep-word", "chunks-empty",
+         "chunks-blank-entry", "chunks-float"],
+)
+def test_list_flags_name_the_flag_and_the_bad_entry(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", out) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    for name in ("a.csv", "b.csv"):
+        assert run_cli("pgs-demo", "--beta", "0.5", "--out", tmp_path / name) == 0
+    # one top-level parser, and one per subcommand under it
+    assert built.count("pnpadmm") == 1
+    assert len(built) == 4
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "import pnpadmm.cli\n"
+        "print(len(built))\n"
+    )
+    src = str(Path(pnpadmm.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        check=True, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.stdout == "0\n"
 
 
 def test_pgs_demo_values(tmp_path, capsys):

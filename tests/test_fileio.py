@@ -232,3 +232,52 @@ def test_config_comments_and_errors(tmp_path):
         parse_config(path)
     path.write_text("# only comments\n eta = 0.5\n")
     assert parse_config(path) == {"eta": "0.5"}
+
+
+TRACE_HEADER = "iter,delta,rho,sigma,condition,fidelity_value"
+TRACE_ROWS = ("1,0.5,1,0.1,NA,12.25", "2,0.3,1.2,0.3,C1,7.5", "3,0.1,1.2,0.09,C2,0")
+
+
+@pytest.mark.parametrize(
+    "lines, line, message",
+    [
+        (("iter,delta", *TRACE_ROWS), 1, f"expected header {TRACE_HEADER}"),
+        # field count, before anything else on the row
+        ((TRACE_HEADER, TRACE_ROWS[0], "2,0.3,1.2", TRACE_ROWS[2]), 3,
+         "expected 6 fields, got 3"),
+        ((TRACE_HEADER, *TRACE_ROWS[:2], TRACE_ROWS[2] + ",C1"), 4, "expected 6 fields, got 7"),
+        # numbers, before the iteration and the label
+        ((TRACE_HEADER, "1,abc,1,0.1,NA,12.25", *TRACE_ROWS[1:]), 2,
+         "could not convert string to float: 'abc'"),
+        ((TRACE_HEADER, TRACE_ROWS[0], "5,0.3,1.2,0.3,C9,", TRACE_ROWS[2]), 3,
+         "could not convert string to float: ''"),
+        ((TRACE_HEADER, TRACE_ROWS[0], "2.0,0.3,1.2,0.3,C1,7.5", TRACE_ROWS[2]), 3,
+         "invalid literal for int() with base 10: '2.0'"),
+        # iteration order, before the label
+        ((TRACE_HEADER, TRACE_ROWS[0], "3,0.3,1.2,0.3,C9,7.5", TRACE_ROWS[2]), 3,
+         "expected iteration 2, got 3"),
+        # label, before its placement
+        ((TRACE_HEADER, "1,0.5,1,0.1,C3,12.25", *TRACE_ROWS[1:]), 2, "bad condition 'C3'"),
+        ((TRACE_HEADER, TRACE_ROWS[0], "2,0.3,1.2,0.3,c1,7.5", TRACE_ROWS[2]), 3,
+         "bad condition 'c1'"),
+        # NA placement
+        ((TRACE_HEADER, TRACE_ROWS[0], "2,0.3,1.2,0.3,NA,7.5", TRACE_ROWS[2]), 3,
+         "condition NA at iteration 2: NA belongs to iteration 1 alone"),
+        ((TRACE_HEADER, "1,0.5,1,0.1,C2,12.25", *TRACE_ROWS[1:]), 2,
+         "condition C2 at iteration 1: NA belongs to iteration 1 alone"),
+        # blank lines are skipped but counted: the file line, the trace iteration
+        ((TRACE_HEADER, TRACE_ROWS[0], "", "  ", TRACE_ROWS[1], "4,0.1,1.2,0.09,C2,0"), 6,
+         "expected iteration 3, got 4"),
+        ((TRACE_HEADER, TRACE_ROWS[0], "", "2,0.3,1.2,0.3,X,7.5"), 4, "bad condition 'X'"),
+    ],
+    ids=[
+        "header", "few-fields", "many-fields", "bad-float", "empty-float", "bad-int",
+        "iteration", "bad-label", "lower-case-label", "na-late", "na-missing",
+        "blank-iteration", "blank-label",
+    ],
+)
+def test_trace_parse_error_message_and_line(lines, line, message):
+    with pytest.raises(TraceFormatError) as info:
+        parse_trace("\n".join(lines) + "\n")
+    assert str(info.value) == f"line {line}: {message}"
+    assert info.value.line == line

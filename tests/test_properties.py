@@ -3,7 +3,8 @@ closed-form Cauchy certificate against their direct definitions; the
 forward operators' adjoints and closed-form prox solves against their
 defining identities, and the downsampling gather against whole-image
 rolls; the separable denoisers against two sliding-window passes; exact
-round trips of the trace CSV and PGM formats."""
+round trips of the trace CSV and PGM formats; the array checks of
+ConditionTrace.validate against a loop over its iterations."""
 
 import math
 
@@ -16,6 +17,7 @@ from oracles import (
     bincount_filter_matrix,
     linear_cauchy_k,
     loop_pgs_generate,
+    loop_validate,
     roll_circ_conv,
     roll_circ_corr,
     two_pass_filter,
@@ -319,3 +321,68 @@ def test_pgm_round_trip_reproduces_255ths_exactly(tmp_path_factory, width, heigh
     back = load_image(path)
     assert (back.width, back.height) == (width, height)
     assert back.pixels.tobytes() == img.pixels.tobytes()
+
+
+C1, C2 = ConditionFlag.C1, ConditionFlag.C2
+# relative moves of one penalty around validate's 1e-12 tolerance, and
+# whole growth steps
+RHO_FACTORS = (1 + 5e-13, 1 + 1e-12, 1 - 1e-12, 1 + 2e-12, 1 - 3e-12, 1 + 1e-9, 1.5, 2 / 3)
+
+
+@st.composite
+def faulted_traces(draw):
+    """A ConditionTrace of 1..40 iterations built by the penalty rule, then
+    given a few faults: flipped flags, moved penalties, NaN or infinite
+    penalties (an infinite tail too) and residuals, and now and then a bad
+    gamma."""
+    n = draw(st.integers(1, 40))
+    eta = draw(st.floats(0.05, 0.95))
+    gamma = draw(st.floats(1.001, 10.0))
+    deltas = [draw(st.floats(0.0, 10.0))]
+    for _ in range(n - 1):
+        step = draw(st.sampled_from(["ratio", "boundary", "zero"]))
+        if step == "ratio":
+            deltas.append(deltas[-1] * draw(st.floats(0.0, 2.0)))
+        else:
+            deltas.append(eta * deltas[-1] if step == "boundary" else 0.0)
+    flags = [C1 if b >= eta * a else C2 for a, b in zip(deltas, deltas[1:])]
+    rhos = [draw(st.floats(1e-3, 1e3))]
+    for flag in flags:
+        rhos.append(gamma * rhos[-1] if flag == C1 else rhos[-1])
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(
+            st.sampled_from(["flip", "rho", "rho_nan", "rho_inf", "inf_tail", "delta_bad"])
+        )
+        i = draw(st.integers(0, n - 1))
+        if fault == "flip" and flags:
+            j = min(i, len(flags) - 1)
+            flags[j] = C2 if flags[j] == C1 else C1
+        elif fault == "rho":
+            rhos[i] *= draw(st.sampled_from(RHO_FACTORS))
+        elif fault in ("rho_nan", "rho_inf"):
+            rhos[i] = math.nan if fault == "rho_nan" else math.inf
+        elif fault == "inf_tail":
+            # equal infinities pass math.isclose
+            rhos[i:] = [math.inf] * (n - i)
+        elif fault == "delta_bad":
+            deltas[i] = draw(st.sampled_from([math.nan, math.inf, -1.0]))
+    gamma = draw(st.sampled_from([gamma] * 6 + [math.nan, math.inf, 1.0]))
+    rhos = np.array(rhos)
+    return ConditionTrace(deltas, rhos, 1 / np.sqrt(rhos), flags, np.zeros(n), gamma, eta)
+
+
+def _outcome(check):
+    """None if ``check()`` passes, else the type and message it raised."""
+    try:
+        check()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(deadline=None, max_examples=400)
+@given(faulted_traces())
+def test_validate_matches_the_iteration_loop(trace):
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = _outcome(lambda: loop_validate(trace))
+    assert _outcome(trace.validate) == expected
