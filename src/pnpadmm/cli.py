@@ -145,7 +145,7 @@ def _gradient_m_hat(f, theta, step) -> float:
     grad f(x') = rho (t - x'), unless rho exceeds STREAMED_GRADIENT_MAX_RHO.
     """
     if step is None or step.rho > STREAMED_GRADIENT_MAX_RHO:
-        return estimate_gradient_bound(f, [theta.x])
+        return estimate_gradient_bound(f, theta.x)
     diff = step.target - theta.x
     return step.rho * norm(diff) / math.sqrt(theta.dim)
 

@@ -1,19 +1,18 @@
 """Sigma-parameterized denoisers and empirical checks of the residue bound.
 
 Every denoiser has one entry point, ``apply(sigma, a)``, which maps a
-float64 (h, w) image, or each image of a (k, h, w) stack, to an array of
-the same shape.  :func:`denoise` is the checked way in: it validates the
-array, hands the denoiser a read-only view and acts as the identity at
-sigma = 0.  The residue bound under test is
-``||D_sigma(x) - x||^2 <= K * d * sigma^2`` on [0, 1]^d.  The linear
-filters (Gaussian, box, identity) are symmetric and diagonal in the DCT-II
-basis, so :meth:`Denoiser.spectrum` gives their eigenvalues in closed form
-and :func:`certified_denoiser_bound` a K that provably holds.  The median
-filter has no spectrum: for it K can only be estimated from samples and
-re-checked on held-out samples, a sample maximum and not a bound.  Both
-sampled checks filter their samples as (k, h, w) stacks, one call per
-sigma; the Gaussian and box filters take a whole stack in one pass of
-their matrix products.
+float64 (h, w) image to an array of the same shape.  :func:`denoise` is
+the checked way in: it validates the image, hands the denoiser a
+read-only view and acts as the identity at sigma = 0.  The residue bound
+under test is ``||D_sigma(x) - x||^2 <= K * d * sigma^2`` on [0, 1]^d.
+The linear filters (Gaussian, box, identity) are symmetric and diagonal
+in the DCT-II basis, so :meth:`Denoiser.spectrum` gives their
+eigenvalues in closed form and :func:`certified_denoiser_bound` a K that
+provably holds.  The median filter has no spectrum: for it K can only be
+estimated from samples and re-checked on held-out samples, a sample
+maximum and not a bound.  Both sampled checks draw their noise images
+through one sampler, one image per (seed, index) pair, and filter each
+at every sigma of their grid.
 """
 
 from __future__ import annotations
@@ -34,9 +33,6 @@ TRUNCATE = 3.0
 MEDIAN_BLOCK_BYTES = 4 * 2**20
 # the Gaussian and box filters multiply their band this many outputs at a time
 FILTER_BLOCK = 32
-# the residue-bound checks filter their sample images in stacks of at most
-# this many bytes
-STACK_BYTES = 2**20
 
 
 def _fill_filter(n: int, kernel: np.ndarray) -> np.ndarray:
@@ -107,13 +103,13 @@ def _blocks(n: int, radius: int):
 
 
 def _separable_filter(a: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Filter the rows then the columns of an (h, w) image, or of each image
-    of a (k, h, w) stack, with kernel, as G_h @ (A @ G_w^T).
+    """Filter the rows then the columns of an (h, w) image with kernel, as
+    G_h @ (A @ G_w^T).
 
     Both matrices are built on every call, one for square images.  Each
     product is taken a block of output columns (then rows) at a time and
-    multiplies only the band of G that block reads; the products broadcast
-    over a leading stack axis, bit for bit as one call per image.
+    multiplies only the band of G that block reads.  The products also
+    broadcast over a leading axis, bit for bit as one call per image.
     """
     h, w = a.shape[-2:]
     radius = kernel.size // 2
@@ -134,9 +130,8 @@ class Denoiser:
     name = "base"
 
     def apply(self, sigma: float, a: np.ndarray) -> np.ndarray:
-        """D_sigma of a float64 (h, w) image, or of each image of a (k, h, w)
-        stack, as an array of the same shape; ``a`` may be read-only, and
-        the result may be ``a`` itself."""
+        """D_sigma of a float64 (h, w) image, as an array of the same shape;
+        ``a`` may be read-only, and the result may be ``a`` itself."""
         raise NotImplementedError
 
     def radius(self, sigma: float, side: int) -> int:
@@ -184,7 +179,7 @@ class GaussianSmoothing(Denoiser):
         return k / k.sum()
 
     def apply(self, sigma: float, a: np.ndarray) -> np.ndarray:
-        return _separable_filter(a, self.kernel(sigma, max(a.shape[-2:])))
+        return _separable_filter(a, self.kernel(sigma, max(a.shape)))
 
     def spectrum(self, sigma: float, n: int) -> np.ndarray:
         return _filter_spectrum(n, self.kernel(sigma, n))
@@ -204,7 +199,7 @@ class MedianFilter(Denoiser):
         return int(math.floor(C_MAP * sigma * side + 0.5))
 
     def apply(self, sigma: float, a: np.ndarray) -> np.ndarray:
-        h, w = a.shape[-2:]
+        h, w = a.shape
         half = self.radius(sigma, max(h, w))
         if half == 0:
             return a
@@ -212,12 +207,11 @@ class MedianFilter(Denoiser):
         # np.median copies the windows it is given, so take them a block of
         # rows at a time: each block's copy stays within MEDIAN_BLOCK_BYTES
         rows = max(1, MEDIAN_BLOCK_BYTES // (w * win * win * 8))
+        padded = np.pad(a, half, mode="symmetric")
+        windows = np.lib.stride_tricks.sliding_window_view(padded, (win, win))
         out = np.empty(a.shape)
-        for image, filtered in zip(a.reshape(-1, h, w), out.reshape(-1, h, w)):
-            padded = np.pad(image, half, mode="symmetric")
-            windows = np.lib.stride_tricks.sliding_window_view(padded, (win, win))
-            for r in range(0, h, rows):
-                filtered[r : r + rows] = np.median(windows[r : r + rows], axis=(2, 3))
+        for r in range(0, h, rows):
+            out[r : r + rows] = np.median(windows[r : r + rows], axis=(2, 3))
         return out
 
 
@@ -234,7 +228,7 @@ class BoxAverage(Denoiser):
         return np.full(win, 1.0 / win)
 
     def apply(self, sigma: float, a: np.ndarray) -> np.ndarray:
-        kernel = self.kernel(sigma, max(a.shape[-2:]))
+        kernel = self.kernel(sigma, max(a.shape))
         if kernel.size == 1:
             return a
         return _separable_filter(a, kernel)
@@ -244,8 +238,7 @@ class BoxAverage(Denoiser):
 
 
 def denoise(kind: Denoiser, sigma: float, a) -> np.ndarray:
-    """Apply ``kind`` at strength ``sigma`` to an (h, w) image or to each
-    image of a (k, h, w) stack.
+    """Apply ``kind`` at strength ``sigma`` to an (h, w) image.
 
     The input is taken as float64 and handed over as a read-only view, with
     no copy and no scan; it must have no empty side.  sigma = 0 returns that
@@ -255,11 +248,8 @@ def denoise(kind: Denoiser, sigma: float, a) -> np.ndarray:
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     a = np.asarray(a, dtype=np.float64).view()
-    if a.ndim not in (2, 3) or 0 in a.shape:
-        raise ValueError(
-            f"expected an (h, w) image or a (k, h, w) stack with no empty side, "
-            f"got shape {a.shape}"
-        )
+    if a.ndim != 2 or 0 in a.shape:
+        raise ValueError(f"expected an (h, w) image with no empty side, got shape {a.shape}")
     a.flags.writeable = False
     if sigma == 0.0:
         return a
@@ -291,29 +281,25 @@ class BoundCheckReport:
     threshold: float
 
 
-def _sample_stacks(width: int, height: int, seed: int, count: int):
-    """Uniform-noise images 0..count-1 as (k, height, width) stacks of at
-    most STACK_BYTES each (one image at least)."""
-    per = max(1, STACK_BYTES // (8 * width * height))
-    for i0 in range(0, count, per):
-        stack = np.empty((min(per, count - i0), height, width))
-        for j, a in enumerate(stack):
-            # substream derived from (seed, index) so sampling is order-independent
-            a[...] = np.random.default_rng((seed, i0 + j)).uniform(0.0, 1.0, (height, width))
-        yield stack
+def _sample_ratios(kind: Denoiser, width: int, height: int, grid, seed: int, count: int):
+    """The residue ratio of each uniform-noise image 0..count-1 at each
+    sigma of ``grid``, image by image."""
+    for i in range(count):
+        # substream derived from (seed, index) so sampling is order-independent
+        a = np.random.default_rng((seed, i)).uniform(0.0, 1.0, (height, width))
+        for s in grid:
+            yield residue_ratio(kind, s, a)
 
 
-def residue_ratio(kind: Denoiser, sigma: float, a):
-    """||D_sigma(x) - x||^2 / (d * sigma^2) at one sigma > 0: a float for an
-    (h, w) image x, an array of k for a (k, h, w) stack, from one call."""
+def residue_ratio(kind: Denoiser, sigma: float, a) -> float:
+    """||D_sigma(x) - x||^2 / (d * sigma^2) for an (h, w) image x at one
+    sigma > 0."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     a = np.asarray(a, dtype=np.float64)
     out = denoise(kind, sigma, a)
-    h, w = a.shape[-2:]
-    res = np.sum(((out - a) ** 2).reshape(*a.shape[:-2], -1), axis=-1)
-    ratio = res / (h * w * sigma * sigma)
-    return float(ratio) if a.ndim == 2 else ratio
+    res = np.sum(((out - a) ** 2).reshape(-1))
+    return float(res / (a.size * sigma * sigma))
 
 
 def estimate_denoiser_bound_constant(
@@ -327,18 +313,14 @@ def estimate_denoiser_bound_constant(
     """Estimate K as the max residue ratio over sampled (image, sigma) pairs.
 
     Samples are uniform-noise images in [0, 1]; the estimate is deterministic
-    given (seed, width, height, sigma_grid, n_samples).  Each sigma filters
-    the samples a stack of at most STACK_BYTES at a time.
+    given (seed, width, height, sigma_grid, n_samples).
     """
     grid = tuple(float(s) for s in sigma_grid)
     if not grid or any(s <= 0 for s in grid):
         raise ValueError("sigma_grid must be non-empty with positive entries")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    worst = 0.0
-    for stack in _sample_stacks(width, height, seed, n_samples):
-        for s in grid:
-            worst = max(worst, *residue_ratio(kind, s, stack).tolist())
+    worst = max(0.0, *_sample_ratios(kind, width, height, grid, seed, n_samples))
     return DenoiserBoundEstimate(
         k_hat=worst,
         sample_count=n_samples,
@@ -396,11 +378,11 @@ def verify_denoiser_bound(
     threshold = estimate.k_hat * (1.0 + margin)
     violations = 0
     worst = 0.0
-    for stack in _sample_stacks(estimate.width, estimate.height, seed, n_holdout):
-        for s in estimate.sigma_grid:
-            ratios = residue_ratio(kind, s, stack)
-            worst = max(worst, *ratios.tolist())
-            violations += int(np.count_nonzero(ratios > threshold))
+    for ratio in _sample_ratios(
+        kind, estimate.width, estimate.height, estimate.sigma_grid, seed, n_holdout
+    ):
+        worst = max(worst, ratio)
+        violations += ratio > threshold
     return BoundCheckReport(
         violations=violations, worst_ratio=worst, threshold=threshold
     )

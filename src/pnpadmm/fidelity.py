@@ -10,17 +10,18 @@ cached b, H^T b and 0.5 ||b||^2: a pixelwise division (Identity, Mask), a
 division in the 2-D Fourier basis (CircularBlur), or the push-through form
 x = t + H^T (rho I + H H^T)^-1 (b - H t) around a Fourier solve on the
 low-resolution grid (Downsample, whose H and H^T are a precomputed gather
-and its bincount, so its prox runs no full-size transform and never
-divides by rho).  Spectra and index tables are computed once, at
-construction; every later transform runs through one in-place pair,
-:func:`_forward` and :func:`_inverse`.  Each prox also returns the data
-term f(x) of its solution, so the x-update never applies H again: the
-pixelwise and push-through solves take it from the residual Hx - b they
-form on the way, and the blur, which works only in its Fourier basis (H
-and H^T are products with the stencil's spectrum K and its conjugate),
-takes 0.5 ||Hx||^2 by Parseval from K X^ and adds -x.H^T b + 0.5 ||b||^2,
-around its one inverse transform.  Every prox returns a fresh x and keeps
-no state between calls, and its f(x) is not finite when t is not, which
+under a fixed binomial prefilter and its bincount, so its prox runs no
+full-size transform and never divides by rho).  Spectra and index tables
+are computed once, at construction; every later transform runs through
+one in-place pair, :func:`_forward` and :func:`_inverse`.  Each prox also
+returns the data term f(x) of its solution, so the x-update never applies
+H again: the pixelwise and push-through solves take it from the residual
+Hx - b they form on the way, and the blur, which works only in its
+Fourier basis (H and H^T are products with the stencil's spectrum K and
+its conjugate), takes 0.5 ||Hx||^2 by Parseval from K X^ and adds
+-x.H^T b + 0.5 ||b||^2, around its one inverse transform.  Every prox
+returns a fresh x and keeps no state between calls, and its f(x) is not
+finite when t is not (the Downsample prefilter reads every pixel), which
 is all the x-update checks of its target.  The gradient H^T (Hx - b) is
 one H and one H^T; over the box [0, 1]^d its norm needs neither, since
 :func:`box_gradient_bound` bounds it in closed form from b and ||H||_2,
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -267,17 +267,18 @@ class Mask(ForwardOperator):
 
 
 class Downsample(ForwardOperator):
-    """Anti-alias prefilter followed by subsampling at integer stride.
+    """Binomial anti-alias prefilter followed by subsampling at stride f.
 
-    H = S B, with B the circular prefilter blur and S the subsampling, is
-    computed only at the samples S keeps: each low-resolution pixel is a
-    weighted gather of the full-resolution pixels under the prefilter's
-    nonzero taps, and H^T scatters back with one ``np.bincount``.  The index
-    table behind both holds taps * d / f^2 entries (taps = (2f - 1)^2 for
-    the default binomial prefilter, fewer than 4 per pixel at any factor).
+    H = S B, with B the circular blur by ``binomial_stencil(f)`` and S the
+    subsampling, is computed only at the samples S keeps: each
+    low-resolution pixel is a weighted gather of the full-resolution pixels
+    under the prefilter's (2f - 1)^2 taps, and H^T scatters back with one
+    ``np.bincount``.  The index table behind both holds (2f - 1)^2 d / f^2
+    entries, fewer than 4 per pixel at any factor.  Every tap is nonzero
+    and the tap offsets cover every residue mod f, so H reads every pixel.
     """
 
-    def __init__(self, shape, factor: int, prefilter=None):
+    def __init__(self, shape, factor: int):
         self.in_shape = _as_shape(shape)
         if factor < 1:
             raise ValueError("factor must be >= 1")
@@ -286,24 +287,18 @@ class Downsample(ForwardOperator):
             raise ValueError(f"shape {self.in_shape} not divisible by factor {factor}")
         self.factor = factor
         self.out_shape = (h // factor, w // factor)
-        self.prefilter = (
-            binomial_stencil(factor) if prefilter is None else _check_stencil(prefilter)
-        )
-        # low-resolution pixel (p, q) gathers x[f p + r0 - a, f q + c0 - b]
-        # (mod the grid, so a stencil larger than the grid aliases exactly as
-        # CircularBlur's does) with weight prefilter[a, b]
-        a, b = np.nonzero(self.prefilter)
-        r0, c0 = self.prefilter.shape[0] // 2, self.prefilter.shape[1] // 2
+        self.prefilter = binomial_stencil(factor)
+        # low-resolution pixel (p, q) gathers x[f p + r0 - a, f q + r0 - b]
+        # (r0 = f - 1 the stencil's centre; mod the grid, so a stencil larger
+        # than the grid aliases exactly as CircularBlur's does) with weight
+        # prefilter[a, b]
+        a, b = np.indices(self.prefilter.shape).reshape(2, -1)
+        r0 = factor - 1
         m, n = self.out_shape
         rows = (factor * np.arange(m) + (r0 - a)[:, None]) % h
-        cols = (factor * np.arange(n) + (c0 - b)[:, None]) % w
-        self._weights = self.prefilter[a, b]
+        cols = (factor * np.arange(n) + (r0 - b)[:, None]) % w
+        self._weights = self.prefilter.ravel()
         self._src = (rows[:, :, None] * w + cols[:, None, :]).reshape(a.size, m * n)
-        # pixels no tap reads (none for the default prefilter): x equals t
-        # there, and f(x) never sees them
-        read = np.zeros(self.in_dim, bool)
-        read[self._src] = True
-        self._unread = np.flatnonzero(~read)
         # H H^T = S B B^T S^T is circular on the low-resolution grid, so its
         # eigenvalues are the spectrum of its impulse response
         impulse = np.zeros(self.out_dim)
@@ -334,10 +329,7 @@ class Downsample(ForwardOperator):
         x = self.apply_adjoint(z)
         x += t
         z *= -rho
-        fx = _half_square(z)
-        if self._unread.size and not np.isfinite(t[self._unread]).all():
-            fx = math.nan
-        return x, fx
+        return x, _half_square(z)
 
 
 @dataclass(frozen=True)
@@ -392,27 +384,20 @@ def prox_x_update(
     return x, fx
 
 
-def estimate_gradient_bound(f: FidelityTerm, samples: Iterable[np.ndarray]) -> float:
-    """The largest ||grad f(x)|| / sqrt(d) over samples, taken one at a time,
-    so a generator of samples holds only one of them.
+def estimate_gradient_bound(f: FidelityTerm, x: np.ndarray) -> float:
+    """||grad f(x)|| / sqrt(d) at one point x.
 
-    The quadratic fidelity has unbounded gradient on all of R^d, so this is
-    an effective bound over the region actually visited, not a global one.
+    The quadratic fidelity has unbounded gradient on all of R^d, so the
+    largest of these over the iterates a run visits is an effective bound
+    over that region, not a global one.
     """
-    root_d = math.sqrt(f.op.in_dim)
-    worst = 0.0
-    empty = True
-    for x in samples:
-        worst = max(worst, norm(f.gradient(x)) / root_d)
-        empty = False
-    if empty:
-        raise ValueError("samples must be non-empty")
-    return worst
+    return norm(f.gradient(x)) / math.sqrt(f.op.in_dim)
 
 
 def box_gradient_bound(f: FidelityTerm) -> float:
     """M = ||H||_2 ||max(|b|, |1 - b|)|| / sqrt(d), a bound on
-    ||grad f(x)|| / sqrt(d) over the box [0, 1]^d.
+    ||grad f(x)|| / sqrt(d) over the box [0, 1]^d; inf, silently, if it
+    overflows.
 
     grad f(x) = H^T (Hx - b), and every operator of this module has
     nonnegative rows that sum to at most 1 (a stencil sums to 1, a mask
@@ -421,4 +406,5 @@ def box_gradient_bound(f: FidelityTerm) -> float:
     """
     b = f.observation
     worst = np.maximum(np.abs(b), np.abs(1.0 - b))
-    return f.op.spectral_norm() * norm(worst) / math.sqrt(f.op.in_dim)
+    with np.errstate(over="ignore"):
+        return f.op.spectral_norm() * norm(worst) / math.sqrt(f.op.in_dim)

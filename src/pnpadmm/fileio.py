@@ -3,13 +3,14 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .linalg import readonly_vector
-from .sequences import ConditionFlag, ConditionTrace
+from .sequences import ConditionFlag, ConditionTrace, TraceInvariantError
 
 
 @dataclass(frozen=True)
@@ -210,10 +211,23 @@ def read_trace_csv(path) -> dict:
 
 
 def infer_gamma(rhos, flags) -> float | None:
-    """Recover the penalty growth factor from the first C1 flag, if any."""
+    """Recover the penalty growth factor from the first C1 flag, if any.
+
+    The penalties must be positive and finite before any is divided, and a
+    ratio that is not a growth factor (> 1, finite) is refused by name.
+    """
+    rhos = np.asarray(rhos, dtype=float)
+    if not np.all((rhos > 0) & (rhos < math.inf)):
+        raise TraceInvariantError("penalties must be positive and finite")
     for i, flag in enumerate(flags):
         if flag == ConditionFlag.C1:
-            return float(rhos[i + 1] / rhos[i])
+            gamma = float(rhos[i + 1]) / float(rhos[i])
+            if not 1 < gamma < math.inf:
+                raise TraceInvariantError(
+                    f"inferred gamma = {gamma:g} (penalty at iteration {i + 2} over "
+                    f"iteration {i + 1}); need gamma > 1 and eta in (0, 1)"
+                )
+            return gamma
     return None
 
 
@@ -224,15 +238,20 @@ def infer_eta(deltas, flags) -> float:
     using the upper end can only enlarge downstream envelopes, never
     invalidate them.  The rounded ratio can sit one step above the true
     one, so it is stepped down until every C1 flag passes the product
-    test d_next >= eta * d_prev that the flags were made with.
+    test d_next >= eta * d_prev that the flags were made with.  The
+    residuals must be finite and nonnegative before any is divided; a ratio
+    past the float range is inf, which no eta in (0, 1) can be.
     """
     deltas = np.asarray(deltas, dtype=float)
+    if not np.all((deltas >= 0) & (deltas < math.inf)):
+        raise TraceInvariantError("residuals must be finite and nonnegative")
     d_prev, d_next = deltas[:-1], deltas[1:]
     is_c1 = np.array([flag == ConditionFlag.C1 for flag in flags], dtype=bool)
     positive = d_prev > 0
     c1_prev, c1_next = d_prev[is_c1 & positive], d_next[is_c1 & positive]
     if c1_prev.size:
-        best = float(np.min(c1_next / c1_prev))
+        with np.errstate(over="ignore"):
+            best = float(np.min(c1_next / c1_prev))
         if 0 < best < 1:
             while np.any(best * c1_prev > c1_next):
                 best = float(np.nextafter(best, 0.0))
@@ -240,7 +259,8 @@ def infer_eta(deltas, flags) -> float:
     # all-C2 traces leave eta unconstrained from above; any valid value
     # at least as large as every C2 ratio keeps the flags consistent
     c2 = ~is_c1 & positive
-    worst_c2 = float(np.max(d_next[c2] / d_prev[c2], initial=0.0))
+    with np.errstate(over="ignore"):
+        worst_c2 = float(np.max(d_next[c2] / d_prev[c2], initial=0.0))
     return float(min(0.5 * (worst_c2 + 1.0) if worst_c2 > 0 else 0.5, 1.0 - 1e-9))
 
 

@@ -169,7 +169,9 @@ def run(
     observe call.  Inside the loop a NaN entry makes the residual NaN, and
     an infinite one makes the next prox target non-finite; either raises
     NonFiniteIterateError naming the iteration.  An infinite residual alone
-    is recorded as it is: huge but finite iterates can overflow the norm.
+    is recorded as it is: huge but finite iterates can overflow the norm,
+    f(x) or the observer's statistics, so overflow is ignored from the
+    first observe call to the last step.
     """
     if theta0.dim != f.op.in_dim:
         raise ValueError(
@@ -183,48 +185,51 @@ def run(
     sigma = math.sqrt(cfg.lam / rho)
     deltas, rhos, sigmas, values = [], [], [], []  # floats, one per iteration
     flags: list[ConditionFlag] = []
-    if observe is not None:
-        observe(f, theta, None)
     stop_reason = "max_iter"
-    for k in range(1, cfg.max_iter + 1):
-        try:
-            theta_next, info = step(f, kind, rho, sigma, theta)
-        except NonFiniteIterateError as exc:
-            raise NonFiniteIterateError(
-                f"non-finite iterate at iteration {k}: {exc}"
-            ) from exc
-        delta = metric_distance(theta, theta_next)
-        if math.isnan(delta):
-            raise NonFiniteIterateError(f"non-finite iterate at iteration {k}")
-        rho_next, flag = rho, None
-        if deltas:  # the first update has no previous residual; hold rho
-            rho_next, flag = update_rho(rho, delta, deltas[-1], cfg)
-        sigma_next = math.sqrt(cfg.lam / rho_next)
-        if sigma_next == 0.0:  # rho_next is inf, or lam / rho_next underflows
-            stop_reason = "penalty_limit"
-            break
-        theta, rho, sigma = theta_next, rho_next, sigma_next
-        if flag is not None:
-            flags.append(flag)
-        deltas.append(delta)
-        rhos.append(rho)
-        sigmas.append(sigma)
-        values.append(info.fidelity_value)
+    with np.errstate(over="ignore"):
         if observe is not None:
-            observe(f, theta, info)
-        if delta < cfg.delta_tol:
-            stop_reason = "tolerance"
-            break
-        if delta == 0.0:
-            stop_reason = "fixed_point"
-            break
+            observe(f, theta, None)
+        for k in range(1, cfg.max_iter + 1):
+            try:
+                theta_next, info = step(f, kind, rho, sigma, theta)
+            except NonFiniteIterateError as exc:
+                raise NonFiniteIterateError(
+                    f"non-finite iterate at iteration {k}: {exc}"
+                ) from exc
+            delta = metric_distance(theta, theta_next)
+            if math.isnan(delta):
+                raise NonFiniteIterateError(f"non-finite iterate at iteration {k}")
+            rho_next, flag = rho, None
+            if deltas:  # the first update has no previous residual; hold rho
+                rho_next, flag = update_rho(rho, delta, deltas[-1], cfg)
+            sigma_next = math.sqrt(cfg.lam / rho_next)
+            if sigma_next == 0.0:  # rho_next is inf, or lam / rho_next underflows
+                stop_reason = "penalty_limit"
+                break
+            theta, rho, sigma = theta_next, rho_next, sigma_next
+            if flag is not None:
+                flags.append(flag)
+            deltas.append(delta)
+            rhos.append(rho)
+            sigmas.append(sigma)
+            values.append(info.fidelity_value)
+            if observe is not None:
+                observe(f, theta, info)
+            if delta < cfg.delta_tol:
+                stop_reason = "tolerance"
+                break
+            if delta == 0.0:
+                stop_reason = "fixed_point"
+                break
     trace = ConditionTrace(deltas, rhos, sigmas, flags, values, cfg.gamma, cfg.eta)
     return RunTrace(trace, theta, stop_reason)
 
 
 def fixed_point_residual(f: FidelityTerm, kind: Denoiser, trace: RunTrace) -> float:
-    """Distance between the final iterate and one more frozen-parameter step."""
+    """Distance between the final iterate and one more frozen-parameter step;
+    inf, silently, if it overflows."""
     cond = trace.condition_trace
     rho, sigma = float(cond.rhos[-1]), float(cond.sigmas[-1])
-    theta_next, _ = step(f, kind, rho, sigma, trace.final_iterate)
-    return metric_distance(trace.final_iterate, theta_next)
+    with np.errstate(over="ignore"):
+        theta_next, _ = step(f, kind, rho, sigma, trace.final_iterate)
+        return metric_distance(trace.final_iterate, theta_next)

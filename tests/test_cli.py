@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pnpadmm
 from pnpadmm import cli
 from pnpadmm.fidelity import CircularBlur, estimate_gradient_bound
 from pnpadmm.fileio import (
+    TRACE_COLUMNS,
     ImageGrid,
     load_image,
     parse_config,
@@ -21,7 +23,7 @@ from pnpadmm.fileio import (
     save_image,
     write_trace_csv,
 )
-from pnpadmm.presets import make_preset, run_preset, synthetic_image
+from pnpadmm.presets import PRESET_NAMES, make_preset, run_preset, synthetic_image
 from pnpadmm.sequences import ConditionFlag, ConditionTrace, PgsSpec, pgs_generate
 
 
@@ -353,7 +355,7 @@ def test_streamed_gradient_bound_matches_explicit_gradient(preset, settings):
 
     def observe(f, theta, step):
         pairs.append(
-            (cli._gradient_m_hat(f, theta, step), estimate_gradient_bound(f, [theta.x]))
+            (cli._gradient_m_hat(f, theta, step), estimate_gradient_bound(f, theta.x))
         )
 
     result = run_preset(make_preset(preset, image_size=32, **settings), observe=observe)
@@ -549,6 +551,70 @@ def test_analyze_refuses_a_non_finite_gamma(tmp_path, capsys, gamma):
     assert run_cli("analyze", "--trace", trace, "--gamma", gamma, "--out", out) == 1
     assert capsys.readouterr().err == "error: need gamma > 1 and eta in (0, 1)\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "rows, code, err",
+    [
+        pytest.param(
+            [(1.0, 0.0, "NA"), (0.9, 1.0, "C1"), (0.1, 1.0, "C2")],
+            1, "error: penalties must be positive and finite\n",
+            id="zero-penalty-before-c1",
+        ),
+        pytest.param(
+            [(1.0, 1.0, "NA"), (0.9, "inf", "C1"), (0.1, "inf", "C2")],
+            1, "error: penalties must be positive and finite\n",
+            id="infinite-penalty-after-c1",
+        ),
+        pytest.param(
+            [(1.0, 2.0, "NA"), (0.9, 2.0, "C1"), (0.1, 2.0, "C2")],
+            1, "error: inferred gamma = 1 (penalty at iteration 2 over iteration 1); "
+            "need gamma > 1 and eta in (0, 1)\n",
+            id="held-penalty-after-c1",
+        ),
+        pytest.param(
+            [(1.0, 1.0, "NA"), ("inf", 2.0, "C1"), ("inf", 4.0, "C1")],
+            1, "error: residuals must be finite and nonnegative\n",
+            id="infinite-residuals-at-c1",
+        ),
+        pytest.param(
+            [(1e-310, 1.0, "NA"), (1e300, 2.0, "C1"), (1e299, 2.0, "C2")],
+            0, "",
+            id="c1-ratio-past-the-float-range",
+        ),
+    ],
+)
+def test_analyze_checks_a_trace_before_inferring_from_it(tmp_path, rows, code, err):
+    # inferring gamma and eta divides penalties and residuals, so they are
+    # checked first and no numpy warning reaches stderr; a gamma read off
+    # the trace is refused under its own name, since no one passed it
+    trace = tmp_path / "trace.csv"
+    lines = [",".join(TRACE_COLUMNS)]
+    lines += [f"{k},{d},{r},1,{c},0" for k, (d, r, c) in enumerate(rows, start=1)]
+    trace.write_text("\n".join(lines) + "\n")
+    src = str(Path(pnpadmm.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "pnpadmm.cli", "analyze", "--trace", str(trace),
+         "--out", str(tmp_path / "a")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert "Warning" not in proc.stderr
+    assert (proc.returncode, proc.stderr) == (code, err)
+
+
+@pytest.mark.parametrize("noise", ["1e160", "1e300"])
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_run_at_huge_finite_noise_records_inf_without_a_warning(tmp_path, preset, noise):
+    # such an observation overflows norms, f(x) and the summary's bounds;
+    # the run records inf there, as solver.run documents, with no warning
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(
+            "run", "--preset", preset, "--noise-sigma", noise, "--max-iter", "5", "--out", out
+        )
+    assert code == 0
+    assert "gradient_bound_m = inf" in (out / "summary.txt").read_text()
 
 
 @pytest.mark.parametrize(

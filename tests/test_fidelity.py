@@ -170,9 +170,7 @@ def test_prox_large_rho_returns_target():
 
 
 ORACLE_EXTRA = {
-    "downsample3-6x9": lambda: Downsample(
-        (6, 9), 3, prefilter=np.outer([0.2, 0.5, 0.3], [0.1, 0.3, 0.2, 0.3, 0.1])
-    ),
+    "downsample3-6x9": lambda: Downsample((6, 9), 3),
     "blur-stencil-larger-than-image": lambda: CircularBlur((3, 4), binomial_stencil(4)),
     "blur-1xd": lambda: CircularBlur(7, np.array([[0.25, 0.5, 0.25]])),
 }
@@ -340,21 +338,6 @@ def test_prox_non_finite_residual_raises_promptly(value):
         assert time.monotonic() - start < 1.0, name
 
 
-@pytest.mark.parametrize("value", [np.inf, np.nan])
-def test_prox_non_finite_target_raises_where_no_tap_reads(value):
-    # plain decimation reads one pixel in four, and f(x) never sees the
-    # others; a non-finite one among them still raises
-    op = Downsample((8, 8), 2, prefilter=np.array([[1.0]]))
-    f = FidelityTerm(op=op, observation=np.zeros(op.out_dim))
-    target = np.ones(op.in_dim)
-    target[9] = value
-    with pytest.raises(NonFiniteIterateError):
-        prox_x_update(f, rho=1.0, target=target)
-    target[9] = 1.0
-    x, fx = prox_x_update(f, rho=1.0, target=target)
-    assert x[9] == 1.0 and math.isfinite(fx)
-
-
 def test_prox_accepts_a_huge_finite_target():
     # the squared norm of 1e160 everywhere overflows, yet every entry is
     # finite: the x-update solves it without a warning of its own, and only
@@ -391,22 +374,7 @@ def test_gradient_bound_stationary_samples():
     op = Identity(4)
     b = np.array([1.0, 2.0, 3.0, 4.0])
     f = FidelityTerm(op=op, observation=b)
-    assert estimate_gradient_bound(f, [b, b]) == 0.0
-
-
-@pytest.mark.parametrize(
-    "samples", [[], iter([]), (x for x in [])], ids=["list", "iterator", "generator"]
-)
-def test_gradient_bound_rejects_no_samples(samples):
-    f = FidelityTerm(op=Identity(3), observation=np.zeros(3))
-    with pytest.raises(ValueError, match="non-empty"):
-        estimate_gradient_bound(f, samples)
-
-
-def test_gradient_bound_takes_a_generator():
-    f = FidelityTerm(op=Identity(2), observation=np.zeros(2))
-    xs = [np.array([3.0, 4.0]), np.array([0.0, 1.0])]
-    assert estimate_gradient_bound(f, (x for x in xs)) == estimate_gradient_bound(f, xs)
+    assert estimate_gradient_bound(f, b) == 0.0
 
 
 def test_gradient_bound_scaled_basis_example():
@@ -415,7 +383,7 @@ def test_gradient_bound_scaled_basis_example():
     f = FidelityTerm(op=op, observation=np.zeros(d))
     x = np.zeros(d)
     x[0] = math.sqrt(d)
-    assert estimate_gradient_bound(f, [x]) == pytest.approx(1.0, rel=1e-15)
+    assert estimate_gradient_bound(f, x) == pytest.approx(1.0, rel=1e-15)
 
 
 @pytest.mark.parametrize("shape", [(4, 8), (6, 6)])
@@ -437,7 +405,7 @@ def test_box_gradient_bound_dominates_samples_and_the_corner(name):
     rng = np.random.default_rng(31)
     samples = [rng.uniform(0, 1, f.op.in_dim) for _ in range(16)]
     corner = (f.adjoint_observation < 0.5).astype(np.float64)
-    assert estimate_gradient_bound(f, samples) <= m
-    assert estimate_gradient_bound(f, [corner]) <= m
+    assert max(estimate_gradient_bound(f, x) for x in samples) <= m
+    assert estimate_gradient_bound(f, corner) <= m
     # the corner is not far off the bound
-    assert estimate_gradient_bound(f, [corner]) >= 0.3 * m
+    assert estimate_gradient_bound(f, corner) >= 0.3 * m
