@@ -26,7 +26,6 @@ from .presets import (
 from .sequences import (
     CLASSIFY_CAVEAT,
     BoundConstructionError,
-    ConditionFlag,
     ConditionTrace,
     PgsSpec,
     cauchy_index,
@@ -90,7 +89,7 @@ def _parse_list(text: str, flag: str, convert) -> list:
 def _case_line(cond: ConditionTrace, window: int) -> str:
     """The ``case = ...`` line: the label of the last ``window`` flags, or of
     all of them when there are fewer."""
-    window = min(window, len(cond.flags))
+    window = min(window, cond.c1.size)
     return f"case = {classify_case(cond, window)} (window {window}; {CLASSIFY_CAVEAT})"
 
 
@@ -104,7 +103,7 @@ def _summarize(result, trajectory_m_hat: float) -> str:
         f"final_delta = {cond.deltas[-1]:.6e}",
         f"final_rho = {cond.rhos[-1]:.6e}",
     ]
-    if cond.flags:
+    if len(cond) > 1:
         lines.append(_case_line(cond, 40))
     lines.append(
         f"gradient_bound_m = {box_gradient_bound(result.fidelity):.6e} "
@@ -194,20 +193,22 @@ def cmd_run(args) -> int:
 def _condition_trace_from_csv(
     path, gamma: float | None, eta: float | None
 ) -> tuple[ConditionTrace, bool]:
-    """The validated trace, and whether gamma had to be assumed."""
+    """The validated trace, its recorded condition column checked against
+    its residuals and eta, and whether gamma had to be assumed."""
     columns = fileio.read_trace_csv(path)
+    flags = columns.pop("flags")
     if len(columns["deltas"]) < 2:
         raise BoundConstructionError("insufficient iterations for bound construction")
     if gamma is None:
-        gamma = fileio.infer_gamma(columns["rhos"], columns["flags"])
+        gamma = fileio.infer_gamma(columns["rhos"], flags)
     if eta is None:
-        eta = fileio.infer_eta(columns["deltas"], columns["flags"])
+        eta = fileio.infer_eta(columns["deltas"], flags)
     assumed = gamma is None
     if assumed:
         # no C1 flag constrains gamma; any value > 1 is consistent
         gamma = 2.0
     cond = ConditionTrace(**columns, gamma=gamma, eta=eta)
-    cond.validate()
+    cond.validate(flags)
     return cond, assumed
 
 
@@ -215,8 +216,7 @@ def cmd_analyze(args) -> int:
     cond, gamma_assumed = _condition_trace_from_csv(args.trace, args.gamma, args.eta)
     n = len(cond)
     case = _case_line(cond, args.window)
-    has_c1 = ConditionFlag.C1 in cond.flags
-    c = estimate_growth_coefficient(cond) if has_c1 else None
+    c = estimate_growth_coefficient(cond) if cond.c1.any() else None
 
     spec = None
     bound_kind = "pgs"

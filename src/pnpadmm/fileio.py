@@ -1,5 +1,9 @@
 """File formats: binary PGM images (read into and written from
-:class:`ImageGrid`), trace CSV, and flat key=value configs."""
+:class:`ImageGrid`), trace CSV, and flat key=value configs.
+
+A trace CSV's condition column prints ``ConditionTrace.c1``; read back, it
+is outside input, checked by ``ConditionTrace.validate``.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .linalg import readonly_vector
-from .sequences import ConditionFlag, ConditionTrace, TraceInvariantError
+from .sequences import ConditionTrace, TraceInvariantError
 
 
 @dataclass(frozen=True)
@@ -141,9 +145,9 @@ def save_image(img: ImageGrid, path) -> None:
 def serialize_trace(trace: ConditionTrace) -> str:
     lines = [",".join(TRACE_COLUMNS)]
     columns = (trace.deltas, trace.rhos, trace.sigmas, trace.fidelity_values)
-    rows = zip(*(c.tolist() for c in columns), trace.row_flags)
-    for k, (delta, rho, sigma, value, flag) in enumerate(rows, start=1):
-        cond = "NA" if flag is None else flag.value
+    conds = ["NA", *("C1" if c1 else "C2" for c1 in trace.c1.tolist())]
+    rows = zip(*(c.tolist() for c in columns), conds)
+    for k, (delta, rho, sigma, value, cond) in enumerate(rows, start=1):
         lines.append(
             f"{k},{_fmt(delta)},{_fmt(rho)},{_fmt(sigma)},{cond},{_fmt(value)}"
         )
@@ -154,16 +158,17 @@ def write_trace_csv(trace: ConditionTrace, path) -> None:
     Path(path).write_text(serialize_trace(trace), encoding="ascii", newline="")
 
 
-# the condition column's labels; NA marks the first row, which has no flag
-_ROW_FLAGS = {"NA": None, **{flag.value: flag for flag in ConditionFlag}}
+# the condition column's labels as C1 flags; NA marks the flagless first row
+_ROW_FLAGS = {"NA": None, "C1": True, "C2": False}
 
 
 def parse_trace(text: str) -> dict:
-    """The columns of a trace CSV under their ConditionTrace field names:
-    ``ConditionTrace(**parse_trace(text), gamma=..., eta=...)`` is the trace.
+    """The float columns of a trace CSV under their ConditionTrace field
+    names, and ``flags``, the condition column as a bool C1 array: with it
+    popped, ``ConditionTrace(**columns, gamma=..., eta=...)`` is the trace.
 
     The iterations must read 1..n in order, and the condition must be NA
-    on the first row alone, where :attr:`ConditionTrace.row_flags` puts it.
+    on the first row alone.
     """
     lines = text.splitlines()
     if not lines or tuple(lines[0].split(",")) != TRACE_COLUMNS:
@@ -171,7 +176,7 @@ def parse_trace(text: str) -> dict:
             f"expected header {','.join(TRACE_COLUMNS)}", line=1
         )
     rows: list[tuple[float, float, float, float]] = []
-    flags: list[ConditionFlag] = []
+    flags: list[bool] = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -203,7 +208,7 @@ def parse_trace(text: str) -> dict:
         rows.append(row)
     columns = np.array(rows, dtype=float).reshape(-1, 4).T
     names = ("deltas", "rhos", "sigmas", "fidelity_values")
-    return {**dict(zip(names, columns)), "flags": tuple(flags)}
+    return {**dict(zip(names, columns)), "flags": np.array(flags, dtype=bool)}
 
 
 def read_trace_csv(path) -> dict:
@@ -219,16 +224,17 @@ def infer_gamma(rhos, flags) -> float | None:
     rhos = np.asarray(rhos, dtype=float)
     if not np.all((rhos > 0) & (rhos < math.inf)):
         raise TraceInvariantError("penalties must be positive and finite")
-    for i, flag in enumerate(flags):
-        if flag == ConditionFlag.C1:
-            gamma = float(rhos[i + 1]) / float(rhos[i])
-            if not 1 < gamma < math.inf:
-                raise TraceInvariantError(
-                    f"inferred gamma = {gamma:g} (penalty at iteration {i + 2} over "
-                    f"iteration {i + 1}); need gamma > 1 and eta in (0, 1)"
-                )
-            return gamma
-    return None
+    at_c1 = np.flatnonzero(flags)
+    if not at_c1.size:
+        return None
+    i = int(at_c1[0])
+    gamma = float(rhos[i + 1]) / float(rhos[i])
+    if not 1 < gamma < math.inf:
+        raise TraceInvariantError(
+            f"inferred gamma = {gamma:g} (penalty at iteration {i + 2} over "
+            f"iteration {i + 1}); need gamma > 1 and eta in (0, 1)"
+        )
+    return gamma
 
 
 def infer_eta(deltas, flags) -> float:
@@ -246,9 +252,8 @@ def infer_eta(deltas, flags) -> float:
     if not np.all((deltas >= 0) & (deltas < math.inf)):
         raise TraceInvariantError("residuals must be finite and nonnegative")
     d_prev, d_next = deltas[:-1], deltas[1:]
-    is_c1 = np.array([flag == ConditionFlag.C1 for flag in flags], dtype=bool)
     positive = d_prev > 0
-    c1_prev, c1_next = d_prev[is_c1 & positive], d_next[is_c1 & positive]
+    c1_prev, c1_next = d_prev[flags & positive], d_next[flags & positive]
     if c1_prev.size:
         with np.errstate(over="ignore"):
             best = float(np.min(c1_next / c1_prev))
@@ -258,7 +263,7 @@ def infer_eta(deltas, flags) -> float:
             return best
     # all-C2 traces leave eta unconstrained from above; any valid value
     # at least as large as every C2 ratio keeps the flags consistent
-    c2 = ~is_c1 & positive
+    c2 = ~flags & positive
     with np.errstate(over="ignore"):
         worst_c2 = float(np.max(d_next[c2] / d_prev[c2], initial=0.0))
     return float(min(0.5 * (worst_c2 + 1.0) if worst_c2 > 0 else 0.5, 1.0 - 1e-9))

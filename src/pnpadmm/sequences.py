@@ -9,7 +9,7 @@ sequence is summable, which is what makes it useful as an upper envelope:
 a residual sequence dominated by a PGS has summable tail, hence the iterate
 sequence is Cauchy.
 
-Traces fall into three classes by their condition flags:
+Traces fall into three classes by their condition flags (ConditionTrace.c1):
 
   S1-like: the penalty is eventually always raised (no C2 in the tail);
            the residual is eventually bounded by A * beta^k with
@@ -24,7 +24,7 @@ A finite trace can never settle which class an infinite run belongs to, so
 all classification here is explicitly heuristic.
 
 :class:`ConditionTrace` is the one trace type: the run builds it, trace.csv
-holds its columns, and the envelope code reads it.
+holds its columns and its flags, and the envelope code reads it.
 """
 
 from __future__ import annotations
@@ -200,17 +200,13 @@ class ConditionTrace:
     deltas[i], rhos[i], sigmas[i] and fidelity_values[i] are the residual,
     post-update penalty (the one the next iteration uses), denoising
     strength sqrt(lambda / rhos[i]) and data term f(x) of iteration i+1;
-    sigmas and fidelity_values are only reported.  flags[i] is the
-    condition observed at iteration i+1, i.e. C1 iff deltas[i+1] >=
-    eta * deltas[i], and it set rhos[i+1].  The first residual has no
-    predecessor, so a trace of n iterations carries n-1 flags;
-    :attr:`row_flags` lists them by iteration, as trace.csv does.
+    sigmas and fidelity_values are only reported; the condition flags are
+    derived from the residuals and eta, :attr:`c1`.
     """
 
     deltas: np.ndarray
     rhos: np.ndarray
     sigmas: np.ndarray
-    flags: tuple[ConditionFlag, ...]
     fidelity_values: np.ndarray
     gamma: float
     eta: float
@@ -218,84 +214,78 @@ class ConditionTrace:
     def __post_init__(self):
         for name in ("deltas", "rhos", "sigmas", "fidelity_values"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        object.__setattr__(self, "flags", tuple(self.flags))
 
     def __len__(self):
         return self.deltas.size
 
     @property
-    def row_flags(self) -> tuple[ConditionFlag | None, ...]:
-        """One entry per iteration: None at iteration 1, then at iteration
-        k >= 2 the flag flags[k - 2] that set rhos[k - 1]."""
-        return (None, *self.flags)
+    def c1(self) -> np.ndarray:
+        """The n - 1 flags, True for C1: c1[i] is deltas[i+1] >= eta *
+        deltas[i], the condition at iteration i+1, which set rhos[i+1];
+        trace.csv prints it on row i + 2, beside that penalty.  Derived on
+        each access, so validate refuses a bad eta before it is multiplied."""
+        return self.deltas[1:] >= self.eta * self.deltas[:-1]
 
-    def validate(self) -> None:
+    def validate(self, flags: np.ndarray | None = None) -> None:
         """Check structural invariants; raise TraceInvariantError on failure.
 
-        Every flag must match its residuals and eta, and every penalty must
-        be gamma times (C1) or equal to (C2) the previous one up to a
-        relative 1e-12, as :func:`math.isclose` reads it.  The error names
-        the first iteration where either fails, its flag before its penalty.
+        Every penalty must be gamma times (C1) or equal to (C2) the previous
+        one up to a relative 1e-12, as :func:`math.isclose` reads it.  flags,
+        when given, are recorded C1 flags (a bool array, as trace.csv's
+        condition column parses), and each must match :attr:`c1`.  The error
+        names the first row where either fails, its flag before its penalty.
         """
         n = len(self)
         for name in ("rhos", "sigmas", "fidelity_values"):
             if getattr(self, name).size != n:
                 raise TraceInvariantError(f"deltas and {name} must have equal length")
-        if len(self.flags) != n - 1:
+        if flags is not None and len(flags) != n - 1:
             raise TraceInvariantError(
                 f"expected {n - 1} condition flags for {n} iterations, "
-                f"got {len(self.flags)}"
+                f"got {len(flags)}"
             )
         if np.any(self.deltas < 0) or not np.all(np.isfinite(self.deltas)):
             raise TraceInvariantError("residuals must be finite and nonnegative")
         if np.any(self.rhos <= 0):
             raise TraceInvariantError("penalties must be positive")
+        if not np.all(self.rhos < math.inf):
+            raise TraceInvariantError("penalties must be positive and finite")
         if not (0 < self.eta < 1) or not (1 < self.gamma < math.inf):
             raise TraceInvariantError("need gamma > 1 and eta in (0, 1)")
-        deltas, rhos = self.deltas, self.rhos
-        c1 = deltas[1:] >= self.eta * deltas[:-1]
-        expected = np.where(c1, ConditionFlag.C1, ConditionFlag.C2)
-        bad_flag = np.fromiter(self.flags, dtype=object, count=n - 1) != expected
-        # up to the first bad flag the expected flags are the recorded ones
-        with np.errstate(over="ignore", invalid="ignore"):
+        c1, rhos = self.c1, self.rhos
+        with np.errstate(over="ignore"):
             want = np.where(c1, self.gamma, 1.0) * rhos[:-1]
-            diff = np.abs(rhos[1:] - want)
-            close = (rhos[1:] == want) | (
-                np.isfinite(diff) & (diff <= 1e-12 * np.maximum(np.abs(want), rhos[1:]))
-            )
-        bad = np.flatnonzero(bad_flag | ~close)
+        diff = np.abs(rhos[1:] - want)
+        # a want that overflowed to inf leaves diff = inf, which no tolerance forgives
+        bad = ~(np.isfinite(diff) & (diff <= 1e-12 * np.maximum(want, rhos[1:])))
+        if flags is not None:
+            # up to the first bad flag the derived flags are the recorded ones
+            bad |= flags != c1
+        bad = np.flatnonzero(bad)
         if bad.size == 0:
             return
         i = int(bad[0])
-        if bad_flag[i]:
+        if flags is not None and flags[i] != c1[i]:
             raise TraceInvariantError(
-                f"flag at iteration {i + 1} is {self.flags[i]}, inconsistent with "
-                f"residuals and eta"
+                f"flag at iteration {i + 2} is {'C1' if flags[i] else 'C2'}, "
+                f"inconsistent with residuals and eta"
             )
         raise TraceInvariantError(
-            f"penalty at iteration {i + 2} inconsistent with flag at iteration {i + 1}"
+            f"penalty at iteration {i + 2} inconsistent with flag at iteration {i + 2}"
         )
 
 
-def alternation_boundaries(
-    flags: Sequence[ConditionFlag],
-) -> tuple[list[int], list[int]]:
-    """C1-onset iterations n_j and the C2 onsets m_j that follow each.
+def alternation_boundaries(c1: np.ndarray) -> tuple[list[int], list[int]]:
+    """C1-onset iterations n_j and the C2 onsets m_j that follow each: the
+    rising and falling edges of the bool flags c1, with False before them.
 
-    Returned indices are 1-based iteration numbers; flags[i] is the
-    condition at iteration i+1.
+    Returned indices are 1-based iteration numbers; c1[i] is the condition
+    at iteration i+1.
     """
-    ns: list[int] = []
-    ms: list[int] = []
-    want_c1 = True
-    for i, flag in enumerate(flags):
-        if want_c1 and flag == ConditionFlag.C1:
-            ns.append(i + 1)
-            want_c1 = False
-        elif not want_c1 and flag == ConditionFlag.C2:
-            ms.append(i + 1)
-            want_c1 = True
-    return ns, ms
+    before = np.concatenate(([False], c1[:-1]))
+    ns = np.flatnonzero(c1 & ~before) + 1
+    ms = np.flatnonzero(before & ~c1) + 1
+    return ns.tolist(), ms.tolist()
 
 
 def estimate_growth_coefficient(trace: ConditionTrace) -> float:
@@ -305,16 +295,12 @@ def estimate_growth_coefficient(trace: ConditionTrace) -> float:
     the per-C1-iteration bound holds by construction; the substantive check
     is whether the envelope built from it also covers the C2 stretches.
     """
-    best = None
-    for i, flag in enumerate(trace.flags):
-        if flag == ConditionFlag.C1:
-            value = trace.deltas[i + 1] * math.sqrt(trace.rhos[i])
-            best = value if best is None else max(best, value)
-    if best is None:
+    c1 = trace.c1
+    if not c1.any():
         raise BoundConstructionError(
             "growth coefficient undefined on this trace: no C1 iterations"
         )
-    return float(best)
+    return float(np.max(trace.deltas[1:][c1] * np.sqrt(trace.rhos[:-1][c1])))
 
 
 def construct_s3_bound(trace: ConditionTrace, c: float | None) -> PgsSpec:
@@ -325,7 +311,7 @@ def construct_s3_bound(trace: ConditionTrace, c: float | None) -> PgsSpec:
     n_1.  With c at least the true growth coefficient the envelope dominates
     the residuals from iteration n_1 + 1 = chunk_starts[0] + 1 on.
     """
-    ns, _ = alternation_boundaries(trace.flags)
+    ns, _ = alternation_boundaries(trace.c1)
     if len(ns) < 2:
         raise BoundConstructionError(
             "trace is S1/S2-like (fewer than two C1 onsets); "
@@ -350,17 +336,15 @@ def construct_s12_bound(trace: ConditionTrace, c: float | None) -> PgsSpec:
     Either is a PGS with that first peak at k = t + 1, the one listed chunk
     start t, head delta_1 .. delta_t and unit chunks after it.
     """
-    flags = trace.flags
-    if not flags:
+    c1 = trace.c1
+    if not c1.size:
         raise BoundConstructionError(
             "insufficient iterations for bound construction"
         )
-    last = flags[-1]
-    i = len(flags) - 1
-    while i > 0 and flags[i - 1] == last:
-        i -= 1
-    t = i + 1  # iteration where the final single-condition run starts
-    if last == ConditionFlag.C1:
+    last = c1[-1]
+    switches = np.flatnonzero(c1 != last)
+    t = int(switches[-1]) + 2 if switches.size else 1  # final run's first iteration
+    if last:
         if c is None:
             raise ValueError("c is required for a C1 tail")
         rate = 1.0 / math.sqrt(trace.gamma)
@@ -389,13 +373,14 @@ def classify_case(trace: ConditionTrace, window: int) -> str:
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    if len(trace.flags) < window:
+    c1 = trace.c1
+    if c1.size < window:
         raise ValueError(
-            f"trace has {len(trace.flags)} flags, need at least window={window}"
+            f"trace has {c1.size} flags, need at least window={window}"
         )
-    tail = trace.flags[-window:]
-    has_c1 = ConditionFlag.C1 in tail
-    has_c2 = ConditionFlag.C2 in tail
+    tail = c1[-window:]
+    has_c1 = bool(tail.any())
+    has_c2 = not tail.all()
     if has_c1 and has_c2:
         return "S3-like"
     return "S1-like" if has_c1 else "S2-like"

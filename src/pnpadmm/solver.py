@@ -11,12 +11,13 @@ iterates.  After each iteration (from the second one on) the penalty is
 updated: if the new residual failed to drop below eta times the previous one
 (condition C1) the penalty is raised by the factor gamma, otherwise it is
 held (condition C2).  The very first update has no previous residual to
-compare against, so the penalty is held and no flag is recorded.
+compare against, so the penalty is held.
 
 The run returns its trace as a :class:`~pnpadmm.sequences.ConditionTrace`:
 per iteration k the residual delta_k, the post-update penalty rho_k (the
 one the next iteration will use), sigma_k = sqrt(lambda/rho_k) and the data
-term f(x_k), plus the flag of every penalty update.
+term f(x_k).  The flag of each update is not kept: the trace derives it
+from the residuals and eta by the same comparison :func:`update_rho` makes.
 """
 
 from __future__ import annotations
@@ -184,7 +185,6 @@ def run(
     rho = cfg.rho0
     sigma = math.sqrt(cfg.lam / rho)
     deltas, rhos, sigmas, values = [], [], [], []  # floats, one per iteration
-    flags: list[ConditionFlag] = []
     stop_reason = "max_iter"
     with np.errstate(over="ignore"):
         if observe is not None:
@@ -199,16 +199,14 @@ def run(
             delta = metric_distance(theta, theta_next)
             if math.isnan(delta):
                 raise NonFiniteIterateError(f"non-finite iterate at iteration {k}")
-            rho_next, flag = rho, None
+            rho_next = rho
             if deltas:  # the first update has no previous residual; hold rho
-                rho_next, flag = update_rho(rho, delta, deltas[-1], cfg)
+                rho_next, _ = update_rho(rho, delta, deltas[-1], cfg)
             sigma_next = math.sqrt(cfg.lam / rho_next)
             if sigma_next == 0.0:  # rho_next is inf, or lam / rho_next underflows
                 stop_reason = "penalty_limit"
                 break
             theta, rho, sigma = theta_next, rho_next, sigma_next
-            if flag is not None:
-                flags.append(flag)
             deltas.append(delta)
             rhos.append(rho)
             sigmas.append(sigma)
@@ -221,7 +219,7 @@ def run(
             if delta == 0.0:
                 stop_reason = "fixed_point"
                 break
-    trace = ConditionTrace(deltas, rhos, sigmas, flags, values, cfg.gamma, cfg.eta)
+    trace = ConditionTrace(deltas, rhos, sigmas, values, cfg.gamma, cfg.eta)
     return RunTrace(trace, theta, stop_reason)
 
 

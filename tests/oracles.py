@@ -170,38 +170,38 @@ def chunk_loop_dot(a, b, chunk):
     return total
 
 
-def loop_validate(trace):
-    """ConditionTrace.validate as one loop over the flags: the same checks,
-    messages and order, each flag and penalty tested one iteration at a
-    time with :func:`math.isclose`."""
-    from pnpadmm.sequences import ConditionFlag, TraceInvariantError
+def loop_validate(trace, flags=None):
+    """ConditionTrace.validate as one loop over the iterations: the same
+    checks, messages and order, each recorded flag (when given) and each
+    penalty tested one iteration at a time with :func:`math.isclose`."""
+    from pnpadmm.sequences import TraceInvariantError
 
     n = len(trace)
     for name in ("rhos", "sigmas", "fidelity_values"):
         if getattr(trace, name).size != n:
             raise TraceInvariantError(f"deltas and {name} must have equal length")
-    if len(trace.flags) != n - 1:
+    if flags is not None and len(flags) != n - 1:
         raise TraceInvariantError(
-            f"expected {n - 1} condition flags for {n} iterations, got {len(trace.flags)}"
+            f"expected {n - 1} condition flags for {n} iterations, got {len(flags)}"
         )
     if np.any(trace.deltas < 0) or not np.all(np.isfinite(trace.deltas)):
         raise TraceInvariantError("residuals must be finite and nonnegative")
     if np.any(trace.rhos <= 0):
         raise TraceInvariantError("penalties must be positive")
+    if not all(math.isfinite(rho) for rho in trace.rhos):
+        raise TraceInvariantError("penalties must be positive and finite")
     if not (0 < trace.eta < 1) or not (1 < trace.gamma < math.inf):
         raise TraceInvariantError("need gamma > 1 and eta in (0, 1)")
-    for i, flag in enumerate(trace.flags):
-        expected = (
-            ConditionFlag.C1
-            if trace.deltas[i + 1] >= trace.eta * trace.deltas[i]
-            else ConditionFlag.C2
-        )
-        if flag != expected:
+    for i in range(n - 1):
+        # row i + 2 of trace.csv holds this flag and the penalty it set
+        c1 = trace.deltas[i + 1] >= trace.eta * trace.deltas[i]
+        if flags is not None and flags[i] != c1:
             raise TraceInvariantError(
-                f"flag at iteration {i + 1} is {flag}, inconsistent with residuals and eta"
+                f"flag at iteration {i + 2} is {'C1' if flags[i] else 'C2'}, "
+                "inconsistent with residuals and eta"
             )
-        factor = trace.gamma if flag == ConditionFlag.C1 else 1.0
+        factor = trace.gamma if c1 else 1.0
         if not math.isclose(trace.rhos[i + 1], factor * trace.rhos[i], rel_tol=1e-12):
             raise TraceInvariantError(
-                f"penalty at iteration {i + 2} inconsistent with flag at iteration {i + 1}"
+                f"penalty at iteration {i + 2} inconsistent with flag at iteration {i + 2}"
             )

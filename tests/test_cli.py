@@ -24,7 +24,7 @@ from pnpadmm.fileio import (
     write_trace_csv,
 )
 from pnpadmm.presets import PRESET_NAMES, make_preset, run_preset, synthetic_image
-from pnpadmm.sequences import ConditionFlag, ConditionTrace, PgsSpec, pgs_generate
+from pnpadmm.sequences import ConditionTrace, PgsSpec, pgs_generate
 
 
 def run_cli(*args):
@@ -469,10 +469,11 @@ def test_analyze_never_errors_on_short_valid_traces(tmp_path, preset, eta):
 def test_analyze_holds_on_a_c1_tail_after_a_long_c2_run(tmp_path):
     # the geometric bound's first peak was once reached through
     # (1/sqrt(gamma))^(-t), which overflows at t = 3001
-    flags = [ConditionFlag.C2] * 3000 + [ConditionFlag.C1] * 20
-    deltas = np.cumprod([1.0] + [0.9 if f == ConditionFlag.C2 else 0.97 for f in flags])
-    rhos = np.cumprod([1.0] + [2.0 if f == ConditionFlag.C1 else 1.0 for f in flags])
-    trace = ConditionTrace(deltas, rhos, 1 / np.sqrt(rhos), flags, np.zeros(rhos.size), 2.0, 0.95)
+    c1 = [False] * 3000 + [True] * 20
+    deltas = np.cumprod([1.0] + [0.97 if f else 0.9 for f in c1])
+    rhos = np.cumprod([1.0] + [2.0 if f else 1.0 for f in c1])
+    trace = ConditionTrace(deltas, rhos, 1 / np.sqrt(rhos), np.zeros(rhos.size), 2.0, 0.95)
+    assert trace.c1.tolist() == c1
     write_trace_csv(trace, tmp_path / "trace.csv")
     out = tmp_path / "a"
     assert run_cli("analyze", "--trace", tmp_path / "trace.csv", "--out", out) == 0
@@ -534,10 +535,9 @@ def test_analyze_refuses_misnumbered_or_misflagged_rows(tmp_path, capsys, rows, 
 
 def write_s1_trace(path, rows=45):
     """An S1-like trace: every residual ratio 0.97 >= eta = 0.5 raises rho by 2."""
-    flags = [ConditionFlag.C1] * (rows - 1)
     deltas = 0.97 ** np.arange(rows)
     rhos = 2.0 ** np.arange(rows)
-    trace = ConditionTrace(deltas, rhos, 1 / np.sqrt(rhos), flags, np.zeros(rows), 2.0, 0.5)
+    trace = ConditionTrace(deltas, rhos, 1 / np.sqrt(rhos), np.zeros(rows), 2.0, 0.5)
     write_trace_csv(trace, path)
     return path
 
@@ -553,53 +553,90 @@ def test_analyze_refuses_a_non_finite_gamma(tmp_path, capsys, gamma):
     assert not out.exists()
 
 
+# delta 1, 0.5, 0.4, 0.1 at eta = 0.6 reads C2, C1, C2 on rows 2, 3, 4, so
+# with gamma = 1.05 the penalties are 1, 1, 1.05, 1.05
+RATIO_ROWS = (1.0, 0.5, 0.4, 0.1)
+PINNED = ("--eta", "0.6", "--gamma", "1.05")
+
+
 @pytest.mark.parametrize(
-    "rows, code, err",
+    "rows, args, code, err",
     [
         pytest.param(
-            [(1.0, 0.0, "NA"), (0.9, 1.0, "C1"), (0.1, 1.0, "C2")],
+            [(1.0, 0.0, "NA"), (0.9, 1.0, "C1"), (0.1, 1.0, "C2")], (),
             1, "error: penalties must be positive and finite\n",
             id="zero-penalty-before-c1",
         ),
         pytest.param(
-            [(1.0, 1.0, "NA"), (0.9, "inf", "C1"), (0.1, "inf", "C2")],
+            [(1.0, 1.0, "NA"), (0.9, "inf", "C1"), (0.1, "inf", "C2")], (),
             1, "error: penalties must be positive and finite\n",
             id="infinite-penalty-after-c1",
         ),
         pytest.param(
-            [(1.0, 2.0, "NA"), (0.9, 2.0, "C1"), (0.1, 2.0, "C2")],
+            [(1.0, 2.0, "NA"), (0.9, 2.0, "C1"), (0.1, 2.0, "C2")], (),
             1, "error: inferred gamma = 1 (penalty at iteration 2 over iteration 1); "
             "need gamma > 1 and eta in (0, 1)\n",
             id="held-penalty-after-c1",
         ),
         pytest.param(
-            [(1.0, 1.0, "NA"), ("inf", 2.0, "C1"), ("inf", 4.0, "C1")],
+            [(1.0, 1.0, "NA"), ("inf", 2.0, "C1"), ("inf", 4.0, "C1")], (),
             1, "error: residuals must be finite and nonnegative\n",
             id="infinite-residuals-at-c1",
         ),
         pytest.param(
-            [(1e-310, 1.0, "NA"), (1e300, 2.0, "C1"), (1e299, 2.0, "C2")],
+            [(1e-310, 1.0, "NA"), (1e300, 2.0, "C1"), (1e299, 2.0, "C2")], (),
             0, "",
             id="c1-ratio-past-the-float-range",
         ),
+        pytest.param(
+            # equal infinities once passed validate's closeness check
+            [(1.0, "inf", "NA"), (0.9, "inf", "C1"), (0.8, "inf", "C1")],
+            ("--gamma", "2", "--eta", "0.5"),
+            1, "error: penalties must be positive and finite\n",
+            id="infinite-penalties-with-gamma-given",
+        ),
+        pytest.param(
+            [(0, 1, "NA"), (0, 2, "C1"), (10, 4, "C1")], ("--eta", "inf"),
+            1, "error: need gamma > 1 and eta in (0, 1)\n",
+            id="eta-inf",
+        ),
+        pytest.param(
+            [(0, 1, "NA"), (0, 2, "C1"), (10, 4, "C1")], ("--eta", "1e308"),
+            1, "error: need gamma > 1 and eta in (0, 1)\n",
+            id="eta-1e308",
+        ),
+        pytest.param(
+            list(zip(RATIO_ROWS, (1, 1, 1, 1), ("NA", "C2", "C2", "C2"))), PINNED,
+            1, "error: flag at iteration 3 is C2, inconsistent with residuals and eta\n",
+            id="wrong-flag-on-row-3",
+        ),
+        pytest.param(
+            list(zip(RATIO_ROWS, (1, 1, 1, 1), ("NA", "C2", "C1", "C2"))), PINNED,
+            1, "error: penalty at iteration 3 inconsistent with flag at iteration 3\n",
+            id="wrong-penalty-on-row-3",
+        ),
     ],
 )
-def test_analyze_checks_a_trace_before_inferring_from_it(tmp_path, rows, code, err):
+def test_analyze_checks_a_trace_before_inferring_from_it(tmp_path, rows, args, code, err):
     # inferring gamma and eta divides penalties and residuals, so they are
-    # checked first and no numpy warning reaches stderr; a gamma read off
-    # the trace is refused under its own name, since no one passed it
+    # checked first and no numpy warning is raised, even as an error; a gamma
+    # read off the trace is refused under its own name, since no one passed
+    # it, a refused eta is never multiplied, and a wrong flag or penalty is
+    # named by its trace.csv row
     trace = tmp_path / "trace.csv"
     lines = [",".join(TRACE_COLUMNS)]
     lines += [f"{k},{d},{r},1,{c},0" for k, (d, r, c) in enumerate(rows, start=1)]
     trace.write_text("\n".join(lines) + "\n")
     src = str(Path(pnpadmm.__file__).resolve().parents[1])
+    out = tmp_path / "a"
     proc = subprocess.run(
-        [sys.executable, "-m", "pnpadmm.cli", "analyze", "--trace", str(trace),
-         "--out", str(tmp_path / "a")],
+        [sys.executable, "-W", "error", "-m", "pnpadmm.cli", "analyze", "--trace", str(trace),
+         "--out", str(out), *args],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
     )
     assert "Warning" not in proc.stderr
     assert (proc.returncode, proc.stderr) == (code, err)
+    assert out.exists() == (code == 0)
 
 
 @pytest.mark.parametrize("noise", ["1e160", "1e300"])

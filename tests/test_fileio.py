@@ -16,7 +16,7 @@ from pnpadmm.fileio import (
     write_config,
     write_trace_csv,
 )
-from pnpadmm.sequences import ConditionFlag, ConditionTrace
+from pnpadmm.sequences import ConditionTrace
 
 
 def make_trace():
@@ -24,7 +24,6 @@ def make_trace():
         deltas=[0.5, 0.3, 0.1],
         rhos=[1.0, 1.2, 1.2],
         sigmas=[0.1, 1.0 / 3.0, 0.09128709291752768],
-        flags=(ConditionFlag.C1, ConditionFlag.C2),
         fidelity_values=[12.25, 7.5, 1e-17],
         gamma=1.2,
         eta=0.6,
@@ -32,7 +31,8 @@ def make_trace():
 
 
 def assert_columns_of(columns, trace):
-    assert columns["flags"] == trace.flags
+    assert columns["flags"].dtype == bool
+    assert columns["flags"].tolist() == trace.c1.tolist() == [True, False]
     for name in ("deltas", "rhos", "sigmas", "fidelity_values"):
         assert np.array_equal(columns[name], getattr(trace, name))
 
@@ -180,10 +180,10 @@ def test_trace_parse_requires_na_on_the_first_row_alone(row, label):
 
 def test_infer_gamma_and_eta():
     trace = make_trace()
-    assert infer_gamma(trace.rhos, trace.flags) == pytest.approx(1.2)
+    assert infer_gamma(trace.rhos, trace.c1) == pytest.approx(1.2)
     # min C1 ratio = 0.3/0.5
-    assert infer_eta(trace.deltas, trace.flags) == pytest.approx(0.6)
-    no_c1 = (ConditionFlag.C2,)
+    assert infer_eta(trace.deltas, trace.c1) == pytest.approx(0.6)
+    no_c1 = np.array([False])
     assert infer_gamma([1.0, 1.0], no_c1) is None
     eta = infer_eta([0.5, 0.2], no_c1)
     assert 0.4 < eta < 1.0  # any valid threshold above the observed C2 ratio
@@ -195,7 +195,7 @@ def test_infer_eta_reproduces_flag_despite_rounding():
     deltas = [0.876660559320164, 0.47243780963943144]
     ratio = deltas[1] / deltas[0]
     assert ratio * deltas[0] > deltas[1]
-    eta = infer_eta(deltas, (ConditionFlag.C1,))
+    eta = infer_eta(deltas, np.array([True]))
     assert eta < ratio
     assert deltas[1] >= eta * deltas[0]
 

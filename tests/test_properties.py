@@ -35,7 +35,6 @@ from pnpadmm.fidelity import (
 )
 from pnpadmm.fileio import ImageGrid, load_image, parse_trace, save_image, serialize_trace
 from pnpadmm.sequences import (
-    ConditionFlag,
     ConditionTrace,
     PgsSpec,
     cauchy_index,
@@ -299,12 +298,10 @@ def column_traces(draw):
     """A ConditionTrace of 1..20 iterations holding arbitrary finite values."""
     n = draw(st.integers(1, 20))
     column = st.lists(finite, min_size=n, max_size=n)
-    flag = st.sampled_from([ConditionFlag.C1, ConditionFlag.C2])
     return ConditionTrace(
         deltas=draw(column),
         rhos=draw(column),
         sigmas=draw(column),
-        flags=draw(st.lists(flag, min_size=n - 1, max_size=n - 1)),
         fidelity_values=draw(column),
         gamma=2.0,
         eta=0.5,
@@ -315,7 +312,7 @@ def column_traces(draw):
 @given(column_traces())
 def test_trace_csv_round_trip_is_exact(trace):
     back = parse_trace(serialize_trace(trace))
-    assert back["flags"] == trace.flags
+    assert np.array_equal(back["flags"], trace.c1)
     for name in ("deltas", "rhos", "sigmas", "fidelity_values"):
         assert back[name].tobytes() == getattr(trace, name).tobytes()
 
@@ -333,7 +330,6 @@ def test_pgm_round_trip_reproduces_255ths_exactly(tmp_path_factory, width, heigh
     assert back.pixels.tobytes() == img.pixels.tobytes()
 
 
-C1, C2 = ConditionFlag.C1, ConditionFlag.C2
 # relative moves of one penalty around validate's 1e-12 tolerance, and
 # whole growth steps
 RHO_FACTORS = (1 + 5e-13, 1 + 1e-12, 1 - 1e-12, 1 + 2e-12, 1 - 3e-12, 1 + 1e-9, 1.5, 2 / 3)
@@ -341,10 +337,11 @@ RHO_FACTORS = (1 + 5e-13, 1 + 1e-12, 1 - 1e-12, 1 + 2e-12, 1 - 3e-12, 1 + 1e-9, 
 
 @st.composite
 def faulted_traces(draw):
-    """A ConditionTrace of 1..40 iterations built by the penalty rule, then
-    given a few faults: flipped flags, moved penalties, NaN or infinite
-    penalties (an infinite tail too) and residuals, and now and then a bad
-    gamma."""
+    """A ConditionTrace of 1..40 iterations built by the penalty rule and
+    its recorded C1 flags, then given a few faults: flipped flags, moved
+    penalties, NaN or infinite penalties (an infinite tail too) and
+    residuals, and now and then a bad gamma; the flags are left out (None)
+    now and then."""
     n = draw(st.integers(1, 40))
     eta = draw(st.floats(0.05, 0.95))
     gamma = draw(st.floats(1.001, 10.0))
@@ -355,10 +352,10 @@ def faulted_traces(draw):
             deltas.append(deltas[-1] * draw(st.floats(0.0, 2.0)))
         else:
             deltas.append(eta * deltas[-1] if step == "boundary" else 0.0)
-    flags = [C1 if b >= eta * a else C2 for a, b in zip(deltas, deltas[1:])]
+    flags = [b >= eta * a for a, b in zip(deltas, deltas[1:])]
     rhos = [draw(st.floats(1e-3, 1e3))]
     for flag in flags:
-        rhos.append(gamma * rhos[-1] if flag == C1 else rhos[-1])
+        rhos.append(gamma * rhos[-1] if flag else rhos[-1])
     for _ in range(draw(st.integers(0, 3))):
         fault = draw(
             st.sampled_from(["flip", "rho", "rho_nan", "rho_inf", "inf_tail", "delta_bad"])
@@ -366,7 +363,7 @@ def faulted_traces(draw):
         i = draw(st.integers(0, n - 1))
         if fault == "flip" and flags:
             j = min(i, len(flags) - 1)
-            flags[j] = C2 if flags[j] == C1 else C1
+            flags[j] = not flags[j]
         elif fault == "rho":
             rhos[i] *= draw(st.sampled_from(RHO_FACTORS))
         elif fault in ("rho_nan", "rho_inf"):
@@ -378,7 +375,8 @@ def faulted_traces(draw):
             deltas[i] = draw(st.sampled_from([math.nan, math.inf, -1.0]))
     gamma = draw(st.sampled_from([gamma] * 6 + [math.nan, math.inf, 1.0]))
     rhos = np.array(rhos)
-    return ConditionTrace(deltas, rhos, 1 / np.sqrt(rhos), flags, np.zeros(n), gamma, eta)
+    trace = ConditionTrace(deltas, rhos, 1 / np.sqrt(rhos), np.zeros(n), gamma, eta)
+    return trace, None if draw(st.integers(0, 4)) == 0 else np.array(flags, dtype=bool)
 
 
 def _outcome(check):
@@ -392,7 +390,8 @@ def _outcome(check):
 
 @settings(deadline=None, max_examples=400)
 @given(faulted_traces())
-def test_validate_matches_the_iteration_loop(trace):
+def test_validate_matches_the_iteration_loop(trace_and_flags):
+    trace, flags = trace_and_flags
     with np.errstate(over="ignore", invalid="ignore"):
-        expected = _outcome(lambda: loop_validate(trace))
-    assert _outcome(trace.validate) == expected
+        expected = _outcome(lambda: loop_validate(trace, flags))
+    assert _outcome(lambda: trace.validate(flags)) == expected

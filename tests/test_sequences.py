@@ -8,7 +8,6 @@ import pytest
 from pnpadmm.sequences import (
     CLASSIFY_CAVEAT,
     BoundConstructionError,
-    ConditionFlag,
     ConditionTrace,
     PgsSpec,
     TraceInvariantError,
@@ -24,22 +23,24 @@ from pnpadmm.sequences import (
     verify_bound,
 )
 
-C1, C2 = ConditionFlag.C1, ConditionFlag.C2
+# the C1 flags ConditionTrace.c1 derives
+C1, C2 = True, False
 
 
-def condition_trace(deltas, rhos, flags, gamma, eta):
+def condition_trace(deltas, rhos, gamma, eta):
     """A ConditionTrace at lambda = 1 with zero data terms: the envelope code
     reads neither report column."""
     rhos = np.asarray(rhos, dtype=float)
     return ConditionTrace(
-        deltas=deltas, rhos=rhos, sigmas=1.0 / np.sqrt(rhos), flags=flags,
+        deltas=deltas, rhos=rhos, sigmas=1.0 / np.sqrt(rhos),
         fidelity_values=np.zeros(rhos.size), gamma=gamma, eta=eta,
     )
 
 
 def trace_from_flags(flags, deltas=None, eta=0.5, gamma=4.0, rho1=1.0):
     """Build a ConditionTrace whose rhos follow the flags; deltas are made
-    consistent with the flags unless given explicitly."""
+    consistent with the flags unless given explicitly, and given ones must
+    be."""
     n = len(flags) + 1
     rhos = [rho1]
     for flag in flags:
@@ -50,7 +51,9 @@ def trace_from_flags(flags, deltas=None, eta=0.5, gamma=4.0, rho1=1.0):
             # any ratio >= eta for C1, < eta for C2
             ratio = min(0.9, (1.0 + eta) / 2) if flag == C1 else eta / 2
             deltas.append(deltas[-1] * ratio)
-    return condition_trace(np.array(deltas), rhos, tuple(flags), gamma, eta)
+    trace = condition_trace(np.array(deltas), rhos, gamma, eta)
+    assert trace.c1.tolist() == list(flags)
+    return trace
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +236,10 @@ def test_condition_trace_validate_accepts_consistent():
 
 def test_condition_trace_validate_rejects_bad_flag():
     tr = trace_from_flags([C1, C2])
-    bad = replace(tr, flags=(C2, C2))
-    with pytest.raises(TraceInvariantError, match="flag at iteration 1"):
-        bad.validate()
+    tr.validate(np.array([C1, C2]))
+    # the first flag, printed on trace.csv's row 2, should be C1
+    with pytest.raises(TraceInvariantError, match="^flag at iteration 2 is C2, inconsistent"):
+        tr.validate(np.array([C2, C2]))
 
 
 def test_condition_trace_validate_rejects_bad_rho():
@@ -243,8 +247,26 @@ def test_condition_trace_validate_rejects_bad_rho():
     rhos = tr.rhos.copy()
     rhos[1] *= 1.5
     bad = replace(tr, rhos=rhos)
-    with pytest.raises(TraceInvariantError, match="penalty"):
+    # the penalty of trace.csv's row 2, and the flag printed beside it
+    with pytest.raises(
+        TraceInvariantError, match="^penalty at iteration 2 inconsistent with flag at iteration 2$"
+    ):
         bad.validate()
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_condition_trace_validate_refuses_non_finite_penalties(value):
+    # equal infinities once passed the closeness check
+    tr = trace_from_flags([C1, C1])
+    bad = replace(tr, rhos=np.full(3, value))
+    with pytest.raises(TraceInvariantError, match="^penalties must be positive and finite$"):
+        bad.validate()
+
+
+def test_condition_trace_validate_counts_the_recorded_flags():
+    tr = trace_from_flags([C1, C2])
+    with pytest.raises(TraceInvariantError, match="expected 2 condition flags for 3 iterations"):
+        tr.validate(np.array([C1]))
 
 
 @pytest.mark.parametrize("name", ["rhos", "sigmas", "fidelity_values"])
@@ -257,7 +279,7 @@ def test_condition_trace_validate_rejects_a_short_column(name):
 
 def test_growth_coefficient_single_c1():
     # one C1 iteration with next residual 0.1 at rho 4 gives 0.1 * 2
-    tr = condition_trace(np.array([1.0, 0.1]), [4.0, 16.0], (C1,), gamma=4.0, eta=0.05)
+    tr = condition_trace(np.array([1.0, 0.1]), [4.0, 16.0], gamma=4.0, eta=0.05)
     assert estimate_growth_coefficient(tr) == pytest.approx(0.2)
 
 
@@ -272,8 +294,8 @@ def test_growth_coefficient_matches_exhaustive_scan():
     got = estimate_growth_coefficient(tr)
     want = max(
         tr.deltas[i + 1] * math.sqrt(tr.rhos[i])
-        for i, f in enumerate(tr.flags)
-        if f == C1
+        for i, f in enumerate(tr.c1)
+        if f
     )
     assert got == want
 
@@ -283,7 +305,7 @@ def test_growth_coefficient_matches_exhaustive_scan():
 
 def test_alternation_boundaries():
     flags = [C2, C1, C1, C2, C2, C1, C2, C1]
-    ns, ms = alternation_boundaries(flags)
+    ns, ms = alternation_boundaries(np.array(flags))
     assert ns == [2, 6, 8]
     assert ms == [4, 7]
 
@@ -320,15 +342,13 @@ def test_s3_bound_round_trip_on_exact_pgs():
     spec0 = PgsSpec(beta=beta0, peak0=1.0, chunk_starts=starts, head=(1.0,))
     n = 15
     deltas = pgs_generate(spec0, n)
-    flags = tuple(
-        C1 if deltas[i + 1] >= eta * deltas[i] else C2 for i in range(n - 1)
-    )
+    flags = [deltas[i + 1] >= eta * deltas[i] for i in range(n - 1)]
     rhos = [1.0]
     for f in flags:
         rhos.append(rhos[-1] * (gamma if f == C1 else 1.0))
-    tr = condition_trace(deltas, rhos, flags, gamma, eta)
+    tr = condition_trace(deltas, rhos, gamma, eta)
     tr.validate()
-    assert alternation_boundaries(flags)[0] == list(starts)
+    assert alternation_boundaries(tr.c1)[0] == list(starts)
     spec = construct_s3_bound(tr, c=1.0)  # c / sqrt(rho_1) = peak0 = 1
     check = verify_bound(deltas, pgs_generate(spec, n), start=spec.chunk_starts[0] + 1)
     assert check.holds
