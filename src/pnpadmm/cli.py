@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import sys
 from dataclasses import replace
@@ -150,8 +151,8 @@ def _gradient_m_hat(f, theta, step) -> float:
 
 
 def _run_one(preset: ExperimentPreset, out_dir: Path) -> None:
-    """Run ``preset`` and write its four files into ``out_dir``."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Run ``preset`` and write its four files into ``out_dir``, made only once
+    the run has succeeded."""
     trajectory_m_hat = 0.0
 
     def observe(f, theta, step):
@@ -159,6 +160,7 @@ def _run_one(preset: ExperimentPreset, out_dir: Path) -> None:
         trajectory_m_hat = max(trajectory_m_hat, _gradient_m_hat(f, theta, step))
 
     result = run_preset(preset, observe=observe)
+    out_dir.mkdir(parents=True, exist_ok=True)
     fileio.write_trace_csv(result.trace.condition_trace, out_dir / "trace.csv")
     fileio.save_image(result.restored, out_dir / "restored.pgm")
     summary = _summarize(result, trajectory_m_hat)
@@ -190,30 +192,11 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _condition_trace_from_csv(
-    path, gamma: float | None, eta: float | None
-) -> tuple[ConditionTrace, bool]:
-    """The validated trace, its recorded condition column checked against
-    its residuals and eta, and whether gamma had to be assumed."""
-    columns = fileio.read_trace_csv(path)
-    flags = columns.pop("flags")
+def cmd_analyze(args) -> int:
+    columns = fileio.read_trace_csv(args.trace)
     if len(columns["deltas"]) < 2:
         raise BoundConstructionError("insufficient iterations for bound construction")
-    if gamma is None:
-        gamma = fileio.infer_gamma(columns["rhos"], flags)
-    if eta is None:
-        eta = fileio.infer_eta(columns["deltas"], flags)
-    assumed = gamma is None
-    if assumed:
-        # no C1 flag constrains gamma; any value > 1 is consistent
-        gamma = 2.0
-    cond = ConditionTrace(**columns, gamma=gamma, eta=eta)
-    cond.validate(flags)
-    return cond, assumed
-
-
-def cmd_analyze(args) -> int:
-    cond, gamma_assumed = _condition_trace_from_csv(args.trace, args.gamma, args.eta)
+    cond, gamma_assumed = ConditionTrace.from_columns(**columns, gamma=args.gamma, eta=args.eta)
     n = len(cond)
     case = _case_line(cond, args.window)
     c = estimate_growth_coefficient(cond) if cond.c1.any() else None
@@ -280,11 +263,12 @@ def cmd_pgs_demo(args) -> int:
     lengths = _parse_list(args.chunk_lengths, "--chunk-lengths", int)
     if any(v < 1 for v in lengths):
         raise ValueError("chunk lengths must be >= 1")
-    starts = tuple(int(n) for n in np.cumsum([1] + lengths))
+    starts = tuple(itertools.accumulate(lengths, initial=1))
     spec = PgsSpec(beta=args.beta, peak0=args.peak, chunk_starts=starts)
     cert = cauchy_index(spec, args.epsilon)
     y = pgs_generate(spec, args.length)
-    partial = np.cumsum(y)
+    with np.errstate(over="ignore"):  # a sum past the float range is inf
+        partial = np.cumsum(y)
     # chunk bound column repeats each chunk's closed-form sum bound; past the
     # last listed start every index opens a unit chunk
     ks = np.arange(1, args.length + 1)

@@ -108,19 +108,18 @@ def _separable_filter(a: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
     Both matrices are built on every call, one for square images.  Each
     product is taken a block of output columns (then rows) at a time and
-    multiplies only the band of G that block reads.  The products also
-    broadcast over a leading axis, bit for bit as one call per image.
+    multiplies only the band of G that block reads.
     """
-    h, w = a.shape[-2:]
+    h, w = a.shape
     radius = kernel.size // 2
     g_w = _fill_filter(w, kernel)
     g_h = g_w if h == w else _fill_filter(h, kernel)
     mid = np.empty(a.shape)
     for j0, j1, lo, hi in _blocks(w, radius):
-        np.matmul(a[..., lo:hi], g_w[j0:j1, lo:hi].T, out=mid[..., j0:j1])
+        np.matmul(a[:, lo:hi], g_w[j0:j1, lo:hi].T, out=mid[:, j0:j1])
     out = np.empty(a.shape)
     for i0, i1, lo, hi in _blocks(h, radius):
-        np.matmul(g_h[i0:i1, lo:hi], mid[..., lo:hi, :], out=out[..., i0:i1, :])
+        np.matmul(g_h[i0:i1, lo:hi], mid[lo:hi], out=out[i0:i1])
     return out
 
 

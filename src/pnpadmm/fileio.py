@@ -2,19 +2,19 @@
 :class:`ImageGrid`), trace CSV, and flat key=value configs.
 
 A trace CSV's condition column prints ``ConditionTrace.c1``; read back, it
-is outside input, checked by ``ConditionTrace.validate``.
+is outside input: :func:`parse_trace` checks only the format, and
+``ConditionTrace.from_columns`` what the columns mean.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .linalg import readonly_vector
-from .sequences import ConditionTrace, TraceInvariantError
+from .sequences import ConditionTrace
 
 
 @dataclass(frozen=True)
@@ -164,8 +164,8 @@ _ROW_FLAGS = {"NA": None, "C1": True, "C2": False}
 
 def parse_trace(text: str) -> dict:
     """The float columns of a trace CSV under their ConditionTrace field
-    names, and ``flags``, the condition column as a bool C1 array: with it
-    popped, ``ConditionTrace(**columns, gamma=..., eta=...)`` is the trace.
+    names, and ``flags``, the condition column as a bool C1 array: the
+    keywords of ``ConditionTrace.from_columns``.
 
     The iterations must read 1..n in order, and the condition must be NA
     on the first row alone.
@@ -213,60 +213,6 @@ def parse_trace(text: str) -> dict:
 
 def read_trace_csv(path) -> dict:
     return parse_trace(Path(path).read_text(encoding="ascii"))
-
-
-def infer_gamma(rhos, flags) -> float | None:
-    """Recover the penalty growth factor from the first C1 flag, if any.
-
-    The penalties must be positive and finite before any is divided, and a
-    ratio that is not a growth factor (> 1, finite) is refused by name.
-    """
-    rhos = np.asarray(rhos, dtype=float)
-    if not np.all((rhos > 0) & (rhos < math.inf)):
-        raise TraceInvariantError("penalties must be positive and finite")
-    at_c1 = np.flatnonzero(flags)
-    if not at_c1.size:
-        return None
-    i = int(at_c1[0])
-    gamma = float(rhos[i + 1]) / float(rhos[i])
-    if not 1 < gamma < math.inf:
-        raise TraceInvariantError(
-            f"inferred gamma = {gamma:g} (penalty at iteration {i + 2} over "
-            f"iteration {i + 1}); need gamma > 1 and eta in (0, 1)"
-        )
-    return gamma
-
-
-def infer_eta(deltas, flags) -> float:
-    """Tightest threshold consistent with the flags: min C1 residual ratio.
-
-    Any eta in (max C2 ratio, min C1 ratio] reproduces the recorded flags;
-    using the upper end can only enlarge downstream envelopes, never
-    invalidate them.  The rounded ratio can sit one step above the true
-    one, so it is stepped down until every C1 flag passes the product
-    test d_next >= eta * d_prev that the flags were made with.  The
-    residuals must be finite and nonnegative before any is divided; a ratio
-    past the float range is inf, which no eta in (0, 1) can be.
-    """
-    deltas = np.asarray(deltas, dtype=float)
-    if not np.all((deltas >= 0) & (deltas < math.inf)):
-        raise TraceInvariantError("residuals must be finite and nonnegative")
-    d_prev, d_next = deltas[:-1], deltas[1:]
-    positive = d_prev > 0
-    c1_prev, c1_next = d_prev[flags & positive], d_next[flags & positive]
-    if c1_prev.size:
-        with np.errstate(over="ignore"):
-            best = float(np.min(c1_next / c1_prev))
-        if 0 < best < 1:
-            while np.any(best * c1_prev > c1_next):
-                best = float(np.nextafter(best, 0.0))
-            return best
-    # all-C2 traces leave eta unconstrained from above; any valid value
-    # at least as large as every C2 ratio keeps the flags consistent
-    c2 = ~flags & positive
-    with np.errstate(over="ignore"):
-        worst_c2 = float(np.max(d_next[c2] / d_prev[c2], initial=0.0))
-    return float(min(0.5 * (worst_c2 + 1.0) if worst_c2 > 0 else 0.5, 1.0 - 1e-9))
 
 
 # ---------------------------------------------------------------------------

@@ -181,7 +181,9 @@ def degrade(preset: ExperimentPreset, clean: ImageGrid) -> tuple[ForwardOperator
     rng = np.random.default_rng(preset.seed)
     observation = op.apply(clean.pixels)
     if preset.noise_sigma > 0:
-        observation = observation + preset.noise_sigma * rng.standard_normal(op.out_dim)
+        # a huge sigma overflows to inf, which FidelityTerm refuses by name
+        with np.errstate(over="ignore"):
+            observation = observation + preset.noise_sigma * rng.standard_normal(op.out_dim)
     return op, observation
 
 

@@ -24,14 +24,16 @@ A finite trace can never settle which class an infinite run belongs to, so
 all classification here is explicitly heuristic.
 
 :class:`ConditionTrace` is the one trace type: the run builds it, trace.csv
-holds its columns and its flags, and the envelope code reads it.
+holds its columns and its flags, :meth:`ConditionTrace.from_columns` reads
+them back (recovering a gamma and eta not given), and the envelope code
+reads it.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -72,6 +74,8 @@ class PgsSpec:
             raise ValueError("chunk starts must be positive integers")
         if any(b <= a for a, b in zip(starts, starts[1:])):
             raise ValueError("chunk_starts must be strictly increasing")
+        if starts[-1] > np.iinfo(np.int64).max:
+            raise ValueError(f"chunk start {starts[-1]} exceeds the int64 limit 2**63 - 1")
         object.__setattr__(self, "chunk_starts", starts)
         if self.head is not None:
             head = tuple(float(t) for t in self.head)
@@ -226,15 +230,59 @@ class ConditionTrace:
         each access, so validate refuses a bad eta before it is multiplied."""
         return self.deltas[1:] >= self.eta * self.deltas[:-1]
 
-    def validate(self, flags: np.ndarray | None = None) -> None:
-        """Check structural invariants; raise TraceInvariantError on failure.
+    @classmethod
+    def from_columns(
+        cls, deltas, rhos, sigmas, fidelity_values, flags: np.ndarray,
+        gamma: float | None = None, eta: float | None = None,
+    ) -> tuple[ConditionTrace, bool]:
+        """The validated trace of recorded columns (``fileio.parse_trace``'s
+        keywords; flags are the recorded C1 flags), and whether gamma was
+        assumed.
 
-        Every penalty must be gamma times (C1) or equal to (C2) the previous
-        one up to a relative 1e-12, as :func:`math.isclose` reads it.  flags,
-        when given, are recorded C1 flags (a bool array, as trace.csv's
-        condition column parses), and each must match :attr:`c1`.  The error
-        names the first row where either fails, its flag before its penalty.
+        The columns are checked before any is divided.  A missing gamma is
+        the penalty ratio at the first C1 flag, refused by name unless > 1
+        and finite; with no C1 flag nothing constrains it and 2 is assumed.
+        A missing eta is the tightest threshold that reproduces the flags,
+        the min C1 residual ratio: any eta in (max C2 ratio, min C1 ratio]
+        does, and the upper end only enlarges the envelopes.  It is stepped
+        down while rounding makes a C1 flag fail the product test of
+        :attr:`c1`; a ratio past the float range is inf, which no eta in
+        (0, 1) can be.
         """
+        trace = cls(deltas, rhos, sigmas, fidelity_values, math.nan, math.nan)
+        trace._check_columns(flags)
+        at_c1 = np.flatnonzero(flags)
+        assumed = gamma is None and not at_c1.size
+        if assumed:
+            gamma = 2.0
+        elif gamma is None:
+            i = int(at_c1[0])
+            gamma = float(trace.rhos[i + 1]) / float(trace.rhos[i])
+            if not 1 < gamma < math.inf:
+                raise TraceInvariantError(
+                    f"inferred gamma = {gamma:g} (penalty at iteration {i + 2} over "
+                    f"iteration {i + 1}); need gamma > 1 and eta in (0, 1)"
+                )
+        if eta is None:
+            d_prev, d_next = trace.deltas[:-1], trace.deltas[1:]
+            positive = d_prev > 0
+            c1, c2 = flags & positive, ~flags & positive
+            with np.errstate(over="ignore"):
+                eta = float(np.min(d_next[c1] / d_prev[c1], initial=math.inf))
+                worst_c2 = float(np.max(d_next[c2] / d_prev[c2], initial=0.0))
+            if 0 < eta < 1:
+                while np.any(eta * d_prev[c1] > d_next[c1]):
+                    eta = float(np.nextafter(eta, 0.0))
+            else:
+                # nothing bounds eta from above; any valid value at least as
+                # large as every C2 ratio reproduces the flags
+                eta = min(0.5 * (worst_c2 + 1.0) if worst_c2 > 0 else 0.5, 1.0 - 1e-9)
+        trace = replace(trace, gamma=gamma, eta=eta)
+        trace.validate(flags)
+        return trace, assumed
+
+    def _check_columns(self, flags: np.ndarray | None) -> None:
+        """The checks of the columns alone, and of the recorded flags' count."""
         n = len(self)
         for name in ("rhos", "sigmas", "fidelity_values"):
             if getattr(self, name).size != n:
@@ -244,12 +292,21 @@ class ConditionTrace:
                 f"expected {n - 1} condition flags for {n} iterations, "
                 f"got {len(flags)}"
             )
-        if np.any(self.deltas < 0) or not np.all(np.isfinite(self.deltas)):
+        if not np.all((self.deltas >= 0) & (self.deltas < math.inf)):
             raise TraceInvariantError("residuals must be finite and nonnegative")
-        if np.any(self.rhos <= 0):
-            raise TraceInvariantError("penalties must be positive")
-        if not np.all(self.rhos < math.inf):
+        if not np.all((self.rhos > 0) & (self.rhos < math.inf)):
             raise TraceInvariantError("penalties must be positive and finite")
+
+    def validate(self, flags: np.ndarray | None = None) -> None:
+        """Check structural invariants; raise TraceInvariantError on failure.
+
+        Every penalty must be gamma times (C1) or equal to (C2) the previous
+        one up to a relative 1e-12, as :func:`math.isclose` reads it.  flags,
+        when given, are recorded C1 flags (a bool array, as trace.csv's
+        condition column parses), and each must match :attr:`c1`.  The error
+        names the first row where either fails, its flag before its penalty.
+        """
+        self._check_columns(flags)
         if not (0 < self.eta < 1) or not (1 < self.gamma < math.inf):
             raise TraceInvariantError("need gamma > 1 and eta in (0, 1)")
         c1, rhos = self.c1, self.rhos
@@ -300,7 +357,11 @@ def estimate_growth_coefficient(trace: ConditionTrace) -> float:
         raise BoundConstructionError(
             "growth coefficient undefined on this trace: no C1 iterations"
         )
-    return float(np.max(trace.deltas[1:][c1] * np.sqrt(trace.rhos[:-1][c1])))
+    with np.errstate(over="ignore"):
+        c = float(np.max(trace.deltas[1:][c1] * np.sqrt(trace.rhos[:-1][c1])))
+    if c == math.inf:
+        raise BoundConstructionError("growth coefficient past the float range")
+    return c
 
 
 def construct_s3_bound(trace: ConditionTrace, c: float | None) -> PgsSpec:
@@ -419,11 +480,13 @@ def verify_bound(
         raise ValueError(f"start must be in [1, {d.size}]")
     d = d[start - 1 :]
     y = y[start - 1 :]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a bound near the float range may overflow to inf under the slack
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratios = np.where((y == 0) & (d == 0), 1.0, d / y)
+        holds = bool(np.all(d <= y * (1.0 + VERIFY_REL_SLACK)))
     worst = int(np.argmax(ratios))
     return BoundCheck(
-        holds=bool(np.all(d <= y * (1.0 + VERIFY_REL_SLACK))),
+        holds=holds,
         worst_margin=float(ratios[worst]),
         worst_margin_iteration=start + worst,
         margins=ratios,

@@ -186,9 +186,7 @@ def loop_validate(trace, flags=None):
         )
     if np.any(trace.deltas < 0) or not np.all(np.isfinite(trace.deltas)):
         raise TraceInvariantError("residuals must be finite and nonnegative")
-    if np.any(trace.rhos <= 0):
-        raise TraceInvariantError("penalties must be positive")
-    if not all(math.isfinite(rho) for rho in trace.rhos):
+    if not all(0 < rho < math.inf for rho in trace.rhos):
         raise TraceInvariantError("penalties must be positive and finite")
     if not (0 < trace.eta < 1) or not (1 < trace.gamma < math.inf):
         raise TraceInvariantError("need gamma > 1 and eta in (0, 1)")

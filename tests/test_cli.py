@@ -31,6 +31,16 @@ def run_cli(*args):
     return cli.main([str(a) for a in args])
 
 
+def run_cli_warnings_as_errors(*args):
+    """The CLI in a fresh process under ``python -W error``, where a numpy
+    warning would end in a traceback; the completed process."""
+    src = str(Path(pnpadmm.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "pnpadmm.cli", *(str(a) for a in args)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+
+
 def test_run_smoke_writes_outputs(tmp_path, capsys):
     out = tmp_path / "smoke"
     assert run_cli("run", "--preset", "smoke", "--out", out) == 0
@@ -176,7 +186,7 @@ def test_run_refuses_a_denoiser_window_wider_than_the_image(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: lambda = 1e+12 and rho0 = 1 ")
     assert "gaussian denoiser's window is wider than the image" in err[0]
-    assert not (out / "trace.csv").exists()
+    assert not out.exists()
 
 
 def test_run_refuses_a_median_window_too_costly_for_the_image(tmp_path, capsys):
@@ -194,7 +204,7 @@ def test_run_refuses_a_median_window_too_costly_for_the_image(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: lambda = 0.25 and rho0 = 1 ")
     assert "median denoiser's window of half-width 64" in err[0]
-    assert not (out / "trace.csv").exists()
+    assert not out.exists()
 
 
 def test_run_sweep_writes_subdirectories(tmp_path):
@@ -323,6 +333,7 @@ def test_run_rejects_blur_larger_than_image(tmp_path, capsys, size, blur):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert f"blur_size {blur}" in err and str(size) in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("name", ["a#b.pgm", "a\nb.pgm"])
@@ -606,6 +617,31 @@ PINNED = ("--eta", "0.6", "--gamma", "1.05")
             id="eta-1e308",
         ),
         pytest.param(
+            # the same message whether gamma is inferred or given
+            [(1.0, 0.0, "NA"), (0.9, 0.0, "C1"), (0.1, 0.0, "C2")], ("--gamma", "2"),
+            1, "error: penalties must be positive and finite\n",
+            id="zero-penalties-with-gamma-given",
+        ),
+        pytest.param(
+            # residuals are checked before penalties, whatever is inferred
+            [(1.0, 1.0, "NA"), ("inf", 1.0, "C1"), (0.1, 1.0, "C2")], (),
+            1, "error: residuals must be finite and nonnegative\n",
+            id="infinite-residual-and-held-penalty-after-c1",
+        ),
+        pytest.param(
+            [(1.0, 1.0, "NA"), (1.7976931348623157e308, 2.0, "C1"),
+             (1.7976931348623157e308, 4.0, "C1")], (),
+            1, "error: growth coefficient past the float range\n",
+            id="growth-coefficient-past-the-float-range",
+        ),
+        pytest.param(
+            # the slack on a bound of 1.8e308 overflows; 1.8e308 <= inf holds
+            [(1.0, 1.0, "NA"), (1e-15, 1.0, "C2"), (1.7976931348623157e308, 2.0, "C1"),
+             (0.5, 2.0, "C2"), (0.1, 4.0, "C1")], (),
+            0, "",
+            id="bound-at-the-float-range",
+        ),
+        pytest.param(
             list(zip(RATIO_ROWS, (1, 1, 1, 1), ("NA", "C2", "C2", "C2"))), PINNED,
             1, "error: flag at iteration 3 is C2, inconsistent with residuals and eta\n",
             id="wrong-flag-on-row-3",
@@ -627,13 +663,53 @@ def test_analyze_checks_a_trace_before_inferring_from_it(tmp_path, rows, args, c
     lines = [",".join(TRACE_COLUMNS)]
     lines += [f"{k},{d},{r},1,{c},0" for k, (d, r, c) in enumerate(rows, start=1)]
     trace.write_text("\n".join(lines) + "\n")
-    src = str(Path(pnpadmm.__file__).resolve().parents[1])
     out = tmp_path / "a"
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "pnpadmm.cli", "analyze", "--trace", str(trace),
-         "--out", str(out), *args],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
-    )
+    proc = run_cli_warnings_as_errors("analyze", "--trace", trace, "--out", out, *args)
+    assert "Warning" not in proc.stderr
+    assert (proc.returncode, proc.stderr) == (code, err)
+    assert out.exists() == (code == 0)
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        pytest.param(
+            ("pgs-demo", "--beta", "0.5", "--chunk-lengths", "1000000000000000000000",
+             "--length", "5"),
+            1, "error: chunk start 1000000000000000000001 exceeds the int64 limit 2**63 - 1\n",
+            id="chunk-start-past-int64",
+        ),
+        pytest.param(
+            # np.cumsum once wrapped these starts to 1, -2**63, -1
+            ("pgs-demo", "--beta", "0.5", "--chunk-lengths",
+             "9223372036854775807,9223372036854775807"),
+            1, "error: chunk start 18446744073709551615 exceeds the int64 limit 2**63 - 1\n",
+            id="chunk-starts-wrapping-int64",
+        ),
+        pytest.param(
+            ("pgs-demo", "--beta", "0.5", "--chunk-lengths", "9223372036854775806",
+             "--length", "5"),
+            0, "",
+            id="last-chunk-start-at-int64-max",
+        ),
+        pytest.param(
+            # partial sums past the float range are inf
+            ("pgs-demo", "--beta", "0.5", "--peak", "1e308", "--length", "4"),
+            0, "",
+            id="partial-sums-past-the-float-range",
+        ),
+        pytest.param(
+            ("run", "--preset", "smoke", "--noise-sigma", "1e308"),
+            1, "error: observation contains non-finite entries\n",
+            id="noise-past-the-float-range",
+        ),
+    ],
+)
+def test_cli_outcome_at_integer_and_float_limits_has_no_warning(tmp_path, argv, code, err):
+    # an overflow is either refused by name or recorded as inf, and a
+    # refused command leaves no --out behind
+    out = tmp_path / "out"
+    proc = run_cli_warnings_as_errors(*argv, "--out", out)
     assert "Warning" not in proc.stderr
     assert (proc.returncode, proc.stderr) == (code, err)
     assert out.exists() == (code == 0)

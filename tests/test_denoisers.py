@@ -281,21 +281,6 @@ def test_holdout_margin_protects_honest_estimate():
     assert report.violations == 0
 
 
-@pytest.mark.parametrize("h,w", [(16, 16), (7, 12), (12, 7), (1, 9), (40, 70)])
-@pytest.mark.parametrize("reach", [0.1, 0.5, 1.5])
-def test_stacked_filter_is_bit_equal_to_one_call_per_image(h, w, reach):
-    # reach 1.5 puts the radius past the longer side, where the symmetric
-    # extension reflects more than once
-    stack = np.random.default_rng(31).uniform(0, 1, (5, h, w))
-    radius = max(1, round(reach * max(h, w)))
-    offsets = np.arange(-radius, radius + 1)
-    gauss = np.exp(-0.5 * (3.0 * offsets / radius) ** 2)
-    for kernel in (gauss / gauss.sum(), np.full(2 * radius + 1, 1.0 / (2 * radius + 1))):
-        got = denoisers._separable_filter(stack, kernel)
-        for a, image in zip(got, stack):
-            assert np.array_equal(a, denoisers._separable_filter(image, kernel))
-
-
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name)
 def test_bound_checks_equal_a_per_sample_residue_ratio_loop(kind):
     grid = (0.05, 0.1, 0.2)

@@ -5,8 +5,6 @@ from pnpadmm.fileio import (
     ImageGrid,
     PgmFormatError,
     TraceFormatError,
-    infer_eta,
-    infer_gamma,
     load_image,
     parse_config,
     parse_trace,
@@ -176,28 +174,6 @@ def test_trace_parse_requires_na_on_the_first_row_alone(row, label):
     lines[row] = ",".join(parts)
     with pytest.raises(TraceFormatError, match=f"line {row + 1}: condition {label}"):
         parse_trace("\n".join(lines))
-
-
-def test_infer_gamma_and_eta():
-    trace = make_trace()
-    assert infer_gamma(trace.rhos, trace.c1) == pytest.approx(1.2)
-    # min C1 ratio = 0.3/0.5
-    assert infer_eta(trace.deltas, trace.c1) == pytest.approx(0.6)
-    no_c1 = np.array([False])
-    assert infer_gamma([1.0, 1.0], no_c1) is None
-    eta = infer_eta([0.5, 0.2], no_c1)
-    assert 0.4 < eta < 1.0  # any valid threshold above the observed C2 ratio
-
-
-def test_infer_eta_reproduces_flag_despite_rounding():
-    # the rounded ratio 0.47243780963943144 / 0.876660559320164 times the
-    # previous residual lands one step above the next residual
-    deltas = [0.876660559320164, 0.47243780963943144]
-    ratio = deltas[1] / deltas[0]
-    assert ratio * deltas[0] > deltas[1]
-    eta = infer_eta(deltas, np.array([True]))
-    assert eta < ratio
-    assert deltas[1] >= eta * deltas[0]
 
 
 def test_config_round_trip(tmp_path):

@@ -277,6 +277,37 @@ def test_condition_trace_validate_rejects_a_short_column(name):
         bad.validate()
 
 
+def recorded(trace):
+    """The keywords fileio.parse_trace returns for ``trace``."""
+    columns = ("deltas", "rhos", "sigmas", "fidelity_values")
+    return {**{name: getattr(trace, name) for name in columns}, "flags": trace.c1}
+
+
+def test_from_columns_infers_gamma_and_eta():
+    trace = trace_from_flags([C1, C2], deltas=[0.5, 0.3, 0.1], eta=0.6, gamma=1.2)
+    got, assumed = ConditionTrace.from_columns(**recorded(trace))
+    assert not assumed
+    assert got.gamma == pytest.approx(1.2)
+    # min C1 ratio = 0.3/0.5
+    assert got.eta == pytest.approx(0.6)
+    no_c1 = trace_from_flags([C2], deltas=[0.5, 0.2], eta=0.6)
+    got, assumed = ConditionTrace.from_columns(**recorded(no_c1))
+    assert assumed and got.gamma == 2.0
+    assert 0.4 < got.eta < 1.0  # any valid threshold above the observed C2 ratio
+
+
+def test_from_columns_infers_an_eta_that_reproduces_the_flag_despite_rounding():
+    # the rounded ratio 0.47243780963943144 / 0.876660559320164 times the
+    # previous residual lands one step above the next residual
+    deltas = [0.876660559320164, 0.47243780963943144]
+    ratio = deltas[1] / deltas[0]
+    assert ratio * deltas[0] > deltas[1]
+    trace = trace_from_flags([C1], deltas=deltas, eta=0.5)
+    got, _ = ConditionTrace.from_columns(**recorded(trace))
+    assert got.eta < ratio
+    assert got.c1.tolist() == [C1]
+
+
 def test_growth_coefficient_single_c1():
     # one C1 iteration with next residual 0.1 at rho 4 gives 0.1 * 2
     tr = condition_trace(np.array([1.0, 0.1]), [4.0, 16.0], gamma=4.0, eta=0.05)

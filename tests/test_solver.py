@@ -16,10 +16,10 @@ from pnpadmm.fidelity import (
     binomial_stencil,
     prox_x_update,
 )
-from pnpadmm.fileio import ImageGrid, read_trace_csv, write_trace_csv
+from pnpadmm.fileio import ImageGrid, parse_trace, read_trace_csv, serialize_trace, write_trace_csv
 from pnpadmm.linalg import IterateTriple, metric_distance
 from pnpadmm.presets import make_preset, run_preset
-from pnpadmm.sequences import ConditionFlag
+from pnpadmm.sequences import ConditionFlag, ConditionTrace
 from pnpadmm.solver import (
     NonFiniteIterateError,
     SolverConfig,
@@ -93,6 +93,32 @@ def test_trace_flags_are_the_flags_the_loop_acted_on(tmp_path, monkeypatch, pres
     recorded = read_trace_csv(path)["flags"]
     assert recorded.tolist() == returned
     assert int(recorded.sum()) == returned.count(True)
+
+
+@pytest.mark.parametrize("preset", sorted(FLAG_RUNS))
+def test_recorded_traces_read_back_with_their_gamma_and_eta(preset):
+    # the round trip through trace.csv analyze makes: inferred, gamma is the
+    # penalty ratio at the first C1 (assumed when there is none) and eta
+    # reproduces the loop's flags; given, the trace is the one recorded
+    for eta in (0.1, 0.6, 0.95):
+        for seed in range(4):
+            config = make_preset(
+                preset, eta=eta, seed=seed, image_size=32, max_iter=30, delta_tol=0.0,
+                **FLAG_RUNS[preset],
+            )
+            cond = run_preset(config).trace.condition_trace
+            columns = parse_trace(serialize_trace(cond))
+            got, assumed = ConditionTrace.from_columns(**columns)
+            assert got.c1.tolist() == cond.c1.tolist()
+            assert assumed == (not cond.c1.any())
+            if not assumed:
+                assert math.isclose(got.gamma, config.gamma, rel_tol=1e-15)
+            got, assumed = ConditionTrace.from_columns(
+                **columns, gamma=config.gamma, eta=eta
+            )
+            assert not assumed and (got.gamma, got.eta) == (config.gamma, eta)
+            for name in ("deltas", "rhos", "sigmas", "fidelity_values"):
+                assert np.array_equal(getattr(got, name), getattr(cond, name))
 
 
 def test_step_fixed_point_of_composition():
