@@ -5,14 +5,14 @@ float64 (h, w) image to an array of the same shape.  :func:`denoise` is
 the checked way in: it validates the image, hands the denoiser a
 read-only view and acts as the identity at sigma = 0.  The residue bound
 under test is ``||D_sigma(x) - x||^2 <= K * d * sigma^2`` on [0, 1]^d.
-The linear filters (Gaussian, box, identity) are symmetric and diagonal
-in the DCT-II basis, so :meth:`Denoiser.spectrum` gives their
-eigenvalues in closed form and :func:`certified_denoiser_bound` a K that
-provably holds.  The median filter has no spectrum: for it K can only be
-estimated from samples and re-checked on held-out samples, a sample
-maximum and not a bound.  Both sampled checks draw their noise images
-through one sampler, one image per (seed, index) pair, and filter each
-at every sigma of their grid.
+The identity, Gaussian and box filters are each a :class:`LinearFilter`,
+diagonal in the DCT-II basis, so its ``spectrum`` gives the eigenvalues
+in closed form and :func:`certified_denoiser_bound` a K that provably
+holds.  The median filter is not: for it K can only be estimated from
+samples and re-checked on held-out samples, a sample maximum and not a
+bound.  Both sampled checks draw their noise images through one sampler,
+one image per (seed, index) pair, and filter each at every sigma of their
+grid.
 """
 
 from __future__ import annotations
@@ -24,10 +24,9 @@ from typing import Sequence
 import numpy as np
 
 
-# sigma is mapped to pixels through the larger image side, times C_MAP, so
-# the residue ratio stays comparable across image sizes; the Gaussian kernel
-# is cut at TRUNCATE standard deviations
-C_MAP = 1.0
+# sigma is mapped to pixels through the larger image side, so the residue
+# ratio stays comparable across image sizes; the Gaussian kernel is cut at
+# TRUNCATE standard deviations
 TRUNCATE = 3.0
 # the median filter copies at most this many bytes of windows at a time
 MEDIAN_BLOCK_BYTES = 4 * 2**20
@@ -138,64 +137,68 @@ class Denoiser:
         for an image whose longer side is ``side``; 0 reads no neighbours."""
         return 0
 
-    def spectrum(self, sigma: float, n: int) -> np.ndarray | None:
+
+class LinearFilter(Denoiser):
+    """Symmetric padding, then correlation of the rows and the columns with
+    one kernel, from which ``apply`` and ``spectrum`` follow."""
+
+    def kernel(self, sigma: float, side: int) -> np.ndarray:
+        """The odd-length symmetric taps for an image of longer side ``side``."""
+        raise NotImplementedError
+
+    def apply(self, sigma: float, a: np.ndarray) -> np.ndarray:
+        kernel = self.kernel(sigma, max(a.shape))
+        return a if kernel.size == 1 else _separable_filter(a, kernel)
+
+    def spectrum(self, sigma: float, n: int) -> np.ndarray:
         """The n eigenvalues of the symmetric side-n matrix that D_sigma
         applies along each axis of an n x n image, so that D_sigma's own
-        are their pairwise products; None when D_sigma is not linear."""
-        return None
+        are their pairwise products."""
+        return _filter_spectrum(n, self.kernel(sigma, n))
 
 
-class IdentityDenoiser(Denoiser):
+class IdentityDenoiser(LinearFilter):
     """Returns its input unchanged at every sigma; useful as a null prior."""
 
     name = "identity"
 
-    def apply(self, sigma: float, a: np.ndarray) -> np.ndarray:
-        return a
-
-    def spectrum(self, sigma: float, n: int) -> np.ndarray:
-        return np.ones(n)
+    def kernel(self, sigma: float, side: int) -> np.ndarray:
+        return np.ones(1)
 
 
-class GaussianSmoothing(Denoiser):
+class GaussianSmoothing(LinearFilter):
     """Separable Gaussian blur with symmetric boundary padding.
 
-    The kernel standard deviation in pixels is C_MAP * sigma * max(width,
-    height), truncated at TRUNCATE standard deviations.
+    The kernel standard deviation in pixels is sigma * max(width, height),
+    truncated at TRUNCATE standard deviations.
     """
 
     name = "gaussian"
 
     def radius(self, sigma: float, side: int) -> int:
-        return max(1, int(math.ceil(TRUNCATE * (C_MAP * sigma * side))))
+        return max(1, int(math.ceil(TRUNCATE * (sigma * side))))
 
     def kernel(self, sigma: float, side: int) -> np.ndarray:
         """The normalized taps for an image whose longer side is ``side``."""
-        std = C_MAP * sigma * side
+        std = sigma * side
         radius = self.radius(sigma, side)
         offsets = np.arange(-radius, radius + 1, dtype=np.float64)
         k = np.exp(-0.5 * (offsets / std) ** 2)
         return k / k.sum()
 
-    def apply(self, sigma: float, a: np.ndarray) -> np.ndarray:
-        return _separable_filter(a, self.kernel(sigma, max(a.shape)))
-
-    def spectrum(self, sigma: float, n: int) -> np.ndarray:
-        return _filter_spectrum(n, self.kernel(sigma, n))
-
 
 class MedianFilter(Denoiser):
     """Square-window median with symmetric padding.
 
-    The window half-width is round(C_MAP * sigma * max(width, height));
-    a zero half-width leaves the image untouched, which gives the required
+    The window half-width is round(sigma * max(width, height)); a zero
+    half-width leaves the image untouched, which gives the required
     identity behavior for small sigma.
     """
 
     name = "median"
 
     def radius(self, sigma: float, side: int) -> int:
-        return int(math.floor(C_MAP * sigma * side + 0.5))
+        return int(math.floor(sigma * side + 0.5))
 
     def apply(self, sigma: float, a: np.ndarray) -> np.ndarray:
         h, w = a.shape
@@ -214,7 +217,7 @@ class MedianFilter(Denoiser):
         return out
 
 
-class BoxAverage(Denoiser):
+class BoxAverage(LinearFilter):
     """Square-window mean filter, same sigma-to-window map as MedianFilter."""
 
     name = "box"
@@ -225,15 +228,6 @@ class BoxAverage(Denoiser):
         """The equal taps for an image whose longer side is ``side``."""
         win = 2 * self.radius(sigma, side) + 1
         return np.full(win, 1.0 / win)
-
-    def apply(self, sigma: float, a: np.ndarray) -> np.ndarray:
-        kernel = self.kernel(sigma, max(a.shape))
-        if kernel.size == 1:
-            return a
-        return _separable_filter(a, kernel)
-
-    def spectrum(self, sigma: float, n: int) -> np.ndarray:
-        return _filter_spectrum(n, self.kernel(sigma, n))
 
 
 def denoise(kind: Denoiser, sigma: float, a) -> np.ndarray:
@@ -335,8 +329,8 @@ def certified_denoiser_bound(
     """``(K, lowest)`` for a linear denoiser on side x side images in [0, 1]^d:
     the least K with ``||D_sigma(x) - x||^2 <= K * d * sigma^2`` that the
     spectrum certifies at every sigma of the grid, and the smallest
-    eigenvalue of D_sigma over the grid; None when the denoiser has no
-    :meth:`Denoiser.spectrum`.
+    eigenvalue of D_sigma over the grid; None when the denoiser is not a
+    :class:`LinearFilter`.
 
     D_sigma is the symmetric matrix G kron G with eigenvalues lambda_i
     lambda_j.  Its rows sum to 1, so it fixes constants, and
@@ -348,12 +342,12 @@ def certified_denoiser_bound(
     grid = tuple(float(s) for s in sigma_grid)
     if not grid or any(s <= 0 for s in grid):
         raise ValueError("sigma_grid must be non-empty with positive entries")
+    if not isinstance(kind, LinearFilter):
+        return None
     k = 0.0
     lowest = math.inf
     for s in grid:
         lam = kind.spectrum(s, side)
-        if lam is None:
-            return None
         pairs = np.outer(lam, lam)
         k = max(k, float(np.max((1.0 - pairs) ** 2)) / (4.0 * s * s))
         lowest = min(lowest, float(np.min(pairs)))

@@ -102,10 +102,11 @@ class ExperimentPreset:
                     f"unknown denoiser {self.denoiser!r}, expected one of {sorted(DENOISERS)}"
                 )
             object.__setattr__(self, "denoiser", DENOISERS[self.denoiser]())
+        for setting, low in (("seed", 0), ("image_size", 1), ("downsample_factor", 1)):
+            if (value := getattr(self, setting)) < low:
+                raise ValueError(f"{setting} must be >= {low}, got {value}")
         if self.blur_size < 1 or self.blur_size % 2 == 0:
             raise ValueError("blur_size must be odd and >= 1")
-        if self.downsample_factor < 1:
-            raise ValueError("downsample_factor must be >= 1")
         if not 0 <= self.noise_sigma < math.inf:
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.image_source != "builtin" and not Path(self.image_source).is_file():

@@ -176,6 +176,25 @@ def test_run_rejects_non_finite_settings(tmp_path, capsys, flag, value, field):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "line,flags,message",
+    [("", ["--seed", "-1"], "seed must be >= 0, got -1"),
+     ("image_size = 0\n", [], "image_size must be >= 1, got 0"),
+     ("image_size = -3\n", [], "image_size must be >= 1, got -3"),
+     ("downsample_factor = 0\n", [], "downsample_factor must be >= 1, got 0")],
+    ids=["seed=-1", "image_size=0", "image_size=-3", "downsample_factor=0"],
+)
+def test_run_names_an_integer_setting_out_of_range(tmp_path, capsys, line, flags, message):
+    # numpy's own refusals ("expected non-negative integer", "image
+    # dimensions must be >= 1") would not say which setting is wrong
+    config = tmp_path / "run.cfg"
+    config.write_text(f"preset = deblur\n{line}")
+    out = tmp_path / "o"
+    assert run_cli("run", "--config", config, *flags, "--out", out) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
 def test_run_refuses_a_denoiser_window_wider_than_the_image(tmp_path, capsys):
     # sigma_0 = sqrt(lambda / rho0) = 1e6 asks the Gaussian for ~4e8 taps at 64x64
     out = tmp_path / "o"

@@ -357,6 +357,33 @@ def test_identity_denoiser_reaches_exact_zero_delta():
     assert cond.rhos[first] == 1.0
 
 
+def _gaussian_smoke_run(size, noise_sigma):
+    """The smoke preset as the denoise-256 workload runs it, at size^2."""
+    return run_preset(make_preset(
+        "smoke", denoiser="gaussian", delta_tol=0.0, max_iter=100, image_size=size,
+        noise_sigma=noise_sigma,
+    )).trace
+
+
+@pytest.mark.parametrize("noise_sigma", [0.0, 0.02])
+def test_gaussian_smoke_reaches_an_exact_fixed_point_at_8x8(noise_sigma):
+    # H = I and rho0 = 1: step 2 sets x = (b + (2Gb - b)) / 2 = Gb, so the
+    # start point is a fixed point after two steps, and here delta_3 is 0
+    trace = _gaussian_smoke_run(8, noise_sigma)
+    assert (len(trace), trace.stop_reason) == (3, "fixed_point")
+    assert trace.condition_trace.deltas[2] == 0.0
+
+
+@pytest.mark.parametrize("noise_sigma", [0.0, 0.02])
+def test_gaussian_smoke_misses_its_fixed_point_by_rounding_only_at_16x16(noise_sigma):
+    # the same fixed point as at 8x8, but rounding leaves delta_3 a few
+    # 1e-17 above 0; the C1 flags of the rest of the run (97 of 99 on the
+    # denoise-256 workload) are set off by that rounding noise alone
+    trace = _gaussian_smoke_run(16, noise_sigma)
+    assert 0.0 < trace.condition_trace.deltas[2] < 1e-15
+    assert trace.stop_reason == "max_iter"
+
+
 def test_run_builds_no_image_grid(monkeypatch):
     # the loop hands the denoiser (h, w) views of its vectors; ImageGrid is
     # only where an image meets a file or a preset

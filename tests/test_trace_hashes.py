@@ -1,6 +1,10 @@
 """Byte-identity guard: pinned sha256 of trace.csv, summary.txt and
-restored.pgm for three small runs, and of bound.csv and bound_report.txt
-for a plain ``analyze`` of each run's trace.
+restored.pgm for five small runs, and of bound.csv and bound_report.txt
+for a plain ``analyze`` of each run's trace.  The runs are the three
+presets with their own denoisers (Gaussian for deblur and superres, the
+identity for smoke) and deblur with the box and the median denoiser, so
+every denoiser and the median's sampled K-hat line in summary.txt are
+covered.
 
 A change that keeps the arithmetic must keep these hashes.  A change that
 alters the arithmetic on purpose (a different prox solver, say) updates
@@ -15,7 +19,16 @@ import pytest
 
 from pnpadmm import cli
 
-# preset -> (trace.csv, summary.txt, restored.pgm)
+# run -> the config lines that select it
+RUNS = {
+    "smoke": "preset = smoke\n",
+    "deblur": "preset = deblur\n",
+    "superres": "preset = superres\n",
+    "deblur-box": "preset = deblur\ndenoiser = box\n",
+    "deblur-median": "preset = deblur\ndenoiser = median\n",
+}
+
+# run -> (trace.csv, summary.txt, restored.pgm)
 PINNED = {
     "smoke": (
         "fdab975f7356eefe053a7bea19e1b0226b9fc38fec582bb50a7887661b1dbaea",
@@ -32,10 +45,20 @@ PINNED = {
         "31ec127d1bc765e3020e9e1189a2bdd8077e406539641c3808ee9ed4b4fdf248",
         "a6bff9a0be49b395810e58306336c0cac1ba3fcb452341aae5666a2ec8905c01",
     ),
+    "deblur-box": (
+        "19aeaa7c6cd0339419d89cdde97f9405341a6019bb1079deb850dd46306911b0",
+        "478db231a440afbee9ec7eb89d255eb14da7242e27a190caca83f9d743a54a62",
+        "c0601cebcb7960a6e750b22255607b2c030750350b07cbd4fe6c66ab0514b78c",
+    ),
+    "deblur-median": (
+        "0deb8859ea816ceccdb7e3800b4c7f1330836b872285fcb9aededd44610ce0a8",
+        "6b9d0605bc506c22d7c3a8f0b48fe02be4fa07c79026ba403d561c3253944d81",
+        "d6f24fec82094c7b1400b0289ae160fcfde7ca72096ba04df643eda3d708919d",
+    ),
 }
 
 
-# preset -> (bound.csv, bound_report.txt without its "trace = <path>" line);
+# run -> (bound.csv, bound_report.txt without its "trace = <path>" line);
 # the smoke run stops after one row, and analyze refuses it and writes neither
 PINNED_ANALYSIS = {
     "smoke": (None, None),
@@ -47,29 +70,37 @@ PINNED_ANALYSIS = {
         "4890009ee6f76d9b92d0853b4582d8ded25eb3fb8297abfcd57c6a61227ee97c",
         "1ad8b683a271c2ebe854747ab79f31f48cab28620713925ce107c3dbc582c4ba",
     ),
+    "deblur-box": (
+        "6b8b60a932d677b7a66ab94a55f1e1f8f6b1544377b17b9c6ab38b4397d70159",
+        "b2e396fa11e2d2209aad10d0b30cc08ed67c6b5d6e10d9b7704c58e86afac5e5",
+    ),
+    "deblur-median": (
+        "4662058b5c882d280ccf7472ffc7966fd58b2b7431b16b94eafe1c99732880e9",
+        "68d5fea291a1b25e948e9a2f9d4fe09b2cf1d60596b52e017ee953bb2ce8c6d6",
+    ),
 }
 
 
 @pytest.fixture(scope="module", params=sorted(PINNED))
 def run_dir(request, tmp_path_factory):
-    """(preset, output directory) of one 32x32, 30-iteration run."""
-    preset = request.param
-    tmp = tmp_path_factory.mktemp(preset)
+    """(run, output directory) of one 32x32, 30-iteration run."""
+    name = request.param
+    tmp = tmp_path_factory.mktemp(name)
     config = tmp / "run.cfg"
-    config.write_text(f"preset = {preset}\nimage_size = 32\nmax_iter = 30\nseed = 0\n")
+    config.write_text(f"{RUNS[name]}image_size = 32\nmax_iter = 30\nseed = 0\n")
     out = tmp / "run"
     assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
-    return preset, out
+    return name, out
 
 
 @pytest.fixture(scope="module")
 def analysis_dir(run_dir):
-    """(preset, output directory) of ``analyze`` on the run's trace."""
-    preset, out = run_dir
+    """(run, output directory) of ``analyze`` on the run's trace."""
+    name, out = run_dir
     analysis = out.parent / "analysis"
     argv = ["analyze", "--trace", str(out / "trace.csv"), "--out", str(analysis)]
-    assert cli.main(argv) == (1 if PINNED_ANALYSIS[preset][0] is None else 0)
-    return preset, analysis
+    assert cli.main(argv) == (1 if PINNED_ANALYSIS[name][0] is None else 0)
+    return name, analysis
 
 
 def _sha256(path) -> str:
@@ -87,26 +118,26 @@ def _analysis_sha256(path, drop_prefix=None) -> str | None:
 
 
 def test_trace_csv_sha256_is_pinned(run_dir):
-    preset, out = run_dir
-    assert _sha256(out / "trace.csv") == PINNED[preset][0]
+    name, out = run_dir
+    assert _sha256(out / "trace.csv") == PINNED[name][0]
 
 
 def test_summary_txt_sha256_is_pinned(run_dir):
-    preset, out = run_dir
-    assert _sha256(out / "summary.txt") == PINNED[preset][1]
+    name, out = run_dir
+    assert _sha256(out / "summary.txt") == PINNED[name][1]
 
 
 def test_restored_pgm_sha256_is_pinned(run_dir):
-    preset, out = run_dir
-    assert _sha256(out / "restored.pgm") == PINNED[preset][2]
+    name, out = run_dir
+    assert _sha256(out / "restored.pgm") == PINNED[name][2]
 
 
 def test_bound_csv_sha256_is_pinned(analysis_dir):
-    preset, out = analysis_dir
-    assert _analysis_sha256(out / "bound.csv") == PINNED_ANALYSIS[preset][0]
+    name, out = analysis_dir
+    assert _analysis_sha256(out / "bound.csv") == PINNED_ANALYSIS[name][0]
 
 
 def test_bound_report_sha256_is_pinned(analysis_dir):
-    preset, out = analysis_dir
+    name, out = analysis_dir
     digest = _analysis_sha256(out / "bound_report.txt", drop_prefix="trace = ")
-    assert digest == PINNED_ANALYSIS[preset][1]
+    assert digest == PINNED_ANALYSIS[name][1]
