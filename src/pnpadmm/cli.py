@@ -147,7 +147,7 @@ def _gradient_m_hat(f, theta, step) -> float:
     if step is None or step.rho > STREAMED_GRADIENT_MAX_RHO:
         return estimate_gradient_bound(f, theta.x)
     diff = step.target - theta.x
-    return step.rho * norm(diff) / math.sqrt(theta.dim)
+    return step.rho * norm(diff) / math.sqrt(diff.size)
 
 
 def _run_one(preset: ExperimentPreset, out_dir: Path) -> None:

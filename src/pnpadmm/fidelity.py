@@ -1,6 +1,7 @@
 """Quadratic data-fidelity terms f(x) = 0.5 ||Hx - b||^2 and their prox.
 
-Forward operators are matrix-free and act on flattened row-major images.
+Forward operators are matrix-free and map (h, w) float64 images to (h', w')
+ones.
 The x-update of the splitting loop is the prox of f at a target t,
 
     argmin_x f(x) + (rho/2) ||x - t||^2   <=>   (H^T H + rho I) x = H^T b + rho t,
@@ -41,11 +42,7 @@ from .linalg import DimensionMismatchError, NonFiniteIterateError, as_vector, do
 
 
 def _as_shape(shape) -> tuple[int, int]:
-    """Accept an int d (treated as a 1 x d row) or an (height, width) pair."""
-    if isinstance(shape, int):
-        if shape < 1:
-            raise ValueError("dimension must be >= 1")
-        return (1, shape)
+    """An (height, width) pair as two ints, each at least 1."""
     h, w = int(shape[0]), int(shape[1])
     if h < 1 or w < 1:
         raise ValueError("shape entries must be >= 1")
@@ -106,18 +103,11 @@ def binomial_stencil(factor: int) -> np.ndarray:
 
 
 class ForwardOperator:
-    """Linear degradation model H with matrix-free apply / apply_adjoint."""
+    """Linear degradation model H with matrix-free apply / apply_adjoint, from
+    (h, w) images of ``in_shape`` to images of ``out_shape``."""
 
     in_shape: tuple[int, int]
     out_shape: tuple[int, int]
-
-    @property
-    def in_dim(self) -> int:
-        return self.in_shape[0] * self.in_shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.out_shape[0] * self.out_shape[1]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -138,19 +128,17 @@ class ForwardOperator:
         raise NotImplementedError
 
     def _check_in(self, x, what: str = "input") -> np.ndarray:
-        return _sized(x, self.in_dim, what)
+        return _shaped(x, self.in_shape, what)
 
-    def _check_out(self, y, what: str = "output-side vector") -> np.ndarray:
-        return _sized(y, self.out_dim, what)
+    def _check_out(self, y, what: str = "output-side image") -> np.ndarray:
+        return _shaped(y, self.out_shape, what)
 
 
-def _sized(x, dim: int, what: str) -> np.ndarray:
-    """``x`` as a float64 vector of length ``dim``; a shape check, no scan."""
+def _shaped(x, shape: tuple[int, int], what: str) -> np.ndarray:
+    """``x`` as a float64 image of the given (h, w); a shape check, no scan."""
     arr = np.asarray(x, dtype=np.float64)
-    if arr.shape != (dim,):
-        raise DimensionMismatchError(
-            f"{what} has shape {arr.shape}, operator expects ({dim},)"
-        )
+    if arr.shape != shape:
+        raise DimensionMismatchError(f"{what} has shape {arr.shape}, operator expects {shape}")
     return arr
 
 
@@ -201,9 +189,9 @@ class CircularBlur(ForwardOperator):
         self._unpaired = [0] if w % 2 else [0, w // 2]
 
     def _filter(self, v, spectrum):
-        s = _forward(v.reshape(self.in_shape))
+        s = _forward(v)
         s *= spectrum
-        return _inverse(s, self.in_shape[1]).reshape(-1)
+        return _inverse(s, self.in_shape[1])
 
     def apply(self, x):
         return self._filter(self._check_in(x), self._spectrum)
@@ -217,7 +205,7 @@ class CircularBlur(ForwardOperator):
     def prox(self, t, rho, f):
         rhs = rho * t
         rhs += f.adjoint_observation
-        spec = _forward(rhs.reshape(self.in_shape))
+        spec = _forward(rhs)
         # divide by |K|^2 + rho, the transfer function of H^T H + rho I; numpy
         # divides a complex by a real-valued one as a multiply by the real's
         # reciprocal, so this multiply gives the same bits, faster
@@ -229,8 +217,8 @@ class CircularBlur(ForwardOperator):
         paired = hx.ravel().view(np.float64)
         unpaired = hx[:, self._unpaired].ravel().view(np.float64)
         half_energy = dot(paired, paired) - 0.5 * dot(unpaired, unpaired)
-        x = _inverse(spec, self.in_shape[1]).reshape(-1)
-        fx = half_energy / self.in_dim - dot(x, f.adjoint_observation)
+        x = _inverse(spec, self.in_shape[1])
+        fx = half_energy / x.size - dot(x, f.adjoint_observation)
         fx += f.observation_half_square
         return x, fx
 
@@ -240,13 +228,11 @@ class Mask(ForwardOperator):
 
     def __init__(self, keep):
         keep = np.asarray(keep, dtype=bool)
-        if keep.ndim == 1:
-            keep = keep.reshape(1, -1)
         if keep.ndim != 2:
-            raise ValueError("keep must be 1-D or 2-D boolean")
+            raise ValueError(f"keep must be an (h, w) boolean image, got shape {keep.shape}")
         self.in_shape = keep.shape
         self.out_shape = keep.shape
-        self.keep = keep.reshape(-1).astype(np.float64)
+        self.keep = keep.astype(np.float64)
 
     def apply(self, x):
         return self._check_in(x) * self.keep
@@ -298,22 +284,26 @@ class Downsample(ForwardOperator):
         rows = (factor * np.arange(m) + (r0 - a)[:, None]) % h
         cols = (factor * np.arange(n) + (r0 - b)[:, None]) % w
         self._weights = self.prefilter.ravel()
+        # one row per tap, one column per low-resolution pixel, each entry
+        # the row-major index of the pixel that tap reads
         self._src = (rows[:, :, None] * w + cols[:, None, :]).reshape(a.size, m * n)
         # H H^T = S B B^T S^T is circular on the low-resolution grid, so its
         # eigenvalues are the spectrum of its impulse response
-        impulse = np.zeros(self.out_dim)
-        impulse[0] = 1.0
+        impulse = np.zeros(self.out_shape)
+        impulse[0, 0] = 1.0
         response = self.apply(self.apply_adjoint(impulse))
-        self._low_eig = np.fft.rfft2(response.reshape(self.out_shape)).real
+        self._low_eig = np.fft.rfft2(response).real
 
     def apply(self, x):
         # every index is in range by construction, so "clip" only skips the
         # bounds check
-        return self._weights @ np.take(self._check_in(x), self._src, mode="clip")
+        low = self._weights @ np.take(self._check_in(x), self._src, mode="clip")
+        return low.reshape(self.out_shape)
 
     def apply_adjoint(self, y):
-        spread = self._weights[:, None] * self._check_out(y)
-        return np.bincount(self._src.ravel(), spread.ravel(), minlength=self.in_dim)
+        h, w = self.in_shape
+        spread = self._weights[:, None] * self._check_out(y).ravel()
+        return np.bincount(self._src.ravel(), spread.ravel(), minlength=h * w).reshape(h, w)
 
     def spectral_norm(self):
         # ||H||^2 = ||H H^T||, the largest eigenvalue of a circulant
@@ -323,9 +313,9 @@ class Downsample(ForwardOperator):
         # push-through (Zhao et al., IEEE TIP 2016): x = t + H^T z with
         # z = (rho I + H H^T)^-1 (b - H t), which makes Hx - b = -rho z
         r = f.observation - self.apply(t)
-        low = _forward(r.reshape(self.out_shape))
+        low = _forward(r)
         low /= self._low_eig + rho
-        z = _inverse(low, self.out_shape[1]).reshape(-1)
+        z = _inverse(low, self.out_shape[1])
         x = self.apply_adjoint(z)
         x += t
         z *= -rho
@@ -362,6 +352,10 @@ class FidelityTerm:
         return self.op.apply_adjoint(self.op.apply(x) - self.observation)
 
 
+class PenaltyOverflowError(NonFiniteIterateError):
+    """The x-update at a finite penalty overflowed from a finite target."""
+
+
 def prox_x_update(
     f: FidelityTerm, rho: float, target: np.ndarray
 ) -> tuple[np.ndarray, float]:
@@ -370,17 +364,22 @@ def prox_x_update(
     The operator's :meth:`ForwardOperator.prox` gives both, x in closed
     form.  The problem is strongly convex for rho > 0, so the minimizer is
     unique.  A non-finite target raises NonFiniteIterateError; a huge but
-    finite one is solved, though its f(x) may overflow to inf.
+    finite one is solved, though its f(x) may overflow to inf.  A finite
+    target whose x is not finite (the solve's transforms of rho t + H^T b
+    overflow at a huge but finite rho) raises PenaltyOverflowError.
     """
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
     t = f.op._check_in(target, "target")
-    # a non-finite target makes f(x) non-finite, and only then are its
-    # entries scanned; the solve's own invalid operations on it stay silent
+    # a non-finite target or x makes f(x) non-finite, and only then are their
+    # entries scanned; the solve's own invalid operations on them stay silent
     with np.errstate(invalid="ignore"):
         x, fx = f.op.prox(t, rho, f)
-    if not math.isfinite(fx) and not np.isfinite(t).all():
-        raise NonFiniteIterateError("prox target is not finite")
+    if not math.isfinite(fx):
+        if not np.isfinite(t).all():
+            raise NonFiniteIterateError("prox target is not finite")
+        if not np.isfinite(x).all():
+            raise PenaltyOverflowError(f"the x-update overflows at penalty rho = {rho:.6g}")
     return x, fx
 
 
@@ -391,7 +390,7 @@ def estimate_gradient_bound(f: FidelityTerm, x: np.ndarray) -> float:
     largest of these over the iterates a run visits is an effective bound
     over that region, not a global one.
     """
-    return norm(f.gradient(x)) / math.sqrt(f.op.in_dim)
+    return norm(f.gradient(x)) / math.sqrt(f.adjoint_observation.size)
 
 
 def box_gradient_bound(f: FidelityTerm) -> float:
@@ -407,4 +406,4 @@ def box_gradient_bound(f: FidelityTerm) -> float:
     b = f.observation
     worst = np.maximum(np.abs(b), np.abs(1.0 - b))
     with np.errstate(over="ignore"):
-        return f.op.spectral_norm() * norm(worst) / math.sqrt(f.op.in_dim)
+        return f.op.spectral_norm() * norm(worst) / math.sqrt(f.adjoint_observation.size)

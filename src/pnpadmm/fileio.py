@@ -13,49 +13,31 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import readonly_vector
+from .linalg import readonly
 from .sequences import ConditionTrace
 
 
 @dataclass(frozen=True)
 class ImageGrid:
-    """A width x height image stored as a flat row-major float64 vector: the
-    form in which an image is read from or written to a file, or made by a
-    preset.
+    """A read-only (height, width) float64 image: the form in which an image
+    is read from or written to a file, or made by a preset.
 
-    pixels is a read-only view of the given array, not a copy.
+    pixels is a read-only view of the given array, not a copy.  The loop
+    itself holds bare arrays; this record stays for the callers that read
+    a preset's image through :meth:`to_array`.
     """
 
-    width: int
-    height: int
     pixels: np.ndarray
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError("image dimensions must be >= 1")
-        arr = readonly_vector(self.pixels, "pixels")
-        if arr.size != self.width * self.height:
-            raise ValueError(
-                f"pixel count {arr.size} != width*height "
-                f"{self.width * self.height}"
-            )
+        arr = readonly(self.pixels, "pixels")
+        if arr.ndim != 2:
+            raise ValueError(f"pixels must be an (h, w) image, got shape {arr.shape}")
         object.__setattr__(self, "pixels", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.width * self.height
 
     def to_array(self) -> np.ndarray:
         """Return a writable (height, width) copy."""
-        return self.pixels.reshape(self.height, self.width).copy()
-
-    @classmethod
-    def from_array(cls, arr) -> "ImageGrid":
-        arr = np.asarray(arr, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError(f"expected a 2-D array, got shape {arr.shape}")
-        h, w = arr.shape
-        return cls(width=w, height=h, pixels=arr.reshape(-1))
+        return self.pixels.copy()
 
 
 TRACE_COLUMNS = ("iter", "delta", "rho", "sigma", "condition", "fidelity_value")
@@ -128,14 +110,15 @@ def load_image(path) -> ImageGrid:
     if top > maxval:
         raise PgmFormatError(f"sample {top} above the declared maxval {maxval}")
     pixels = samples.astype(np.float64) / maxval
-    return ImageGrid(width=width, height=height, pixels=pixels)
+    return ImageGrid(pixels.reshape(height, width))
 
 
 def save_image(img: ImageGrid, path) -> None:
     """Write an 8-bit binary PGM, round-half-up with clamping to [0, 255]."""
     levels = np.floor(img.pixels * 255.0 + 0.5)
     levels = np.clip(levels, 0, 255).astype(np.uint8)
-    header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
+    height, width = img.pixels.shape
+    header = f"P5\n{width} {height}\n255\n".encode("ascii")
     Path(path).write_bytes(header + levels.tobytes())
 
 

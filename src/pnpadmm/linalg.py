@@ -1,5 +1,5 @@
-"""Dense float64 vectors, their reductions, the (x, v, u) iterate triple,
-and its metric."""
+"""Float64 images, their reductions, the (x, v, u) iterate triple, and its
+metric."""
 
 from __future__ import annotations
 
@@ -16,13 +16,15 @@ REDUCE_CHUNK = 8192
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> float:
-    """a . b of two 1-D float64 arrays, summed REDUCE_CHUNK entries at a time
-    in a fixed order, so its bits do not depend on the BLAS thread count;
-    equal to ``a @ b`` up to REDUCE_CHUNK entries.
+    """a . b of two float64 arrays of one shape, their entries taken in row-major
+    order and summed REDUCE_CHUNK at a time in a fixed order, so its bits do
+    not depend on the BLAS thread count; equal to ``a.ravel() @ b.ravel()``
+    up to REDUCE_CHUNK entries.
 
     The whole chunks go through one batched product, each chunk its own
     1 x 1 result, and are added left to right, then the shorter tail chunk.
     """
+    a, b = a.ravel(), b.ravel()
     full = a.size - a.size % REDUCE_CHUNK
     total = 0.0
     if full:
@@ -41,37 +43,34 @@ def norm(a: np.ndarray) -> float:
 
 
 class DimensionMismatchError(ValueError):
-    """Two vectors (or triple components) do not share a dimension."""
+    """Two images (or triple components) do not share a shape."""
 
 
 class NonFiniteIterateError(RuntimeError):
     """An iterate picked up NaN/inf entries; names the failing iteration."""
 
 
-def readonly_vector(data, name: str = "vector") -> np.ndarray:
-    """Read-only 1-D float64 view of ``data``, with no scan and no copy.
+def readonly(data, name: str = "array") -> np.ndarray:
+    """Read-only float64 view of ``data``, of any shape but empty, with no
+    scan and no copy.
 
     The caller hands the array over: it must not write to ``data`` later.
     """
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
+    arr = np.asarray(data, dtype=np.float64).view()
     if arr.size < 1:
-        raise ValueError(f"{name} must have dimension >= 1")
-    arr = arr.view()
+        raise ValueError(f"{name} must not be empty, got shape {arr.shape}")
     arr.flags.writeable = False
     return arr
 
 
 def as_vector(data, name: str = "vector") -> np.ndarray:
-    """:func:`readonly_vector` plus a scan that rejects NaN/inf entries.
+    """:func:`readonly` plus a scan that rejects NaN/inf entries; whatever
+    its name says, ``data`` may have any shape, an (h, w) image included.
 
     For outside input only: solver state must start finite, and inside the
     loop the residuals catch non-finite values.
     """
-    arr = readonly_vector(data, name)
+    arr = readonly(data, name)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
@@ -79,7 +78,7 @@ def as_vector(data, name: str = "vector") -> np.ndarray:
 
 @dataclass(frozen=True)
 class IterateTriple:
-    """Solver state theta = (x, v, u), three vectors of equal dimension.
+    """Solver state theta = (x, v, u), three images of one shape.
 
     The components are read-only views of the given arrays, not copies.
     """
@@ -90,31 +89,24 @@ class IterateTriple:
 
     def __post_init__(self):
         for name in ("x", "v", "u"):
-            object.__setattr__(self, name, readonly_vector(getattr(self, name), name))
+            object.__setattr__(self, name, readonly(getattr(self, name), name))
         if not (self.x.shape == self.v.shape == self.u.shape):
             raise DimensionMismatchError(
-                f"components differ in dimension: x={self.x.size}, "
-                f"v={self.v.size}, u={self.u.size}"
+                f"components differ in shape: x={self.x.shape}, "
+                f"v={self.v.shape}, u={self.u.shape}"
             )
-
-    @property
-    def dim(self) -> int:
-        return self.x.size
 
 
 def metric_distance(a: IterateTriple, b: IterateTriple) -> float:
-    """Distance (||x1-x2|| + ||v1-v2|| + ||u1-u2||) / sqrt(d) between triples.
+    """Distance (||x1-x2|| + ||v1-v2|| + ||u1-u2||) / sqrt(d) between triples
+    of d-pixel images.
 
     Symmetric, zero iff a == b, and satisfies the triangle inequality.
     """
-    for name in ("x", "v", "u"):
-        pa, pb = getattr(a, name), getattr(b, name)
-        if pa.shape != pb.shape:
-            raise DimensionMismatchError(
-                f"{name} parts differ in dimension: {pa.size} vs {pb.size}"
-            )
+    if a.x.shape != b.x.shape:
+        raise DimensionMismatchError(f"x parts differ in shape: {a.x.shape} vs {b.x.shape}")
     diff = a.x - b.x
     total = norm(diff)
     total += norm(np.subtract(a.v, b.v, out=diff))
     total += norm(np.subtract(a.u, b.u, out=diff))
-    return total / math.sqrt(a.dim)
+    return total / math.sqrt(diff.size)

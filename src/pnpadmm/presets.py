@@ -61,6 +61,13 @@ MAX_WINDOW_RATIO = 1
 # takes ~2.2 s on 2 CPUs, and the default lambda at 256 x 256 (r = 26,
 # 1.8e8) stays below
 MAX_MEDIAN_COPIES = 2 * 10**8
+# a run keeps about 0.5 KB per trace row and writes about 96 B of trace.csv,
+# so at most this many rows (pgs-demo's limit on its terms too) stay near
+# 0.5 GB; a run that never stops would otherwise fill memory
+MAX_ITER = 10**6
+# the builtin pattern builds two int64 index grids of this side squared, and
+# the loop several float64 images of the same size
+MAX_IMAGE_SIZE = 4096
 
 DENOISERS = {
     "gaussian": GaussianSmoothing,
@@ -94,6 +101,9 @@ class ExperimentPreset:
     def __post_init__(self):
         if self.name not in PRESET_NAMES:
             raise ValueError(f"unknown preset {self.name!r}, expected {PRESET_NAMES}")
+        for setting, high in (("max_iter", MAX_ITER), ("image_size", MAX_IMAGE_SIZE)):
+            if (value := getattr(self, setting)) > high:
+                raise ValueError(f"{setting} must be <= {high}, got {value}")
         config = SolverConfig(**{f.name: getattr(self, f.name) for f in fields(SolverConfig)})
         object.__setattr__(self, "config", config)
         if not isinstance(self.denoiser, Denoiser):
@@ -123,7 +133,7 @@ def synthetic_image(size: int = 64) -> ImageGrid:
     i, j = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
     checker = ((i // 8 + j // 8) % 2).astype(np.float64)
     ramp = (i + j) / (2.0 * (size - 1)) if size > 1 else np.zeros_like(checker)
-    return ImageGrid.from_array(0.15 + 0.7 * (0.65 * checker + 0.35 * ramp))
+    return ImageGrid(0.15 + 0.7 * (0.65 * checker + 0.35 * ramp))
 
 
 def make_preset(name: str, **overrides) -> ExperimentPreset:
@@ -142,7 +152,7 @@ def preset_settings(preset: ExperimentPreset) -> dict:
 
 
 def build_operator(preset: ExperimentPreset, image: ImageGrid) -> ForwardOperator:
-    shape = (image.height, image.width)
+    shape = image.pixels.shape
     if max(shape) > MAX_ASPECT_RATIO * min(shape):
         raise ValueError(
             f"image of {shape[0]}x{shape[1]} pixels (height x width): the long side "
@@ -157,7 +167,7 @@ def build_operator(preset: ExperimentPreset, image: ImageGrid) -> ForwardOperato
             f"{given} the {preset.denoiser.name} denoiser's window is wider than the image: "
             f"half-width {radius} > {MAX_WINDOW_RATIO} x {side} pixels (its long side)"
         )
-    copies = image.dim * (2 * radius + 1) ** 2
+    copies = image.pixels.size * (2 * radius + 1) ** 2
     if isinstance(preset.denoiser, MedianFilter) and copies > MAX_MEDIAN_COPIES:
         raise ValueError(
             f"{given} the median denoiser's window of half-width {radius} copies "
@@ -184,7 +194,7 @@ def degrade(preset: ExperimentPreset, clean: ImageGrid) -> tuple[ForwardOperator
     if preset.noise_sigma > 0:
         # a huge sigma overflows to inf, which FidelityTerm refuses by name
         with np.errstate(over="ignore"):
-            observation = observation + preset.noise_sigma * rng.standard_normal(op.out_dim)
+            observation = observation + preset.noise_sigma * rng.standard_normal(op.out_shape)
     return op, observation
 
 
@@ -208,6 +218,5 @@ def run_preset(preset: ExperimentPreset, observe: Observer | None = None) -> Pre
     # the start iterate, so neither original is held through the loop
     fidelity = FidelityTerm(*degrade(preset, preset.source_image()))
     trace = run(fidelity, preset.denoiser, preset.config, initial_iterate(fidelity), observe)
-    h, w = fidelity.op.in_shape
-    restored = ImageGrid(width=w, height=h, pixels=trace.final_iterate.x)
+    restored = ImageGrid(trace.final_iterate.x)
     return PresetResult(preset=preset, fidelity=fidelity, trace=trace, restored=restored)

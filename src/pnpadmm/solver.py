@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoisers import Denoiser, denoise
-from .fidelity import FidelityTerm, prox_x_update
+from .fidelity import FidelityTerm, PenaltyOverflowError, prox_x_update
 from .linalg import IterateTriple, NonFiniteIterateError, as_vector, metric_distance
 from .sequences import ConditionFlag, ConditionTrace
 
@@ -133,7 +133,7 @@ def step(
     target = theta.v - theta.u
     x_new, value = prox_x_update(f, rho, target)
     noisy = x_new + theta.u
-    v_new = denoise(kind, sigma, noisy.reshape(f.op.in_shape)).reshape(-1)
+    v_new = denoise(kind, sigma, noisy)
     u_new = noisy - v_new
     return IterateTriple(x=x_new, v=v_new, u=u_new), StepInfo(rho, target, value)
 
@@ -152,9 +152,11 @@ def run(
       the penalty is held after it (0 < eta * delta_prev), so one more step
       would return it again;
     - "penalty_limit": the penalty update after iteration k would make rho
-      infinite or sigma = sqrt(lam / rho) zero, which no step can use;
+      infinite or sigma = sqrt(lam / rho) zero, which no step can use, or
+      iteration k's x-update overflowed at its finite rho (PenaltyOverflowError);
       iteration k is not recorded, so the final iterate is the one the last
-      row's rho and sigma step from;
+      row's rho and sigma step from.  An overflow at iteration 1, which
+      leaves no row, raises NonFiniteIterateError naming the penalty;
     - "max_iter".
 
     Deterministic given (f, kind, cfg, theta0).  The run keeps only the
@@ -163,21 +165,21 @@ def run(
     iteration's trace entries are appended, where info is the StepInfo of
     the x-update that produced theta (its rho is the penalty the step used,
     not the trace's post-update one).  A caller can so stream statistics of
-    every iterate in O(d) memory, the data-term gradient included.
+    every iterate in O(d) memory, the data-term gradient included; the
+    trace itself keeps four floats per row, O(max_iter).
 
-    theta0 is checked for finite entries and copied once, and the run drops
-    its reference to it: a caller that keeps none frees it before the first
-    observe call.  Inside the loop a NaN entry makes the residual NaN, and
-    an infinite one makes the next prox target non-finite; either raises
+    theta0 must hold images of the operator's input shape.  It is checked
+    for finite entries and copied once, and the run drops its reference to
+    it: a caller that keeps none frees it before the first observe call.
+    Inside the loop a NaN entry makes the residual NaN, and an infinite one
+    makes the next prox target non-finite; either raises
     NonFiniteIterateError naming the iteration.  An infinite residual alone
     is recorded as it is: huge but finite iterates can overflow the norm,
     f(x) or the observer's statistics, so overflow is ignored from the
     first observe call to the last step.
     """
-    if theta0.dim != f.op.in_dim:
-        raise ValueError(
-            f"theta0 dimension {theta0.dim} != operator input dimension {f.op.in_dim}"
-        )
+    if theta0.x.shape != f.op.in_shape:
+        raise ValueError(f"theta0 has shape {theta0.x.shape}, operator expects {f.op.in_shape}")
     theta = IterateTriple(
         *(as_vector(getattr(theta0, n), n).copy() for n in ("x", "v", "u"))
     )
@@ -193,6 +195,9 @@ def run(
             try:
                 theta_next, info = step(f, kind, rho, sigma, theta)
             except NonFiniteIterateError as exc:
+                if isinstance(exc, PenaltyOverflowError) and deltas:
+                    stop_reason = "penalty_limit"
+                    break
                 raise NonFiniteIterateError(
                     f"non-finite iterate at iteration {k}: {exc}"
                 ) from exc
@@ -225,9 +230,12 @@ def run(
 
 def fixed_point_residual(f: FidelityTerm, kind: Denoiser, trace: RunTrace) -> float:
     """Distance between the final iterate and one more frozen-parameter step;
-    inf, silently, if it overflows."""
+    inf, silently, if it overflows, the step's x-update included."""
     cond = trace.condition_trace
     rho, sigma = float(cond.rhos[-1]), float(cond.sigmas[-1])
     with np.errstate(over="ignore"):
-        theta_next, _ = step(f, kind, rho, sigma, trace.final_iterate)
+        try:
+            theta_next, _ = step(f, kind, rho, sigma, trace.final_iterate)
+        except PenaltyOverflowError:
+            return math.inf
         return metric_distance(trace.final_iterate, theta_next)

@@ -6,12 +6,13 @@ import numpy as np
 
 
 def dense_matrix(op):
-    """Assemble an operator column by column into an explicit matrix."""
+    """Assemble an operator column by column into an explicit matrix, which
+    acts on images flattened in row-major order."""
     cols = []
-    for i in range(op.in_dim):
-        e = np.zeros(op.in_dim)
-        e[i] = 1.0
-        cols.append(op.apply(e))
+    for i in range(math.prod(op.in_shape)):
+        e = np.zeros(op.in_shape)
+        e.flat[i] = 1.0
+        cols.append(op.apply(e).ravel())
     return np.array(cols).T
 
 
@@ -114,16 +115,16 @@ def unblocked_median(a, sigma, c_map=1.0):
 
 
 def straight_line_step(op, b, rho, sigma, x, v, u, c_map=1.0, truncate=3.0):
-    """One plug-and-play iteration written out directly.
+    """One plug-and-play iteration on (h, w) images written out directly.
 
     Dense solve for the data update, brute-force Gaussian convolution for
     the denoising update, then the running-sum correction.
     """
     H = dense_matrix(op)
-    A = H.T @ H + rho * np.eye(op.in_dim)
-    x_new = np.linalg.solve(A, H.T @ b + rho * (v - u))
-    noisy = (x_new + u).reshape(op.in_shape)
-    v_new = direct_gaussian(noisy, sigma, truncate=truncate, c_map=c_map).reshape(-1)
+    A = H.T @ H + rho * np.eye(H.shape[1])
+    x_new = np.linalg.solve(A, H.T @ b.ravel() + rho * (v - u).ravel()).reshape(op.in_shape)
+    noisy = x_new + u
+    v_new = direct_gaussian(noisy, sigma, truncate=truncate, c_map=c_map)
     u_new = u + x_new - v_new
     return x_new, v_new, u_new
 

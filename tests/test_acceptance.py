@@ -220,14 +220,14 @@ def test_a6_prox_against_dense_oracle():
         H = dense_matrix(op)
         for _ in range(50):
             rho = float(rng.uniform(0.1, 10.0))
-            b = rng.standard_normal(op.out_dim)
-            target = rng.standard_normal(op.in_dim)
+            b = rng.standard_normal(op.out_shape)
+            target = rng.standard_normal(op.in_shape)
             f = FidelityTerm(op=op, observation=b)
             got, _ = prox_x_update(f, rho, target)
             want = np.linalg.solve(
-                H.T @ H + rho * np.eye(op.in_dim), H.T @ b + rho * target
+                H.T @ H + rho * np.eye(H.shape[1]), H.T @ b.ravel() + rho * target.ravel()
             )
-            err = np.linalg.norm(got - want) / max(1e-30, np.linalg.norm(want))
+            err = np.linalg.norm(got.ravel() - want) / max(1e-30, np.linalg.norm(want))
             rhs = op.apply_adjoint(b) + rho * target
             res = np.linalg.norm(
                 rhs - (op.apply_adjoint(op.apply(got)) + rho * got)

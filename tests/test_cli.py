@@ -81,7 +81,7 @@ def test_run_ends_with_its_stop_reason_and_writes_every_output(tmp_path, config,
     columns = read_trace_csv(out / "trace.csv")
     assert len(columns["deltas"]) == rows
     assert np.all(np.isfinite(columns["rhos"])) and np.all(columns["sigmas"] > 0)
-    assert load_image(out / "restored.pgm").dim == (64 if rows == 5 else 32) ** 2
+    assert load_image(out / "restored.pgm").pixels.size == (64 if rows == 5 else 32) ** 2
 
 
 def test_run_is_byte_deterministic(tmp_path):
@@ -135,12 +135,12 @@ def test_run_with_user_pgm_image(tmp_path):
     )
     assert code == 0
     restored = load_image(out / "restored.pgm")
-    assert restored.width == 16
+    assert restored.pixels.shape[1] == 16
 
 
 def test_run_rejects_image_too_thin_for_the_denoiser(tmp_path, capsys):
     thin = tmp_path / "thin.pgm"
-    save_image(ImageGrid.from_array(np.full((1, 64), 0.5)), thin)
+    save_image(ImageGrid(np.full((1, 64), 0.5)), thin)
     out = tmp_path / "thin"
     args = ("run", "--preset", "smoke", "--denoiser", "gaussian", "--max-iter", "5")
     assert run_cli(*args, "--image", thin, "--out", out) == 1
@@ -149,7 +149,7 @@ def test_run_rejects_image_too_thin_for_the_denoiser(tmp_path, capsys):
     assert not (out / "trace.csv").exists()
     # 16:1 is the widest accepted shape
     strip = tmp_path / "strip.pgm"
-    save_image(ImageGrid.from_array(np.full((4, 64), 0.5)), strip)
+    save_image(ImageGrid(np.full((4, 64), 0.5)), strip)
     assert run_cli(*args, "--image", strip, "--out", tmp_path / "strip") == 0
     assert len(read_trace_csv(tmp_path / "strip" / "trace.csv")["deltas"]) >= 1
 
@@ -181,8 +181,11 @@ def test_run_rejects_non_finite_settings(tmp_path, capsys, flag, value, field):
     [("", ["--seed", "-1"], "seed must be >= 0, got -1"),
      ("image_size = 0\n", [], "image_size must be >= 1, got 0"),
      ("image_size = -3\n", [], "image_size must be >= 1, got -3"),
-     ("downsample_factor = 0\n", [], "downsample_factor must be >= 1, got 0")],
-    ids=["seed=-1", "image_size=0", "image_size=-3", "downsample_factor=0"],
+     ("downsample_factor = 0\n", [], "downsample_factor must be >= 1, got 0"),
+     ("", ["--max-iter", "1000001"], "max_iter must be <= 1000000, got 1000001"),
+     ("image_size = 4097\n", [], "image_size must be <= 4096, got 4097")],
+    ids=["seed=-1", "image_size=0", "image_size=-3", "downsample_factor=0",
+         "max_iter=1000001", "image_size=4097"],
 )
 def test_run_names_an_integer_setting_out_of_range(tmp_path, capsys, line, flags, message):
     # numpy's own refusals ("expected non-negative integer", "image
@@ -722,6 +725,13 @@ def test_analyze_checks_a_trace_before_inferring_from_it(tmp_path, rows, args, c
             1, "error: observation contains non-finite entries\n",
             id="noise-past-the-float-range",
         ),
+        pytest.param(
+            # the first x-update overflows, and there is no row to keep
+            ("run", "--preset", "deblur", "--rho0", "1e307"),
+            1, "error: non-finite iterate at iteration 1: "
+               "the x-update overflows at penalty rho = 1e+307\n",
+            id="first-x-update-past-the-float-range",
+        ),
     ],
 )
 def test_cli_outcome_at_integer_and_float_limits_has_no_warning(tmp_path, argv, code, err):
@@ -732,6 +742,24 @@ def test_cli_outcome_at_integer_and_float_limits_has_no_warning(tmp_path, argv, 
     assert "Warning" not in proc.stderr
     assert (proc.returncode, proc.stderr) == (code, err)
     assert out.exists() == (code == 0)
+
+
+def test_run_stops_at_the_penalty_whose_x_update_overflows(tmp_path):
+    # rho = 1.67e306 is finite, so sigma stays positive, yet the blur's
+    # transform of rho t + H^T b overflows at iteration 4109: the run stops
+    # before it, and the summary's one more step reads inf
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        "preset = deblur\nimage_size = 16\neta = 0.95\ngamma = 1.5\n"
+        "delta_tol = 0\nmax_iter = 5000\n"
+    )
+    out = tmp_path / "run"
+    proc = run_cli_warnings_as_errors("run", "--config", config, "--out", out)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    summary = (out / "summary.txt").read_text()
+    assert "\niterations = 4108\nstop_reason = penalty_limit\n" in summary
+    assert "\nfixed_point_residual = inf\n" in summary
+    assert len(read_trace_csv(out / "trace.csv")["deltas"]) == 4108
 
 
 @pytest.mark.parametrize("noise", ["1e160", "1e300"])

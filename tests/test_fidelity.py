@@ -40,15 +40,15 @@ def make_operators(rng, shape=(4, 8)):
 
 
 def test_identity_returns_input():
-    op = Identity(5)
-    x = np.arange(5.0)
+    op = Identity((1, 5))
+    x = np.arange(5.0).reshape(1, 5)
     assert np.array_equal(op.apply(x), x)
 
 
 def test_mask_keeping_nothing_gives_zero():
     op = Mask(np.zeros((3, 3), dtype=bool))
-    out = op.apply(np.ones(9))
-    assert np.array_equal(out, np.zeros(9))
+    out = op.apply(np.ones((3, 3)))
+    assert np.array_equal(out, np.zeros((3, 3)))
 
 
 def test_circular_blur_places_stencil_at_hot_pixel():
@@ -56,7 +56,7 @@ def test_circular_blur_places_stencil_at_hot_pixel():
     op = CircularBlur((8, 8), stencil)
     x = np.zeros((8, 8))
     x[0, 0] = 1.0
-    out = op.apply(x.reshape(-1)).reshape(8, 8)
+    out = op.apply(x)
     expected = np.zeros((8, 8))
     for a in (-1, 0, 1):
         for b in (-1, 0, 1):
@@ -79,9 +79,9 @@ def test_circular_filter_matches_roll_loops(shape, stencil_shape):
     op = CircularBlur(shape, stencil)
     x = rng.standard_normal(shape)
     tol = 1e-13 * np.max(np.abs(x))
-    got = op.apply(x.reshape(-1)).reshape(shape)
+    got = op.apply(x)
     assert np.max(np.abs(got - roll_circ_conv(x, op.stencil))) <= tol
-    got = op.apply_adjoint(x.reshape(-1)).reshape(shape)
+    got = op.apply_adjoint(x)
     assert np.max(np.abs(got - roll_circ_corr(x, op.stencil))) <= tol
 
 
@@ -108,10 +108,10 @@ def test_adjoint_consistency_random_probes():
     rng = np.random.default_rng(43)
     for name, op in make_operators(rng).items():
         for _ in range(100):
-            x = rng.standard_normal(op.in_dim)
-            y = rng.standard_normal(op.out_dim)
-            lhs = float(op.apply(x) @ y)
-            rhs = float(x @ op.apply_adjoint(y))
+            x = rng.standard_normal(op.in_shape)
+            y = rng.standard_normal(op.out_shape)
+            lhs = float(np.vdot(op.apply(x), y))
+            rhs = float(np.vdot(x, op.apply_adjoint(y)))
             bound = 1e-10 * np.linalg.norm(x) * np.linalg.norm(y)
             assert abs(lhs - rhs) <= bound, name
 
@@ -124,47 +124,52 @@ def test_dimension_mismatch_errors():
         FidelityTerm(op=op, observation=np.ones(16))
 
 
+def test_mask_refuses_a_flat_keep():
+    with pytest.raises(ValueError, match=r"an \(h, w\) boolean image, got shape \(4,\)"):
+        Mask(np.ones(4, dtype=bool))
+
+
 def test_gradient_zero_at_data_fit():
     rng = np.random.default_rng(47)
     op = CircularBlur((4, 4), averaging_stencil(3))
-    x = rng.uniform(size=16)
+    x = rng.uniform(size=(4, 4))
     f = FidelityTerm(op=op, observation=op.apply(x))
     assert np.max(np.abs(f.gradient(x))) < 1e-14
 
 
 def test_gradient_identity_b_zero():
-    op = Identity(6)
-    f = FidelityTerm(op=op, observation=np.zeros(6))
-    x = np.arange(6.0)
+    op = Identity((2, 3))
+    f = FidelityTerm(op=op, observation=np.zeros((2, 3)))
+    x = np.arange(6.0).reshape(2, 3)
     assert np.array_equal(f.gradient(x), x)
 
 
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(53)
     op = Downsample((2, 6), 2)
-    f = FidelityTerm(op=op, observation=rng.standard_normal(op.out_dim))
-    x = rng.standard_normal(12)
+    f = FidelityTerm(op=op, observation=rng.standard_normal(op.out_shape))
+    x = rng.standard_normal((2, 6))
     grad = f.gradient(x)
     h = 1e-6
-    fd = np.zeros(12)
+    fd = np.zeros((2, 6))
     for i in range(12):
-        e = np.zeros(12)
-        e[i] = h
-        fd[i] = (f.value(x + e) - f.value(x - e)) / (2 * h)
+        e = np.zeros((2, 6))
+        e.flat[i] = h
+        fd.flat[i] = (f.value(x + e) - f.value(x - e)) / (2 * h)
     assert np.max(np.abs(grad - fd)) <= 1e-6 * (1 + np.max(np.abs(grad)))
 
 
 def test_prox_identity_scalar_closed_form():
-    f = FidelityTerm(op=Identity(1), observation=np.array([1.0]))
-    x, _ = prox_x_update(f, rho=1.0, target=np.array([3.0]))
-    assert x[0] == pytest.approx(2.0, rel=1e-12)
+    f = FidelityTerm(op=Identity((1, 1)), observation=np.array([[1.0]]))
+    x, _ = prox_x_update(f, rho=1.0, target=np.array([[3.0]]))
+    assert x[0, 0] == pytest.approx(2.0, rel=1e-12)
 
 
 def test_prox_large_rho_returns_target():
     rng = np.random.default_rng(59)
     op = CircularBlur((4, 4), averaging_stencil(3))
-    f = FidelityTerm(op=op, observation=rng.standard_normal(16))
-    target = rng.standard_normal(16)
+    f = FidelityTerm(op=op, observation=rng.standard_normal((4, 4)))
+    target = rng.standard_normal((4, 4))
     x, _ = prox_x_update(f, rho=1e12, target=target)
     assert np.linalg.norm(x - target) <= 1e-6 * np.linalg.norm(target)
 
@@ -172,7 +177,7 @@ def test_prox_large_rho_returns_target():
 ORACLE_EXTRA = {
     "downsample3-6x9": lambda: Downsample((6, 9), 3),
     "blur-stencil-larger-than-image": lambda: CircularBlur((3, 4), binomial_stencil(4)),
-    "blur-1xd": lambda: CircularBlur(7, np.array([[0.25, 0.5, 0.25]])),
+    "blur-1xd": lambda: CircularBlur((1, 7), np.array([[0.25, 0.5, 0.25]])),
 }
 
 
@@ -188,26 +193,26 @@ def test_prox_matches_dense_solve_oracle(name):
     H = dense_matrix(op)
     for _ in range(10):
         rho = float(rng.uniform(0.05, 5.0))
-        b = rng.standard_normal(op.out_dim)
-        target = rng.standard_normal(op.in_dim)
+        b = rng.standard_normal(op.out_shape)
+        target = rng.standard_normal(op.in_shape)
         f = FidelityTerm(op=op, observation=b)
         got, _ = prox_x_update(f, rho, target)
-        A = H.T @ H + rho * np.eye(op.in_dim)
-        want = np.linalg.solve(A, H.T @ b + rho * target)
-        assert np.linalg.norm(got - want) <= 1e-8 * max(1.0, np.linalg.norm(want))
+        A = H.T @ H + rho * np.eye(H.shape[1])
+        want = np.linalg.solve(A, H.T @ b.ravel() + rho * target.ravel())
+        assert np.linalg.norm(got.ravel() - want) <= 1e-8 * max(1.0, np.linalg.norm(want))
 
 
 def test_prox_downsample_16x16_dense_oracle():
     rng = np.random.default_rng(63)
     op = Downsample((16, 16), 2)
     H = dense_matrix(op)
-    b = rng.standard_normal(op.out_dim)
-    target = rng.standard_normal(op.in_dim)
+    b = rng.standard_normal(op.out_shape)
+    target = rng.standard_normal(op.in_shape)
     f = FidelityTerm(op=op, observation=b)
     rho = 1.1
     got, _ = prox_x_update(f, rho, target)
-    want = np.linalg.solve(H.T @ H + rho * np.eye(256), H.T @ b + rho * target)
-    assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+    want = np.linalg.solve(H.T @ H + rho * np.eye(256), H.T @ b.ravel() + rho * target.ravel())
+    assert np.linalg.norm(got.ravel() - want) <= 1e-8 * np.linalg.norm(want)
 
 
 def test_downsample_solve_runs_no_full_size_transform(monkeypatch):
@@ -216,7 +221,7 @@ def test_downsample_solve_runs_no_full_size_transform(monkeypatch):
     # much for the same answer
     op = Downsample((16, 24), 2)
     rng = np.random.default_rng(5)
-    f = FidelityTerm(op=op, observation=rng.standard_normal(op.out_dim))
+    f = FidelityTerm(op=op, observation=rng.standard_normal(op.out_shape))
     grids = []
     forward, inverse = fidelity._forward, fidelity._inverse
 
@@ -236,7 +241,7 @@ def test_downsample_solve_runs_no_full_size_transform(monkeypatch):
     monkeypatch.setattr(fidelity, "_inverse", recording_inverse)
     monkeypatch.setattr(np.fft, "rfft2", refused)
     monkeypatch.setattr(np.fft, "irfft2", refused)
-    prox_x_update(f, 0.5, rng.standard_normal(op.in_dim))
+    prox_x_update(f, 0.5, rng.standard_normal(op.in_shape))
     assert len(grids) == 2
     assert all(shape == op.out_shape for shape in grids)
 
@@ -263,10 +268,10 @@ def test_blur_prox_runs_one_forward_and_one_inverse_transform(monkeypatch, shape
     # 2-D transform pair
     op = CircularBlur(shape, binomial_stencil(2))
     rng = np.random.default_rng(5)
-    f = FidelityTerm(op=op, observation=rng.standard_normal(op.out_dim))
-    prox_x_update(f, 0.5, rng.standard_normal(op.in_dim))
+    f = FidelityTerm(op=op, observation=rng.standard_normal(op.out_shape))
+    prox_x_update(f, 0.5, rng.standard_normal(op.in_shape))
     calls = _count_transforms(monkeypatch)
-    x, fx = prox_x_update(f, 0.5, rng.standard_normal(op.in_dim))
+    x, fx = prox_x_update(f, 0.5, rng.standard_normal(op.in_shape))
     assert calls == {"rfft": 1, "fft": 1, "ifft": 1, "irfft": 1}
     scale = (np.linalg.norm(x) + np.linalg.norm(f.observation)) ** 2
     assert abs(fx - f.value(x)) <= 1e-12 * scale
@@ -277,10 +282,10 @@ def test_consecutive_prox_solutions_share_no_memory(name):
     # each solve returns a fresh x: a later solve leaves an earlier one as it was
     rng = np.random.default_rng(97)
     op = make_operators(rng)[name]
-    f = FidelityTerm(op=op, observation=rng.standard_normal(op.out_dim))
-    first, _ = prox_x_update(f, 0.5, rng.standard_normal(op.in_dim))
+    f = FidelityTerm(op=op, observation=rng.standard_normal(op.out_shape))
+    first, _ = prox_x_update(f, 0.5, rng.standard_normal(op.in_shape))
     kept = first.copy()
-    second, _ = prox_x_update(f, 0.5, rng.standard_normal(op.in_dim))
+    second, _ = prox_x_update(f, 0.5, rng.standard_normal(op.in_shape))
     assert not np.shares_memory(first, second)
     assert np.array_equal(first, kept)
 
@@ -288,8 +293,8 @@ def test_consecutive_prox_solutions_share_no_memory(name):
 def test_prox_normal_equation_residual():
     rng = np.random.default_rng(67)
     op = Downsample((4, 8), 2)
-    b = rng.standard_normal(op.out_dim)
-    target = rng.standard_normal(op.in_dim)
+    b = rng.standard_normal(op.out_shape)
+    target = rng.standard_normal(op.in_shape)
     f = FidelityTerm(op=op, observation=b)
     rho = 0.7
     x, _ = prox_x_update(f, rho, target)
@@ -301,9 +306,9 @@ def test_prox_normal_equation_residual():
 def test_prox_gradient_optimality():
     rng = np.random.default_rng(71)
     op = CircularBlur((4, 4), binomial_stencil(2))
-    f = FidelityTerm(op=op, observation=rng.standard_normal(16))
+    f = FidelityTerm(op=op, observation=rng.standard_normal((4, 4)))
     rho = 1.3
-    target = rng.standard_normal(16)
+    target = rng.standard_normal((4, 4))
     x, _ = prox_x_update(f, rho, target)
     grad = f.gradient(x) + rho * (x - target)
     assert np.linalg.norm(grad) <= 1e-7 * (1 + np.linalg.norm(target))
@@ -312,10 +317,10 @@ def test_prox_gradient_optimality():
 def test_prox_nonexpansive_in_target():
     rng = np.random.default_rng(73)
     op = Downsample((4, 4), 2)
-    f = FidelityTerm(op=op, observation=rng.standard_normal(op.out_dim))
+    f = FidelityTerm(op=op, observation=rng.standard_normal(op.out_shape))
     for _ in range(20):
-        t1 = rng.standard_normal(16)
-        t2 = rng.standard_normal(16)
+        t1 = rng.standard_normal((4, 4))
+        t2 = rng.standard_normal((4, 4))
         s1, _ = prox_x_update(f, 0.9, t1)
         s2, _ = prox_x_update(f, 0.9, t2)
         assert np.linalg.norm(s1 - s2) <= np.linalg.norm(t1 - t2) + 1e-9
@@ -326,9 +331,9 @@ def test_prox_non_finite_residual_raises_promptly(value):
     # one entry of the target is infinite or NaN; every operator's x-update
     # must raise at once rather than return a non-finite iterate
     for name, op in make_operators(np.random.default_rng(7), (64, 64)).items():
-        f = FidelityTerm(op=op, observation=np.zeros(op.out_dim))
-        target = np.ones(op.in_dim)
-        target[op.in_dim // 2] = value
+        f = FidelityTerm(op=op, observation=np.zeros(op.out_shape))
+        target = np.ones(op.in_shape)
+        target.flat[target.size // 2] = value
         start = time.monotonic()
         # the solve runs on the non-finite entry before the check reads its
         # f(x); none of the invalid operations on the way may warn
@@ -343,13 +348,13 @@ def test_prox_accepts_a_huge_finite_target():
     # finite: the x-update solves it without a warning of its own, and only
     # the data term of its solution may overflow
     op = Identity((4, 4))
-    t = np.full(op.in_dim, 1e160)
+    t = np.full(op.in_shape, 1e160)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         x, fx = prox_x_update(FidelityTerm(op=op, observation=t), 1.0, t)
     assert np.array_equal(x, t) and fx == 0.0
     with np.errstate(over="ignore"):
-        x, fx = prox_x_update(FidelityTerm(op=op, observation=np.zeros(op.in_dim)), 1.0, t)
+        x, fx = prox_x_update(FidelityTerm(op=op, observation=np.zeros(op.in_shape)), 1.0, t)
     assert np.all(x == 5e159) and fx == math.inf
 
 
@@ -361,8 +366,8 @@ def test_downsample_prox_is_accurate_at_small_rho():
     rho = 1e-6
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        b = rng.standard_normal(op.out_dim)
-        t = rng.standard_normal(op.in_dim)
+        b = rng.standard_normal(op.out_shape)
+        t = rng.standard_normal(op.in_shape)
         f = FidelityTerm(op=op, observation=b)
         x, _ = prox_x_update(f, rho, t)
         grad = op.apply_adjoint(op.apply(x) - b) + rho * (x - t)
@@ -371,18 +376,18 @@ def test_downsample_prox_is_accurate_at_small_rho():
 
 
 def test_gradient_bound_stationary_samples():
-    op = Identity(4)
-    b = np.array([1.0, 2.0, 3.0, 4.0])
+    op = Identity((2, 2))
+    b = np.array([[1.0, 2.0], [3.0, 4.0]])
     f = FidelityTerm(op=op, observation=b)
     assert estimate_gradient_bound(f, b) == 0.0
 
 
 def test_gradient_bound_scaled_basis_example():
     d = 9
-    op = Identity(d)
-    f = FidelityTerm(op=op, observation=np.zeros(d))
-    x = np.zeros(d)
-    x[0] = math.sqrt(d)
+    op = Identity((3, 3))
+    f = FidelityTerm(op=op, observation=np.zeros((3, 3)))
+    x = np.zeros((3, 3))
+    x[0, 0] = math.sqrt(d)
     assert estimate_gradient_bound(f, x) == pytest.approx(1.0, rel=1e-15)
 
 
@@ -403,7 +408,7 @@ def test_box_gradient_bound_dominates_samples_and_the_corner(name):
     f = FidelityTerm(*degrade(preset, preset.source_image()))
     m = box_gradient_bound(f)
     rng = np.random.default_rng(31)
-    samples = [rng.uniform(0, 1, f.op.in_dim) for _ in range(16)]
+    samples = [rng.uniform(0, 1, f.op.in_shape) for _ in range(16)]
     corner = (f.adjoint_observation < 0.5).astype(np.float64)
     assert max(estimate_gradient_bound(f, x) for x in samples) <= m
     assert estimate_gradient_bound(f, corner) <= m

@@ -37,6 +37,9 @@ def test_as_vector_rejects_non_finite():
 def test_triple_requires_matching_dims():
     with pytest.raises(DimensionMismatchError):
         IterateTriple([1.0, 2.0], [1.0], [1.0])
+    # images of one pixel count but different shapes are not one iterate
+    with pytest.raises(DimensionMismatchError, match=r"x=\(4, 4\), v=\(2, 8\)"):
+        IterateTriple(np.zeros((4, 4)), np.zeros((2, 8)), np.zeros((4, 4)))
 
 
 def test_triple_is_immutable():
@@ -72,6 +75,10 @@ def test_metric_dimension_mismatch_names_component():
     b = IterateTriple(np.ones(4), np.ones(4), np.ones(4))
     with pytest.raises(DimensionMismatchError, match="x parts"):
         metric_distance(a, b)
+    square = IterateTriple(*np.ones((3, 4, 4)))
+    wide = IterateTriple(*np.ones((3, 2, 8)))
+    with pytest.raises(DimensionMismatchError, match=r"\(4, 4\) vs \(2, 8\)"):
+        metric_distance(square, wide)
 
 
 def test_metric_symmetry_exact():

@@ -1,3 +1,4 @@
+import math
 import weakref
 
 import numpy as np
@@ -20,7 +21,7 @@ from pnpadmm.presets import (
 
 def test_synthetic_image_shape_and_range():
     img = synthetic_image(64)
-    assert img.width == img.height == 64
+    assert img.pixels.shape == (64, 64)
     assert img.pixels.min() >= 0.0 and img.pixels.max() <= 1.0
     # deterministic pattern
     assert np.array_equal(img.pixels, synthetic_image(64).pixels)
@@ -66,9 +67,18 @@ def test_preset_settings_rebuild_the_preset(name):
     assert preset_settings(p)["downsample_factor"] == 3
 
 
+def test_presets_at_the_iteration_and_size_limits_are_accepted():
+    # construction allocates nothing, so the limits themselves are only built
+    assert make_preset("deblur", max_iter=presets.MAX_ITER).config.max_iter == 10**6
+    assert make_preset("smoke", image_size=presets.MAX_IMAGE_SIZE).image_size == 4096
+    for setting, value in (("max_iter", 10**6 + 1), ("image_size", 4097)):
+        with pytest.raises(ValueError, match=f"{setting} must be <= {value - 1}, got {value}"):
+            make_preset("deblur", **{setting: value})
+
+
 def test_build_operator_rejects_blur_larger_than_image():
     image = synthetic_image(32)
-    assert build_operator(make_preset("deblur", blur_size=31), image).in_dim == 32 * 32
+    assert build_operator(make_preset("deblur", blur_size=31), image).in_shape == (32, 32)
     with pytest.raises(ValueError, match="blur_size 33 exceeds the image's smaller side 32"):
         build_operator(make_preset("deblur", blur_size=33), image)
 
@@ -89,7 +99,7 @@ def test_initial_iterate_backprojection():
     p = make_preset("superres", image_size=8)
     op, b = degrade(p, clean)
     theta0 = initial_iterate(FidelityTerm(op=op, observation=b))
-    assert theta0.dim == 64
+    assert theta0.x.shape == (8, 8)
     assert np.array_equal(theta0.x, op.apply_adjoint(b))
     assert np.array_equal(theta0.x, theta0.v)
     assert np.all(theta0.u == 0.0)
@@ -105,8 +115,8 @@ def test_smoke_preset_converges_fast():
 def test_superres_observation_has_reduced_dim():
     result = run_preset(make_preset("superres", max_iter=3))
     op = result.fidelity.op
-    assert op.out_dim == op.in_dim // 4
-    assert result.restored.dim == op.in_dim
+    assert math.prod(op.out_shape) == math.prod(op.in_shape) // 4
+    assert result.restored.pixels.shape == op.in_shape
 
 
 def test_fixed_point_residual_tracks_final_delta():

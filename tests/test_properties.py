@@ -7,8 +7,10 @@ round trips of the trace CSV and PGM formats; the array checks of
 ConditionTrace.validate against a loop over its iterations."""
 
 import math
+import re
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -34,6 +36,7 @@ from pnpadmm.fidelity import (
     prox_x_update,
 )
 from pnpadmm.fileio import ImageGrid, load_image, parse_trace, save_image, serialize_trace
+from pnpadmm.linalg import DimensionMismatchError
 from pnpadmm.sequences import (
     ConditionTrace,
     PgsSpec,
@@ -127,11 +130,30 @@ def operators(draw, kinds=("identity", "mask", "blur", "downsample")):
 @given(operators(), st.integers(0, 2**32 - 1))
 def test_operator_adjoint_identity(op, seed):
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal(op.in_dim)
-    y = rng.standard_normal(op.out_dim)
-    lhs = float(op.apply(x) @ y)
-    rhs = float(x @ op.apply_adjoint(y))
+    x = rng.standard_normal(op.in_shape)
+    y = rng.standard_normal(op.out_shape)
+    lhs = float(np.vdot(op.apply(x), y))
+    rhs = float(np.vdot(x, op.apply_adjoint(y)))
     assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(y)
+
+
+@settings(deadline=None)
+@given(operators())
+def test_operator_refuses_a_flat_or_transposed_image(op):
+    # every entry point takes the (h, w) image alone, and names it on refusal;
+    # the flat form of the same pixels, or a transposed grid, is refused
+    f = FidelityTerm(op=op, observation=np.zeros(op.out_shape))
+    entries = {
+        "apply": (op.apply, op.in_shape),
+        "apply_adjoint": (op.apply_adjoint, op.out_shape),
+        "prox target": (lambda t: prox_x_update(f, 1.0, t), op.in_shape),
+        "observation": (lambda b: FidelityTerm(op=op, observation=b), op.out_shape),
+    }
+    for name, (call, shape) in entries.items():
+        wrong = [(math.prod(shape),)] + ([shape[::-1]] if shape[0] != shape[1] else [])
+        for given_shape in wrong:
+            with pytest.raises(DimensionMismatchError, match=re.escape(f"expects {shape}")):
+                call(np.zeros(given_shape))
 
 
 @settings(deadline=None)
@@ -144,12 +166,12 @@ def test_downsample_matches_roll_oracles(op, seed):
     x2 = rng.standard_normal(op.in_shape)
     y2 = rng.standard_normal(op.out_shape)
     want = roll_circ_conv(x2, op.prefilter)[::f, ::f]
-    got = op.apply(x2.reshape(-1)).reshape(op.out_shape)
+    got = op.apply(x2)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(x2))
     up = np.zeros(op.in_shape)
     up[::f, ::f] = y2
     want = roll_circ_corr(up, op.prefilter)
-    got = op.apply_adjoint(y2.reshape(-1)).reshape(op.in_shape)
+    got = op.apply_adjoint(y2)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(y2))
     # eigenvalues of H H^T, at most 1 for a stencil summing to 1
     want = autocorrelation_low_eig(op.prefilter, op.in_shape, f)
@@ -163,7 +185,7 @@ def test_downsample_reads_every_pixel(factor, rows, cols):
     # non-finite one always reaches f(x), grids smaller than the stencil
     # (rows or cols of 1 at factor >= 2) included
     op = Downsample((factor * rows, factor * cols), factor)
-    assert np.unique(op._src).size == op.in_dim
+    assert np.unique(op._src).size == math.prod(op.in_shape)
 
 
 @settings(deadline=None)
@@ -174,9 +196,9 @@ def test_blur_gradient_matches_roll_oracles(op, seed):
     rng = np.random.default_rng(seed)
     x2 = rng.standard_normal(op.in_shape)
     b2 = rng.standard_normal(op.out_shape)
-    f = FidelityTerm(op=op, observation=b2.reshape(-1))
+    f = FidelityTerm(op=op, observation=b2)
     want = roll_circ_corr(roll_circ_conv(x2, op.stencil) - b2, op.stencil)
-    got = f.gradient(x2.reshape(-1)).reshape(op.in_shape)
+    got = f.gradient(x2)
     scale = np.max(np.abs(x2)) + np.max(np.abs(b2))
     assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
@@ -188,11 +210,11 @@ def test_prox_returns_the_residual_of_its_solution(op, rho, seed):
     # rounds at eps (||x|| + ||b||), since ||H|| <= 1 for a stencil summing
     # to 1, so its half square rounds at eps (||x|| + ||b||)^2
     rng = np.random.default_rng(seed)
-    b = rng.standard_normal(op.out_dim)
-    t = rng.standard_normal(op.in_dim)
+    b = rng.standard_normal(op.out_shape)
+    t = rng.standard_normal(op.in_shape)
     x, fx = op.prox(t, rho, FidelityTerm(op=op, observation=b))
     r = op.apply(x) - b
-    err = abs(fx - 0.5 * float(r @ r))
+    err = abs(fx - 0.5 * float(np.vdot(r, r)))
     assert err <= 1e-12 * (np.linalg.norm(x) + np.linalg.norm(b)) ** 2
 
 
@@ -206,8 +228,8 @@ def test_prox_satisfies_first_order_optimality(op, rho, seed):
     # away from 0 as rho -> 0, since H H^T is nonsingular for the binomial
     # prefilter
     rng = np.random.default_rng(seed)
-    b = rng.standard_normal(op.out_dim)
-    t = rng.standard_normal(op.in_dim)
+    b = rng.standard_normal(op.out_shape)
+    t = rng.standard_normal(op.in_shape)
     f = FidelityTerm(op=op, observation=b)
     x, _ = prox_x_update(f, rho, t)
     grad = op.apply_adjoint(op.apply(x) - b) + rho * (x - t)
@@ -325,11 +347,11 @@ def test_trace_csv_round_trip_is_exact(trace):
 def test_pgm_round_trip_reproduces_255ths_exactly(tmp_path_factory, width, height, data):
     levels = data.draw(st.lists(st.integers(0, 255), min_size=width * height,
                                 max_size=width * height))
-    img = ImageGrid(width, height, np.array(levels) / 255.0)
+    img = ImageGrid(np.array(levels).reshape(height, width) / 255.0)
     path = tmp_path_factory.mktemp("pgm") / "img.pgm"
     save_image(img, path)
     back = load_image(path)
-    assert (back.width, back.height) == (width, height)
+    assert back.pixels.shape == (height, width)
     assert back.pixels.tobytes() == img.pixels.tobytes()
 
 

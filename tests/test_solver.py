@@ -31,9 +31,10 @@ from pnpadmm.solver import (
 
 
 def identity_problem(d, b=None):
-    op = Identity(d)
+    """The identity term on 1 x d images."""
+    op = Identity((1, d))
     if b is None:
-        b = np.zeros(d)
+        b = np.zeros((1, d))
     return FidelityTerm(op=op, observation=np.asarray(b, dtype=float))
 
 
@@ -123,9 +124,9 @@ def test_recorded_traces_read_back_with_their_gamma_and_eta(preset):
 
 def test_step_fixed_point_of_composition():
     # b = v0, u0 = 0, identity denoiser: x' = v0, v' = v0, u' = 0
-    v0 = np.array([0.3, -1.2, 4.0])
+    v0 = np.array([[0.3, -1.2, 4.0]])
     f = identity_problem(3, b=v0)
-    theta = IterateTriple(x=v0.copy(), v=v0.copy(), u=np.zeros(3))
+    theta = IterateTriple(x=v0.copy(), v=v0.copy(), u=np.zeros((1, 3)))
     out, _ = step(f, IdentityDenoiser(), rho=1.0, sigma=0.1, theta=theta)
     assert metric_distance(theta, out) <= 1e-14
 
@@ -136,13 +137,13 @@ def test_step_u_update_arithmetic():
         def apply(self, sigma, a):
             return np.array([0.0, 1.0]).reshape(a.shape)
 
-    f = identity_problem(2, b=np.array([1.0, 1.0]))
-    theta = IterateTriple(x=[0.0, 0.0], v=[1.0, 1.0], u=[0.0, 0.0])
+    f = identity_problem(2, b=np.array([[1.0, 1.0]]))
+    theta = IterateTriple(x=[[0.0, 0.0]], v=[[1.0, 1.0]], u=[[0.0, 0.0]])
     out, _ = step(f, ConstStub(), rho=1e12, sigma=0.1, theta=theta)
     # x' ~ v - u = (1,1); v' = (0,1); u' = (1,0)
-    assert np.allclose(out.x, [1.0, 1.0], atol=1e-9)
-    assert np.array_equal(out.v, [0.0, 1.0])
-    assert np.allclose(out.u, [1.0, 0.0], atol=1e-9)
+    assert np.allclose(out.x, [[1.0, 1.0]], atol=1e-9)
+    assert np.array_equal(out.v, [[0.0, 1.0]])
+    assert np.allclose(out.u, [[1.0, 0.0]], atol=1e-9)
 
 
 class FlippedView(IdentityDenoiser):
@@ -157,12 +158,12 @@ def test_step_keeps_a_denoiser_output_that_aliases_its_input(kind):
     # u' may overwrite x' + u only when v' does not share its memory
     rng = np.random.default_rng(89)
     h, w = 3, 4
-    f = FidelityTerm(op=Identity((h, w)), observation=rng.standard_normal(h * w))
-    theta = IterateTriple(*rng.standard_normal((3, h * w)))
+    f = FidelityTerm(op=Identity((h, w)), observation=rng.standard_normal((h, w)))
+    theta = IterateTriple(*rng.standard_normal((3, h, w)))
     got, _ = step(f, kind, rho=0.7, sigma=0.1, theta=theta)
     x_new, _ = prox_x_update(f, 0.7, theta.v - theta.u)
     noisy = x_new + theta.u
-    v_new = kind.apply(0.1, noisy.copy().reshape(h, w)).reshape(-1)
+    v_new = kind.apply(0.1, noisy.copy())
     assert np.array_equal(got.x, x_new)
     assert np.array_equal(got.v, v_new)
     assert np.array_equal(got.u, noisy - v_new)
@@ -171,10 +172,10 @@ def test_step_keeps_a_denoiser_output_that_aliases_its_input(kind):
 def test_step_matches_straight_line_oracle():
     rng = np.random.default_rng(83)
     op = CircularBlur((8, 8), binomial_stencil(3))
-    b = rng.uniform(size=64)
+    b = rng.uniform(size=(8, 8))
     f = FidelityTerm(op=op, observation=b)
     theta = IterateTriple(
-        x=rng.uniform(size=64), v=rng.uniform(size=64), u=0.1 * rng.standard_normal(64)
+        x=rng.uniform(size=(8, 8)), v=rng.uniform(size=(8, 8)), u=0.1 * rng.standard_normal((8, 8))
     )
     rho, sigma = 1.7, 0.08
     got, _ = step(f, GaussianSmoothing(), rho, sigma, theta)
@@ -191,9 +192,9 @@ def base_config(**kw):
 
 
 def test_run_fixed_point_start_stops_immediately():
-    v0 = np.array([2.0, -1.0])
+    v0 = np.array([[2.0, -1.0]])
     f = identity_problem(2, b=v0)
-    theta0 = IterateTriple(x=v0.copy(), v=v0.copy(), u=np.zeros(2))
+    theta0 = IterateTriple(x=v0.copy(), v=v0.copy(), u=np.zeros((1, 2)))
     trace = run(f, IdentityDenoiser(), base_config(delta_tol=1e-12), theta0)
     assert len(trace) == 1
     assert trace.condition_trace.deltas[0] <= 1e-14
@@ -206,9 +207,9 @@ def test_run_stops_before_a_penalty_update_that_would_leave_sigma_zero():
     # dropped, so the last row's rho and sigma step from the final iterate
     rng = np.random.default_rng(113)
     op = CircularBlur((8, 8), binomial_stencil(2))
-    f = FidelityTerm(op=op, observation=rng.uniform(size=64))
+    f = FidelityTerm(op=op, observation=rng.uniform(size=(8, 8)))
     x0 = op.apply_adjoint(f.observation)
-    theta0 = IterateTriple(x=x0, v=x0.copy(), u=np.zeros(64))
+    theta0 = IterateTriple(x=x0, v=x0.copy(), u=np.zeros((8, 8)))
     trace = run(f, GaussianSmoothing(), base_config(gamma=1e150, delta_tol=0.0), theta0)
     cond = trace.condition_trace
     assert trace.stop_reason == "penalty_limit"
@@ -221,9 +222,9 @@ def test_run_stops_before_a_penalty_update_that_would_leave_sigma_zero():
 
 def test_run_first_flag_appears_at_iteration_two():
     rng = np.random.default_rng(89)
-    f = identity_problem(4, b=rng.standard_normal(4))
+    f = identity_problem(4, b=rng.standard_normal((1, 4)))
     theta0 = IterateTriple(
-        x=rng.standard_normal(4), v=rng.standard_normal(4), u=np.zeros(4)
+        x=rng.standard_normal((1, 4)), v=rng.standard_normal((1, 4)), u=np.zeros((1, 4))
     )
     trace = run(f, IdentityDenoiser(), base_config(delta_tol=0.0, max_iter=10), theta0)
     # trace.csv prints NA on row 1 and c1[i] on row i + 2
@@ -234,9 +235,9 @@ def test_run_first_flag_appears_at_iteration_two():
 def test_run_trace_invariants_and_flag_consistency():
     rng = np.random.default_rng(97)
     op = CircularBlur((8, 8), binomial_stencil(2))
-    b = rng.uniform(size=64)
+    b = rng.uniform(size=(8, 8))
     f = FidelityTerm(op=op, observation=b)
-    theta0 = IterateTriple(x=b, v=b, u=np.zeros(64))
+    theta0 = IterateTriple(x=b, v=b, u=np.zeros((8, 8)))
     cfg = base_config(eta=0.9, max_iter=30, delta_tol=0.0)
     trace = run(f, GaussianSmoothing(), cfg, theta0)
     cond = trace.condition_trace
@@ -258,9 +259,9 @@ def test_run_trace_invariants_and_flag_consistency():
 def test_run_deltas_recomputable_from_snapshots():
     rng = np.random.default_rng(101)
     op = CircularBlur((8, 8), binomial_stencil(2))
-    f = FidelityTerm(op=op, observation=rng.uniform(size=64))
+    f = FidelityTerm(op=op, observation=rng.uniform(size=(8, 8)))
     theta0 = IterateTriple(
-        x=rng.uniform(size=64), v=rng.uniform(size=64), u=np.zeros(64)
+        x=rng.uniform(size=(8, 8)), v=rng.uniform(size=(8, 8)), u=np.zeros((8, 8))
     )
     cfg = base_config(max_iter=15, delta_tol=0.0)
     iterates = []
@@ -274,9 +275,9 @@ def test_run_deltas_recomputable_from_snapshots():
 def test_observer_gets_each_steps_rho_and_target():
     rng = np.random.default_rng(107)
     op = CircularBlur((8, 8), binomial_stencil(2))
-    f = FidelityTerm(op=op, observation=rng.uniform(size=64))
+    f = FidelityTerm(op=op, observation=rng.uniform(size=(8, 8)))
     theta0 = IterateTriple(
-        x=rng.uniform(size=64), v=rng.uniform(size=64), u=rng.uniform(size=64)
+        x=rng.uniform(size=(8, 8)), v=rng.uniform(size=(8, 8)), u=rng.uniform(size=(8, 8))
     )
     cfg = base_config(max_iter=15, delta_tol=0.0)
     seen = []
@@ -306,7 +307,7 @@ def test_recorded_fidelity_value_matches_explicit_value(kind):
         "blur": CircularBlur(shape, stencil),
         "downsample": Downsample(shape, 2),
     }[kind]
-    f = FidelityTerm(op=op, observation=rng.uniform(size=op.out_dim))
+    f = FidelityTerm(op=op, observation=rng.uniform(size=op.out_shape))
     x0 = op.apply_adjoint(f.observation)
     theta0 = IterateTriple(x=x0, v=x0.copy(), u=np.zeros_like(x0))
     explicit = []
@@ -326,8 +327,8 @@ def test_recorded_fidelity_value_matches_explicit_value(kind):
 def test_run_is_deterministic():
     rng = np.random.default_rng(103)
     op = CircularBlur((8, 8), binomial_stencil(2))
-    f = FidelityTerm(op=op, observation=rng.uniform(size=64))
-    theta0 = IterateTriple(x=np.zeros(64), v=np.zeros(64), u=np.zeros(64))
+    f = FidelityTerm(op=op, observation=rng.uniform(size=(8, 8)))
+    theta0 = IterateTriple(x=np.zeros((8, 8)), v=np.zeros((8, 8)), u=np.zeros((8, 8)))
     cfg = base_config(max_iter=12, delta_tol=0.0)
     t1 = run(f, GaussianSmoothing(), cfg, theta0)
     t2 = run(f, GaussianSmoothing(), cfg, theta0)
@@ -342,8 +343,8 @@ def test_identity_denoiser_reaches_exact_zero_delta():
     # underflows to exactly zero in finitely many iterations
     f = identity_problem(4)
     rng = np.random.default_rng(107)
-    v0 = rng.uniform(0.5, 1.0, size=4)
-    theta0 = IterateTriple(x=v0.copy(), v=v0.copy(), u=np.zeros(4))
+    v0 = rng.uniform(0.5, 1.0, size=(1, 4))
+    theta0 = IterateTriple(x=v0.copy(), v=v0.copy(), u=np.zeros((1, 4)))
     cfg = base_config(eta=0.9, max_iter=1200, delta_tol=0.0)
     trace = run(f, IdentityDenoiser(), cfg, theta0)
     cond = trace.condition_trace
@@ -385,26 +386,26 @@ def test_gaussian_smoke_misses_its_fixed_point_by_rounding_only_at_16x16(noise_s
 
 
 def test_run_builds_no_image_grid(monkeypatch):
-    # the loop hands the denoiser (h, w) views of its vectors; ImageGrid is
-    # only where an image meets a file or a preset
+    # the loop holds bare (h, w) arrays; ImageGrid is only where an image
+    # meets a file or a preset
     built = []
     post_init = ImageGrid.__post_init__
 
     def counting_post_init(self):
-        built.append((self.width, self.height))
+        built.append(np.shape(self.pixels))
         post_init(self)
 
     monkeypatch.setattr(ImageGrid, "__post_init__", counting_post_init)
     rng = np.random.default_rng(97)
     op = CircularBlur((12, 16), binomial_stencil(3))
-    f = FidelityTerm(op=op, observation=rng.uniform(size=op.out_dim))
+    f = FidelityTerm(op=op, observation=rng.uniform(size=op.out_shape))
     x0 = f.adjoint_observation
     trace = run(f, GaussianSmoothing(), base_config(max_iter=5, delta_tol=0.0),
                 IterateTriple(x=x0, v=x0, u=np.zeros_like(x0)))
     fixed_point_residual(f, GaussianSmoothing(), trace)
     assert len(trace) == 5 and built == []
-    ImageGrid(16, 12, trace.final_iterate.x)
-    assert built == [(16, 12)]
+    ImageGrid(trace.final_iterate.x)
+    assert built == [(12, 16)]
 
 
 def test_run_rejects_dimension_mismatch():
@@ -412,6 +413,10 @@ def test_run_rejects_dimension_mismatch():
     theta0 = IterateTriple(x=np.zeros(3), v=np.zeros(3), u=np.zeros(3))
     with pytest.raises(ValueError):
         run(f, IdentityDenoiser(), base_config(), theta0)
+    # the flat form of a start of the right pixel count is refused by shape
+    flat = IterateTriple(x=np.zeros(4), v=np.zeros(4), u=np.zeros(4))
+    with pytest.raises(ValueError, match=r"theta0 has shape \(4,\), operator expects \(1, 4\)"):
+        run(f, IdentityDenoiser(), base_config(), flat)
 
 
 def test_non_finite_iterate_error_names_iteration():
@@ -422,8 +427,8 @@ def test_non_finite_iterate_error_names_iteration():
     # the iterates are huge but finite through iteration 3 (the prox target
     # of iteration 2 is 1e308, whose squared norm overflows); iteration 4's
     # denoiser output overflows to inf, so iteration 5's target is infinite
-    f = identity_problem(2, b=np.array([1.0, 1.0]))
-    theta0 = IterateTriple(x=[0.0, 0.0], v=[0.0, 0.0], u=[0.0, 0.0])
+    f = identity_problem(2, b=np.array([[1.0, 1.0]]))
+    theta0 = IterateTriple(x=[[0.0, 0.0]], v=[[0.0, 0.0]], u=[[0.0, 0.0]])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteIterateError, match="iteration 5"):
             run(f, ExplodingStub(), base_config(delta_tol=0.0), theta0)
@@ -434,8 +439,8 @@ def test_nan_from_denoiser_is_caught_in_the_same_iteration():
         def apply(self, sigma, a):
             return np.full(a.shape, np.nan)
 
-    f = identity_problem(2, b=np.array([1.0, 1.0]))
-    theta0 = IterateTriple(x=[0.0, 0.0], v=[0.0, 0.0], u=[0.0, 0.0])
+    f = identity_problem(2, b=np.array([[1.0, 1.0]]))
+    theta0 = IterateTriple(x=[[0.0, 0.0]], v=[[0.0, 0.0]], u=[[0.0, 0.0]])
     with pytest.raises(NonFiniteIterateError, match="iteration 1"):
         run(f, NanStub(), base_config(), theta0)
 
@@ -445,8 +450,8 @@ def test_unrelated_denoiser_value_error_is_not_relabeled():
         def apply(self, sigma, a):
             raise ValueError("stub denoiser refused")
 
-    f = identity_problem(2, b=np.array([1.0, 1.0]))
-    theta0 = IterateTriple(x=[0.0, 0.0], v=[0.0, 0.0], u=[0.0, 0.0])
+    f = identity_problem(2, b=np.array([[1.0, 1.0]]))
+    theta0 = IterateTriple(x=[[0.0, 0.0]], v=[[0.0, 0.0]], u=[[0.0, 0.0]])
     with pytest.raises(ValueError, match="stub denoiser refused") as info:
         run(f, FailingStub(), base_config(), theta0)
     assert not isinstance(info.value, NonFiniteIterateError)
@@ -454,15 +459,15 @@ def test_unrelated_denoiser_value_error_is_not_relabeled():
 
 def test_run_rejects_non_finite_start():
     f = identity_problem(2)
-    theta0 = IterateTriple(x=[0.0, np.nan], v=[0.0, 0.0], u=[0.0, 0.0])
+    theta0 = IterateTriple(x=[[0.0, np.nan]], v=[[0.0, 0.0]], u=[[0.0, 0.0]])
     with pytest.raises(ValueError, match="non-finite"):
         run(f, IdentityDenoiser(), base_config(), theta0)
 
 
 def test_fixed_point_residual_zero_at_fixed_point():
-    v0 = np.array([1.0, -2.0])
+    v0 = np.array([[1.0, -2.0]])
     f = identity_problem(2, b=v0)
-    theta0 = IterateTriple(x=v0.copy(), v=v0.copy(), u=np.zeros(2))
+    theta0 = IterateTriple(x=v0.copy(), v=v0.copy(), u=np.zeros((1, 2)))
     trace = run(f, IdentityDenoiser(), base_config(delta_tol=1e-12), theta0)
     assert fixed_point_residual(f, IdentityDenoiser(), trace) <= 1e-14
 
@@ -470,9 +475,9 @@ def test_fixed_point_residual_zero_at_fixed_point():
 def test_fixed_point_residual_matches_one_step_replay():
     rng = np.random.default_rng(109)
     op = CircularBlur((8, 8), binomial_stencil(2))
-    b = rng.uniform(size=64)
+    b = rng.uniform(size=(8, 8))
     f = FidelityTerm(op=op, observation=b)
-    theta0 = IterateTriple(x=b, v=b, u=np.zeros(64))
+    theta0 = IterateTriple(x=b, v=b, u=np.zeros((8, 8)))
     cfg = base_config(max_iter=1, delta_tol=0.0)
     trace = run(f, GaussianSmoothing(), cfg, theta0)
     residual = fixed_point_residual(f, GaussianSmoothing(), trace)

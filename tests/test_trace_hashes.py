@@ -1,10 +1,11 @@
 """Byte-identity guard: pinned sha256 of trace.csv, summary.txt and
-restored.pgm for five small runs, and of bound.csv and bound_report.txt
+restored.pgm for seven small runs, and of bound.csv and bound_report.txt
 for a plain ``analyze`` of each run's trace.  The runs are the three
 presets with their own denoisers (Gaussian for deblur and superres, the
 identity for smoke) and deblur with the box and the median denoiser, so
 every denoiser and the median's sampled K-hat line in summary.txt are
-covered.
+covered, and deblur and superres on a 24 x 40 (height x width) PGM, so a
+slip between an image's (h, w) and (w, h) changes a hash.
 
 A change that keeps the arithmetic must keep these hashes.  A change that
 alters the arithmetic on purpose (a different prox solver, say) updates
@@ -26,7 +27,11 @@ RUNS = {
     "superres": "preset = superres\n",
     "deblur-box": "preset = deblur\ndenoiser = box\n",
     "deblur-median": "preset = deblur\ndenoiser = median\n",
+    "deblur-24x40": "preset = deblur\n",
+    "superres-24x40": "preset = superres\n",
 }
+# the runs that restore the non-square PGM instead of the builtin pattern
+NONSQUARE = {"deblur-24x40", "superres-24x40"}
 
 # run -> (trace.csv, summary.txt, restored.pgm)
 PINNED = {
@@ -55,6 +60,16 @@ PINNED = {
         "6b9d0605bc506c22d7c3a8f0b48fe02be4fa07c79026ba403d561c3253944d81",
         "d6f24fec82094c7b1400b0289ae160fcfde7ca72096ba04df643eda3d708919d",
     ),
+    "deblur-24x40": (
+        "f0928541c327e0af3d9652a73a407bc49c43c487822cfbde9657487dd960b50b",
+        "193dc00eedb4013cad7ee8142c7f048f9f735b478581a298bdf4001984a596c7",
+        "5173f60cffa5855d2d2ae3557a7d757c129a44eb130519a1b826dd302340a114",
+    ),
+    "superres-24x40": (
+        "524c1507026b5415581aab861a35fc0af3bdeb601877cab0384b3c47765040f6",
+        "2b031704da0fb2bf9bdb5d2b188e290e11e70ed212a18f994709f462d19ad5da",
+        "a1a43a77c012d4e560c22602f102d5b3cce5759c95eafb31ea9edd618092015d",
+    ),
 }
 
 
@@ -78,16 +93,35 @@ PINNED_ANALYSIS = {
         "4662058b5c882d280ccf7472ffc7966fd58b2b7431b16b94eafe1c99732880e9",
         "68d5fea291a1b25e948e9a2f9d4fe09b2cf1d60596b52e017ee953bb2ce8c6d6",
     ),
+    "deblur-24x40": (
+        "917bb31fbf6ae10c609e990994dd9665ac1299af4e9184622e84dec091706eb7",
+        "1c5389eacb4f7c6b3edab1b5ba68c57d8a8dca1329641fca49e9d340ed2d651f",
+    ),
+    "superres-24x40": (
+        "81686f1f6910bcbc4edcb1eb2edb2f39745ce21f73be5ce0d0dff9c7506b1ddb",
+        "d3a9e73940464ff75c1878340242ca72edc0e4e3f393d0d56e214f8a4629b676",
+    ),
 }
+
+
+def write_nonsquare_pgm(path) -> None:
+    """A 24 x 40 (height x width) 8-bit PGM whose pixel (i, j) is (7i + 3j) mod 256."""
+    pixels = bytes((7 * i + 3 * j) % 256 for i in range(24) for j in range(40))
+    path.write_bytes(b"P5\n40 24\n255\n" + pixels)
 
 
 @pytest.fixture(scope="module", params=sorted(PINNED))
 def run_dir(request, tmp_path_factory):
-    """(run, output directory) of one 32x32, 30-iteration run."""
+    """(run, output directory) of one 30-iteration run on the 32x32 builtin
+    pattern or on the 24 x 40 PGM."""
     name = request.param
     tmp = tmp_path_factory.mktemp(name)
+    lines = RUNS[name]
+    if name in NONSQUARE:
+        write_nonsquare_pgm(tmp / "nonsquare.pgm")
+        lines += f"image = {tmp / 'nonsquare.pgm'}\n"
     config = tmp / "run.cfg"
-    config.write_text(f"{RUNS[name]}image_size = 32\nmax_iter = 30\nseed = 0\n")
+    config.write_text(f"{lines}image_size = 32\nmax_iter = 30\nseed = 0\n")
     out = tmp / "run"
     assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
     return name, out

@@ -4,7 +4,8 @@
 
 Each tree is a checkout with the package under ``src/``.  The runs are
 every workload of ``benchmarks/workloads.py``, plus 32x32 deblur with the
-box and with the median denoiser and 32x32 smoke, each at seeds 0-3.
+box and with the median denoiser, 32x32 smoke, and deblur and superres on
+a 24 x 40 (height x width) PGM that this tool writes, each at seeds 0-3.
 Every trace a run writes is analyzed twice: plainly, and the benchmark's
 way, with ``--eta`` from ``run_config.txt`` and ``--gamma`` from the
 config.  Both trees run the same commands with the same relative paths.
@@ -25,6 +26,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 from workloads import WORKLOADS, Workload  # noqa: E402
 
 SEEDS = range(4)
+# a non-square image, so that a slip between (h, w) and (w, h) shows
+NONSQUARE = "nonsquare-24x40.pgm"
 # the runs no workload covers; gamma is the preset's own, which the
 # benchmark's way of calling analyze passes
 EXTRA = [
@@ -33,6 +36,8 @@ EXTRA = [
     Workload("deblur-median-32", {"preset": "deblur", "image_size": 32, "denoiser": "median",
                                   "gamma": 1.05}),
     Workload("smoke-32", {"preset": "smoke", "image_size": 32, "gamma": 1.05}),
+    Workload("deblur-24x40", {"preset": "deblur", "image": NONSQUARE, "gamma": 1.05}),
+    Workload("superres-24x40", {"preset": "superres", "image": NONSQUARE, "gamma": 1.2}),
 ]
 RUNS = {w.name: w for w in [*WORKLOADS.values(), *EXTRA]}
 
@@ -52,6 +57,9 @@ def outputs(tree: Path, work: Path) -> dict[str, bytes]:
             f"exit {proc.returncode}\n{proc.stdout}\n--- stderr\n{proc.stderr}".encode()
         )
 
+    # pixel (i, j) of the 24 x 40 image is (7i + 3j) mod 256
+    pixels = bytes((7 * i + 3 * j) % 256 for i in range(24) for j in range(40))
+    (work / NONSQUARE).write_bytes(b"P5\n40 24\n255\n" + pixels)
     for w in RUNS.values():
         w.write_config(work / f"{w.name}.cfg")
         for seed in SEEDS:
