@@ -23,6 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .linalg import as_image
+
 
 # sigma is mapped to pixels through the larger image side, so the residue
 # ratio stays comparable across image sizes; the Gaussian kernel is cut at
@@ -233,17 +235,14 @@ class BoxAverage(LinearFilter):
 def denoise(kind: Denoiser, sigma: float, a) -> np.ndarray:
     """Apply ``kind`` at strength ``sigma`` to an (h, w) image.
 
-    The input is taken as float64 and handed over as a read-only view, with
-    no copy and no scan; it must have no empty side.  sigma = 0 returns that
-    view, equal to the input bit for bit, for every kind; the output always
-    has the input's shape.
+    The input is handed over as the read-only view
+    :func:`~pnpadmm.linalg.as_image` makes, with no copy and no scan.
+    sigma = 0 returns that view, equal to the input bit for bit, for every
+    kind; the output always has the input's shape.
     """
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-    a = np.asarray(a, dtype=np.float64).view()
-    if a.ndim != 2 or 0 in a.shape:
-        raise ValueError(f"expected an (h, w) image with no empty side, got shape {a.shape}")
-    a.flags.writeable = False
+    a = as_image(a)
     if sigma == 0.0:
         return a
     out = kind.apply(sigma, a)

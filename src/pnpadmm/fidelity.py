@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, NonFiniteIterateError, as_vector, dot, norm
+from .linalg import NonFiniteIterateError, as_image, as_vector, dot, norm
 
 
 def _as_shape(shape) -> tuple[int, int]:
@@ -128,18 +128,10 @@ class ForwardOperator:
         raise NotImplementedError
 
     def _check_in(self, x, what: str = "input") -> np.ndarray:
-        return _shaped(x, self.in_shape, what)
+        return as_image(x, what, self.in_shape)
 
     def _check_out(self, y, what: str = "output-side image") -> np.ndarray:
-        return _shaped(y, self.out_shape, what)
-
-
-def _shaped(x, shape: tuple[int, int], what: str) -> np.ndarray:
-    """``x`` as a float64 image of the given (h, w); a shape check, no scan."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.shape != shape:
-        raise DimensionMismatchError(f"{what} has shape {arr.shape}, operator expects {shape}")
-    return arr
+        return as_image(y, what, self.out_shape)
 
 
 def _half_square(r: np.ndarray) -> float:
@@ -332,8 +324,7 @@ class FidelityTerm:
     observation_half_square: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        b = as_vector(self.observation, "observation").copy()
-        self.op._check_out(b, "observation")
+        b = as_vector(self.observation, "observation", self.op.out_shape).copy()
         b.flags.writeable = False
         object.__setattr__(self, "observation", b)
         # H^T b, which the start iterate and every prox but Downsample's use

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import readonly
+from .linalg import as_image
 from .sequences import ConditionTrace
 
 
@@ -30,10 +30,7 @@ class ImageGrid:
     pixels: np.ndarray
 
     def __post_init__(self):
-        arr = readonly(self.pixels, "pixels")
-        if arr.ndim != 2:
-            raise ValueError(f"pixels must be an (h, w) image, got shape {arr.shape}")
-        object.__setattr__(self, "pixels", arr)
+        object.__setattr__(self, "pixels", as_image(self.pixels, "pixels"))
 
     def to_array(self) -> np.ndarray:
         """Return a writable (height, width) copy."""

@@ -50,27 +50,32 @@ class NonFiniteIterateError(RuntimeError):
     """An iterate picked up NaN/inf entries; names the failing iteration."""
 
 
-def readonly(data, name: str = "array") -> np.ndarray:
-    """Read-only float64 view of ``data``, of any shape but empty, with no
-    scan and no copy.
+def as_image(data, name: str = "image", shape=None) -> np.ndarray:
+    """Read-only float64 view of ``data`` as an (h, w) image with no empty
+    side, with no scan and no copy.
 
-    The caller hands the array over: it must not write to ``data`` later.
+    ``shape``, if given, is an operator's (h, w), each side at least 1, and
+    any other shape is refused against it.  The caller hands the array
+    over: it must not write to ``data`` later.
     """
     arr = np.asarray(data, dtype=np.float64).view()
-    if arr.size < 1:
-        raise ValueError(f"{name} must not be empty, got shape {arr.shape}")
+    if shape is not None:
+        if arr.shape != shape:
+            raise DimensionMismatchError(f"{name} has shape {arr.shape}, operator expects {shape}")
+    elif arr.ndim != 2 or 0 in arr.shape:
+        raise ValueError(
+            f"{name} must be an (h, w) image with no empty side, got shape {arr.shape}")
     arr.flags.writeable = False
     return arr
 
 
-def as_vector(data, name: str = "vector") -> np.ndarray:
-    """:func:`readonly` plus a scan that rejects NaN/inf entries; whatever
-    its name says, ``data`` may have any shape, an (h, w) image included.
+def as_vector(data, name: str = "image", shape=None) -> np.ndarray:
+    """:func:`as_image` plus a scan that rejects NaN/inf entries.
 
     For outside input only: solver state must start finite, and inside the
     loop the residuals catch non-finite values.
     """
-    arr = readonly(data, name)
+    arr = as_image(data, name, shape)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
@@ -89,7 +94,7 @@ class IterateTriple:
 
     def __post_init__(self):
         for name in ("x", "v", "u"):
-            object.__setattr__(self, name, readonly(getattr(self, name), name))
+            object.__setattr__(self, name, as_image(getattr(self, name), name))
         if not (self.x.shape == self.v.shape == self.u.shape):
             raise DimensionMismatchError(
                 f"components differ in shape: x={self.x.shape}, "

@@ -178,10 +178,8 @@ def run(
     f(x) or the observer's statistics, so overflow is ignored from the
     first observe call to the last step.
     """
-    if theta0.x.shape != f.op.in_shape:
-        raise ValueError(f"theta0 has shape {theta0.x.shape}, operator expects {f.op.in_shape}")
     theta = IterateTriple(
-        *(as_vector(getattr(theta0, n), n).copy() for n in ("x", "v", "u"))
+        *(as_vector(getattr(theta0, n), "theta0", f.op.in_shape).copy() for n in ("x", "v", "u"))
     )
     del theta0
     rho = cfg.rho0

@@ -52,11 +52,11 @@ def autocorrelation_low_eig(stencil, shape, factor):
     return np.fft.rfft2(autocorr[::factor, ::factor]).real
 
 
-def direct_gaussian(a, sigma, truncate=3.0, c_map=1.0):
+def direct_gaussian(a, sigma, truncate=3.0):
     """Brute-force 2-D convolution of an (h, w) image with an outer-product
     Gaussian kernel."""
     h, w = a.shape
-    std = c_map * sigma * max(h, w)
+    std = sigma * max(h, w)
     radius = max(1, int(math.ceil(truncate * std)))
     offs = np.arange(-radius, radius + 1, dtype=float)
     k1 = np.exp(-0.5 * (offs / std) ** 2)
@@ -103,9 +103,9 @@ def bincount_filter_matrix(n, kernel):
     return np.bincount(flat, weights, minlength=n * n).reshape(n, n)
 
 
-def unblocked_median(a, sigma, c_map=1.0):
+def unblocked_median(a, sigma):
     """Square-window median over all windows of an (h, w) image in one call."""
-    half = int(math.floor(c_map * sigma * max(a.shape) + 0.5))
+    half = int(math.floor(sigma * max(a.shape) + 0.5))
     if half == 0:
         return a.copy()
     padded = np.pad(a, half, mode="symmetric")
@@ -114,7 +114,7 @@ def unblocked_median(a, sigma, c_map=1.0):
     return np.median(windows, axis=(2, 3))
 
 
-def straight_line_step(op, b, rho, sigma, x, v, u, c_map=1.0, truncate=3.0):
+def straight_line_step(op, b, rho, sigma, x, v, u, truncate=3.0):
     """One plug-and-play iteration on (h, w) images written out directly.
 
     Dense solve for the data update, brute-force Gaussian convolution for
@@ -124,7 +124,7 @@ def straight_line_step(op, b, rho, sigma, x, v, u, c_map=1.0, truncate=3.0):
     A = H.T @ H + rho * np.eye(H.shape[1])
     x_new = np.linalg.solve(A, H.T @ b.ravel() + rho * (v - u).ravel()).reshape(op.in_shape)
     noisy = x_new + u
-    v_new = direct_gaussian(noisy, sigma, truncate=truncate, c_map=c_map)
+    v_new = direct_gaussian(noisy, sigma, truncate=truncate)
     u_new = u + x_new - v_new
     return x_new, v_new, u_new
 

@@ -11,6 +11,7 @@ import pytest
 
 from oracles import dense_matrix
 
+from pnpadmm import denoisers
 from pnpadmm.denoisers import (
     BoxAverage,
     GaussianSmoothing,
@@ -30,7 +31,7 @@ from pnpadmm.fidelity import (
     prox_x_update,
 )
 from pnpadmm.fileio import serialize_trace
-from pnpadmm.linalg import metric_distance
+from pnpadmm.linalg import IterateTriple, metric_distance
 from pnpadmm.presets import make_preset, run_preset
 from pnpadmm.sequences import (
     BoundConstructionError,
@@ -291,3 +292,30 @@ def test_a8_triangle_inequality_chain():
     ok = worst_gap <= 1e-10
     report("A8 triangle chain", ok, f"worst D - sum(delta) = {worst_gap:.2e}")
     assert ok
+
+
+@pytest.mark.parametrize("name,max_iter", [("smoke", 100), ("deblur", 300)])
+def test_a9_fixed_penalty_limit(name, max_iter):
+    # with a linear denoiser G at a fixed rho, the three updates' fixed point
+    # solves (H^T H + rho (G^-1 - I)) x* = H^T b with v* = x* and
+    # u* = (G^-1 - I) x*, which the x-update's optimality makes
+    # H^T (b - H x*) / rho; multiplied through by G, x* needs no G^-1,
+    # whose condition number at these sigmas is about 1e8
+    preset = make_preset(name, image_size=16, delta_tol=0.0, denoiser="gaussian",
+                         eta=0.95, max_iter=max_iter)
+    result = run_preset(preset)
+    cond = result.trace.condition_trace
+    # rho and sigma held over the tail (S2-like), so the last step's are
+    # the limit's; rhos[-1] is the penalty after the last step
+    assert not cond.c1[-20:].any()
+    rho, sigma = cond.rhos[-2], cond.sigmas[-2]
+    g1 = denoisers._fill_filter(16, preset.denoiser.kernel(sigma, 16))
+    G = np.kron(g1, g1)  # D_sigma on images flattened in row-major order
+    H = dense_matrix(result.fidelity.op)
+    b = result.fidelity.observation.ravel()
+    x = np.linalg.solve(G @ H.T @ H + rho * (np.eye(G.shape[0]) - G), G @ H.T @ b)
+    u = H.T @ (b - H @ x) / rho
+    limit = IterateTriple(x.reshape(16, 16), x.reshape(16, 16), u.reshape(16, 16))
+    gap = metric_distance(result.trace.final_iterate, limit)
+    report(f"A9 fixed-penalty limit ({name})", gap <= 1e-8, f"metric to theta* = {gap:.2e}")
+    assert gap <= 1e-8

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import warnings
 
@@ -122,6 +123,12 @@ def test_dimension_mismatch_errors():
         op.apply(np.ones(5))
     with pytest.raises(DimensionMismatchError):
         FidelityTerm(op=op, observation=np.ones(16))
+    # a flat observation and one with an empty side are refused by shape,
+    # before their entries are scanned
+    for shape in [(4,), (0, 2)]:
+        with pytest.raises(DimensionMismatchError, match=re.escape(
+                f"observation has shape {shape}, operator expects (2, 2)")):
+            FidelityTerm(op=op, observation=np.full(shape, np.nan))
 
 
 def test_mask_refuses_a_flat_keep():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -36,10 +38,10 @@ def assert_columns_of(columns, trace):
 
 
 def test_image_grid_validation():
-    with pytest.raises(ValueError):
-        ImageGrid(np.zeros(3))
-    with pytest.raises(ValueError):
-        ImageGrid(np.zeros((0, 2)))
+    for shape in [(3,), (0, 2)]:
+        with pytest.raises(ValueError, match=re.escape(
+                f"pixels must be an (h, w) image with no empty side, got shape {shape}")):
+            ImageGrid(np.zeros(shape))
 
 
 def test_pgm_endpoint_mapping(tmp_path):

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,60 +20,66 @@ from pnpadmm.linalg import (
 )
 
 
-def random_triple(rng, d):
+def random_triple(rng, shape):
     return IterateTriple(
-        rng.standard_normal(d), rng.standard_normal(d), rng.standard_normal(d)
+        rng.standard_normal(shape), rng.standard_normal(shape), rng.standard_normal(shape)
     )
 
 
 def test_as_vector_rejects_non_finite():
-    with pytest.raises(ValueError):
-        as_vector([1.0, np.nan])
-    with pytest.raises(ValueError):
-        as_vector([np.inf])
+    with pytest.raises(ValueError, match="contains non-finite entries"):
+        as_vector([[1.0, np.nan]])
+    with pytest.raises(ValueError, match="contains non-finite entries"):
+        as_vector([[np.inf]])
     with pytest.raises(ValueError):
         as_vector([])
 
 
 def test_triple_requires_matching_dims():
     with pytest.raises(DimensionMismatchError):
-        IterateTriple([1.0, 2.0], [1.0], [1.0])
+        IterateTriple([[1.0, 2.0]], [[1.0]], [[1.0]])
     # images of one pixel count but different shapes are not one iterate
     with pytest.raises(DimensionMismatchError, match=r"x=\(4, 4\), v=\(2, 8\)"):
         IterateTriple(np.zeros((4, 4)), np.zeros((2, 8)), np.zeros((4, 4)))
+    # each component is an image first: a flat array or an empty side is
+    # refused by name, before the shapes are compared
+    for shape in [(3,), (0, 3)]:
+        with pytest.raises(ValueError, match=re.escape(
+                f"v must be an (h, w) image with no empty side, got shape {shape}")):
+            IterateTriple(np.zeros((1, 3)), np.zeros(shape), np.zeros((1, 3)))
 
 
 def test_triple_is_immutable():
-    t = IterateTriple([1.0], [2.0], [3.0])
+    t = IterateTriple([[1.0]], [[2.0]], [[3.0]])
     with pytest.raises(ValueError):
-        t.x[0] = 7.0
+        t.x[0, 0] = 7.0
 
 
 def test_metric_identity_case():
     rng = np.random.default_rng(7)
-    t = random_triple(rng, 6)
+    t = random_triple(rng, (2, 3))
     assert metric_distance(t, t) == 0.0
 
 
 def test_metric_scalar_example():
     # d=1: (|1| + |2| + |3|) / sqrt(1) = 6
-    a = IterateTriple([1.0], [2.0], [3.0])
-    b = IterateTriple([0.0], [0.0], [0.0])
+    a = IterateTriple([[1.0]], [[2.0]], [[3.0]])
+    b = IterateTriple([[0.0]], [[0.0]], [[0.0]])
     assert metric_distance(a, b) == 6.0
 
 
 def test_metric_d4_example():
-    # only the x parts differ, by the all-ones vector: ||1||/sqrt(4) = 1
-    ones = np.ones(4)
-    zeros = np.zeros(4)
+    # only the x parts differ, by the all-ones image: ||1||/sqrt(4) = 1
+    ones = np.ones((2, 2))
+    zeros = np.zeros((2, 2))
     a = IterateTriple(ones, zeros, zeros)
     b = IterateTriple(zeros, zeros, zeros)
     assert metric_distance(a, b) == 1.0
 
 
 def test_metric_dimension_mismatch_names_component():
-    a = IterateTriple(np.ones(3), np.ones(3), np.ones(3))
-    b = IterateTriple(np.ones(4), np.ones(4), np.ones(4))
+    a = IterateTriple(*np.ones((3, 1, 3)))
+    b = IterateTriple(*np.ones((3, 1, 4)))
     with pytest.raises(DimensionMismatchError, match="x parts"):
         metric_distance(a, b)
     square = IterateTriple(*np.ones((3, 4, 4)))
@@ -84,8 +91,8 @@ def test_metric_dimension_mismatch_names_component():
 def test_metric_symmetry_exact():
     rng = np.random.default_rng(11)
     for _ in range(20):
-        a = random_triple(rng, 8)
-        b = random_triple(rng, 8)
+        a = random_triple(rng, (2, 4))
+        b = random_triple(rng, (2, 4))
         assert metric_distance(a, b) == metric_distance(b, a)
 
 
@@ -93,7 +100,7 @@ def test_metric_triangle_inequality():
     rng = np.random.default_rng(13)
     for _ in range(200):
         d = int(rng.integers(1, 12))
-        a, b, c = (random_triple(rng, d) for _ in range(3))
+        a, b, c = (random_triple(rng, (1, d)) for _ in range(3))
         assert metric_distance(a, c) <= (
             metric_distance(a, b) + metric_distance(b, c) + 1e-12
         )
@@ -102,8 +109,8 @@ def test_metric_triangle_inequality():
 @pytest.mark.parametrize("t", [0.0, 0.5, 2.0])
 def test_metric_scaling(t):
     rng = np.random.default_rng(17)
-    a = random_triple(rng, 5)
-    b = random_triple(rng, 5)
+    a = random_triple(rng, (5, 1))
+    b = random_triple(rng, (5, 1))
     sa = IterateTriple(t * a.x, t * a.v, t * a.u)
     sb = IterateTriple(t * b.x, t * b.v, t * b.u)
     assert metric_distance(sa, sb) == pytest.approx(
@@ -113,7 +120,7 @@ def test_metric_scaling(t):
 
 def test_metric_zero_iff_equal():
     rng = np.random.default_rng(19)
-    a = random_triple(rng, 4)
+    a = random_triple(rng, (2, 2))
     b = IterateTriple(a.x + 1e-9, a.v, a.u)
     assert metric_distance(a, b) > 0.0
 

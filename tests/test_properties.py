@@ -4,10 +4,14 @@ forward operators' adjoints and closed-form prox solves against their
 defining identities, and the downsampling gather against whole-image
 rolls; the separable denoisers against two sliding-window passes; exact
 round trips of the trace CSV and PGM formats; the array checks of
-ConditionTrace.validate against a loop over its iterations."""
+ConditionTrace.validate against a loop over its iterations; and that a
+failing property test is reported under the suite's warning filters."""
 
 import math
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,7 +145,8 @@ def test_operator_adjoint_identity(op, seed):
 @given(operators())
 def test_operator_refuses_a_flat_or_transposed_image(op):
     # every entry point takes the (h, w) image alone, and names it on refusal;
-    # the flat form of the same pixels, or a transposed grid, is refused
+    # the flat form of the same pixels, a grid with an empty side, or a
+    # transposed grid, is refused
     f = FidelityTerm(op=op, observation=np.zeros(op.out_shape))
     entries = {
         "apply": (op.apply, op.in_shape),
@@ -150,9 +155,11 @@ def test_operator_refuses_a_flat_or_transposed_image(op):
         "observation": (lambda b: FidelityTerm(op=op, observation=b), op.out_shape),
     }
     for name, (call, shape) in entries.items():
-        wrong = [(math.prod(shape),)] + ([shape[::-1]] if shape[0] != shape[1] else [])
+        wrong = [(math.prod(shape),), (0, shape[1])] + (
+            [shape[::-1]] if shape[0] != shape[1] else [])
         for given_shape in wrong:
-            with pytest.raises(DimensionMismatchError, match=re.escape(f"expects {shape}")):
+            with pytest.raises(DimensionMismatchError, match=re.escape(
+                    f"has shape {given_shape}, operator expects {shape}")):
                 call(np.zeros(given_shape))
 
 
@@ -420,3 +427,34 @@ def test_validate_matches_the_iteration_loop(trace_and_flags):
     with np.errstate(over="ignore", invalid="ignore"):
         expected = _outcome(lambda: loop_validate(trace, flags))
     assert _outcome(lambda: trace.validate(flags)) == expected
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(n):
+    assert n != 0
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_property_test_is_reported(tmp_path):
+    # on a failure hypothesis imports libcst, whose import of mypy_extensions
+    # warns; under filterwarnings = ["error"] without its ignore entry that
+    # warning ends the session in INTERNALERROR instead of a failure report.
+    # hypothesis writes .hypothesis/ into the working directory, so run there
+    (tmp_path / "test_two.py").write_text(FAILING_PROPERTY)
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-c", str(config), "-p", "no:cacheprovider",
+         "test_two.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert proc.returncode == 1
+    assert "1 failed, 1 passed" in proc.stdout

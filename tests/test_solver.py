@@ -1,4 +1,6 @@
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from pnpadmm.fidelity import (
     prox_x_update,
 )
 from pnpadmm.fileio import ImageGrid, parse_trace, read_trace_csv, serialize_trace, write_trace_csv
-from pnpadmm.linalg import IterateTriple, metric_distance
+from pnpadmm.linalg import DimensionMismatchError, IterateTriple, metric_distance
 from pnpadmm.presets import make_preset, run_preset
 from pnpadmm.sequences import ConditionFlag, ConditionTrace
 from pnpadmm.solver import (
@@ -410,13 +412,20 @@ def test_run_builds_no_image_grid(monkeypatch):
 
 def test_run_rejects_dimension_mismatch():
     f = identity_problem(4)
-    theta0 = IterateTriple(x=np.zeros(3), v=np.zeros(3), u=np.zeros(3))
+    theta0 = IterateTriple(x=np.zeros((1, 3)), v=np.zeros((1, 3)), u=np.zeros((1, 3)))
     with pytest.raises(ValueError):
         run(f, IdentityDenoiser(), base_config(), theta0)
-    # the flat form of a start of the right pixel count is refused by shape
-    flat = IterateTriple(x=np.zeros(4), v=np.zeros(4), u=np.zeros(4))
-    with pytest.raises(ValueError, match=r"theta0 has shape \(4,\), operator expects \(1, 4\)"):
-        run(f, IdentityDenoiser(), base_config(), flat)
+    # a start of the right pixel count on another grid is refused by shape
+    square = IterateTriple(x=np.zeros((2, 2)), v=np.zeros((2, 2)), u=np.zeros((2, 2)))
+    with pytest.raises(ValueError, match=r"theta0 has shape \(2, 2\), operator expects \(1, 4\)"):
+        run(f, IdentityDenoiser(), base_config(), square)
+    # so is a start that is no image at all, should it reach run without
+    # passing through IterateTriple
+    for shape in [(4,), (0, 4)]:
+        start = SimpleNamespace(x=np.zeros(shape), v=np.zeros(shape), u=np.zeros(shape))
+        with pytest.raises(DimensionMismatchError, match=re.escape(
+                f"theta0 has shape {shape}, operator expects (1, 4)")):
+            run(f, IdentityDenoiser(), base_config(), start)
 
 
 def test_non_finite_iterate_error_names_iteration():
