@@ -1,122 +1,1 @@
 """Plug-and-play ADMM image restoration with residual-envelope diagnostics."""
-
-from .denoisers import (
-    BoxAverage,
-    BoundCheckReport,
-    Denoiser,
-    DenoiserBoundEstimate,
-    GaussianSmoothing,
-    IdentityDenoiser,
-    LinearFilter,
-    MedianFilter,
-    certified_denoiser_bound,
-    denoise,
-    estimate_denoiser_bound_constant,
-    residue_ratio,
-    verify_denoiser_bound,
-)
-from .fidelity import (
-    CircularBlur,
-    Downsample,
-    FidelityTerm,
-    ForwardOperator,
-    Identity,
-    Mask,
-    binomial_stencil,
-    box_gradient_bound,
-    estimate_gradient_bound,
-    prox_x_update,
-)
-from .fileio import ImageGrid
-from .linalg import (
-    DimensionMismatchError,
-    IterateTriple,
-    as_vector,
-    metric_distance,
-)
-from .sequences import (
-    BoundCheck,
-    BoundConstructionError,
-    CauchyCertificate,
-    ConditionFlag,
-    ConditionTrace,
-    PgsSpec,
-    TraceInvariantError,
-    alternation_boundaries,
-    cauchy_index,
-    classify_case,
-    construct_s12_bound,
-    construct_s3_bound,
-    estimate_growth_coefficient,
-    pgs_chunk_sum_bound,
-    pgs_generate,
-    pgs_total_sum_bound,
-    verify_bound,
-)
-from .solver import (
-    NonFiniteIterateError,
-    RunTrace,
-    SolverConfig,
-    StepInfo,
-    fixed_point_residual,
-    run,
-    step,
-    update_rho,
-)
-
-__all__ = [
-    "BoxAverage",
-    "BoundCheckReport",
-    "Denoiser",
-    "DenoiserBoundEstimate",
-    "GaussianSmoothing",
-    "IdentityDenoiser",
-    "ImageGrid",
-    "LinearFilter",
-    "MedianFilter",
-    "certified_denoiser_bound",
-    "denoise",
-    "estimate_denoiser_bound_constant",
-    "residue_ratio",
-    "verify_denoiser_bound",
-    "CircularBlur",
-    "Downsample",
-    "FidelityTerm",
-    "ForwardOperator",
-    "Identity",
-    "Mask",
-    "binomial_stencil",
-    "box_gradient_bound",
-    "estimate_gradient_bound",
-    "prox_x_update",
-    "DimensionMismatchError",
-    "IterateTriple",
-    "as_vector",
-    "metric_distance",
-    "BoundCheck",
-    "BoundConstructionError",
-    "CauchyCertificate",
-    "ConditionFlag",
-    "ConditionTrace",
-    "PgsSpec",
-    "TraceInvariantError",
-    "alternation_boundaries",
-    "cauchy_index",
-    "classify_case",
-    "construct_s12_bound",
-    "construct_s3_bound",
-    "estimate_growth_coefficient",
-    "pgs_chunk_sum_bound",
-    "pgs_generate",
-    "pgs_total_sum_bound",
-    "verify_bound",
-    "NonFiniteIterateError",
-    "RunTrace",
-    "SolverConfig",
-    "StepInfo",
-    "fixed_point_residual",
-    "run",
-    "step",
-    "update_rho",
-]
-__version__ = "0.1.0"

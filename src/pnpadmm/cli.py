@@ -49,6 +49,9 @@ BOUND_SIGMAS = (0.05, 0.1, 0.2)
 # above this penalty rho (t - x') is mostly rounding error times rho (rho eps
 # is ~1e-6 at unit scale), so the gradient is computed from the iterate
 STREAMED_GRADIENT_MAX_RHO = 2.0**32
+# the last this many C1/C2 flags label the case: summary.txt's case line
+# reads it, and analyze's --window takes it as its default
+CASE_WINDOW = 40
 
 
 def _preset_from_args(args) -> ExperimentPreset:
@@ -105,7 +108,7 @@ def _summarize(result, trajectory_m_hat: float) -> str:
         f"final_rho = {cond.rhos[-1]:.6e}",
     ]
     if len(cond) > 1:
-        lines.append(_case_line(cond, 40))
+        lines.append(_case_line(cond, CASE_WINDOW))
     lines.append(
         f"gradient_bound_m = {box_gradient_bound(result.fidelity):.6e} "
         "(certified on [0,1]^d: ||H|| ||max(|b|, |1 - b|)|| / sqrt(d))"
@@ -326,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--mode", choices=("auto", "s3", "s12"), default="auto")
     pa.add_argument("--out", required=True)
     pa.add_argument("--epsilon", type=float, default=1e-3)
-    pa.add_argument("--window", type=int, default=40)
+    pa.add_argument("--window", type=int, default=CASE_WINDOW)
     pa.add_argument("--gamma", type=float, help="override the inferred growth factor")
     pa.add_argument("--eta", type=float, help="override the inferred threshold")
     pa.set_defaults(func=cmd_analyze)

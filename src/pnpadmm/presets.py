@@ -70,10 +70,7 @@ MAX_ITER = 10**6
 MAX_IMAGE_SIZE = 4096
 
 DENOISERS = {
-    "gaussian": GaussianSmoothing,
-    "median": MedianFilter,
-    "box": BoxAverage,
-    "identity": IdentityDenoiser,
+    kind.name: kind for kind in (GaussianSmoothing, MedianFilter, BoxAverage, IdentityDenoiser)
 }
 
 
@@ -120,7 +117,8 @@ class ExperimentPreset:
         if not 0 <= self.noise_sigma < math.inf:
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.image_source != "builtin" and not Path(self.image_source).is_file():
-            raise ValueError(f"unreadable image: {self.image_source!r} does not exist")
+            problem = "is not a file" if Path(self.image_source).exists() else "does not exist"
+            raise ValueError(f"unreadable image: {self.image_source!r} {problem}")
 
     def source_image(self) -> ImageGrid:
         if self.image_source == "builtin":

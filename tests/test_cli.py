@@ -372,6 +372,19 @@ def test_run_rejects_image_path_run_config_cannot_hold(tmp_path, monkeypatch, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind,problem", [("missing", "does not exist"), ("dir", "is not a file")])
+def test_run_says_why_an_image_cannot_be_read(tmp_path, capsys, kind, problem):
+    image = tmp_path / kind
+    if kind == "dir":
+        image.mkdir()
+    out = tmp_path / "run"
+    assert run_cli("run", "--preset", "smoke", "--image", image, "--out", out) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: unreadable image: {str(image)!r} {problem}"
+    ]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "preset,settings",
     [
@@ -857,6 +870,28 @@ def test_importing_the_cli_builds_no_parser():
     assert proc.stdout == "0\n"
 
 
+@pytest.mark.parametrize(
+    "module,loaded",
+    [("linalg", ["linalg"]), ("sequences", ["sequences"]),
+     ("cli", ["cli", "denoisers", "fidelity", "fileio", "linalg", "presets", "sequences", "solver"])],
+    ids=["linalg", "sequences", "cli"],
+)
+def test_importing_a_module_loads_only_what_it_imports(module, loaded):
+    # the package namespace imports nothing, so a module brings in only its
+    # own imports
+    code = (
+        f"import sys, pnpadmm.{module}\n"
+        "names = [m.removeprefix('pnpadmm.') for m in sys.modules if m.startswith('pnpadmm.')]\n"
+        "print(*sorted(names))\n"
+    )
+    src = str(Path(pnpadmm.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        check=True, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.stdout.split() == sorted(loaded)
+
+
 def test_pgs_demo_values(tmp_path, capsys):
     out = tmp_path / "pgs.csv"
     code = run_cli(
@@ -965,8 +1000,3 @@ def test_pgs_demo_rejects_length_above_limit(tmp_path, capsys):
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit):
         cli.main([])
-
-
-def test_every_public_name_resolves():
-    # a name left in __all__ after its object is gone breaks star imports
-    assert [name for name in pnpadmm.__all__ if not hasattr(pnpadmm, name)] == []

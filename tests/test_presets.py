@@ -54,6 +54,7 @@ def test_preset_settings_rebuild_the_preset(name):
     # denoisers compare by identity, so the settings dicts are compared
     for p in (
         make_preset(name),
+        *(make_preset(name, denoiser=kind) for kind in presets.DENOISERS),
         make_preset(
             name, lam=0.03, rho0=2.0, gamma=1.5, eta=0.3, max_iter=7, delta_tol=1e-4,
             seed=9, denoiser="median", image_size=24, blur_size=3,
@@ -63,6 +64,7 @@ def test_preset_settings_rebuild_the_preset(name):
         rebuilt = make_preset(p.name, **preset_settings(p))
         assert rebuilt.config == p.config
         assert preset_settings(rebuilt) == preset_settings(p)
+        assert type(rebuilt.denoiser) is type(p.denoiser)
     assert preset_settings(p)["denoiser"] == "median"
     assert preset_settings(p)["downsample_factor"] == 3
 

@@ -19,17 +19,15 @@ from pnpadmm.fidelity import (
     prox_x_update,
 )
 from pnpadmm.fileio import ImageGrid, parse_trace, read_trace_csv, serialize_trace, write_trace_csv
-from pnpadmm.linalg import DimensionMismatchError, IterateTriple, metric_distance
+from pnpadmm.linalg import (
+    DimensionMismatchError,
+    IterateTriple,
+    NonFiniteIterateError,
+    metric_distance,
+)
 from pnpadmm.presets import make_preset, run_preset
 from pnpadmm.sequences import ConditionFlag, ConditionTrace
-from pnpadmm.solver import (
-    NonFiniteIterateError,
-    SolverConfig,
-    fixed_point_residual,
-    run,
-    step,
-    update_rho,
-)
+from pnpadmm.solver import SolverConfig, fixed_point_residual, run, step, update_rho
 
 
 def identity_problem(d, b=None):
