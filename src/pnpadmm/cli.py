@@ -119,7 +119,7 @@ def _summarize(result, trajectory_m_hat: float) -> str:
     certified = certified_denoiser_bound(kind, BOUND_SIDE, BOUND_SIGMAS)
     if certified is None:
         est = estimate_denoiser_bound_constant(
-            kind, BOUND_SIDE, BOUND_SIDE, BOUND_SIGMAS, 20, result.preset.seed + 2
+            kind, BOUND_SIDE, BOUND_SIGMAS, 20, result.preset.seed + 2
         )
         lines.append(
             f"denoiser_bound_k_hat = {est.k_hat:.6e} "

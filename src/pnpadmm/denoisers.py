@@ -253,32 +253,30 @@ def denoise(kind: Denoiser, sigma: float, a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DenoiserBoundEstimate:
-    """Sampled estimate of K in ||D_sigma(x) - x||^2 <= K * d * sigma^2.
+    """Sampled estimate of K in ||D_sigma(x) - x||^2 <= K * d * sigma^2 on
+    side x side images.
 
     k_hat is the max of the observed ratios; it is 0 for an identity-like
     denoiser (the bound is then vacuously satisfied).
     """
 
     k_hat: float
-    sample_count: int
     sigma_grid: tuple[float, ...]
-    width: int
-    height: int
+    side: int
 
 
 @dataclass(frozen=True)
 class BoundCheckReport:
     violations: int
     worst_ratio: float
-    threshold: float
 
 
-def _sample_ratios(kind: Denoiser, width: int, height: int, grid, seed: int, count: int):
-    """The residue ratio of each uniform-noise image 0..count-1 at each
-    sigma of ``grid``, image by image."""
+def _sample_ratios(kind: Denoiser, side: int, grid, seed: int, count: int):
+    """The residue ratio of each side x side uniform-noise image
+    0..count-1 at each sigma of ``grid``, image by image."""
     for i in range(count):
         # substream derived from (seed, index) so sampling is order-independent
-        a = np.random.default_rng((seed, i)).uniform(0.0, 1.0, (height, width))
+        a = np.random.default_rng((seed, i)).uniform(0.0, 1.0, (side, side))
         for s in grid:
             yield residue_ratio(kind, s, a)
 
@@ -296,30 +294,24 @@ def residue_ratio(kind: Denoiser, sigma: float, a) -> float:
 
 def estimate_denoiser_bound_constant(
     kind: Denoiser,
-    width: int,
-    height: int,
+    side: int,
     sigma_grid: Sequence[float],
     n_samples: int,
     seed: int,
 ) -> DenoiserBoundEstimate:
     """Estimate K as the max residue ratio over sampled (image, sigma) pairs.
 
-    Samples are uniform-noise images in [0, 1]; the estimate is deterministic
-    given (seed, width, height, sigma_grid, n_samples).
+    Samples are side x side uniform-noise images in [0, 1], the domain
+    :func:`certified_denoiser_bound` certifies; the estimate is deterministic
+    given (seed, side, sigma_grid, n_samples).
     """
     grid = tuple(float(s) for s in sigma_grid)
     if not grid or any(s <= 0 for s in grid):
         raise ValueError("sigma_grid must be non-empty with positive entries")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    worst = max(0.0, *_sample_ratios(kind, width, height, grid, seed, n_samples))
-    return DenoiserBoundEstimate(
-        k_hat=worst,
-        sample_count=n_samples,
-        sigma_grid=grid,
-        width=width,
-        height=height,
-    )
+    worst = max(0.0, *_sample_ratios(kind, side, grid, seed, n_samples))
+    return DenoiserBoundEstimate(k_hat=worst, sigma_grid=grid, side=side)
 
 
 def certified_denoiser_bound(
@@ -370,11 +362,7 @@ def verify_denoiser_bound(
     threshold = estimate.k_hat * (1.0 + margin)
     violations = 0
     worst = 0.0
-    for ratio in _sample_ratios(
-        kind, estimate.width, estimate.height, estimate.sigma_grid, seed, n_holdout
-    ):
+    for ratio in _sample_ratios(kind, estimate.side, estimate.sigma_grid, seed, n_holdout):
         worst = max(worst, ratio)
         violations += ratio > threshold
-    return BoundCheckReport(
-        violations=violations, worst_ratio=worst, threshold=threshold
-    )
+    return BoundCheckReport(violations=violations, worst_ratio=worst)

@@ -92,10 +92,20 @@ def _stencil_spectrum(stencil: np.ndarray, shape: tuple[int, int]) -> np.ndarray
     return np.fft.rfft2(kernel)
 
 
+# the highest binomial order whose weights fit a float64: their sum is
+# 2^(2 factor - 2), which passes the float range from factor 513 on
+MAX_BINOMIAL_ORDER = 512
+
+
 def binomial_stencil(factor: int) -> np.ndarray:
     """Normalized 2-D binomial stencil of side 2*factor - 1."""
     if factor < 1:
         raise ValueError("factor must be >= 1")
+    if factor > MAX_BINOMIAL_ORDER:
+        raise ValueError(
+            f"binomial order {factor} exceeds {MAX_BINOMIAL_ORDER}: its weights' "
+            f"sum 2^{2 * factor - 2} passes the float range"
+        )
     row = np.array([math.comb(2 * factor - 2, i) for i in range(2 * factor - 1)],
                    dtype=np.float64)
     row /= row.sum()

@@ -8,6 +8,8 @@ is outside input: :func:`parse_trace` checks only the format, and
 
 from __future__ import annotations
 
+import mmap
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,6 +40,11 @@ class ImageGrid:
 
 
 TRACE_COLUMNS = ("iter", "delta", "rho", "sigma", "condition", "fidelity_value")
+# the longest image side a run takes, builtin or read from a PGM: the builtin
+# pattern builds two int64 index grids of this side squared, the loop several
+# float64 images of that size, and the Gaussian and box denoisers a side x
+# side filter matrix per axis (128 MiB at this side)
+MAX_IMAGE_SIZE = 4096
 
 
 class PgmFormatError(ValueError):
@@ -59,7 +66,7 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 # PGM (binary, magic P5, 8-bit)
 
-def _read_pgm_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
+def _read_pgm_tokens(data: bytes | mmap.mmap, count: int) -> tuple[list[bytes], int]:
     """Read whitespace-separated header tokens, skipping # comments."""
     tokens: list[bytes] = []
     i = 0
@@ -82,21 +89,33 @@ def _read_pgm_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
 
 
 def load_image(path) -> ImageGrid:
-    """Load an 8-bit binary PGM, mapping [0, maxval] to [0, 1]."""
-    data = Path(path).read_bytes()
-    tokens, pos = _read_pgm_tokens(data, 4)
-    if tokens[0] != b"P5":
-        raise PgmFormatError(f"bad magic number {tokens[0]!r}, expected P5")
-    try:
-        width, height, maxval = (int(t) for t in tokens[1:])
-    except ValueError as exc:
-        raise PgmFormatError(f"non-numeric header field: {exc}") from exc
-    if width < 1 or height < 1:
-        raise PgmFormatError(f"bad dimensions {width}x{height}")
-    if not (1 <= maxval <= 255):
-        raise PgmFormatError(f"declared maxval {maxval} out of range [1, 255]")
-    pos += 1  # single whitespace byte after maxval
-    payload = data[pos : pos + width * height]
+    """Load an 8-bit binary PGM, mapping [0, maxval] to [0, 1]; a side above
+    :data:`MAX_IMAGE_SIZE` is refused from the header, before the payload
+    is read."""
+    with open(path, "rb") as fh:
+        if os.fstat(fh.fileno()).st_size == 0:
+            raise PgmFormatError("truncated header")
+        # mapped, not read whole: only the pages the header and the payload
+        # slice touch are read, and a refused header touches no payload page
+        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as data:
+            tokens, pos = _read_pgm_tokens(data, 4)
+            if tokens[0] != b"P5":
+                raise PgmFormatError(f"bad magic number {tokens[0]!r}, expected P5")
+            try:
+                width, height, maxval = (int(t) for t in tokens[1:])
+            except ValueError as exc:
+                raise PgmFormatError(f"non-numeric header field: {exc}") from exc
+            if width < 1 or height < 1:
+                raise PgmFormatError(f"bad dimensions {width}x{height}")
+            if not (1 <= maxval <= 255):
+                raise PgmFormatError(f"declared maxval {maxval} out of range [1, 255]")
+            if max(width, height) > MAX_IMAGE_SIZE:
+                raise ValueError(
+                    f"image of {height}x{width} pixels (height x width): a side exceeds "
+                    f"the limit of {MAX_IMAGE_SIZE}"
+                )
+            pos += 1  # single whitespace byte after maxval
+            payload = data[pos : pos + width * height]
     if len(payload) < width * height:
         raise PgmFormatError(
             f"truncated payload: expected {width * height} bytes, "

@@ -21,6 +21,7 @@ from .denoisers import (
     MedianFilter,
 )
 from .fidelity import (
+    MAX_BINOMIAL_ORDER,
     CircularBlur,
     Downsample,
     FidelityTerm,
@@ -28,7 +29,7 @@ from .fidelity import (
     Identity,
     binomial_stencil,
 )
-from .fileio import ImageGrid, load_image
+from .fileio import MAX_IMAGE_SIZE, ImageGrid, load_image
 from .linalg import IterateTriple
 from .solver import Observer, RunTrace, SolverConfig, run
 
@@ -65,9 +66,6 @@ MAX_MEDIAN_COPIES = 2 * 10**8
 # so at most this many rows (pgs-demo's limit on its terms too) stay near
 # 0.5 GB; a run that never stops would otherwise fill memory
 MAX_ITER = 10**6
-# the builtin pattern builds two int64 index grids of this side squared, and
-# the loop several float64 images of the same size
-MAX_IMAGE_SIZE = 4096
 
 DENOISERS = {
     kind.name: kind for kind in (GaussianSmoothing, MedianFilter, BoxAverage, IdentityDenoiser)
@@ -172,16 +170,25 @@ def build_operator(preset: ExperimentPreset, image: ImageGrid) -> ForwardOperato
             f"{copies:.3g} pixels per call on {shape[0]}x{shape[1]} pixels, "
             f"above the limit of {MAX_MEDIAN_COPIES:.3g}"
         )
+    # deblur's stencil and superres's prefilter are binomial
     if preset.name == "deblur":
         if preset.blur_size > min(shape):
             raise ValueError(
                 f"blur_size {preset.blur_size} exceeds the image's smaller side {min(shape)}"
             )
-        k1 = binomial_stencil((preset.blur_size + 1) // 2)
-        return CircularBlur(shape, k1)
-    if preset.name == "superres":
-        return Downsample(shape, preset.downsample_factor)
-    return Identity(shape)
+        setting, order = "blur_size", (preset.blur_size + 1) // 2
+    elif preset.name == "superres":
+        setting, order = "downsample_factor", preset.downsample_factor
+    else:
+        return Identity(shape)
+    if order > MAX_BINOMIAL_ORDER:
+        raise ValueError(
+            f"{setting} = {getattr(preset, setting)} asks for a binomial stencil of order "
+            f"{order}, above {MAX_BINOMIAL_ORDER}, where its weights pass the float range"
+        )
+    if preset.name == "deblur":
+        return CircularBlur(shape, binomial_stencil(order))
+    return Downsample(shape, order)
 
 
 def degrade(preset: ExperimentPreset, clean: ImageGrid) -> tuple[ForwardOperator, np.ndarray]:

@@ -31,7 +31,6 @@ reads it.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -189,14 +188,6 @@ def cauchy_index(spec: PgsSpec, epsilon: float) -> CauchyCertificate:
     )
 
 
-class ConditionFlag(enum.Enum):
-    C1 = "C1"  # residual ratio >= eta: penalty raised
-    C2 = "C2"  # residual ratio < eta: penalty held
-
-    def __str__(self):
-        return self.value
-
-
 @dataclass(frozen=True)
 class ConditionTrace:
     """The trace of a run, one column per quantity.
@@ -332,17 +323,15 @@ class ConditionTrace:
         )
 
 
-def alternation_boundaries(c1: np.ndarray) -> tuple[list[int], list[int]]:
-    """C1-onset iterations n_j and the C2 onsets m_j that follow each: the
-    rising and falling edges of the bool flags c1, with False before them.
+def alternation_boundaries(c1: np.ndarray) -> list[int]:
+    """C1-onset iterations n_j: the rising edges of the bool flags c1, with
+    False before them.
 
     Returned indices are 1-based iteration numbers; c1[i] is the condition
     at iteration i+1.
     """
     before = np.concatenate(([False], c1[:-1]))
-    ns = np.flatnonzero(c1 & ~before) + 1
-    ms = np.flatnonzero(before & ~c1) + 1
-    return ns.tolist(), ms.tolist()
+    return (np.flatnonzero(c1 & ~before) + 1).tolist()
 
 
 def estimate_growth_coefficient(trace: ConditionTrace) -> float:
@@ -372,7 +361,7 @@ def construct_s3_bound(trace: ConditionTrace, c: float | None) -> PgsSpec:
     n_1.  With c at least the true growth coefficient the envelope dominates
     the residuals from iteration n_1 + 1 = chunk_starts[0] + 1 on.
     """
-    ns, _ = alternation_boundaries(trace.c1)
+    ns = alternation_boundaries(trace.c1)
     if len(ns) < 2:
         raise BoundConstructionError(
             "trace is S1/S2-like (fewer than two C1 onsets); "

@@ -31,7 +31,7 @@ import numpy as np
 from .denoisers import Denoiser, denoise
 from .fidelity import FidelityTerm, PenaltyOverflowError, prox_x_update
 from .linalg import IterateTriple, NonFiniteIterateError, as_vector, metric_distance
-from .sequences import ConditionFlag, ConditionTrace
+from .sequences import ConditionTrace
 
 
 @dataclass(frozen=True)
@@ -106,8 +106,9 @@ class RunTrace:
 
 def update_rho(
     rho: float, delta_next: float, delta_prev: float, cfg: SolverConfig
-) -> tuple[float, ConditionFlag]:
-    """One penalty update: grow by cfg.gamma on C1, hold on C2.
+) -> tuple[float, str]:
+    """One penalty update: grow by cfg.gamma on C1, hold on C2; the new
+    penalty and the condition's label, "C1" or "C2", as trace.csv prints it.
 
     C1 fires when delta_next >= cfg.eta * delta_prev (boundary equality
     counts as C1).
@@ -115,8 +116,8 @@ def update_rho(
     if delta_next < 0 or delta_prev < 0:
         raise ValueError("residuals must be nonnegative")
     if delta_next >= cfg.eta * delta_prev:
-        return cfg.gamma * rho, ConditionFlag.C1
-    return rho, ConditionFlag.C2
+        return cfg.gamma * rho, "C1"
+    return rho, "C2"
 
 
 def step(

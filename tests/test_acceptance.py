@@ -185,7 +185,7 @@ def test_a4_condition_switching_pattern(runs):
 def test_a5_denoiser_bound_verification():
     kind = GaussianSmoothing()
     est = estimate_denoiser_bound_constant(
-        kind, 16, 16, (0.05, 0.1, 0.2), n_samples=100, seed=11
+        kind, 16, (0.05, 0.1, 0.2), n_samples=100, seed=11
     )
     check = verify_denoiser_bound(kind, est, n_holdout=1000, seed=12, margin=0.5)
     identity_ok = True

@@ -176,6 +176,11 @@ def test_run_rejects_non_finite_settings(tmp_path, capsys, flag, value, field):
     assert not out.exists()
 
 
+ORDER_513 = (
+    "asks for a binomial stencil of order 513, above 512, where its weights pass the float range"
+)
+
+
 @pytest.mark.parametrize(
     "line,flags,message",
     [("", ["--seed", "-1"], "seed must be >= 0, got -1"),
@@ -183,18 +188,39 @@ def test_run_rejects_non_finite_settings(tmp_path, capsys, flag, value, field):
      ("image_size = -3\n", [], "image_size must be >= 1, got -3"),
      ("downsample_factor = 0\n", [], "downsample_factor must be >= 1, got 0"),
      ("", ["--max-iter", "1000001"], "max_iter must be <= 1000000, got 1000001"),
-     ("image_size = 4097\n", [], "image_size must be <= 4096, got 4097")],
+     ("image_size = 4097\n", [], "image_size must be <= 4096, got 4097"),
+     ("image_size = 1026\ndownsample_factor = 513\n", ["--preset", "superres", "--max-iter", "2"],
+      f"downsample_factor = 513 {ORDER_513}"),
+     ("image_size = 1025\nblur_size = 1025\n", ["--max-iter", "2"],
+      f"blur_size = 1025 {ORDER_513}")],
     ids=["seed=-1", "image_size=0", "image_size=-3", "downsample_factor=0",
-         "max_iter=1000001", "image_size=4097"],
+         "max_iter=1000001", "image_size=4097", "downsample_factor=513", "blur_size=1025"],
 )
 def test_run_names_an_integer_setting_out_of_range(tmp_path, capsys, line, flags, message):
     # numpy's own refusals ("expected non-negative integer", "image
-    # dimensions must be >= 1") would not say which setting is wrong
+    # dimensions must be >= 1") would not say which setting is wrong; nor
+    # would a binomial stencil of order 513, whose weights sum to 2^1024:
+    # the superres prefilter came back all zeros and the run went on with
+    # H = 0, and the deblur stencil failed a check that named no setting
     config = tmp_path / "run.cfg"
     config.write_text(f"preset = deblur\n{line}")
     out = tmp_path / "o"
     assert run_cli("run", "--config", config, *flags, "--out", out) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
+def test_run_refuses_a_pgm_with_a_side_past_the_limit(tmp_path, capsys):
+    # the image_size limit holds for an --image too; the file is a header
+    # alone, so the refusal comes before any payload is read
+    wide = tmp_path / "wide.pgm"
+    wide.write_bytes(b"P5 4097 300 255\n")
+    out = tmp_path / "o"
+    args = ("run", "--preset", "smoke", "--image", wide, "--max-iter", "2", "--out", out)
+    assert run_cli(*args) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: image of 300x4097 pixels (height x width): a side exceeds the limit of 4096"
+    ]
     assert not out.exists()
 
 

@@ -231,7 +231,7 @@ def test_denoise_refuses_a_denoiser_that_changes_the_shape():
 
 def test_estimate_identity_gives_zero():
     est = estimate_denoiser_bound_constant(
-        IdentityDenoiser(), 8, 8, [0.05, 0.1], n_samples=5, seed=0
+        IdentityDenoiser(), 8, [0.05, 0.1], n_samples=5, seed=0
     )
     assert est.k_hat == 0.0
     report = verify_denoiser_bound(IdentityDenoiser(), est, n_holdout=5, seed=1)
@@ -240,7 +240,7 @@ def test_estimate_identity_gives_zero():
 
 
 def test_estimate_is_deterministic():
-    kwargs = dict(width=16, height=16, sigma_grid=(0.05, 0.1, 0.2), n_samples=20, seed=5)
+    kwargs = dict(side=16, sigma_grid=(0.05, 0.1, 0.2), n_samples=20, seed=5)
     a = estimate_denoiser_bound_constant(GaussianSmoothing(), **kwargs)
     b = estimate_denoiser_bound_constant(GaussianSmoothing(), **kwargs)
     assert a.k_hat == b.k_hat
@@ -250,7 +250,7 @@ def test_estimate_is_deterministic():
 def test_estimate_matches_bruteforce_max():
     kind = GaussianSmoothing()
     grid = (0.05, 0.2)
-    est = estimate_denoiser_bound_constant(kind, 8, 8, grid, n_samples=7, seed=3)
+    est = estimate_denoiser_bound_constant(kind, 8, grid, n_samples=7, seed=3)
     ratios = []
     for i in range(7):
         rng = np.random.default_rng((3, i))
@@ -268,7 +268,7 @@ def test_holdout_detects_adversarial_stub():
     img = np.zeros((8, 8))
     assert residue_ratio(stub, 0.3, img) == pytest.approx(4.0 * k_true)
     weak = estimate_denoiser_bound_constant(
-        ShiftStub(k_true / 8), 8, 8, [0.1], n_samples=3, seed=0
+        ShiftStub(k_true / 8), 8, [0.1], n_samples=3, seed=0
     )
     report = verify_denoiser_bound(stub, weak, n_holdout=10, seed=1)
     assert report.violations == 10
@@ -278,7 +278,7 @@ def test_holdout_detects_adversarial_stub():
 def test_holdout_margin_protects_honest_estimate():
     kind = GaussianSmoothing()
     est = estimate_denoiser_bound_constant(
-        kind, 16, 16, (0.05, 0.1, 0.2), n_samples=30, seed=7
+        kind, 16, (0.05, 0.1, 0.2), n_samples=30, seed=7
     )
     report = verify_denoiser_bound(kind, est, n_holdout=100, seed=8, margin=0.5)
     assert report.violations == 0
@@ -287,17 +287,17 @@ def test_holdout_margin_protects_honest_estimate():
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name)
 def test_bound_checks_equal_a_per_sample_residue_ratio_loop(kind):
     grid = (0.05, 0.1, 0.2)
-    est = estimate_denoiser_bound_constant(kind, 12, 9, grid, n_samples=6, seed=3)
+    est = estimate_denoiser_bound_constant(kind, 12, grid, n_samples=6, seed=3)
     ratios = [
-        residue_ratio(kind, s, np.random.default_rng((3, i)).uniform(0, 1, (9, 12)))
+        residue_ratio(kind, s, np.random.default_rng((3, i)).uniform(0, 1, (12, 12)))
         for i in range(6)
         for s in grid
     ]
     assert est.k_hat == max(ratios)
     # margin 0 puts the threshold at k_hat itself, which one of the 15
-    # held-out ratios exceeds for each filter
+    # held-out ratios exceeds for the Gaussian and the box
     holdout = [
-        residue_ratio(kind, s, np.random.default_rng((4, i)).uniform(0, 1, (9, 12)))
+        residue_ratio(kind, s, np.random.default_rng((4, i)).uniform(0, 1, (12, 12)))
         for i in range(5)
         for s in grid
     ]
@@ -336,7 +336,7 @@ def test_median_has_no_spectrum_and_no_certificate():
 @pytest.mark.parametrize("kind", LINEAR_KINDS, ids=lambda k: k.name)
 def test_certified_k_dominates_every_sampled_ratio(kind):
     k, lowest = certified_denoiser_bound(kind, 16, BOUND_GRID)
-    est = estimate_denoiser_bound_constant(kind, 16, 16, BOUND_GRID, n_samples=200, seed=7)
+    est = estimate_denoiser_bound_constant(kind, 16, BOUND_GRID, n_samples=200, seed=7)
     assert est.k_hat <= k
     assert lowest <= 1.0
     if isinstance(kind, IdentityDenoiser):

@@ -181,6 +181,18 @@ def test_prox_large_rho_returns_target():
     assert np.linalg.norm(x - target) <= 1e-6 * np.linalg.norm(target)
 
 
+def test_binomial_stencil_refuses_an_order_past_the_float_range():
+    # the weights' sum 2^(2 order - 2) is a float up to order 512; at 513-515
+    # it overflows and the stencil came back all zeros, from 516 on the
+    # integer weights no longer convert
+    top = binomial_stencil(fidelity.MAX_BINOMIAL_ORDER)
+    assert top.shape == (1023, 1023)
+    assert abs(top.sum() - 1.0) <= 1e-12
+    for order in (513, 516):
+        with pytest.raises(ValueError, match=f"binomial order {order} exceeds 512"):
+            binomial_stencil(order)
+
+
 ORACLE_EXTRA = {
     "downsample3-6x9": lambda: Downsample((6, 9), 3),
     "blur-stencil-larger-than-image": lambda: CircularBlur((3, 4), binomial_stencil(4)),

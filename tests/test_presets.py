@@ -78,6 +78,13 @@ def test_presets_at_the_iteration_and_size_limits_are_accepted():
             make_preset("deblur", **{setting: value})
 
 
+def test_binomial_order_512_is_accepted():
+    # superres's prefilter has order downsample_factor; 512 is the last order
+    # whose weights fit a float (513 is refused: test_cli)
+    at_limit = make_preset("superres", image_size=512, downsample_factor=512)
+    assert build_operator(at_limit, synthetic_image(512)).out_shape == (1, 1)
+
+
 def test_build_operator_rejects_blur_larger_than_image():
     image = synthetic_image(32)
     assert build_operator(make_preset("deblur", blur_size=31), image).in_shape == (32, 32)

@@ -18,7 +18,14 @@ from pnpadmm.fidelity import (
     binomial_stencil,
     prox_x_update,
 )
-from pnpadmm.fileio import ImageGrid, parse_trace, read_trace_csv, serialize_trace, write_trace_csv
+from pnpadmm.fileio import (
+    TRACE_COLUMNS,
+    ImageGrid,
+    parse_trace,
+    read_trace_csv,
+    serialize_trace,
+    write_trace_csv,
+)
 from pnpadmm.linalg import (
     DimensionMismatchError,
     IterateTriple,
@@ -26,7 +33,7 @@ from pnpadmm.linalg import (
     metric_distance,
 )
 from pnpadmm.presets import make_preset, run_preset
-from pnpadmm.sequences import ConditionFlag, ConditionTrace
+from pnpadmm.sequences import ConditionTrace
 from pnpadmm.solver import SolverConfig, fixed_point_residual, run, step, update_rho
 
 
@@ -43,16 +50,16 @@ RULE = SolverConfig(lam=1.0, rho0=1.0, gamma=2.0, eta=0.5, max_iter=1)
 
 
 def test_update_rho_growth_branch():
-    assert update_rho(1.0, 0.6, 1.0, RULE) == (2.0, ConditionFlag.C1)
+    assert update_rho(1.0, 0.6, 1.0, RULE) == (2.0, "C1")
 
 
 def test_update_rho_hold_branch():
-    assert update_rho(1.0, 0.4, 1.0, RULE) == (1.0, ConditionFlag.C2)
+    assert update_rho(1.0, 0.4, 1.0, RULE) == (1.0, "C2")
 
 
 def test_update_rho_boundary_counts_as_growth():
     rho, flag = update_rho(1.0, 0.5, 1.0, RULE)
-    assert (rho, flag) == (2.0, ConditionFlag.C1)
+    assert (rho, flag) == (2.0, "C1")
 
 
 def test_update_rho_rejects_bad_parameters():
@@ -73,13 +80,14 @@ FLAG_RUNS = {"deblur": {}, "superres": {}, "smoke": {"denoiser": "gaussian", "no
 @pytest.mark.parametrize("preset", sorted(FLAG_RUNS))
 def test_trace_flags_are_the_flags_the_loop_acted_on(tmp_path, monkeypatch, preset, eta):
     # the trace derives its flags from the residuals and eta; they must be
-    # the ones update_rho returned, which also set the penalties (and which
-    # the benchmark's solver.c1_count counts)
-    returned = []
+    # the ones update_rho returned, which also set the penalties, and its
+    # labels must be trace.csv's condition column on rows 2..n, the labels
+    # the benchmark's solver.c1_count counts as "C1"
+    labels = []
 
     def recording_update_rho(*args):
         result = update_rho(*args)
-        returned.append(result[1] == ConditionFlag.C1)
+        labels.append(result[1])
         return result
 
     monkeypatch.setattr(solver, "update_rho", recording_update_rho)
@@ -88,6 +96,10 @@ def test_trace_flags_are_the_flags_the_loop_acted_on(tmp_path, monkeypatch, pres
     )
     cond = result.trace.condition_trace
     assert len(cond) == 30
+    column = TRACE_COLUMNS.index("condition")
+    rows = serialize_trace(cond).splitlines()[2:]
+    assert [row.split(",")[column] for row in rows] == labels
+    returned = [label == "C1" for label in labels]
     assert cond.c1.tolist() == returned
     path = tmp_path / "trace.csv"
     write_trace_csv(cond, path)
