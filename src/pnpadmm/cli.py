@@ -165,7 +165,7 @@ def _run_one(preset: ExperimentPreset, out_dir: Path) -> None:
     result = run_preset(preset, observe=observe)
     out_dir.mkdir(parents=True, exist_ok=True)
     fileio.write_trace_csv(result.trace.condition_trace, out_dir / "trace.csv")
-    fileio.save_image(result.restored, out_dir / "restored.pgm")
+    fileio.save_image(result.trace.final_iterate.x, out_dir / "restored.pgm")
     summary = _summarize(result, trajectory_m_hat)
     (out_dir / "summary.txt").write_text(summary)
     fileio.write_config(_run_config(preset), out_dir / "run_config.txt")

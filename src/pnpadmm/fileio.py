@@ -1,5 +1,5 @@
-"""File formats: binary PGM images (read into and written from
-:class:`ImageGrid`), trace CSV, and flat key=value configs.
+"""File formats on bare arrays: binary PGM images, read into and written
+from read-only (h, w) float64 arrays, trace CSV, and flat key=value configs.
 
 A trace CSV's condition column prints ``ConditionTrace.c1``; read back, it
 is outside input: :func:`parse_trace` checks only the format, and
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import mmap
 import os
-from dataclasses import dataclass
+import re
 from pathlib import Path
 
 import numpy as np
@@ -18,32 +18,11 @@ import numpy as np
 from .linalg import as_image
 from .sequences import ConditionTrace
 
-
-@dataclass(frozen=True)
-class ImageGrid:
-    """A read-only (height, width) float64 image: the form in which an image
-    is read from or written to a file, or made by a preset.
-
-    pixels is a read-only view of the given array, not a copy.  The loop
-    itself holds bare arrays; this record stays for the callers that read
-    a preset's image through :meth:`to_array`.
-    """
-
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "pixels", as_image(self.pixels, "pixels"))
-
-    def to_array(self) -> np.ndarray:
-        """Return a writable (height, width) copy."""
-        return self.pixels.copy()
-
-
 TRACE_COLUMNS = ("iter", "delta", "rho", "sigma", "condition", "fidelity_value")
 # the longest image side a run takes, builtin or read from a PGM: the builtin
-# pattern builds two int64 index grids of this side squared, the loop several
-# float64 images of that size, and the Gaussian and box denoisers a side x
-# side filter matrix per axis (128 MiB at this side)
+# pattern and the loop each hold several float64 images of this side squared,
+# and the Gaussian and box denoisers a side x side filter matrix per axis
+# (128 MiB at this side)
 MAX_IMAGE_SIZE = 4096
 
 
@@ -66,39 +45,28 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 # PGM (binary, magic P5, 8-bit)
 
-def _read_pgm_tokens(data: bytes | mmap.mmap, count: int) -> tuple[list[bytes], int]:
-    """Read whitespace-separated header tokens, skipping # comments."""
-    tokens: list[bytes] = []
-    i = 0
-    while len(tokens) < count:
-        if i >= len(data):
-            raise PgmFormatError("truncated header")
-        c = data[i : i + 1]
-        if c == b"#":
-            while i < len(data) and data[i : i + 1] != b"\n":
-                i += 1
-        elif c.isspace():
-            i += 1
-        else:
-            j = i
-            while j < len(data) and not data[j : j + 1].isspace():
-                j += 1
-            tokens.append(data[i:j])
-            i = j
-    return tokens, i
+# one header token and the whitespace and # comments before it; the
+# lookahead and backreference make that skip atomic (Python 3.10 has no
+# atomic group), so a trailing comment is never re-read as a token
+_PGM_TOKEN = re.compile(rb"(?=(\s*(?:#[^\n]*\s*)*))\1(\S+)")
 
 
-def load_image(path) -> ImageGrid:
-    """Load an 8-bit binary PGM, mapping [0, maxval] to [0, 1]; a side above
-    :data:`MAX_IMAGE_SIZE` is refused from the header, before the payload
-    is read."""
+def load_image(path) -> np.ndarray:
+    """Load an 8-bit binary PGM as a read-only (h, w) image, mapping
+    [0, maxval] to [0, 1]; a side above :data:`MAX_IMAGE_SIZE` is refused
+    from the header, before the payload is read."""
     with open(path, "rb") as fh:
         if os.fstat(fh.fileno()).st_size == 0:
             raise PgmFormatError("truncated header")
         # mapped, not read whole: only the pages the header and the payload
         # slice touch are read, and a refused header touches no payload page
         with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as data:
-            tokens, pos = _read_pgm_tokens(data, 4)
+            tokens, pos = [], 0
+            for _ in range(4):
+                if not (token := _PGM_TOKEN.match(data, pos)):
+                    raise PgmFormatError("truncated header")
+                tokens.append(token[2])
+                pos = token.end()
             if tokens[0] != b"P5":
                 raise PgmFormatError(f"bad magic number {tokens[0]!r}, expected P5")
             try:
@@ -126,14 +94,16 @@ def load_image(path) -> ImageGrid:
     if top > maxval:
         raise PgmFormatError(f"sample {top} above the declared maxval {maxval}")
     pixels = samples.astype(np.float64) / maxval
-    return ImageGrid(pixels.reshape(height, width))
+    return as_image(pixels.reshape(height, width))
 
 
-def save_image(img: ImageGrid, path) -> None:
-    """Write an 8-bit binary PGM, round-half-up with clamping to [0, 255]."""
-    levels = np.floor(img.pixels * 255.0 + 0.5)
+def save_image(pixels: np.ndarray, path) -> None:
+    """Write an (h, w) image as an 8-bit binary PGM, round-half-up with
+    clamping to [0, 255]."""
+    pixels = as_image(pixels, "pixels")
+    levels = np.floor(pixels * 255.0 + 0.5)
     levels = np.clip(levels, 0, 255).astype(np.uint8)
-    height, width = img.pixels.shape
+    height, width = pixels.shape
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
     Path(path).write_bytes(header + levels.tobytes())
 

@@ -29,8 +29,8 @@ from .fidelity import (
     Identity,
     binomial_stencil,
 )
-from .fileio import MAX_IMAGE_SIZE, ImageGrid, load_image
-from .linalg import IterateTriple
+from .fileio import MAX_IMAGE_SIZE, load_image
+from .linalg import IterateTriple, as_image
 from .solver import Observer, RunTrace, SolverConfig, run
 
 # each preset's departures from ExperimentPreset's defaults, which are
@@ -118,18 +118,33 @@ class ExperimentPreset:
             problem = "is not a file" if Path(self.image_source).exists() else "does not exist"
             raise ValueError(f"unreadable image: {self.image_source!r} {problem}")
 
-    def source_image(self) -> ImageGrid:
+    def source_image(self) -> np.ndarray:
+        """The clean read-only (h, w) image: the builtin pattern or the PGM."""
         if self.image_source == "builtin":
-            return synthetic_image(self.image_size)
+            return synthetic_image(self.image_size).pixels
         return load_image(self.image_source)
+
+
+@dataclass(frozen=True)
+class ImageGrid:
+    """The builtin pattern, ``pixels``, read-only (h, w) float64: a shim for
+    the ``synthetic_image(n).to_array()`` call of ``benchmarks/run.py``, and
+    it goes with that call (ROADMAP item 1); all else holds bare arrays."""
+
+    pixels: np.ndarray
+
+    def to_array(self) -> np.ndarray:
+        """Return a writable (height, width) copy."""
+        return self.pixels.copy()
 
 
 def synthetic_image(size: int = 64) -> ImageGrid:
     """Builtin checkerboard-plus-ramp pattern; keeps tests free of fixtures."""
-    i, j = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
+    # a column and a row of indices broadcast to the full pattern
+    i, j = np.arange(size)[:, None], np.arange(size)[None, :]
     checker = ((i // 8 + j // 8) % 2).astype(np.float64)
     ramp = (i + j) / (2.0 * (size - 1)) if size > 1 else np.zeros_like(checker)
-    return ImageGrid(0.15 + 0.7 * (0.65 * checker + 0.35 * ramp))
+    return ImageGrid(as_image(0.15 + 0.7 * (0.65 * checker + 0.35 * ramp)))
 
 
 def make_preset(name: str, **overrides) -> ExperimentPreset:
@@ -147,8 +162,8 @@ def preset_settings(preset: ExperimentPreset) -> dict:
     return settings
 
 
-def build_operator(preset: ExperimentPreset, image: ImageGrid) -> ForwardOperator:
-    shape = image.pixels.shape
+def build_operator(preset: ExperimentPreset, image: np.ndarray) -> ForwardOperator:
+    shape = image.shape
     if max(shape) > MAX_ASPECT_RATIO * min(shape):
         raise ValueError(
             f"image of {shape[0]}x{shape[1]} pixels (height x width): the long side "
@@ -163,7 +178,7 @@ def build_operator(preset: ExperimentPreset, image: ImageGrid) -> ForwardOperato
             f"{given} the {preset.denoiser.name} denoiser's window is wider than the image: "
             f"half-width {radius} > {MAX_WINDOW_RATIO} x {side} pixels (its long side)"
         )
-    copies = image.pixels.size * (2 * radius + 1) ** 2
+    copies = image.size * (2 * radius + 1) ** 2
     if isinstance(preset.denoiser, MedianFilter) and copies > MAX_MEDIAN_COPIES:
         raise ValueError(
             f"{given} the median denoiser's window of half-width {radius} copies "
@@ -191,11 +206,11 @@ def build_operator(preset: ExperimentPreset, image: ImageGrid) -> ForwardOperato
     return Downsample(shape, order)
 
 
-def degrade(preset: ExperimentPreset, clean: ImageGrid) -> tuple[ForwardOperator, np.ndarray]:
+def degrade(preset: ExperimentPreset, clean: np.ndarray) -> tuple[ForwardOperator, np.ndarray]:
     """Apply the preset degradation plus seeded Gaussian noise."""
     op = build_operator(preset, clean)
     rng = np.random.default_rng(preset.seed)
-    observation = op.apply(clean.pixels)
+    observation = op.apply(clean)
     if preset.noise_sigma > 0:
         # a huge sigma overflows to inf, which FidelityTerm refuses by name
         with np.errstate(over="ignore"):
@@ -214,7 +229,6 @@ class PresetResult:
     preset: ExperimentPreset
     fidelity: FidelityTerm
     trace: RunTrace
-    restored: ImageGrid
 
 
 def run_preset(preset: ExperimentPreset, observe: Observer | None = None) -> PresetResult:
@@ -223,5 +237,4 @@ def run_preset(preset: ExperimentPreset, observe: Observer | None = None) -> Pre
     # the start iterate, so neither original is held through the loop
     fidelity = FidelityTerm(*degrade(preset, preset.source_image()))
     trace = run(fidelity, preset.denoiser, preset.config, initial_iterate(fidelity), observe)
-    restored = ImageGrid(trace.final_iterate.x)
-    return PresetResult(preset=preset, fidelity=fidelity, trace=trace, restored=restored)
+    return PresetResult(preset=preset, fidelity=fidelity, trace=trace)

@@ -163,7 +163,8 @@ def cauchy_index(spec: PgsSpec, epsilon: float) -> CauchyCertificate:
 
     K is the closed form 1 + log(threshold) / log(beta), nudged to the
     smallest K with beta^(K-1) < threshold; past the listed starts the
-    chunks have unit length.
+    chunks have unit length.  A threshold or tail bound that underflows to
+    zero is refused: no positive tail sum meets a bound of 0.
     """
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
@@ -180,12 +181,11 @@ def cauchy_index(spec: PgsSpec, epsilon: float) -> CauchyCertificate:
         k += 1
     m = len(chunk_starts)
     n_k = chunk_starts[k - 1] if k <= m else chunk_starts[-1] + (k - m)
-    return CauchyCertificate(
-        epsilon=epsilon,
-        k_index=k,
-        n_start=n_k + 1,
-        tail_bound=peak0 * beta ** (k - 1) / (1.0 - beta) ** 2,
-    )
+    tail_bound = peak0 * beta ** (k - 1) / (1.0 - beta) ** 2
+    if not tail_bound > 0:
+        raise ValueError(
+            f"tail bound peak0 * beta^(K-1) / (1 - beta)^2 at K = {k} underflows to zero")
+    return CauchyCertificate(epsilon=epsilon, k_index=k, n_start=n_k + 1, tail_bound=tail_bound)
 
 
 @dataclass(frozen=True)

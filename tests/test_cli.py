@@ -16,7 +16,6 @@ from pnpadmm import cli
 from pnpadmm.fidelity import CircularBlur, estimate_gradient_bound
 from pnpadmm.fileio import (
     TRACE_COLUMNS,
-    ImageGrid,
     load_image,
     parse_config,
     read_trace_csv,
@@ -81,7 +80,7 @@ def test_run_ends_with_its_stop_reason_and_writes_every_output(tmp_path, config,
     columns = read_trace_csv(out / "trace.csv")
     assert len(columns["deltas"]) == rows
     assert np.all(np.isfinite(columns["rhos"])) and np.all(columns["sigmas"] > 0)
-    assert load_image(out / "restored.pgm").pixels.size == (64 if rows == 5 else 32) ** 2
+    assert load_image(out / "restored.pgm").size == (64 if rows == 5 else 32) ** 2
 
 
 def test_run_is_byte_deterministic(tmp_path):
@@ -126,21 +125,20 @@ def test_run_accepts_config_file_and_overrides(tmp_path):
 
 
 def test_run_with_user_pgm_image(tmp_path):
-    img = synthetic_image(16)
     src = tmp_path / "src.pgm"
-    save_image(img, src)
+    save_image(synthetic_image(16).pixels, src)
     out = tmp_path / "run"
     code = run_cli(
         "run", "--preset", "deblur", "--image", src, "--max-iter", "5", "--out", out
     )
     assert code == 0
     restored = load_image(out / "restored.pgm")
-    assert restored.pixels.shape[1] == 16
+    assert restored.shape[1] == 16
 
 
 def test_run_rejects_image_too_thin_for_the_denoiser(tmp_path, capsys):
     thin = tmp_path / "thin.pgm"
-    save_image(ImageGrid(np.full((1, 64), 0.5)), thin)
+    save_image(np.full((1, 64), 0.5), thin)
     out = tmp_path / "thin"
     args = ("run", "--preset", "smoke", "--denoiser", "gaussian", "--max-iter", "5")
     assert run_cli(*args, "--image", thin, "--out", out) == 1
@@ -149,7 +147,7 @@ def test_run_rejects_image_too_thin_for_the_denoiser(tmp_path, capsys):
     assert not (out / "trace.csv").exists()
     # 16:1 is the widest accepted shape
     strip = tmp_path / "strip.pgm"
-    save_image(ImageGrid(np.full((4, 64), 0.5)), strip)
+    save_image(np.full((4, 64), 0.5), strip)
     assert run_cli(*args, "--image", strip, "--out", tmp_path / "strip") == 0
     assert len(read_trace_csv(tmp_path / "strip" / "trace.csv")["deltas"]) >= 1
 
@@ -389,7 +387,7 @@ def test_run_rejects_image_path_run_config_cannot_hold(tmp_path, monkeypatch, ca
     # the file exists, so without the check the run would succeed and write
     # a run_config.txt that does not replay it
     monkeypatch.chdir(tmp_path)
-    save_image(synthetic_image(16), tmp_path / name)
+    save_image(synthetic_image(16).pixels, tmp_path / name)
     out = tmp_path / "run"
     code = run_cli("run", "--preset", "deblur", "--image", name, "--out", out)
     assert code == 1
@@ -1011,6 +1009,23 @@ def test_pgs_demo_rejects_bad_beta(tmp_path, capsys):
 def test_pgs_demo_refuses_non_finite_input_before_writing(tmp_path, capsys, flag, value, message):
     out = tmp_path / "x.csv"
     assert run_cli("pgs-demo", "--beta", "0.5", flag, value, "--out", out) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        # beta^(K-1) underflows at K = 3, and no positive tail meets a bound of 0
+        (("--beta", "1e-300", "--epsilon", "1e-300"),
+         "tail bound peak0 * beta^(K-1) / (1 - beta)^2 at K = 3 underflows to zero"),
+        (("--beta", "0.5", "--chunk-lengths", "0,2"), "chunk lengths must be >= 1"),
+    ],
+    ids=["tail-bound-underflow", "chunk-length-zero"],
+)
+def test_pgs_demo_refuses_an_empty_chunk_or_a_zero_tail_bound(tmp_path, capsys, args, message):
+    out = tmp_path / "x.csv"
+    assert run_cli("pgs-demo", *args, "--out", out) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 

@@ -1,10 +1,10 @@
 import re
+import time
 
 import numpy as np
 import pytest
 
 from pnpadmm.fileio import (
-    ImageGrid,
     PgmFormatError,
     TraceFormatError,
     load_image,
@@ -37,28 +37,67 @@ def assert_columns_of(columns, trace):
         assert np.array_equal(columns[name], getattr(trace, name))
 
 
-def test_image_grid_validation():
+def test_save_image_refuses_a_non_image(tmp_path):
+    path = tmp_path / "none.pgm"
     for shape in [(3,), (0, 2)]:
         with pytest.raises(ValueError, match=re.escape(
                 f"pixels must be an (h, w) image with no empty side, got shape {shape}")):
-            ImageGrid(np.zeros(shape))
+            save_image(np.zeros(shape), path)
+    assert not path.exists()
+
+
+def test_load_image_returns_a_read_only_float64_image(tmp_path):
+    path = tmp_path / "one.pgm"
+    path.write_bytes(b"P5\n2 1\n255\n\x00\xff")
+    img = load_image(path)
+    assert type(img) is np.ndarray and img.dtype == np.float64 and img.shape == (1, 2)
+    assert not img.flags.writeable
 
 
 def test_pgm_endpoint_mapping(tmp_path):
     path = tmp_path / "one.pgm"
     path.write_bytes(b"P5\n1 1\n255\n\xff")
-    img = load_image(path)
-    assert img.pixels[0] == 1.0
+    assert load_image(path)[0, 0] == 1.0
     path.write_bytes(b"P5\n1 1\n255\n\x00")
-    assert load_image(path).pixels[0] == 0.0
+    assert load_image(path)[0, 0] == 0.0
 
 
 def test_pgm_header_comments(tmp_path):
     path = tmp_path / "c.pgm"
     path.write_bytes(b"P5\n# a comment\n2 1\n# another\n255\n\x00\xff")
     img = load_image(path)
-    assert img.pixels.shape == (1, 2)
-    assert np.array_equal(img.pixels, [[0.0, 1.0]])
+    assert img.shape == (1, 2)
+    assert np.array_equal(img, [[0.0, 1.0]])
+
+
+@pytest.mark.parametrize("header, message", [
+    # a comment after the last token is skipped, never read as a token
+    (b"P5 #abc", "truncated header"),
+    # a # inside a token is part of the token
+    (b"P5\n2#x 1\n255\n\x00\x00", "non-numeric header field"),
+])
+def test_pgm_header_comment_edges(tmp_path, header, message):
+    path = tmp_path / "h.pgm"
+    path.write_bytes(header)
+    with pytest.raises(PgmFormatError, match=message):
+        load_image(path)
+
+
+@pytest.mark.parametrize("sep", [b" ", b"\t", b"\n", b"\r", b"\v", b"\f"])
+def test_pgm_header_whitespace_separators(tmp_path, sep):
+    path = tmp_path / "ws.pgm"
+    path.write_bytes(sep.join([b"P5", b"2", b"1", b"255"]) + sep + b"\x00\xff")
+    assert np.array_equal(load_image(path), [[0.0, 1.0]])
+
+
+def test_pgm_header_with_a_16_mb_comment_loads_in_under_a_second(tmp_path):
+    # the header is matched by one pattern, not scanned byte by byte
+    path = tmp_path / "long.pgm"
+    path.write_bytes(b"P5\n#" + b"x" * (16 << 20) + b"\n2 1\n255\n\x00\xff")
+    start = time.perf_counter()
+    img = load_image(path)
+    assert time.perf_counter() - start < 1.0
+    assert np.array_equal(img, [[0.0, 1.0]])
 
 
 def test_pgm_bad_magic(tmp_path):
@@ -85,9 +124,9 @@ def test_pgm_maxval_out_of_range(tmp_path):
 def test_pgm_scales_by_the_declared_maxval(tmp_path):
     path = tmp_path / "four_bit.pgm"
     path.write_bytes(b"P5\n2 1\n15\n\x0f\x07")
-    assert np.array_equal(load_image(path).pixels, [[1.0, 7.0 / 15.0]])
+    assert np.array_equal(load_image(path), [[1.0, 7.0 / 15.0]])
     path.write_bytes(b"P5\n2 1\n1\n\x01\x00")
-    assert np.array_equal(load_image(path).pixels, [[1.0, 0.0]])
+    assert np.array_equal(load_image(path), [[1.0, 0.0]])
 
 
 def test_pgm_sample_above_maxval(tmp_path):
@@ -99,20 +138,19 @@ def test_pgm_sample_above_maxval(tmp_path):
 
 def test_pgm_round_trip_quantization(tmp_path):
     rng = np.random.default_rng(149)
-    img = ImageGrid(rng.uniform(0, 1, (32, 32)))
+    img = rng.uniform(0, 1, (32, 32))
     path = tmp_path / "rt.pgm"
     save_image(img, path)
     back = load_image(path)
-    assert back.pixels.shape == (32, 32)
-    assert np.max(np.abs(back.pixels - img.pixels)) <= 1.0 / 510.0
+    assert back.shape == (32, 32)
+    assert np.max(np.abs(back - img)) <= 1.0 / 510.0
 
 
 def test_pgm_save_clamps(tmp_path):
-    img = ImageGrid(np.array([[-0.4, 1.7]]))
     path = tmp_path / "clamp.pgm"
-    save_image(img, path)
+    save_image(np.array([[-0.4, 1.7]]), path)
     back = load_image(path)
-    assert np.array_equal(back.pixels, [[0.0, 1.0]])
+    assert np.array_equal(back, [[0.0, 1.0]])
 
 
 def test_trace_round_trip_field_for_field():

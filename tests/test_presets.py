@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -25,6 +27,23 @@ def test_synthetic_image_shape_and_range():
     assert img.pixels.min() >= 0.0 and img.pixels.max() <= 1.0
     # deterministic pattern
     assert np.array_equal(img.pixels, synthetic_image(64).pixels)
+
+
+def test_synthetic_image_bytes_are_pinned():
+    digest = hashlib.sha256(synthetic_image(64).pixels.tobytes()).hexdigest()
+    assert digest == "c80990b0849b0b26bb40a2a02711d88763046383a076e675c9aa46ecbf83059f"
+
+
+def test_synthetic_image_peak_memory_stays_below_five_images():
+    # a column and a row of indices broadcast to the pattern; two full-size
+    # int64 index grids put the peak at six images
+    tracemalloc.start()
+    try:
+        synthetic_image(1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 1024**2 * 8
 
 
 def test_make_preset_defaults():
@@ -82,18 +101,18 @@ def test_binomial_order_512_is_accepted():
     # superres's prefilter has order downsample_factor; 512 is the last order
     # whose weights fit a float (513 is refused: test_cli)
     at_limit = make_preset("superres", image_size=512, downsample_factor=512)
-    assert build_operator(at_limit, synthetic_image(512)).out_shape == (1, 1)
+    assert build_operator(at_limit, synthetic_image(512).pixels).out_shape == (1, 1)
 
 
 def test_build_operator_rejects_blur_larger_than_image():
-    image = synthetic_image(32)
+    image = synthetic_image(32).pixels
     assert build_operator(make_preset("deblur", blur_size=31), image).in_shape == (32, 32)
     with pytest.raises(ValueError, match="blur_size 33 exceeds the image's smaller side 32"):
         build_operator(make_preset("deblur", blur_size=33), image)
 
 
 def test_degrade_is_seeded_and_deterministic():
-    clean = synthetic_image(16)
+    clean = synthetic_image(16).pixels
     p = make_preset("deblur", image_size=16, seed=42)
     op1, b1 = degrade(p, clean)
     op2, b2 = degrade(p, clean)
@@ -104,7 +123,7 @@ def test_degrade_is_seeded_and_deterministic():
 
 
 def test_initial_iterate_backprojection():
-    clean = synthetic_image(8)
+    clean = synthetic_image(8).pixels
     p = make_preset("superres", image_size=8)
     op, b = degrade(p, clean)
     theta0 = initial_iterate(FidelityTerm(op=op, observation=b))
@@ -125,7 +144,7 @@ def test_superres_observation_has_reduced_dim():
     result = run_preset(make_preset("superres", max_iter=3))
     op = result.fidelity.op
     assert math.prod(op.out_shape) == math.prod(op.in_shape) // 4
-    assert result.restored.pixels.shape == op.in_shape
+    assert result.trace.final_iterate.x.shape == op.in_shape
 
 
 def test_fixed_point_residual_tracks_final_delta():

@@ -39,7 +39,7 @@ from pnpadmm.fidelity import (
     Mask,
     prox_x_update,
 )
-from pnpadmm.fileio import ImageGrid, load_image, parse_trace, save_image, serialize_trace
+from pnpadmm.fileio import load_image, parse_trace, save_image, serialize_trace
 from pnpadmm.linalg import DimensionMismatchError
 from pnpadmm.sequences import (
     ConditionTrace,
@@ -354,12 +354,12 @@ def test_trace_csv_round_trip_is_exact(trace):
 def test_pgm_round_trip_reproduces_255ths_exactly(tmp_path_factory, width, height, data):
     levels = data.draw(st.lists(st.integers(0, 255), min_size=width * height,
                                 max_size=width * height))
-    img = ImageGrid(np.array(levels).reshape(height, width) / 255.0)
+    img = np.array(levels).reshape(height, width) / 255.0
     path = tmp_path_factory.mktemp("pgm") / "img.pgm"
     save_image(img, path)
     back = load_image(path)
-    assert back.pixels.shape == (height, width)
-    assert back.pixels.tobytes() == img.pixels.tobytes()
+    assert back.shape == (height, width)
+    assert back.tobytes() == img.tobytes()
 
 
 # relative moves of one penalty around validate's 1e-12 tolerance, and

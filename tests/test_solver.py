@@ -20,9 +20,9 @@ from pnpadmm.fidelity import (
 )
 from pnpadmm.fileio import (
     TRACE_COLUMNS,
-    ImageGrid,
     parse_trace,
     read_trace_csv,
+    save_image,
     serialize_trace,
     write_trace_csv,
 )
@@ -32,7 +32,7 @@ from pnpadmm.linalg import (
     NonFiniteIterateError,
     metric_distance,
 )
-from pnpadmm.presets import make_preset, run_preset
+from pnpadmm.presets import ImageGrid, make_preset, run_preset
 from pnpadmm.sequences import ConditionTrace
 from pnpadmm.solver import SolverConfig, fixed_point_residual, run, step, update_rho
 
@@ -397,17 +397,17 @@ def test_gaussian_smoke_misses_its_fixed_point_by_rounding_only_at_16x16(noise_s
     assert trace.stop_reason == "max_iter"
 
 
-def test_run_builds_no_image_grid(monkeypatch):
-    # the loop holds bare (h, w) arrays; ImageGrid is only where an image
-    # meets a file or a preset
+def test_run_builds_no_image_grid(monkeypatch, tmp_path):
+    # the loop, the file layer and the run path hold bare (h, w) arrays;
+    # ImageGrid is only what synthetic_image returns
     built = []
-    post_init = ImageGrid.__post_init__
+    init = ImageGrid.__init__
 
-    def counting_post_init(self):
-        built.append(np.shape(self.pixels))
-        post_init(self)
+    def counting_init(self, pixels):
+        built.append(np.shape(pixels))
+        init(self, pixels)
 
-    monkeypatch.setattr(ImageGrid, "__post_init__", counting_post_init)
+    monkeypatch.setattr(ImageGrid, "__init__", counting_init)
     rng = np.random.default_rng(97)
     op = CircularBlur((12, 16), binomial_stencil(3))
     f = FidelityTerm(op=op, observation=rng.uniform(size=op.out_shape))
@@ -416,8 +416,12 @@ def test_run_builds_no_image_grid(monkeypatch):
                 IterateTriple(x=x0, v=x0, u=np.zeros_like(x0)))
     fixed_point_residual(f, GaussianSmoothing(), trace)
     assert len(trace) == 5 and built == []
-    ImageGrid(trace.final_iterate.x)
-    assert built == [(12, 16)]
+    path = tmp_path / "x.pgm"
+    save_image(trace.final_iterate.x, path)
+    run_preset(make_preset("deblur", image_source=str(path), max_iter=2))
+    assert built == []
+    run_preset(make_preset("deblur", image_size=12, max_iter=2))
+    assert built == [(12, 12)]
 
 
 def test_run_rejects_dimension_mismatch():

@@ -5,10 +5,12 @@
 Each tree is a checkout with the package under ``src/``.  The runs are
 every workload of ``benchmarks/workloads.py``, plus 32x32 deblur with the
 box and with the median denoiser, 32x32 smoke, and deblur and superres on
-a 24 x 40 (height x width) PGM that this tool writes, each at seeds 0-3.
-Every trace a run writes is analyzed twice: plainly, and the benchmark's
-way, with ``--eta`` from ``run_config.txt`` and ``--gamma`` from the
-config.  Both trees run the same commands with the same relative paths.
+a 24 x 40 (height x width) PGM that this tool writes with a comment in its
+header, each at seeds 0-3.  Every trace a run writes is analyzed twice:
+plainly, and the benchmark's way, with ``--eta`` from ``run_config.txt``
+and ``--gamma`` from the config.  ``pgs-demo`` runs at the settings in
+:data:`PGS_DEMOS`.  Both trees run the same commands with the same relative
+paths.
 Every file written is compared byte for byte (``bound_report.txt``
 without its ``trace =`` line), and so are each command's exit code,
 stdout and stderr.  Prints the counts; exits 1 on any difference.
@@ -40,6 +42,11 @@ EXTRA = [
     Workload("superres-24x40", {"preset": "superres", "image": NONSQUARE, "gamma": 1.2}),
 ]
 RUNS = {w.name: w for w in [*WORKLOADS.values(), *EXTRA]}
+# pgs-demo settings: the default chunks, and longer ones at a slower decay
+PGS_DEMOS = {
+    "pgs-0.5": ["--beta", "0.5"],
+    "pgs-0.9": ["--beta", "0.9", "--chunk-lengths", "3,5,8"],
+}
 
 
 def outputs(tree: Path, work: Path) -> dict[str, bytes]:
@@ -59,11 +66,13 @@ def outputs(tree: Path, work: Path) -> dict[str, bytes]:
 
     # pixel (i, j) of the 24 x 40 image is (7i + 3j) mod 256
     pixels = bytes((7 * i + 3 * j) % 256 for i in range(24) for j in range(40))
-    (work / NONSQUARE).write_bytes(b"P5\n40 24\n255\n" + pixels)
+    (work / NONSQUARE).write_bytes(b"P5\n# (7i + 3j) mod 256\n40 24\n255\n" + pixels)
     for w in RUNS.values():
         w.write_config(work / f"{w.name}.cfg")
         for seed in SEEDS:
             call(w.run_argv(Path(f"{w.name}.cfg"), Path(w.name, f"seed{seed}"), seed))
+    for name, args in PGS_DEMOS.items():
+        call(["pgs-demo", *args, "--out", f"{name}.csv"])
     for trace in sorted(work.glob("*/seed*/**/trace.csv")):
         trace = trace.relative_to(work)
         config = (work / trace.parent / "run_config.txt").read_text().splitlines()
