@@ -18,6 +18,7 @@ from .fidelity import box_gradient_bound, estimate_gradient_bound
 from .linalg import norm
 from .presets import (
     DENOISERS,
+    MAX_ITER,
     PRESET_NAMES,
     ExperimentPreset,
     make_preset,
@@ -40,9 +41,6 @@ from .sequences import (
 )
 from .solver import fixed_point_residual
 
-# pgs-demo writes one CSV line per term: 10^6 lines take ~4 s and make a
-# 21 MB file, so a longer request is refused before anything is allocated
-MAX_PGS_DEMO_LENGTH = 10**6
 # summary.txt bounds the denoiser on images of this side at these strengths
 BOUND_SIDE = 16
 BOUND_SIGMAS = (0.05, 0.1, 0.2)
@@ -259,10 +257,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_pgs_demo(args) -> int:
-    if args.length > MAX_PGS_DEMO_LENGTH:
-        raise ValueError(
-            f"--length {args.length} exceeds the limit of {MAX_PGS_DEMO_LENGTH}"
-        )
+    if args.length > MAX_ITER:
+        raise ValueError(f"--length {args.length} exceeds the limit of {MAX_ITER}")
     lengths = _parse_list(args.chunk_lengths, "--chunk-lengths", int)
     if any(v < 1 for v in lengths):
         raise ValueError("chunk lengths must be >= 1")

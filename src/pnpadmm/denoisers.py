@@ -208,14 +208,18 @@ class MedianFilter(Denoiser):
         if half == 0:
             return a
         win = 2 * half + 1
-        # np.median copies the windows it is given, so take them a block of
-        # rows at a time: each block's copy stays within MEDIAN_BLOCK_BYTES
-        rows = max(1, MEDIAN_BLOCK_BYTES // (w * win * win * 8))
+        # np.median copies the windows it is given, so take them a block at a
+        # time: whole rows while a row fits MEDIAN_BLOCK_BYTES, else part of
+        # one, so each block's copy stays within it (or holds one window)
+        pixels = max(1, MEDIAN_BLOCK_BYTES // (win * win * 8))
+        rows, cols = max(1, pixels // w), min(w, pixels)
         padded = np.pad(a, half, mode="symmetric")
         windows = np.lib.stride_tricks.sliding_window_view(padded, (win, win))
         out = np.empty(a.shape)
         for r in range(0, h, rows):
-            out[r : r + rows] = np.median(windows[r : r + rows], axis=(2, 3))
+            for c in range(0, w, cols):
+                block = windows[r : r + rows, c : c + cols]
+                out[r : r + rows, c : c + cols] = np.median(block, axis=(2, 3))
         return out
 
 

@@ -13,8 +13,8 @@ x = t + H^T (rho I + H H^T)^-1 (b - H t) around a Fourier solve on the
 low-resolution grid (Downsample, whose H and H^T are a precomputed gather
 under a fixed binomial prefilter and its bincount, so its prox runs no
 full-size transform and never divides by rho).  Spectra and index tables
-are computed once, at construction; every later transform runs through
-one in-place pair, :func:`_forward` and :func:`_inverse`.  Each prox also
+are computed once, at construction; every transform runs through one
+pair, :func:`_forward` and :func:`_inverse`.  Each prox also
 returns the data term f(x) of its solution, so the x-update never applies
 H again: the pixelwise and push-through solves take it from the residual
 Hx - b they form on the way, and the blur, which works only in its
@@ -64,8 +64,7 @@ def _check_stencil(stencil) -> np.ndarray:
 
 def _forward(a: np.ndarray) -> np.ndarray:
     """``np.fft.rfft2`` of a real 2-D array, bit for bit, as its two axis
-    transforms, the second in place; a spectrum that is kept, computed at
-    construction, takes ``rfft2`` itself."""
+    transforms, the second in place."""
     s = np.fft.rfft(a, axis=1)
     return np.fft.fft(s, axis=0, out=s)
 
@@ -89,7 +88,7 @@ def _stencil_spectrum(stencil: np.ndarray, shape: tuple[int, int]) -> np.ndarray
     cols = (np.arange(stencil.shape[1]) - c0) % w
     kernel = np.zeros(shape)
     np.add.at(kernel, (rows[:, None], cols[None, :]), stencil)
-    return np.fft.rfft2(kernel)
+    return _forward(kernel)
 
 
 # the highest binomial order whose weights fit a float64: their sum is
@@ -294,7 +293,7 @@ class Downsample(ForwardOperator):
         impulse = np.zeros(self.out_shape)
         impulse[0, 0] = 1.0
         response = self.apply(self.apply_adjoint(impulse))
-        self._low_eig = np.fft.rfft2(response).real
+        self._low_eig = _forward(response).real
 
     def apply(self, x):
         # every index is in range by construction, so "clip" only skips the

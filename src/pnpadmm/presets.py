@@ -48,11 +48,6 @@ PRESET_DEFAULTS: dict[str, dict] = {
     },
 }
 PRESET_NAMES = tuple(PRESET_DEFAULTS)
-# the Gaussian and box denoisers build a side x side matrix per axis, so a
-# long thin image costs memory quadratic in its long side (a 1 x 20000 strip
-# would ask for 3.2 GB).  With the long side at most this many times the
-# short one, a matrix holds at most that many times the image's pixels.
-MAX_ASPECT_RATIO = 16
 # rho only grows, so sigma_0 = sqrt(lambda / rho0) gives a run's widest
 # denoiser window; its half-width may be at most this many long sides (a
 # huge lambda would otherwise ask for a kernel of ~1e8 taps)
@@ -63,8 +58,10 @@ MAX_WINDOW_RATIO = 1
 # 1.8e8) stays below
 MAX_MEDIAN_COPIES = 2 * 10**8
 # a run keeps about 0.5 KB per trace row and writes about 96 B of trace.csv,
-# so at most this many rows (pgs-demo's limit on its terms too) stay near
-# 0.5 GB; a run that never stops would otherwise fill memory
+# so at most this many rows stay near 0.5 GB; a run that never stops would
+# otherwise fill memory.  pgs-demo's limit on its terms too: it writes one
+# CSV line per term, and 10^6 lines take ~4 s and make a 21 MB file, so a
+# longer request is refused before anything is allocated
 MAX_ITER = 10**6
 
 DENOISERS = {
@@ -164,11 +161,6 @@ def preset_settings(preset: ExperimentPreset) -> dict:
 
 def build_operator(preset: ExperimentPreset, image: np.ndarray) -> ForwardOperator:
     shape = image.shape
-    if max(shape) > MAX_ASPECT_RATIO * min(shape):
-        raise ValueError(
-            f"image of {shape[0]}x{shape[1]} pixels (height x width): the long side "
-            f"exceeds {MAX_ASPECT_RATIO} times the short side"
-        )
     side = max(shape)
     sigma0 = math.sqrt(preset.lam / preset.rho0)
     radius = preset.denoiser.radius(sigma0, side)

@@ -109,12 +109,13 @@ def test_median_against_brute_force():
             assert got[i, j] == np.median(win)
 
 
-@pytest.mark.parametrize("budget", [1, 5000, 100_000, 10**9])
+@pytest.mark.parametrize("budget", [1, 1400, 5000, 100_000, 10**9])
 @pytest.mark.parametrize("shape,sigma", [((9, 10), 0.15), ((1, 7), 0.4), ((13, 5), 1.3)])
 def test_blocked_median_equals_unblocked(monkeypatch, budget, shape, sigma):
     # a 2000-byte row per window block at 9x10 and a 49000-byte one at 13x5:
-    # blocks of one row, of two rows with a short last block, and the whole
-    # image at once
+    # blocks of one window, of part of a row with a short last block (7 and
+    # 3 windows at 9x10), of one row, of two rows with a short last block,
+    # and the whole image at once
     monkeypatch.setattr(denoisers, "MEDIAN_BLOCK_BYTES", budget)
     h, w = shape
     img = noise_image(np.random.default_rng(43), w, h)
@@ -130,6 +131,20 @@ def test_median_memory_stays_within_block_budget():
     tracemalloc.start()
     try:
         denoise(MedianFilter(), 0.1, img)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+
+
+def test_median_memory_stays_within_block_budget_on_a_strip():
+    # 1x1024 at sigma 0.02 is a 41x41 window: its one row of windows is
+    # 1024*1681 floats (13.8 MB), so a block must be part of the row
+    img = noise_image(np.random.default_rng(59), 1024, 1)
+    denoise(MedianFilter(), 0.02, img)
+    tracemalloc.start()
+    try:
+        denoise(MedianFilter(), 0.02, img)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,10 +1,12 @@
 """Property tests: the PGS generator, its summability bound, and the
 closed-form Cauchy certificate against their direct definitions; the
 forward operators' adjoints and closed-form prox solves against their
-defining identities, and the downsampling gather against whole-image
-rolls; the separable denoisers against two sliding-window passes; exact
-round trips of the trace CSV and PGM formats; the array checks of
-ConditionTrace.validate against a loop over its iterations; and that a
+defining identities, the downsampling gather against whole-image rolls,
+and the in-place transform pair against numpy's 2-D transforms; the
+separable denoisers against two sliding-window passes; exact round trips
+of the trace CSV and PGM formats; the array checks of
+ConditionTrace.validate against a loop over its iterations; the paper's
+envelope argument on random traces that obey the penalty rule; and that a
 failing property test is reported under the suite's warning filters."""
 
 import math
@@ -29,7 +31,7 @@ from oracles import (
     two_pass_filter,
 )
 
-from pnpadmm import denoisers
+from pnpadmm import denoisers, fidelity
 from pnpadmm.denoisers import BoxAverage, GaussianSmoothing, denoise
 from pnpadmm.fidelity import (
     CircularBlur,
@@ -44,9 +46,13 @@ from pnpadmm.linalg import DimensionMismatchError
 from pnpadmm.sequences import (
     ConditionTrace,
     PgsSpec,
+    alternation_boundaries,
     cauchy_index,
+    construct_s3_bound,
+    construct_s12_bound,
     pgs_generate,
     pgs_total_sum_bound,
+    verify_bound,
 )
 
 
@@ -193,6 +199,19 @@ def test_downsample_reads_every_pixel(factor, rows, cols):
     # (rows or cols of 1 at factor >= 2) included
     op = Downsample((factor * rows, factor * cols), factor)
     assert np.unique(op._src).size == math.prod(op.in_shape)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 64), st.integers(1, 64), st.integers(0, 2**32 - 1))
+def test_transform_pair_is_bit_equal_to_rfft2_and_irfft2(h, w, seed):
+    # every spectrum, kept or per step, goes through this pair, so a trace
+    # is the same bits as one computed with numpy's 2-D transforms
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((h, w))
+    assert fidelity._forward(a).tobytes() == np.fft.rfft2(a).tobytes()
+    s = rng.standard_normal((h, w // 2 + 1)) + 1j * rng.standard_normal((h, w // 2 + 1))
+    want = np.fft.irfft2(s, s=(h, w))
+    assert fidelity._inverse(s, w).tobytes() == want.tobytes()
 
 
 @settings(deadline=None)
@@ -427,6 +446,70 @@ def test_validate_matches_the_iteration_loop(trace_and_flags):
     with np.errstate(over="ignore", invalid="ignore"):
         expected = _outcome(lambda: loop_validate(trace, flags))
     assert _outcome(lambda: trace.validate(flags)) == expected
+
+
+@st.composite
+def rule_traces(draw):
+    """A ConditionTrace of 5..80 rows that obeys the three hypotheses of the
+    paper's S3 argument for a c drawn with it, its recorded flags, and c.
+
+    A C1 row k has eta delta_k <= delta_{k+1} <= c / sqrt(rho_k), indexed as
+    :func:`estimate_growth_coefficient` indexes it; a C2 row has
+    delta_{k+1} < eta delta_k; rho grows by gamma on C1 rows only.  A row
+    whose C1 interval is empty is C2, and a row after a zero residual is C1
+    (0 >= eta 0).  Zero residuals, C1 residuals at either end of their
+    interval and C2 residuals one ulp below eta delta_k are among the draws.
+    """
+    gamma = draw(st.floats(1.01, 9.0))
+    eta = draw(st.floats(0.05, 0.99))
+    c = draw(st.floats(0.1, 10.0))
+    deltas, rhos, flags = [draw(st.floats(0.0, 10.0))], [draw(st.floats(0.1, 10.0))], []
+    for _ in range(draw(st.integers(4, 79))):
+        low, high = eta * deltas[-1], c / math.sqrt(rhos[-1])
+        c1 = low == 0 or (low <= high and draw(st.booleans()))
+        pick = draw(st.sampled_from(["end", "start", "between"]))
+        if c1:
+            between = min(high, low + draw(st.floats(0.0, 1.0)) * (high - low))
+            delta = {"end": high, "start": low, "between": between}[pick]
+        else:
+            below = float(np.nextafter(low, 0.0))
+            delta = {"end": below, "start": 0.0,
+                     "between": min(below, low * draw(st.floats(0.0, 1.0)))}[pick]
+        deltas.append(delta)
+        rhos.append(gamma * rhos[-1] if c1 else rhos[-1])
+        flags.append(c1)
+    n = len(deltas)
+    trace = ConditionTrace(deltas, rhos, np.ones(n), np.zeros(n), gamma, eta)
+    return trace, np.array(flags), c
+
+
+@settings(deadline=None, max_examples=100)
+@given(rule_traces(), st.floats(1e-3, 10.0))
+def test_envelopes_dominate_every_trace_that_obeys_the_penalty_rule(drawn, scale):
+    """The paper's S3 argument, with c given, not fitted: from the three
+    hypotheses alone, the PGS with beta = max(1/sqrt(gamma), eta), one chunk
+    per C1 onset and first peak c / sqrt(rho_{n_1}) dominates the residuals
+    from chunk_starts[0] + 1 on, and so does the geometric bound of the
+    final single-condition run; tail sums from the Cauchy start index stay
+    below the certificate's bound.
+
+    Each of these mutants of construct_s3_bound fails it:
+    - beta = 1/sqrt(gamma) alone;
+    - beta = eta alone;
+    - beta = min(1/sqrt(gamma), eta);
+    - the first peak read at rhos[n1] in place of rhos[n1 - 1].
+    """
+    trace, flags, c = drawn
+    trace.validate(flags)
+    specs = [construct_s12_bound(trace, c)]
+    if len(alternation_boundaries(trace.c1)) >= 2:
+        specs.append(construct_s3_bound(trace, c))
+    for spec in specs:
+        start = spec.chunk_starts[0] + 1
+        check = verify_bound(trace.deltas, pgs_generate(spec, len(trace)), start)
+        assert check.holds, (spec, check.worst_margin_iteration)
+        cert = cauchy_index(spec, scale * spec.peak0)
+        assert math.fsum(trace.deltas[cert.n_start - 1:]) < cert.tail_bound
 
 
 FAILING_PROPERTY = """
